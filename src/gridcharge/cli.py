@@ -46,7 +46,7 @@ def _strategy_for(rc: RunConfig, scenario):
     raise ConfigError(f"unknown strategy {rc.strategy!r}")
 
 
-def execute_run(rc: RunConfig, keep_traces=True):
+def execute_run(rc: RunConfig, keep_traces=False):
     scenario = build_scenario(rc)
     strategy = _strategy_for(rc, scenario)
     sim = Simulation(scenario, strategy,

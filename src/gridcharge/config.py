@@ -1,6 +1,7 @@
 """Run configuration: YAML parsing, validation, defaults, scenario assembly."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -92,7 +93,13 @@ def _coerce(value, tag, path):
     if base == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:   # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: must be finite, got {value!r}")
+        return number
     if base == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
@@ -183,6 +190,8 @@ def parse_config(path, overrides=None) -> RunConfig:
                 f"bandit.{rule_key}: expected one of {UPDATE_RULES}")
     if tree["oracle_mode"] not in ORACLE_MODES:
         raise ConfigError(f"oracle_mode: expected one of {ORACLE_MODES}")
+    if tree["scenario"]["household_load_w"] < 0.0:
+        raise ConfigError("scenario.household_load_w: must be >= 0")
     if not (0.0 < tree["cooperation_fraction"] <= 1.0):
         raise ConfigError("cooperation_fraction: must be in (0, 1]")
     if tree["strategy"] == "oracle" and tree["oracle_mode"] == "exhaustive" \

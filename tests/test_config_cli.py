@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from gridcharge.cli import main
+from gridcharge.cli import execute_run, main
 from gridcharge.config import ConfigError, build_scenario, parse_config
-from gridcharge.strategies import AmasStrategy
+from gridcharge.strategies import CHECKPOINT_FORMAT, AmasStrategy
 
 SMALL = """\
 scenario:
@@ -175,6 +175,20 @@ class TestValidateCommand:
         path = write_config(tmp_path, "scenario:\n  fleet_size: 10000\n")
         assert main(["validate", "--config", path]) == 1
 
+    @pytest.mark.parametrize("body, key", [
+        ("bandit:\n  alpha: .nan\n", "bandit.alpha"),
+        ("scenario:\n  ev:\n    p_max_kw: .nan\n", "scenario.ev.p_max_kw"),
+        ("scenario:\n  household_load_w: -500\n",
+         "scenario.household_load_w"),
+        ("scenario:\n  pv:\n    area_m2: 1" + "0" * 400 + "\n",
+         "scenario.pv.area_m2"),   # an int too large for a float
+    ], ids=["alpha-nan", "p_max-nan", "household-load-negative",
+            "pv-area-overflow"])
+    def test_rejected_value_names_key(self, tmp_path, capsys, body, key):
+        path = write_config(tmp_path, body)
+        assert main(["validate", "--config", path]) == 1
+        assert key in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_compare_two_strategies(self, tmp_path):
@@ -202,21 +216,30 @@ class TestCompareCommand:
 class TestCheckpoint:
     def test_round_trip(self, small_cfg):
         path, out = small_cfg
-        main(["run", "--config", path])
+        assert main(["run", "--config", path]) == 0
         payload = json.loads(read(os.path.join(out, "checkpoint.json")))
-        strat = AmasStrategy.from_checkpoint(payload)
-        assert strat.days_completed == 2
-        assert strat.pv_update_rule == "per_arm"
-        for ev, blob in payload["evs"].items():
-            assert np.allclose(strat.bandits[ev].gram, blob["bandit"]["gram"])
-            assert np.allclose(
-                strat.bandits[ev].estimate,
-                np.linalg.solve(np.array(blob["bandit"]["gram"]),
-                                np.array(blob["bandit"]["response"])))
+        assert payload["format"] == CHECKPOINT_FORMAT
+        restored = AmasStrategy.from_checkpoint(payload)
+        _, live, _ = execute_run(parse_config(path))
+        assert restored.days_completed == 2
+        assert restored.pv_update_rule == "per_arm"
+        assert sorted(restored.bandits) == sorted(live.bandits)
+        for ev in live.bandits:
+            for learners in ("bandits", "pv_learners"):
+                got = getattr(restored, learners)[ev]
+                want = getattr(live, learners)[ev]
+                for name in ("gram", "response", "estimate"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name)), (ev, name)
+                assert got.scale == want.scale
 
     def test_format_tag_enforced(self):
         with pytest.raises(ValueError, match="format"):
             AmasStrategy.from_checkpoint({"format": "other/9"})
+        # the nested-list layout of format /1 is not read any more
+        with pytest.raises(ValueError, match="gridcharge.checkpoint/1"):
+            AmasStrategy.from_checkpoint(
+                {"format": "gridcharge.checkpoint/1", "evs": {}})
 
 
 class TestByteDeterminism:
