@@ -7,10 +7,11 @@ the plug-in instant and the connection window is [0, window_length).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+# Not called here; perfbench/child.py wraps it under this module's name.
 from .bandit import select_super_arm
 
 __all__ = [
@@ -78,7 +79,6 @@ class EvState:
     soc: float
     m: int
     k_p: int = 0
-    connected: bool = False
     played_mask: np.ndarray = None
     reward_trace: np.ndarray = None
     sampled_theta: np.ndarray = None
@@ -116,51 +116,25 @@ def request_priority(criticality: float) -> tuple:
     return (abs(criticality), criticality)
 
 
-def _most_critical(requests):
-    best = None
-    for r in requests:
-        if best is None:
-            best = r
-            continue
-        pr, pb = request_priority(r.criticality), request_priority(best.criticality)
-        if pr > pb or (pr == pb and r.origin_agent < best.origin_agent):
-            best = r
-    return best
+def forward_request(kind: str, held, received):
+    """One agent's forwarding rule for the requests received in one round.
 
-
-def forward_request(own_criticality: float, own_targets, received,
-                    kind: str, origin_agent: str = "", instant: int = 0):
-    """One agent's forwarding decision: its own request, the most critical
-    received one, or nothing when every criticality in sight is zero.
-
-    Bus agents give absolute priority to received line-congestion requests.
-    Ties among received requests break toward the lowest origin id.
+    `kind` is "line", "bus" or "ev"; `held` is the request the agent holds
+    (its own, or the last one it adopted) or None. Returns the most critical
+    received request, to be adopted and passed on, or None when it does not
+    strictly beat `held`. A bus considers only received line-congestion
+    requests (+1 from a line) when there are any. Ties break toward the
+    lowest origin id.
     """
-    if kind not in ("line", "bus"):
-        raise ValueError(f"unknown agent kind {kind!r}")
-    received = [r for r in received if r.criticality != 0.0]
-
     if kind == "bus":
-        congested = [r for r in received
-                     if r.origin_kind == "line" and r.criticality == 1.0]
-        if congested:
-            return _most_critical(congested)
-
-    own = None
-    if own_criticality != 0.0:
-        own = CriticalityRequest(
-            criticality=own_criticality,
-            target_evs=frozenset(own_targets),
-            origin_agent=origin_agent,
-            origin_kind=kind,
-            instant=instant,
-        )
-
-    if not received:
-        return own
-    best = _most_critical(received)
-    if own is not None and request_priority(own.criticality) > request_priority(best.criticality):
-        return own
+        received = [r for r in received
+                    if r.origin_kind == "line" and r.criticality == 1.0] \
+            or received
+    best = max(sorted(received, key=lambda r: r.origin_agent), default=None,
+               key=lambda r: request_priority(r.criticality))
+    if best is None or (held is not None and request_priority(best.criticality)
+                        <= request_priority(held.criticality)):
+        return None
     return best
 
 
@@ -229,15 +203,12 @@ def ev_decide(profile: EvProfile, state: EvState, now: int, requests,
     k_f = required_instants(profile, delta_i, state.sampled_phi, state.k_p, now)
     if _targeted(requests, profile.ev_id, -1.0):
         return profile.p_max if k_f > 0 else 0.0
-    if k_f <= 0:
-        return 0.0
-    window = profile.window_length
-    candidates = [i for i in range(now, window) if state.played_mask[i] == 0.0]
-    k = min(k_f, len(candidates))
-    if k == 0:
-        return 0.0
-    arm = select_super_arm(state.sampled_theta, candidates, k)
-    return profile.p_max if now in arm else 0.0
+    # `now` is in the top-k_f of [now, window) under theta, ties toward the
+    # lowest index, exactly when fewer than k_f later instants beat it.
+    theta = state.sampled_theta
+    beaten_by = np.count_nonzero(
+        theta[now + 1:profile.window_length] > theta[now])
+    return profile.p_max if beaten_by < k_f else 0.0
 
 
 def ev_record(state: EvState, now: int, charged: bool, cost_now: float,

@@ -190,8 +190,15 @@ def parse_config(path, overrides=None) -> RunConfig:
                 f"bandit.{rule_key}: expected one of {UPDATE_RULES}")
     if tree["oracle_mode"] not in ORACLE_MODES:
         raise ConfigError(f"oracle_mode: expected one of {ORACLE_MODES}")
-    if tree["scenario"]["household_load_w"] < 0.0:
-        raise ConfigError("scenario.household_load_w: must be >= 0")
+    scen, bandit = tree["scenario"], tree["bandit"]
+    for key, value in (("scenario.household_load_w", scen["household_load_w"]),
+                       ("scenario.pv.area_m2", scen["pv"]["area_m2"]),
+                       ("bandit.alpha", bandit["alpha"]),
+                       ("bandit.beta", bandit["beta"])):
+        if value is not None and value < 0.0:
+            raise ConfigError(f"{key}: must be >= 0")
+    if not (0.0 <= scen["pv"]["efficiency"] <= 1.0):
+        raise ConfigError("scenario.pv.efficiency: must be in [0, 1]")
     if not (0.0 < tree["cooperation_fraction"] <= 1.0):
         raise ConfigError("cooperation_fraction: must be in (0, 1]")
     if tree["strategy"] == "oracle" and tree["oracle_mode"] == "exhaustive" \

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .agents import (CriticalityRequest, EvProfile, EvState,
-                     bus_criticality, line_criticality, request_priority,
+                     bus_criticality, forward_request, line_criticality,
                      sample_cooperation_targets)
 from .gridnet import (FeederSpec, NetworkTopology, build_replicated_feeder,
                       pv_power, solve_power_flow)
@@ -221,24 +221,11 @@ def flood_requests(topology: NetworkTopology, ev_bus: dict, initial):
         rounds += 1
         outbox = {}
         for node, reqs in sorted(inbox.items()):
-            kind = node[0]
-            best = None
-            if kind == "bus":
-                congested = [r for r in reqs
-                             if r.origin_kind == "line" and r.criticality == 1.0]
-                pool = congested or reqs
-            else:
-                pool = reqs
-            for r in pool:
-                if best is None or request_priority(r.criticality) > request_priority(best.criticality) \
-                        or (request_priority(r.criticality) == request_priority(best.criticality)
-                            and r.origin_agent < best.origin_agent):
-                    best = r
-            cur = held.get(node)
-            if cur is not None and request_priority(best.criticality) <= request_priority(cur.criticality):
+            best = forward_request(node[0], held.get(node), reqs)
+            if best is None:
                 continue
             held[node] = best
-            if kind == "ev":
+            if node[0] == "ev":
                 ev_received.setdefault(node[1], []).append(best)
             else:
                 for nb in neighbors[node]:
@@ -250,19 +237,11 @@ def flood_requests(topology: NetworkTopology, ev_bus: dict, initial):
 
 @dataclass
 class InstantTrace:
-    g: int
-    day: int
-    instant_of_day: int
     converged: bool
-    iterations: int
-    current_violation: bool
-    voltage_violation: bool
     flood_rounds: int
-    requests: tuple
-    line_currents: np.ndarray | None = None
-    bus_voltages: np.ndarray | None = None
-    injections: np.ndarray | None = None
-    ev_grid_kw: dict = field(default_factory=dict)
+    requests: tuple                  # the instant's initial requests
+    injections: np.ndarray           # per-bus net injection, watt
+    ev_grid_kw: dict                 # ev_id -> grid power, charging EVs only
 
 
 @dataclass
@@ -325,7 +304,7 @@ class Simulation:
 
     # -- single instant ----------------------------------------------------
 
-    def run_instant(self, g: int) -> InstantTrace:
+    def run_instant(self, g: int) -> InstantTrace | None:
         sc = self.sc
         m, dh = self.m, self.delta_h
         i_day = g % m
@@ -334,7 +313,7 @@ class Simulation:
         # Phase 0: plug-in sessions starting at this instant.
         for idx, prof in enumerate(sc.fleet):
             if i_day == prof.t_arrive and day < sc.days:
-                st = EvState(soc=prof.soc_start, m=m, connected=True)
+                st = EvState(soc=prof.soc_start, m=m)
                 self.strategy.session_start(prof, st, self.rng)
                 self._active[idx] = [day, 0, st]
                 self._pending[idx] = []
@@ -382,7 +361,6 @@ class Simulation:
                              if charged[i]]
         n_targets = max(1, math.ceil(self.coop_fraction *
                                      max(1, len(grid_charging_evs))))
-        initial = []
         if sol.converged:
             line_crit = [line_criticality(c, r) for c, r in
                          zip(sol.line_currents, self.net.i_rated)]
@@ -393,24 +371,17 @@ class Simulation:
             # whole fleet backs off.
             line_crit = [1.0] * self.net.n_lines
             bus_crit = [0.0] * self.net.n_buses
-        for li, cr in enumerate(line_crit):
-            if cr != 0.0:
-                targets = sample_cooperation_targets(grid_charging_evs,
-                                                     n_targets, self.rng) \
-                    if grid_charging_evs else frozenset()
-                initial.append(CriticalityRequest(
-                    criticality=cr, target_evs=targets,
-                    origin_agent=self.net.lines[li].id, origin_kind="line",
-                    instant=i_day))
-        for bi, cr in enumerate(bus_crit):
-            if cr != 0.0:
-                targets = sample_cooperation_targets(grid_charging_evs,
-                                                     n_targets, self.rng) \
-                    if grid_charging_evs else frozenset()
-                initial.append(CriticalityRequest(
-                    criticality=cr, target_evs=targets,
-                    origin_agent=self.net.buses[bi].id, origin_kind="bus",
-                    instant=i_day))
+        initial = []
+        for kind, agents, crits in (("line", self.net.lines, line_crit),
+                                    ("bus", self.net.buses, bus_crit)):
+            for agent, cr in zip(agents, crits):
+                if cr != 0.0:
+                    initial.append(CriticalityRequest(
+                        criticality=cr,
+                        target_evs=sample_cooperation_targets(
+                            grid_charging_evs, n_targets, self.rng),
+                        origin_agent=agent.id, origin_kind=kind,
+                        instant=i_day))
 
         received, rounds = flood_requests(self.net, self.ev_bus, initial)
 
@@ -424,30 +395,21 @@ class Simulation:
                                    site_pv_w[self._ev_site[idx]])
             self._pending[idx] = reqs
 
-        # Violations are attributed to the global day (clipped to horizon).
-        cur_v = (not sol.converged) or bool((sol.line_currents >
-                                             self.net.i_rated).any())
-        volt_v = (not sol.converged) or bool(
-            ((sol.bus_voltages < self.net.v_min) |
-             (sol.bus_voltages > self.net.v_max)).any())
+        # Violations are attributed to the global day (clipped to horizon);
+        # a non-converged instant counts against both kinds.
         vday = min(day, sc.days - 1)
-        if cur_v:
+        if any(line_crit):
             self.violations_current[vday] += 1
-        if volt_v:
+        if not sol.converged or any(bus_crit):
             self.violations_voltage[vday] += 1
 
-        trace = InstantTrace(
-            g=g, day=day, instant_of_day=i_day,
-            converged=sol.converged, iterations=sol.iterations,
-            current_violation=cur_v, voltage_violation=volt_v,
-            flood_rounds=rounds, requests=tuple(initial),
-            line_currents=sol.line_currents if self.keep_traces else None,
-            bus_voltages=sol.bus_voltages if self.keep_traces else None,
-            injections=inj if self.keep_traces else None,
-            ev_grid_kw={sc.fleet[i].ev_id: grid_kw[i]
-                        for i in self._active if grid_kw[i] > 0.0},
-        )
-        if self.traces is not None:
+        trace = None
+        if self.keep_traces:
+            trace = InstantTrace(
+                converged=sol.converged, flood_rounds=rounds,
+                requests=tuple(initial), injections=inj,
+                ev_grid_kw={sc.fleet[i].ev_id: grid_kw[i]
+                            for i in self._active if grid_kw[i] > 0.0})
             self.traces.append(trace)
 
         # Phase 6: sessions ending after this instant.

@@ -1,28 +1,14 @@
-"""Evaluation quantities: cost, fairness, violations, reward traces."""
+"""Evaluation quantities: per-unit cost, fairness, reward traces."""
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
-    "daily_cost",
     "fairness_index",
-    "count_violations",
     "mean_daily_reward",
     "per_unit_costs",
     "convergence_day",
 ]
-
-
-def daily_cost(prices, powers, delta_h: float) -> float:
-    """Sum of price x grid-drawn power x instant duration (hours).
-
-    PV-covered charging never appears in `powers`; it is free by design.
-    """
-    prices = np.asarray(prices, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-    if prices.shape != powers.shape:
-        raise ValueError("prices and powers must have equal length")
-    return float(np.sum(prices * powers) * delta_h)
 
 
 def fairness_index(per_unit: "list[float] | np.ndarray") -> float:
@@ -41,16 +27,6 @@ def fairness_index(per_unit: "list[float] | np.ndarray") -> float:
         return 1.0
     sigma = float(arr.std())
     return 1.0 / (1.0 + (sigma / mean) ** 2)
-
-
-def count_violations(traces) -> tuple[int, int]:
-    """(current, voltage) violation instant counts over a trace list.
-
-    Non-converged instants count against both kinds.
-    """
-    cur = sum(1 for t in traces if t.current_violation)
-    volt = sum(1 for t in traces if t.voltage_violation)
-    return cur, volt
 
 
 def per_unit_costs(cost: np.ndarray, grid_energy: np.ndarray,

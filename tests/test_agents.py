@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from gridcharge.agents import (CriticalityRequest, EvProfile, EvState,
                                bus_criticality, ev_decide, ev_record,
                                ev_reward, forward_request, line_criticality,
-                               required_instants, sample_cooperation_targets)
+                               request_priority, required_instants,
+                               sample_cooperation_targets)
+from gridcharge.bandit import select_super_arm
 
 
 def req(crit, origin="x", kind="line", targets=(), instant=0):
@@ -50,56 +52,77 @@ class TestCriticalities:
 
 
 class TestForwardRequest:
+    """The rule every line, bus and EV applies to the requests it receives
+    in one flooding round, given the request it already holds."""
+
     def test_line_forwards_own_when_most_critical(self):
-        out = forward_request(1.0, {"ev1"}, [req(0.0)], "line",
-                              origin_agent="l3", instant=5)
-        assert out.origin_agent == "l3"
-        assert out.criticality == 1.0
-        assert out.target_evs == frozenset({"ev1"})
+        own = req(1.0, origin="l3", targets={"ev1"})
+        assert forward_request("line", own, [req(-1.0, origin="b1",
+                                                 kind="bus")]) is None
+        assert forward_request("line", own, [req(1.0, origin="l0")]) is None
 
     def test_line_forwards_received_when_higher(self):
         incoming = req(1.0, origin="l9")
-        out = forward_request(0.0, set(), [incoming], "line", origin_agent="l1")
-        assert out is incoming
+        assert forward_request("line", None, [incoming]) is incoming
+        weaker = req(0.5, origin="l1")
+        assert forward_request("line", weaker, [incoming]) is incoming
 
     def test_bus_line_congestion_priority(self):
+        own = req(-1.0, origin="b1", kind="bus", targets={"evX"})
         congested = req(1.0, origin="l2", kind="line")
-        out = forward_request(-1.0, {"evX"}, [congested], "bus",
-                              origin_agent="b1")
-        assert out is congested
+        undervolt = req(1.0, origin="b0", kind="bus")
+        assert forward_request("bus", own, [undervolt, congested]) is congested
+        # Only a bus gives line congestion priority; elsewhere the lower
+        # origin id wins the tie.
+        assert forward_request("line", None,
+                               [undervolt, congested]) is undervolt
 
     def test_bus_silent_when_all_zero(self):
-        assert forward_request(0.0, set(), [], "bus") is None
+        assert forward_request("bus", None, []) is None
+        assert forward_request("line", req(1.0, origin="l1"), []) is None
 
     def test_overvoltage_own_request_forwarded(self):
-        out = forward_request(-1.0, {"ev2"}, [], "bus", origin_agent="b4")
-        assert out.criticality == -1.0
+        over = req(-1.0, origin="b4", kind="bus", targets={"ev2"})
+        assert forward_request("bus", None, [over]) is over
+        own = req(-1.0, origin="b1", kind="bus")
+        assert forward_request("bus", own, [over]) is None
 
     def test_plus_beats_minus_on_equal_magnitude(self):
-        out = forward_request(0.0, set(),
-                              [req(-1.0, origin="a", kind="bus"),
-                               req(1.0, origin="z", kind="bus")], "bus")
-        assert out.criticality == 1.0
+        plus = req(1.0, origin="z", kind="bus")
+        out = forward_request("bus", None, [req(-1.0, origin="a", kind="bus"),
+                                            plus])
+        assert out is plus
+        assert forward_request("bus", req(-1.0, origin="b", kind="bus"),
+                               [plus]) is plus
 
     def test_tie_breaks_to_lowest_origin_id(self):
-        out = forward_request(0.0, set(),
+        out = forward_request("line", None,
                               [req(1.0, origin="l10"), req(1.0, origin="l1"),
-                               req(1.0, origin="l2")], "line")
+                               req(1.0, origin="l2")])
         assert out.origin_agent == "l1"
+
+    def test_bus_own_undervoltage_blocks_line_congestion(self):
+        # A bus that holds its own +1 under-voltage request does not relay
+        # a +1 line-congestion request: equal priority is not a strict gain.
+        own = req(1.0, origin="b3", kind="bus", targets={"ev4"})
+        congested = req(1.0, origin="l_b3", kind="line", targets={"ev5"})
+        assert forward_request("bus", own, [congested]) is None
 
     def test_forwarded_criticality_is_max_in_sight(self):
         rng = np.random.default_rng(12)
+        crits = [-1.0, -0.5, 0.5, 1.0]
         for _ in range(200):
-            own = float(rng.choice([-1.0, 0.0, 1.0]))
-            received = [req(float(rng.choice([-1.0, 0.0, 0.5, 1.0])),
-                            origin=f"l{i}") for i in range(rng.integers(0, 4))]
-            out = forward_request(own, set(), received, "line", origin_agent="me")
-            pool = [own] + [r.criticality for r in received]
-            nonzero = [c for c in pool if c != 0.0]
-            if not nonzero:
+            held = (None if rng.random() < 0.3
+                    else req(float(rng.choice(crits)), origin="me"))
+            received = [req(float(rng.choice(crits)), origin=f"l{i}")
+                        for i in range(rng.integers(1, 5))]
+            out = forward_request("line", held, received)
+            top = max(request_priority(r.criticality) for r in received)
+            if held is not None and request_priority(held.criticality) >= top:
                 assert out is None
             else:
-                assert abs(out.criticality) == max(abs(c) for c in nonzero)
+                assert out in received
+                assert request_priority(out.criticality) == top
 
 
 class TestCooperationTargets:
@@ -262,6 +285,26 @@ class TestEvDecide:
         curtail = req(1.0, targets={"ev0"})
         now = int(rng.integers(0, 60))
         assert ev_decide(p, st_, now, [curtail], 15.0) == 0.0
+
+
+    @given(window=st.integers(1, 16), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_top_k_selection(self, window, data):
+        # Independent check: charge now exactly when now is among the top
+        # k_f instants of the remaining window that select_super_arm picks.
+        p = profile(t_depart=window)
+        theta = np.array(data.draw(st.lists(
+            st.sampled_from([-1.0, 0.0, 0.25, 1.0]),
+            min_size=window, max_size=window)))
+        phi = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 500.0, 3000.0]),
+            min_size=window, max_size=window)))
+        st_ = fresh_state(p, theta=theta, phi=phi)
+        st_.k_p = data.draw(st.integers(0, 10))
+        now = data.draw(st.integers(0, window - 1))
+        k_f = required_instants(p, 15.0, phi, st_.k_p, now)
+        picked = now in select_super_arm(theta, range(now, window), k_f)
+        assert (ev_decide(p, st_, now, [], 15.0) == p.p_max) == picked
 
 
 class TestEvRecord:

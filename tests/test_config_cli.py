@@ -182,8 +182,14 @@ class TestValidateCommand:
          "scenario.household_load_w"),
         ("scenario:\n  pv:\n    area_m2: 1" + "0" * 400 + "\n",
          "scenario.pv.area_m2"),   # an int too large for a float
+        ("bandit:\n  alpha: -0.5\n", "bandit.alpha"),
+        ("bandit:\n  beta: -1.0\n", "bandit.beta"),
+        ("scenario:\n  pv:\n    area_m2: -20.0\n", "scenario.pv.area_m2"),
+        ("scenario:\n  pv:\n    efficiency: 1.5\n",
+         "scenario.pv.efficiency"),
     ], ids=["alpha-nan", "p_max-nan", "household-load-negative",
-            "pv-area-overflow"])
+            "pv-area-overflow", "alpha-negative", "beta-negative",
+            "pv-area-negative", "pv-efficiency-above-one"])
     def test_rejected_value_names_key(self, tmp_path, capsys, body, key):
         path = write_config(tmp_path, body)
         assert main(["validate", "--config", path]) == 1

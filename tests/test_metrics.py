@@ -8,30 +8,11 @@ from hypothesis import strategies as st
 
 from gridcharge.engine import (ScenarioConfig, Simulation, generate_scenario)
 from gridcharge.gridnet import FeederSpec
-from gridcharge.metrics import (convergence_day, count_violations, daily_cost,
-                                fairness_index, mean_daily_reward,
-                                per_unit_costs)
+from gridcharge.metrics import (convergence_day, fairness_index,
+                                mean_daily_reward, per_unit_costs)
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
                                    UncontrolledStrategy, centralized_oracle,
                                    uncontrolled_action)
-
-
-class TestDailyCost:
-    def test_direct_evaluation(self):
-        assert daily_cost([0.1, 0.2], [7.0, 0.0], 0.25) == pytest.approx(0.175)
-
-    def test_all_zero(self):
-        assert daily_cost([0.5, 0.5], [0.0, 0.0], 0.25) == 0.0
-
-    def test_price_linearity(self):
-        p = np.array([0.1, 0.3, 0.2])
-        w = np.array([7.0, 0.0, 3.0])
-        assert daily_cost(2 * p, w, 0.25) == pytest.approx(
-            2 * daily_cost(p, w, 0.25))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            daily_cost([0.1], [1.0, 2.0], 0.25)
 
 
 class TestFairnessIndex:
@@ -65,21 +46,6 @@ class TestFairnessIndex:
     def test_population_std_not_sample(self):
         # {1, 3}: population sigma = 1 -> 0.8; sample sigma would give ~0.667.
         assert fairness_index([1.0, 3.0]) == pytest.approx(0.8, abs=1e-12)
-
-
-class _T:
-    def __init__(self, cur, volt):
-        self.current_violation = cur
-        self.voltage_violation = volt
-
-
-class TestCountViolations:
-    def test_empty(self):
-        assert count_violations([]) == (0, 0)
-
-    def test_mixed(self):
-        traces = [_T(True, False), _T(False, False), _T(True, True)]
-        assert count_violations(traces) == (2, 1)
 
 
 class TestMeanDailyReward:
