@@ -286,7 +286,6 @@ class TestEvDecide:
         now = int(rng.integers(0, 60))
         assert ev_decide(p, st_, now, [curtail], 15.0) == 0.0
 
-
     @given(window=st.integers(1, 16), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_top_k_selection(self, window, data):
