@@ -194,6 +194,8 @@ def flood_requests(topology: NetworkTopology, ev_bus: dict, initial):
     the process quiesces within the agent-graph diameter. Returns the list
     of requests each EV received (in improving order) and the round count.
     """
+    if not initial:
+        return {}, 0
     neighbors = {}
     for li, line in enumerate(topology.lines):
         node = ("line", line.id)
@@ -301,6 +303,7 @@ class Simulation:
 
         self._active = {}    # ev index -> (session_day, local_now, EvState)
         self._pending = {i: [] for i in range(n)}
+        self._site_pv_w = {}  # instant of day -> read-only PV watt per site
 
     # -- single instant ----------------------------------------------------
 
@@ -318,10 +321,14 @@ class Simulation:
                 self._active[idx] = [day, 0, st]
                 self._pending[idx] = []
 
-        irr = sc.irradiance_profile[i_day]
         price = sc.price_profile[i_day]
-        site_pv_w = np.array([pv_power(s.pv_area, s.pv_efficiency, irr)
-                              for s in sc.sites])
+        site_pv_w = self._site_pv_w.get(i_day)
+        if site_pv_w is None:
+            irr = sc.irradiance_profile[i_day]
+            site_pv_w = np.array([pv_power(s.pv_area, s.pv_efficiency, irr)
+                                  for s in sc.sites])
+            site_pv_w.flags.writeable = False
+            self._site_pv_w[i_day] = site_pv_w
 
         # Phase 1+2: deliver pending requests, take charging decisions.
         grid_kw = {}

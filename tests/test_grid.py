@@ -11,6 +11,38 @@ from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
                                 power_mismatch, pv_power, solve_power_flow)
 
 
+# Solution of the 46-bus case in `TestSegmentSums.test_pinned_trajectory`
+# as the depth-ordered sweep computed it, to 12 significant digits.
+PINNED_46_VOLTAGES = [
+    1.0, 0.997908225908, 0.995558386205, 0.993271938646,
+    0.991201772025, 0.989484992612, 0.987748968995, 0.98623316837,
+    0.985002257358, 0.983939858504, 0.983150795082, 0.982693537717,
+    0.982399450672, 0.996903985635, 0.995867180354, 0.995092503379,
+    0.994598643388, 0.994076886137, 0.993544099979, 0.993125000688,
+    0.992791593244, 0.992511309979, 0.992543153443, 0.992520957909,
+    0.995559362304, 0.993433522596, 0.991461164004, 0.989652258152,
+    0.988085920684, 0.986487255052, 0.985155072117, 0.984054029127,
+    0.983293229229, 0.982749874367, 0.982587551713, 0.996612464461,
+    0.995574496694, 0.994498663564, 0.993479491443, 0.992479210044,
+    0.991660837437, 0.990981922273, 0.990330480201, 0.989825418839,
+    0.989321082792, 0.988957788118,
+]
+PINNED_46_CURRENTS = [
+    1601.04251676, 539.084476672, 524.807719235, 475.333625524,
+    394.261372612, 398.85849562, 348.360427202, 282.946241156,
+    244.265256516, 181.449135207, 105.158023569, 67.637490262,
+    230.782874926, 238.332490644, 178.091113332, 113.5275015,
+    119.958720879, 122.51140232, 96.3766934009, 76.6758600952,
+    64.4627889199, 7.32405469646, 5.10495860962, 538.903183663,
+    487.891326741, 452.829485077, 415.439836191, 359.813369084,
+    367.393094221, 306.227432698, 253.15201902, 174.948289172,
+    124.961446702, 37.3334396561, 297.60560495, 238.391680659,
+    247.164403272, 234.195236809, 229.90891928, 188.118006227,
+    156.075415768, 149.782185993, 116.134293525, 115.982239516,
+    83.5539399497,
+]
+
+
 def two_bus_net(r=0.1, x=0.0, v_base=230.0, rating=100.0):
     return NetworkTopology(
         buses=[Bus("slack"), Bus("load")],
@@ -93,6 +125,81 @@ class TestTwoBusOracle:
             if prev is not None:
                 assert v <= prev + 1e-12
             prev = v
+
+
+class TestSegmentSums:
+    """The sweep's subtree/path index lists on unusual but legal trees."""
+
+    def test_branching_tree_in_arbitrary_order(self):
+        # Slack at index 2; branches s-b-{a-d, h} and s-c-e-f-g of depth
+        # 3 and 4; lines listed leaf-first, four of them child->parent.
+        buses = [Bus(i) for i in ("a", "b", "s", "c", "d", "e", "f", "g",
+                                  "h")]
+        lines = [Line("fg", "g", "f", 0.02, 0.01, 100.0),
+                 Line("ad", "a", "d", 0.03, 0.0, 100.0),
+                 Line("ef", "f", "e", 0.01, 0.01, 100.0),
+                 Line("bh", "b", "h", 0.02, 0.0, 100.0),
+                 Line("ba", "a", "b", 0.01, 0.005, 100.0),
+                 Line("ce", "c", "e", 0.01, 0.0, 100.0),
+                 Line("sb", "s", "b", 0.005, 0.002, 100.0),
+                 Line("cs", "c", "s", 0.005, 0.002, 100.0)]
+        net = NetworkTopology(buses, lines, "s")
+        inj = {"a": 2000.0, "b": 1500.0, "c": -800.0, "d": 3000.0,
+               "e": 1000.0, "f": 2500.0, "g": 4000.0, "h": -1200.0}
+        sol = solve_power_flow(net, inj)
+        assert sol.converged
+        assert power_mismatch(net, sol, inj) < 1e-6
+        # The deepest leaf of each branch sees the lowest voltage on it.
+        v = dict(zip((b.id for b in buses), sol.bus_voltages))
+        assert v["s"] == 1.0
+        assert v["g"] < v["f"] < v["e"] < v["c"] < 1.0
+        assert v["d"] < v["a"] < v["b"] < 1.0
+
+    @given(data=st.data(), n=st.integers(2, 16))
+    @settings(max_examples=80, deadline=None)
+    def test_random_radial_trees(self, data, n):
+        parent = [data.draw(st.integers(0, k - 1)) for k in range(1, n)]
+        order = data.draw(st.permutations(range(n)))
+        flip = data.draw(st.lists(st.booleans(), min_size=n - 1,
+                                  max_size=n - 1))
+        line_order = data.draw(st.permutations(range(n - 1)))
+        loads = data.draw(st.lists(
+            st.floats(-2000.0, 3000.0, allow_nan=False), min_size=n,
+            max_size=n))
+        name = [f"b{order[k]}" for k in range(n)]   # tree node k -> bus id
+        lines = []
+        for k in line_order:
+            child, up = name[k + 1], name[parent[k]]
+            ends = (child, up) if flip[k] else (up, child)
+            lines.append(Line(f"l{k}", *ends, 0.01, 0.005, 1000.0))
+        buses = [Bus(f"b{i}") for i in range(n)]
+        net = NetworkTopology(buses, lines, name[0])
+        inj = {name[k]: loads[k] for k in range(1, n)}
+        sol = solve_power_flow(net, inj)
+        assert sol.converged
+        assert power_mismatch(net, sol, inj) < 1e-6
+
+    def test_lone_slack_bus(self):
+        net = NetworkTopology([Bus("s")], [], "s")
+        sol = solve_power_flow(net, [0.0])
+        assert sol.converged
+        assert sol.bus_voltages.tolist() == [1.0]
+        assert sol.line_currents.shape == (0,)
+
+    def test_pinned_trajectory(self):
+        # Guards the sweep count that the benchmark repeats exactly.
+        net = build_replicated_feeder(FeederSpec(sub_districts=4))
+        assert net.n_buses == 46
+        inj = np.random.default_rng(46).uniform(-3000.0, 20000.0,
+                                                net.n_buses)
+        inj[net.bus_index["slack"]] = 0.0
+        sol = solve_power_flow(net, inj)
+        assert sol.converged
+        assert sol.iterations == 5
+        np.testing.assert_allclose(sol.bus_voltages, PINNED_46_VOLTAGES,
+                                   rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(sol.line_currents, PINNED_46_CURRENTS,
+                                   rtol=1e-9, atol=0.0)
 
 
 class TestFeederGenerator:
