@@ -1,9 +1,11 @@
 """Combinatorial linear Thompson Sampling state carried by each EV agent.
 
-The learner keeps a ridge-regression system (Gram matrix, response vector)
-over the daily decision instants, samples a parameter from the Gaussian
-posterior once per day, and plays the top-k instants under the sample.
-The same machinery estimates the daily PV production vector.
+Each agent learns two m-vectors over the daily decision instants, samples
+each from its Gaussian posterior once per day, and plays the top-k instants
+under the reward sample. The reward learner keeps a ridge-regression system
+(Gram matrix, response vector); the PV learner observes each instant on its
+own, so its posterior precision is diagonal and is kept as an m-vector (the
+CombLinTS update for one-hot per-instant features).
 """
 from __future__ import annotations
 
@@ -23,34 +25,51 @@ __all__ = [
 ]
 
 
+def _check_prior(m: int, scale: float):
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if scale < 0.0:
+        raise ValueError("exploration scale must be >= 0")
+
+
 @dataclass
-class _RidgePosterior:
-    """Gaussian posterior over an m-vector: mean = gram^-1 response."""
+class BanditState:
+    """Reward learner: Gaussian posterior over the per-instant expected
+    charging reward, mean = gram^-1 response."""
     gram: np.ndarray       # m x m, symmetric positive definite
     response: np.ndarray   # m
     estimate: np.ndarray   # m, always gram^-1 response
     scale: float           # exploration scale on the posterior covariance
 
     @classmethod
-    def initial(cls, m: int, scale: float):
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if scale < 0.0:
-            raise ValueError("exploration scale must be >= 0")
-        return cls(gram=np.eye(m), response=np.zeros(m),
-                   estimate=np.zeros(m), scale=float(scale))
+    def initial(cls, m: int, scale: float) -> "BanditState":
+        _check_prior(m, scale)
+        return cls.from_stats(np.eye(m), np.zeros(m), float(scale))
 
-    @property
-    def m(self) -> int:
-        return self.response.shape[0]
+    @classmethod
+    def from_stats(cls, gram, response, scale) -> "BanditState":
+        return cls(gram=gram, response=response,
+                   estimate=np.linalg.solve(gram, response), scale=scale)
 
 
-class BanditState(_RidgePosterior):
-    """Reward learner: estimate is the per-instant expected charging reward."""
+@dataclass
+class PvLearnerState:
+    """PV learner: diagonal Gaussian posterior over the per-instant PV
+    power in watt, mean = response / precision."""
+    precision: np.ndarray  # m, diagonal of the posterior precision, >= 1
+    response: np.ndarray   # m
+    estimate: np.ndarray   # m, always response / precision
+    scale: float           # exploration scale on the posterior covariance
 
+    @classmethod
+    def initial(cls, m: int, scale: float) -> "PvLearnerState":
+        _check_prior(m, scale)
+        return cls.from_stats(np.ones(m), np.zeros(m), float(scale))
 
-class PvLearnerState(_RidgePosterior):
-    """PV learner: estimate is the per-instant PV power in watt."""
+    @classmethod
+    def from_stats(cls, precision, response, scale) -> "PvLearnerState":
+        return cls(precision=precision, response=response,
+                   estimate=response / precision, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -78,16 +97,21 @@ class SuperArm:
         return float(sum(theta[i] for i in self.instants))
 
 
-def sample_parameter(state: _RidgePosterior, rng: np.random.Generator) -> np.ndarray:
-    """One draw from N(estimate, scale^2 gram^-1).
+def sample_parameter(state, rng: np.random.Generator) -> np.ndarray:
+    """One draw from the posterior N(estimate, scale^2 precision^-1).
 
-    Uses the Cholesky factor of the Gram matrix, which exists by the SPD
-    invariant; scale 0 returns the mean exactly.
+    Draws one standard normal m-vector. The PV learner scales it by the
+    inverse square root of its diagonal precision; the reward learner maps
+    it through the Cholesky factor of its Gram matrix, which exists by the
+    SPD invariant. Scale 0 returns the mean exactly and draws nothing.
     """
     if state.scale == 0.0:
         return state.estimate.copy()
+    z = rng.standard_normal(state.estimate.shape)
+    if isinstance(state, PvLearnerState):
+        # z / sqrt(d) first: it rounds as the dense Cholesky solve does.
+        return state.estimate + state.scale * (z / np.sqrt(state.precision))
     chol = np.linalg.cholesky(state.gram)
-    z = rng.standard_normal(state.m)
     return state.estimate + state.scale * np.linalg.solve(chol.T, z)
 
 
@@ -106,47 +130,38 @@ def select_super_arm(theta_sample: np.ndarray, candidates, k: int) -> SuperArm:
     return SuperArm(tuple(ordered[:k]))
 
 
-def _updated(state, mask, values, rule):
+def _checked(state, mask, values):
     mask = np.asarray(mask, dtype=float)
     values = np.asarray(values, dtype=float)
-    if mask.shape != (state.m,) or values.shape != (state.m,):
+    if mask.shape != state.response.shape or values.shape != mask.shape:
         raise ValueError("mask/values dimension mismatch with state")
     if np.any((mask == 0.0) & (values != 0.0)):
         raise ValueError("values must be zero at instants outside the mask")
-    if rule == "rank_one":
-        gram = state.gram + np.outer(mask, mask)
-    elif rule == "per_arm":
-        gram = state.gram + np.diag(mask)
-    else:
-        raise ValueError(f"unknown update rule {rule!r}")
-    response = state.response + values
-    estimate = np.linalg.solve(gram, response)
-    return type(state)(gram=gram, response=response,
-                       estimate=estimate, scale=state.scale)
+    return mask, values
 
 
-def update_day(state: BanditState, played_mask, rewards,
-               rule: str = "rank_one") -> BanditState:
+def update_day(state: BanditState, played_mask, rewards) -> BanditState:
     """End-of-day reward update.
 
-    "rank_one" adds the full day-mask outer product to the Gram matrix;
-    "per_arm" adds one diagonal unit per played instant (the semi-bandit
-    reading of the same statistics). Estimate is re-solved, never stale.
+    Adds the day-mask outer product to the Gram matrix and the per-instant
+    rewards to the response; the estimate is re-solved, never stale.
     """
-    return _updated(state, played_mask, rewards, rule)
+    mask, rewards = _checked(state, played_mask, rewards)
+    return BanditState.from_stats(state.gram + np.outer(mask, mask),
+                                  state.response + rewards, state.scale)
 
 
-def update_pv(state: PvLearnerState, observed_mask, observations,
-              rule: str = "rank_one") -> PvLearnerState:
+def update_pv(state: PvLearnerState, observed_mask,
+              observations) -> PvLearnerState:
     """End-of-day PV update from the instants with a sensor reading.
 
-    The default adds the full observation-mask outer product. With a dense
-    repeating mask that system drifts (the estimate grows linearly in the
-    day count off the mask mean), so callers that observe whole connection
-    windows should prefer the "per_arm" diagonal rule, under which each
-    coordinate converges to its running mean.
+    Each observed instant adds one to its precision and its reading to its
+    response, so each coordinate converges to its running mean.
     """
-    return _updated(state, observed_mask, observations, rule)
+    mask, observations = _checked(state, observed_mask, observations)
+    return PvLearnerState.from_stats(state.precision + mask,
+                                     state.response + observations,
+                                     state.scale)
 
 
 def pseudo_regret(true_theta: np.ndarray, daily_selections, k) -> dict:

@@ -35,9 +35,7 @@ def _fmt(x) -> str:
 
 def _strategy_for(rc: RunConfig, scenario):
     if rc.strategy == "amas":
-        return AmasStrategy(alpha=rc.alpha, beta=rc.beta,
-                            update_rule=rc.update_rule,
-                            pv_update_rule=rc.pv_update_rule)
+        return AmasStrategy(alpha=rc.alpha, beta=rc.beta)
     if rc.strategy == "uncontrolled":
         return UncontrolledStrategy()
     if rc.strategy == "oracle":

@@ -15,7 +15,6 @@ from .strategies import default_pv_exploration
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_scenario"]
 
 STRATEGIES = ("amas", "uncontrolled", "oracle")
-UPDATE_RULES = ("rank_one", "per_arm")
 ORACLE_MODES = ("exhaustive", "greedy")
 
 _OPT_FLOAT = ("optional_float", None)
@@ -66,8 +65,6 @@ SCHEMA = {
     "bandit": {
         "alpha": ("float", 0.5),
         "beta": _OPT_FLOAT,
-        "update_rule": ("str", "rank_one"),
-        "pv_update_rule": ("str", "per_arm"),
     },
     "cooperation_fraction": ("float", 0.05),
     "oracle_mode": ("str", "greedy"),
@@ -137,8 +134,6 @@ class RunConfig:
     seed: int
     alpha: float
     beta: float
-    update_rule: str
-    pv_update_rule: str
     cooperation_fraction: float
     oracle_mode: str
     output_dir: str
@@ -184,10 +179,6 @@ def parse_config(path, overrides=None) -> RunConfig:
             f"strategy: expected one of {STRATEGIES}, got {tree['strategy']!r}")
     if tree["days"] < 0:
         raise ConfigError("days: must be >= 0")
-    for rule_key in ("update_rule", "pv_update_rule"):
-        if tree["bandit"][rule_key] not in UPDATE_RULES:
-            raise ConfigError(
-                f"bandit.{rule_key}: expected one of {UPDATE_RULES}")
     if tree["oracle_mode"] not in ORACLE_MODES:
         raise ConfigError(f"oracle_mode: expected one of {ORACLE_MODES}")
     scen, bandit = tree["scenario"], tree["bandit"]
@@ -199,6 +190,15 @@ def parse_config(path, overrides=None) -> RunConfig:
             raise ConfigError(f"{key}: must be >= 0")
     if not (0.0 <= scen["pv"]["efficiency"] <= 1.0):
         raise ConfigError("scenario.pv.efficiency: must be in [0, 1]")
+    ev = scen["ev"]
+    for key in ("e_bat_kwh", "p_max_kw"):
+        if ev[key] <= 0.0:
+            raise ConfigError(f"scenario.ev.{key}: must be > 0")
+    if not (0.0 < ev["eta_chrg"] <= 1.0):
+        raise ConfigError("scenario.ev.eta_chrg: must be in (0, 1]")
+    if not (0.0 <= ev["soc_start"] <= ev["soc_target"] <= 1.0):
+        raise ConfigError("scenario.ev.soc_start, scenario.ev.soc_target: "
+                          "need 0 <= soc_start <= soc_target <= 1")
     if not (0.0 < tree["cooperation_fraction"] <= 1.0):
         raise ConfigError("cooperation_fraction: must be in (0, 1]")
     if tree["strategy"] == "oracle" and tree["oracle_mode"] == "exhaustive" \
@@ -228,8 +228,6 @@ def parse_config(path, overrides=None) -> RunConfig:
         seed=tree["seed"],
         alpha=tree["bandit"]["alpha"],
         beta=beta,
-        update_rule=tree["bandit"]["update_rule"],
-        pv_update_rule=tree["bandit"]["pv_update_rule"],
         cooperation_fraction=tree["cooperation_fraction"],
         oracle_mode=tree["oracle_mode"],
         output_dir=tree["output_dir"],

@@ -32,7 +32,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "gridcharge.checkpoint/2"
+CHECKPOINT_FORMAT = "gridcharge.checkpoint/3"
 
 
 def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
@@ -61,18 +61,9 @@ class Strategy:
 class AmasStrategy(Strategy):
     """Per-EV combinatorial linear Thompson Sampling with cooperation."""
 
-    def __init__(self, alpha=0.5, beta=360.0, update_rule="rank_one",
-                 pv_update_rule="per_arm"):
-        if update_rule not in ("rank_one", "per_arm"):
-            raise ValueError(f"unknown update rule {update_rule!r}")
-        if pv_update_rule not in ("rank_one", "per_arm"):
-            raise ValueError(f"unknown PV update rule {pv_update_rule!r}")
+    def __init__(self, alpha=0.5, beta=360.0):
         self.alpha = alpha
         self.beta = beta
-        self.update_rule = update_rule
-        # PV masks cover the whole connection window, where the rank-one
-        # system drifts; the diagonal rule keeps the estimate convergent.
-        self.pv_update_rule = pv_update_rule
         self.bandits = {}      # ev_id -> BanditState
         self.pv_learners = {}  # ev_id -> PvLearnerState
         self.selections = {}   # ev_id -> [(SuperArm, theta_hat_d), ...]
@@ -96,25 +87,23 @@ class AmasStrategy(Strategy):
         played = SuperArm(tuple(np.flatnonzero(state.played_mask)))
         self.selections[ev].append((played, theta_hat_d))
         self.bandits[ev] = update_day(self.bandits[ev], state.played_mask,
-                                      state.reward_trace, self.update_rule)
+                                      state.reward_trace)
         self.pv_learners[ev] = update_pv(self.pv_learners[ev], state.pv_mask,
-                                         state.pv_obs, self.pv_update_rule)
+                                         state.pv_obs)
 
     # -- checkpointing -----------------------------------------------------
 
     def to_checkpoint(self) -> dict:
-        def dump(st):
-            return {"gram": _pack(st.gram), "response": _pack(st.response),
-                    "scale": st.scale}
+        def dump(st, name):
+            return {name: _pack(getattr(st, name)),
+                    "response": _pack(st.response), "scale": st.scale}
         return {
             "format": CHECKPOINT_FORMAT,
             "days_completed": self.days_completed,
             "alpha": self.alpha,
             "beta": self.beta,
-            "update_rule": self.update_rule,
-            "pv_update_rule": self.pv_update_rule,
-            "evs": {ev: {"bandit": dump(self.bandits[ev]),
-                         "pv": dump(self.pv_learners[ev])}
+            "evs": {ev: {"bandit": dump(self.bandits[ev], "gram"),
+                         "pv": dump(self.pv_learners[ev], "precision")}
                     for ev in sorted(self.bandits)},
         }
 
@@ -124,22 +113,18 @@ class AmasStrategy(Strategy):
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {fmt!r}; "
                              f"expected {CHECKPOINT_FORMAT!r}")
-
-        def load(cls_, blob):
-            response = _unpack(blob["response"], (-1,))
-            m = response.shape[0]
-            gram = _unpack(blob["gram"], (m, m))
-            return cls_(gram=gram, response=response,
-                        estimate=np.linalg.solve(gram, response),
-                        scale=blob["scale"])
-
-        strat = cls(alpha=payload["alpha"], beta=payload["beta"],
-                    update_rule=payload["update_rule"],
-                    pv_update_rule=payload["pv_update_rule"])
+        strat = cls(alpha=payload["alpha"], beta=payload["beta"])
         strat.days_completed = payload["days_completed"]
         for ev, blob in payload["evs"].items():
-            strat.bandits[ev] = load(BanditState, blob["bandit"])
-            strat.pv_learners[ev] = load(PvLearnerState, blob["pv"])
+            rew, pv = blob["bandit"], blob["pv"]
+            response = _unpack(rew["response"], (-1,))
+            strat.bandits[ev] = BanditState.from_stats(
+                _unpack(rew["gram"], response.shape * 2), response,
+                rew["scale"])
+            response = _unpack(pv["response"], (-1,))
+            strat.pv_learners[ev] = PvLearnerState.from_stats(
+                _unpack(pv["precision"], response.shape), response,
+                pv["scale"])
             strat.selections[ev] = []
         return strat
 
@@ -228,24 +213,17 @@ class _FeasibilityChecker:
                         site.pv_area, site.pv_efficiency,
                         scenario.irradiance_profile[i])
             self.base[i] = inj
-        self._memo = {}
 
     def feasible(self, i_day: int, charging_ev_ids) -> bool:
-        key = (i_day, frozenset(charging_ev_ids))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         net = self.sc.topology
         inj = self.base[i_day].copy()
         for ev in charging_ev_ids:
             inj[self.ev_bus[ev]] += self.p_max_w[ev]
         sol = solve_power_flow(net, inj)
-        ok = bool(sol.converged
-                  and not (sol.line_currents > net.i_rated).any()
-                  and not ((sol.bus_voltages < net.v_min) |
-                           (sol.bus_voltages > net.v_max)).any())
-        self._memo[key] = ok
-        return ok
+        return bool(sol.converged
+                    and not (sol.line_currents > net.i_rated).any()
+                    and not ((sol.bus_voltages < net.v_min) |
+                             (sol.bus_voltages > net.v_max)).any())
 
 
 def centralized_oracle(scenario: Scenario, mode="greedy",
@@ -320,12 +298,21 @@ def _oracle_exhaustive(scenario, checker, needs, local_price, max_expansions):
         )
         per_ev.append(subsets)
 
+    memo = {}   # (day-instant, charging EVs) -> feasible; the search
+                # revisits the same instant sets across joint schedules
+
+    def feasible_at(i, evs):
+        key = (i, frozenset(evs))
+        if key not in memo:
+            memo[key] = checker.feasible(i, evs)
+        return memo[key]
+
     def feasible_joint(idxs):
         charging_at = {}
         for e, p in enumerate(fleet):
             for l in per_ev[e][idxs[e]][1]:
                 charging_at.setdefault((p.t_arrive + l) % m, set()).add(p.ev_id)
-        return all(checker.feasible(i, evs) for i, evs in charging_at.items())
+        return all(feasible_at(i, evs) for i, evs in charging_at.items())
 
     start = tuple(0 for _ in fleet)
     heap = [(sum(per_ev[e][0][0] for e in range(len(fleet))), start)]

@@ -1,4 +1,4 @@
-"""Thompson-Sampling learner tests against enumeration and lstsq oracles."""
+"""Thompson-Sampling learner tests against enumeration and dense-algebra oracles."""
 import itertools
 
 import numpy as np
@@ -52,6 +52,28 @@ class TestSampleParameter:
         rng = np.random.default_rng(2)
         draws = np.array([sample_parameter(st_, rng) for _ in range(50_000)])
         assert np.allclose(draws.var(axis=0), 0.25, atol=0.01)
+
+    def test_pv_draw_matches_dense_cholesky(self):
+        # The diagonal posterior must draw what the dense ridge posterior
+        # with Gram matrix diag(precision) draws from the same normals.
+        rng = np.random.default_rng(3)
+        precision = rng.integers(1, 60, size=8).astype(float)
+        st_ = PvLearnerState.from_stats(precision, rng.uniform(0, 9e4, 8),
+                                        250.0)
+        for seed in range(20):
+            got = sample_parameter(st_, np.random.default_rng(seed))
+            z = np.random.default_rng(seed).standard_normal(8)
+            chol = np.linalg.cholesky(np.diag(precision))
+            want = st_.estimate + st_.scale * np.linalg.solve(chol.T, z)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_pv_variance_is_scale_squared_over_precision(self):
+        precision = np.array([1.0, 4.0, 25.0])
+        st_ = PvLearnerState.from_stats(precision, np.zeros(3), 2.0)
+        rng = np.random.default_rng(4)
+        draws = np.array([sample_parameter(st_, rng) for _ in range(50_000)])
+        assert np.allclose(draws.var(axis=0) / (4.0 / precision), 1.0,
+                           atol=0.03)
 
 
 class TestSelectSuperArm:
@@ -164,18 +186,6 @@ class TestUpdates:
         with pytest.raises(ValueError):
             update_day(st_, np.zeros(4), np.zeros(4))
 
-    def test_unknown_rule_rejected(self):
-        st_ = BanditState.initial(2, 0.5)
-        with pytest.raises(ValueError):
-            update_day(st_, np.zeros(2), np.zeros(2), rule="bogus")
-
-    def test_per_arm_rule_diagonal(self):
-        st_ = BanditState.initial(3, 0.5)
-        mask = np.array([1.0, 1.0, 0.0])
-        out = update_day(st_, mask, mask * 0.5, rule="per_arm")
-        assert np.array_equal(out.gram, np.diag([2.0, 2.0, 1.0]))
-        assert out.estimate[0] == pytest.approx(0.25)
-
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
     def test_spd_preserved(self, seed):
@@ -189,25 +199,20 @@ class TestUpdates:
         assert eig.min() >= 1.0 - 1e-9
         assert np.allclose(st_.gram, st_.gram.T)
 
-    def test_estimator_consistency_alpha_zero(self):
-        # Stationary semi-bandit rewards theta_i + noise, per-arm updates:
-        # the posterior mean converges to theta on the played coordinates.
-        rng = np.random.default_rng(11)
-        m = 6
-        theta = rng.uniform(-0.5, 0.5, m)
-        st_ = BanditState.initial(m, 0.0)
-        for _ in range(1000):
-            mask = (rng.random(m) < 0.5).astype(float)
-            rew = mask * (theta + 0.1 * rng.normal(size=m))
-            st_ = update_day(st_, mask, rew, rule="per_arm")
-        assert np.max(np.abs(st_.estimate - theta)) < 0.05
-
 
 class TestPvUpdates:
     def test_no_observation_is_identity(self):
         st_ = PvLearnerState.initial(3, 100.0)
         out = update_pv(st_, np.zeros(3), np.zeros(3))
-        assert np.array_equal(out.gram, np.eye(3))
+        assert np.array_equal(out.precision, np.ones(3))
+        assert np.array_equal(out.estimate, np.zeros(3))
+
+    def test_per_instant_precision(self):
+        st_ = PvLearnerState.initial(3, 100.0)
+        mask = np.array([1.0, 1.0, 0.0])
+        out = update_pv(st_, mask, mask * 0.5)
+        assert np.array_equal(out.precision, [2.0, 2.0, 1.0])
+        assert out.estimate[0] == pytest.approx(0.25)
 
     def test_single_instant_convergence(self):
         st_ = PvLearnerState.initial(4, 100.0)
@@ -218,25 +223,54 @@ class TestPvUpdates:
             assert st_.estimate[2] == pytest.approx(p * d / (d + 1))
 
     def test_joint_observation_matches_direct_solve(self):
-        st_ = PvLearnerState.initial(3, 100.0)
-        mask = np.array([1.0, 1.0, 0.0])
-        obs = np.array([800.0, 500.0, 0.0])
-        gram, z = np.eye(3), np.zeros(3)
-        for _ in range(15):
+        # Oracle: the dense ridge solve (I + sum diag(mask)) x = sum obs.
+        rng = np.random.default_rng(6)
+        m = 7
+        st_ = PvLearnerState.initial(m, 100.0)
+        gram, z = np.eye(m), np.zeros(m)
+        for _ in range(60):
+            mask = (rng.random(m) < 0.6).astype(float)
+            obs = mask * rng.uniform(0.0, 4000.0, m)
             st_ = update_pv(st_, mask, obs)
-            gram += np.outer(mask, mask)
+            gram += np.diag(mask)
             z += obs
-            assert np.allclose(st_.estimate, np.linalg.solve(gram, z))
+            assert np.allclose(st_.estimate, np.linalg.solve(gram, z),
+                               rtol=1e-12, atol=0.0)
+            assert np.array_equal(st_.precision, np.diag(gram))
 
     def test_per_arm_rule_tracks_running_mean(self):
-        # With the diagonal rule each observed coordinate shrinks toward its
-        # running mean even when the whole window is observed daily.
+        # Each observed coordinate shrinks toward its running mean even
+        # when the whole window is observed daily.
         st_ = PvLearnerState.initial(5, 100.0)
         mask = np.ones(5)
         obs = np.array([0.0, 100.0, 900.0, 100.0, 0.0])
         for _ in range(200):
-            st_ = update_pv(st_, mask, obs, rule="per_arm")
+            st_ = update_pv(st_, mask, obs)
         assert np.allclose(st_.estimate, obs * 200 / 201)
+
+    def test_estimator_consistency_scale_zero(self):
+        # Stationary per-instant readings phi_i + noise on random masks:
+        # the posterior mean converges to phi on every coordinate.
+        rng = np.random.default_rng(11)
+        m = 6
+        phi = rng.uniform(-0.5, 0.5, m)
+        st_ = PvLearnerState.initial(m, 0.0)
+        for _ in range(1000):
+            mask = (rng.random(m) < 0.5).astype(float)
+            obs = mask * (phi + 0.1 * rng.normal(size=m))
+            st_ = update_pv(st_, mask, obs)
+        assert np.max(np.abs(st_.estimate - phi)) < 0.05
+
+    def test_no_dense_linear_algebra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called on a PV state")
+        for name in ("cholesky", "solve", "inv", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        st_ = PvLearnerState.initial(4, 50.0)
+        mask = np.array([1.0, 0.0, 1.0, 1.0])
+        st_ = update_pv(st_, mask, mask * 700.0)
+        st_ = PvLearnerState.from_stats(st_.precision, st_.response, 50.0)
+        assert sample_parameter(st_, np.random.default_rng(0)).shape == (4,)
 
 
 class TestPseudoRegret:

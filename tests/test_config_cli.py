@@ -46,9 +46,14 @@ class TestParseConfig:
         assert any(d.startswith("bandit.alpha=") for d in rc.defaults_applied)
 
     def test_unknown_key_named(self, tmp_path):
-        path = write_config(tmp_path, "scenario:\n  flet_size: 2\n")
-        with pytest.raises(ConfigError, match="scenario.flet_size"):
-            parse_config(path)
+        for body, key in (("scenario:\n  flet_size: 2\n", "scenario.flet_size"),
+                          ("bandit:\n  update_rule: rank_one\n",
+                           "bandit.update_rule"),
+                          ("bandit:\n  pv_update_rule: per_arm\n",
+                           "bandit.pv_update_rule")):
+            path = write_config(tmp_path, body)
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(path)
 
     def test_type_mismatch_named(self, tmp_path):
         path = write_config(tmp_path, "days: soon\n")
@@ -91,10 +96,12 @@ class TestParseConfig:
         assert rc.seed == 9 and rc.days == 1
         assert rc.overrides == {"seed": 9, "days": 1}
 
-    def test_bad_update_rule(self, tmp_path):
-        path = write_config(tmp_path, "bandit:\n  pv_update_rule: magic\n")
-        with pytest.raises(ConfigError, match="pv_update_rule"):
-            parse_config(path)
+    def test_bad_update_rule(self, tmp_path, capsys):
+        # Each learner has one update rule; the keys that chose one are gone.
+        for key in ("update_rule", "pv_update_rule"):
+            path = write_config(tmp_path, f"bandit:\n  {key}: per_arm\n")
+            assert main(["validate", "--config", path]) == 1
+            assert f"unknown key 'bandit.{key}'" in capsys.readouterr().err
 
 
 def read(path):
@@ -187,9 +194,14 @@ class TestValidateCommand:
         ("scenario:\n  pv:\n    area_m2: -20.0\n", "scenario.pv.area_m2"),
         ("scenario:\n  pv:\n    efficiency: 1.5\n",
          "scenario.pv.efficiency"),
+        ("scenario:\n  ev:\n    e_bat_kwh: 0.0\n", "scenario.ev.e_bat_kwh"),
+        ("scenario:\n  ev:\n    p_max_kw: -7.0\n", "scenario.ev.p_max_kw"),
+        ("scenario:\n  ev:\n    eta_chrg: 1.2\n", "scenario.ev.eta_chrg"),
+        ("scenario:\n  ev:\n    soc_start: 0.9\n", "scenario.ev.soc_start"),
     ], ids=["alpha-nan", "p_max-nan", "household-load-negative",
             "pv-area-overflow", "alpha-negative", "beta-negative",
-            "pv-area-negative", "pv-efficiency-above-one"])
+            "pv-area-negative", "pv-efficiency-above-one", "e_bat-zero",
+            "p_max-negative", "eta-above-one", "soc-start-above-target"])
     def test_rejected_value_names_key(self, tmp_path, capsys, body, key):
         path = write_config(tmp_path, body)
         assert main(["validate", "--config", path]) == 1
@@ -228,13 +240,13 @@ class TestCheckpoint:
         restored = AmasStrategy.from_checkpoint(payload)
         _, live, _ = execute_run(parse_config(path))
         assert restored.days_completed == 2
-        assert restored.pv_update_rule == "per_arm"
         assert sorted(restored.bandits) == sorted(live.bandits)
         for ev in live.bandits:
-            for learners in ("bandits", "pv_learners"):
+            for learners, stat in (("bandits", "gram"),
+                                   ("pv_learners", "precision")):
                 got = getattr(restored, learners)[ev]
                 want = getattr(live, learners)[ev]
-                for name in ("gram", "response", "estimate"):
+                for name in (stat, "response", "estimate"):
                     assert np.array_equal(getattr(got, name),
                                           getattr(want, name)), (ev, name)
                 assert got.scale == want.scale
@@ -242,10 +254,11 @@ class TestCheckpoint:
     def test_format_tag_enforced(self):
         with pytest.raises(ValueError, match="format"):
             AmasStrategy.from_checkpoint({"format": "other/9"})
-        # the nested-list layout of format /1 is not read any more
-        with pytest.raises(ValueError, match="gridcharge.checkpoint/1"):
-            AmasStrategy.from_checkpoint(
-                {"format": "gridcharge.checkpoint/1", "evs": {}})
+        # neither the nested lists of /1 nor the dense PV Gram of /2 is read
+        for old in ("gridcharge.checkpoint/1", "gridcharge.checkpoint/2"):
+            with pytest.raises(ValueError, match=old) as err:
+                AmasStrategy.from_checkpoint({"format": old, "evs": {}})
+            assert CHECKPOINT_FORMAT in str(err.value)
 
 
 class TestByteDeterminism:

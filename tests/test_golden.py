@@ -33,9 +33,9 @@ cooperation_fraction: 0.3
 
 DIGESTS = {
     "checkpoint.json":
-        "171cb1e28de6a08847995e2748e47270c30fa89ead2d344adccba8f2a5145679",
+        "209ea0eceb96807bca13b73ed469936f9bddc9122f77add366aac7693c07ed8a",
     "manifest.json":
-        "f38e6e3002651ebb943643c6fe380a3264b57e48f5b85bbdf80b280b0a73fc75",
+        "c677a937bc345d7bd9512e77bb7aca37d7445dc89fbc052b608a744243353e8e",
     "metrics_daily.csv":
         "854860d624c3c6831b0a0a7e4d37e1add35f98da399092db74bae34fcf1de39a",
     "metrics_per_ev.csv":
