@@ -1,11 +1,17 @@
 """Combinatorial linear Thompson Sampling state carried by each EV agent.
 
-Each agent learns two m-vectors over the daily decision instants, samples
+Each agent learns two m-vectors over the daily decision instants, the
+expected reward of charging at each instant and its own PV power, samples
 each from its Gaussian posterior once per day, and plays the top-k instants
-under the reward sample. The reward learner keeps a ridge-regression system
-(Gram matrix, response vector); the PV learner observes each instant on its
-own, so its posterior precision is diagonal and is kept as an m-vector (the
-CombLinTS update for one-hot per-instant features).
+under the reward sample. Both learners observe each instant on its own
+(one-hot per-instant features), so both posteriors have a diagonal
+precision, kept as an m-vector: the CombLinTS update (Wen, Kveton & Ashkan,
+ICML 2015). Each coordinate's mean is the average of its observations and
+its prior pseudo-observation, so it converges to the instant's true mean.
+
+The reward learner's prior mean is REWARD_PRIOR_MEAN = 0.5, the midpoint of
+the reward range [0, 1] of an instant without requests (1 - normalized
+cost); it is fixed a priori, not fitted. The PV learner's prior mean is 0.
 """
 from __future__ import annotations
 
@@ -14,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "REWARD_PRIOR_MEAN",
     "BanditState",
-    "PvLearnerState",
     "SuperArm",
     "sample_parameter",
     "select_super_arm",
@@ -24,50 +30,30 @@ __all__ = [
     "pseudo_regret",
 ]
 
-
-def _check_prior(m: int, scale: float):
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if scale < 0.0:
-        raise ValueError("exploration scale must be >= 0")
+REWARD_PRIOR_MEAN = 0.5
 
 
 @dataclass
 class BanditState:
-    """Reward learner: Gaussian posterior over the per-instant expected
-    charging reward, mean = gram^-1 response."""
-    gram: np.ndarray       # m x m, symmetric positive definite
-    response: np.ndarray   # m
-    estimate: np.ndarray   # m, always gram^-1 response
-    scale: float           # exploration scale on the posterior covariance
-
-    @classmethod
-    def initial(cls, m: int, scale: float) -> "BanditState":
-        _check_prior(m, scale)
-        return cls.from_stats(np.eye(m), np.zeros(m), float(scale))
-
-    @classmethod
-    def from_stats(cls, gram, response, scale) -> "BanditState":
-        return cls(gram=gram, response=response,
-                   estimate=np.linalg.solve(gram, response), scale=scale)
-
-
-@dataclass
-class PvLearnerState:
-    """PV learner: diagonal Gaussian posterior over the per-instant PV
-    power in watt, mean = response / precision."""
+    """Diagonal Gaussian posterior over one m-vector, mean = response /
+    precision; used by both the reward and the PV learner."""
     precision: np.ndarray  # m, diagonal of the posterior precision, >= 1
     response: np.ndarray   # m
     estimate: np.ndarray   # m, always response / precision
     scale: float           # exploration scale on the posterior covariance
 
     @classmethod
-    def initial(cls, m: int, scale: float) -> "PvLearnerState":
-        _check_prior(m, scale)
-        return cls.from_stats(np.ones(m), np.zeros(m), float(scale))
+    def initial(cls, m: int, scale: float, mean: float) -> "BanditState":
+        """Prior: one pseudo-observation of `mean` at every instant."""
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        if scale < 0.0:
+            raise ValueError("exploration scale must be >= 0")
+        return cls.from_stats(np.ones(m), np.full(m, float(mean)),
+                              float(scale))
 
     @classmethod
-    def from_stats(cls, precision, response, scale) -> "PvLearnerState":
+    def from_stats(cls, precision, response, scale) -> "BanditState":
         return cls(precision=precision, response=response,
                    estimate=response / precision, scale=scale)
 
@@ -97,22 +83,18 @@ class SuperArm:
         return float(sum(theta[i] for i in self.instants))
 
 
-def sample_parameter(state, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the posterior N(estimate, scale^2 precision^-1).
+def sample_parameter(state: BanditState,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One draw from the posterior N(estimate, scale^2 diag(precision)^-1).
 
-    Draws one standard normal m-vector. The PV learner scales it by the
-    inverse square root of its diagonal precision; the reward learner maps
-    it through the Cholesky factor of its Gram matrix, which exists by the
-    SPD invariant. Scale 0 returns the mean exactly and draws nothing.
+    Draws one standard normal m-vector and scales it by the inverse square
+    root of the precision. Scale 0 returns the mean exactly and draws
+    nothing.
     """
     if state.scale == 0.0:
         return state.estimate.copy()
     z = rng.standard_normal(state.estimate.shape)
-    if isinstance(state, PvLearnerState):
-        # z / sqrt(d) first: it rounds as the dense Cholesky solve does.
-        return state.estimate + state.scale * (z / np.sqrt(state.precision))
-    chol = np.linalg.cholesky(state.gram)
-    return state.estimate + state.scale * np.linalg.solve(chol.T, z)
+    return state.estimate + state.scale * (z / np.sqrt(state.precision))
 
 
 def select_super_arm(theta_sample: np.ndarray, candidates, k: int) -> SuperArm:
@@ -140,28 +122,21 @@ def _checked(state, mask, values):
     return mask, values
 
 
-def update_day(state: BanditState, played_mask, rewards) -> BanditState:
-    """End-of-day reward update.
+def update_day(state: BanditState, mask, values) -> BanditState:
+    """End-of-day update from the instants observed that day.
 
-    Adds the day-mask outer product to the Gram matrix and the per-instant
-    rewards to the response; the estimate is re-solved, never stale.
+    Each observed instant adds one to its precision and its value (reward
+    or PV reading) to its response; the estimate is recomputed, never
+    stale.
     """
-    mask, rewards = _checked(state, played_mask, rewards)
-    return BanditState.from_stats(state.gram + np.outer(mask, mask),
-                                  state.response + rewards, state.scale)
+    mask, values = _checked(state, mask, values)
+    return BanditState.from_stats(state.precision + mask,
+                                  state.response + values, state.scale)
 
 
-def update_pv(state: PvLearnerState, observed_mask,
-              observations) -> PvLearnerState:
-    """End-of-day PV update from the instants with a sensor reading.
-
-    Each observed instant adds one to its precision and its reading to its
-    response, so each coordinate converges to its running mean.
-    """
-    mask, observations = _checked(state, observed_mask, observations)
-    return PvLearnerState.from_stats(state.precision + mask,
-                                     state.response + observations,
-                                     state.scale)
+# One rule for both learners; the strategy calls it under both names, and
+# perfbench/child.py wraps each name.
+update_pv = update_day
 
 
 def pseudo_regret(true_theta: np.ndarray, daily_selections, k) -> dict:

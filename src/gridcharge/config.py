@@ -182,6 +182,20 @@ def parse_config(path, overrides=None) -> RunConfig:
     if tree["oracle_mode"] not in ORACLE_MODES:
         raise ConfigError(f"oracle_mode: expected one of {ORACLE_MODES}")
     scen, bandit = tree["scenario"], tree["bandit"]
+    topo = scen["topology"]
+    for key in ("sub_districts", "buses_per_feeder", "households_per_bus"):
+        if topo[key] < 1:
+            raise ConfigError(f"scenario.topology.{key}: must be >= 1")
+    for key in ("v_base", "line_rating", "trunk_rating"):
+        if topo[key] is not None and topo[key] <= 0.0:
+            raise ConfigError(f"scenario.topology.{key}: must be > 0")
+    if not (0.0 < topo["v_min"] < topo["v_max"]):
+        raise ConfigError("scenario.topology.v_min, scenario.topology.v_max: "
+                          "need 0 < v_min < v_max")
+    if scen["fleet_size"] < 0:
+        raise ConfigError("scenario.fleet_size: must be >= 0")
+    if scen["instants_per_day"] < 1:
+        raise ConfigError("scenario.instants_per_day: must be >= 1")
     for key, value in (("scenario.household_load_w", scen["household_load_w"]),
                        ("scenario.pv.area_m2", scen["pv"]["area_m2"]),
                        ("bandit.alpha", bandit["alpha"]),

@@ -259,8 +259,6 @@ class SimulationResult:
     violations_current: np.ndarray  # (days,) instants with a current violation
     violations_voltage: np.ndarray
     traces: list | None
-    selections: dict            # ev_id -> list of (SuperArm, theta_hat) for
-                                # learning strategies, else empty
 
 
 class Simulation:
@@ -456,7 +454,6 @@ class Simulation:
             violations_current=self.violations_current,
             violations_voltage=self.violations_voltage,
             traces=self.traces,
-            selections=getattr(self.strategy, "selections", {}),
         )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import agents
 from .agents import EvProfile, EvState, ev_record, required_instants
-from .bandit import (BanditState, PvLearnerState, SuperArm,
+from .bandit import (REWARD_PRIOR_MEAN, BanditState, SuperArm,
                      sample_parameter, update_day, update_pv)
 from .engine import Scenario
 from .gridnet import pv_power, solve_power_flow
@@ -32,7 +32,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "gridcharge.checkpoint/3"
+CHECKPOINT_FORMAT = "gridcharge.checkpoint/4"
 
 
 def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
@@ -42,8 +42,6 @@ def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
 
 class Strategy:
     """Hooks invoked by the engine; defaults do nothing."""
-
-    selections: dict = {}
 
     def session_start(self, profile: EvProfile, state: EvState, rng):
         pass
@@ -64,16 +62,17 @@ class AmasStrategy(Strategy):
     def __init__(self, alpha=0.5, beta=360.0):
         self.alpha = alpha
         self.beta = beta
-        self.bandits = {}      # ev_id -> BanditState
-        self.pv_learners = {}  # ev_id -> PvLearnerState
+        self.bandits = {}      # ev_id -> BanditState, reward learner
+        self.pv_learners = {}  # ev_id -> BanditState, PV learner
         self.selections = {}   # ev_id -> [(SuperArm, theta_hat_d), ...]
         self.days_completed = 0
 
     def session_start(self, profile, state, rng):
         ev = profile.ev_id
         if ev not in self.bandits:
-            self.bandits[ev] = BanditState.initial(state.m, self.alpha)
-            self.pv_learners[ev] = PvLearnerState.initial(state.m, self.beta)
+            self.bandits[ev] = BanditState.initial(state.m, self.alpha,
+                                                   REWARD_PRIOR_MEAN)
+            self.pv_learners[ev] = BanditState.initial(state.m, self.beta, 0.0)
             self.selections[ev] = []
         state.sampled_theta = sample_parameter(self.bandits[ev], rng)
         state.sampled_phi = sample_parameter(self.pv_learners[ev], rng)
@@ -94,16 +93,16 @@ class AmasStrategy(Strategy):
     # -- checkpointing -----------------------------------------------------
 
     def to_checkpoint(self) -> dict:
-        def dump(st, name):
-            return {name: _pack(getattr(st, name)),
+        def dump(st):
+            return {"precision": _pack(st.precision),
                     "response": _pack(st.response), "scale": st.scale}
         return {
             "format": CHECKPOINT_FORMAT,
             "days_completed": self.days_completed,
             "alpha": self.alpha,
             "beta": self.beta,
-            "evs": {ev: {"bandit": dump(self.bandits[ev], "gram"),
-                         "pv": dump(self.pv_learners[ev], "precision")}
+            "evs": {ev: {"bandit": dump(self.bandits[ev]),
+                         "pv": dump(self.pv_learners[ev])}
                     for ev in sorted(self.bandits)},
         }
 
@@ -113,18 +112,15 @@ class AmasStrategy(Strategy):
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {fmt!r}; "
                              f"expected {CHECKPOINT_FORMAT!r}")
+        def load(st):
+            return BanditState.from_stats(_unpack(st["precision"], (-1,)),
+                                          _unpack(st["response"], (-1,)),
+                                          st["scale"])
         strat = cls(alpha=payload["alpha"], beta=payload["beta"])
         strat.days_completed = payload["days_completed"]
         for ev, blob in payload["evs"].items():
-            rew, pv = blob["bandit"], blob["pv"]
-            response = _unpack(rew["response"], (-1,))
-            strat.bandits[ev] = BanditState.from_stats(
-                _unpack(rew["gram"], response.shape * 2), response,
-                rew["scale"])
-            response = _unpack(pv["response"], (-1,))
-            strat.pv_learners[ev] = PvLearnerState.from_stats(
-                _unpack(pv["precision"], response.shape), response,
-                pv["scale"])
+            strat.bandits[ev] = load(blob["bandit"])
+            strat.pv_learners[ev] = load(blob["pv"])
             strat.selections[ev] = []
         return strat
 

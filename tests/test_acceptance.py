@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from gridcharge.bandit import BanditState, pseudo_regret, select_super_arm, update_day
+from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState, pseudo_regret,
+                               select_super_arm, update_day)
 from gridcharge.cli import main
 from gridcharge.engine import (EvParams, ScenarioConfig, Simulation,
                                generate_scenario)
@@ -160,34 +161,38 @@ def test_criterion_5_bandit_correctness():
             enum_ok = False
             break
 
-    # update_day vs a direct least-squares oracle.
+    # update_day vs least squares over the stacked one-hot observations:
+    # one row e_i per played instant i with its reward as target, plus one
+    # prior pseudo-observation (e_i, REWARD_PRIOR_MEAN) per instant.
     m = 8
-    state = BanditState.initial(m, 0.5)
-    gram, b = np.eye(m), np.zeros(m)
+    state = BanditState.initial(m, 0.5, REWARD_PRIOR_MEAN)
+    rows, targets = [np.eye(m)], [np.full(m, REWARD_PRIOR_MEAN)]
     lstsq_ok = True
     for _ in range(60):
         mask = (rng.random(m) < 0.4).astype(float)
         rew = mask * rng.normal(size=m)
         state = update_day(state, mask, rew)
-        gram += np.outer(mask, mask)
-        b += rew
-        oracle = np.linalg.lstsq(gram, b, rcond=None)[0]
+        played = np.flatnonzero(mask)
+        rows.append(np.eye(m)[played])
+        targets.append(rew[played])
+        oracle = np.linalg.lstsq(np.vstack(rows), np.concatenate(targets),
+                                 rcond=None)[0]
         if np.max(np.abs(state.estimate - oracle)) > 1e-9:
             lstsq_ok = False
             break
 
-    # SPD invariant across 10^4 random updates.
-    state = BanditState.initial(6, 0.5)
+    # Positive definite posterior (precision >= 1) across 10^4 updates.
+    state = BanditState.initial(6, 0.5, REWARD_PRIOR_MEAN)
     for _ in range(10_000):
         mask = (rng.random(6) < 0.5).astype(float)
         state = update_day(state, mask, mask * rng.normal(size=6))
-    eig_min = float(np.linalg.eigvalsh(state.gram).min())
-    spd_ok = eig_min >= 1.0 - 1e-6
+    prec_min = float(state.precision.min())
+    spd_ok = prec_min >= 1.0
 
     ok = enum_ok and lstsq_ok and spd_ok
     report(5, "bandit correctness", ok,
            f"enumeration {enum_ok}, lstsq-within-1e-9 {lstsq_ok}, "
-           f"min eigenvalue after 1e4 updates {eig_min:.3f}")
+           f"min precision after 1e4 updates {prec_min:.3f}")
 
 
 def test_criterion_6_regret_sanity():

@@ -1,4 +1,4 @@
-"""Thompson-Sampling learner tests against enumeration and dense-algebra oracles."""
+"""Thompson-Sampling learner tests against enumeration and least-squares oracles."""
 import itertools
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcharge.bandit import (BanditState, PvLearnerState, SuperArm,
+from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState, SuperArm,
                                pseudo_regret, sample_parameter,
                                select_super_arm, update_day, update_pv)
 
@@ -21,55 +21,64 @@ def brute_force_top_k(theta, candidates, k):
     return set(best[1]) if best else set()
 
 
-def lstsq_ridge(masks, reward_vectors, m):
-    """Independent oracle for the posterior mean: solve (I + sum M M^T) x = b."""
-    gram = np.eye(m)
-    b = np.zeros(m)
-    for mask, rew in zip(masks, reward_vectors):
-        gram += np.outer(mask, mask)
-        b += rew
-    return np.linalg.lstsq(gram, b, rcond=None)[0]
+def lstsq_one_hot(masks, value_vectors, m, prior_mean):
+    """Independent oracle for the posterior mean: least squares over the
+    stacked observations, one row e_i per observed instant i with its value
+    as target, plus one prior pseudo-observation (e_i, prior_mean) per
+    instant."""
+    rows = [np.eye(m)]
+    targets = [np.full(m, prior_mean)]
+    for mask, values in zip(masks, value_vectors):
+        seen = np.flatnonzero(mask)
+        rows.append(np.eye(m)[seen])
+        targets.append(np.asarray(values)[seen])
+    return np.linalg.lstsq(np.vstack(rows), np.concatenate(targets),
+                           rcond=None)[0]
 
 
 class TestSampleParameter:
     def test_zero_scale_returns_mean(self):
-        st_ = BanditState.initial(4, 0.0)
-        st_.response[:] = [1.0, 2.0, 3.0, 4.0]
-        st_.estimate[:] = st_.response
+        st_ = BanditState.from_stats(np.array([1.0, 2.0, 4.0, 8.0]),
+                                     np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
         rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
         assert np.array_equal(sample_parameter(st_, rng), st_.estimate)
+        assert rng.bit_generator.state == before   # nothing drawn
 
     def test_standard_normal_mean(self):
-        st_ = BanditState.initial(3, 1.0)
+        st_ = BanditState.initial(3, 1.0, 0.0)
         rng = np.random.default_rng(1)
         draws = np.array([sample_parameter(st_, rng) for _ in range(100_000)])
         # Per-coordinate mean within 3 sigma / sqrt(n) of zero.
         assert np.all(np.abs(draws.mean(axis=0)) < 3.0 / np.sqrt(100_000))
 
-    def test_covariance_scales_with_gram(self):
-        st_ = BanditState.initial(3, 1.0)
-        st_.gram *= 4.0
+    def test_covariance_scales_with_precision(self):
+        st_ = BanditState.initial(3, 1.0, 0.0)
+        st_.precision *= 4.0
         rng = np.random.default_rng(2)
         draws = np.array([sample_parameter(st_, rng) for _ in range(50_000)])
         assert np.allclose(draws.var(axis=0), 0.25, atol=0.01)
 
     def test_pv_draw_matches_dense_cholesky(self):
-        # The diagonal posterior must draw what the dense ridge posterior
-        # with Gram matrix diag(precision) draws from the same normals.
+        # One draw is estimate + scale * z / sqrt(precision) for the seeded
+        # normals z, and matches what a dense posterior with precision
+        # matrix diag(precision) draws from the same normals.
         rng = np.random.default_rng(3)
         precision = rng.integers(1, 60, size=8).astype(float)
-        st_ = PvLearnerState.from_stats(precision, rng.uniform(0, 9e4, 8),
-                                        250.0)
+        st_ = BanditState.from_stats(precision, rng.uniform(0, 9e4, 8),
+                                     250.0)
         for seed in range(20):
             got = sample_parameter(st_, np.random.default_rng(seed))
             z = np.random.default_rng(seed).standard_normal(8)
+            assert np.array_equal(
+                got, st_.estimate + st_.scale * (z / np.sqrt(precision)))
             chol = np.linalg.cholesky(np.diag(precision))
             want = st_.estimate + st_.scale * np.linalg.solve(chol.T, z)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_pv_variance_is_scale_squared_over_precision(self):
         precision = np.array([1.0, 4.0, 25.0])
-        st_ = PvLearnerState.from_stats(precision, np.zeros(3), 2.0)
+        st_ = BanditState.from_stats(precision, np.zeros(3), 2.0)
         rng = np.random.default_rng(4)
         draws = np.array([sample_parameter(st_, rng) for _ in range(50_000)])
         assert np.allclose(draws.var(axis=0) / (4.0 / precision), 1.0,
@@ -140,32 +149,33 @@ class TestSuperArm:
 
 class TestUpdates:
     def test_no_play_is_identity(self):
-        st_ = BanditState.initial(4, 0.5)
+        st_ = BanditState.initial(4, 0.5, REWARD_PRIOR_MEAN)
         out = update_day(st_, np.zeros(4), np.zeros(4))
-        assert np.array_equal(out.gram, np.eye(4))
-        assert np.array_equal(out.estimate, np.zeros(4))
+        assert np.array_equal(out.precision, np.ones(4))
+        assert np.array_equal(out.estimate, np.full(4, REWARD_PRIOR_MEAN))
 
     def test_single_arm_ridge_algebra(self):
-        st_ = BanditState.initial(3, 0.5)
+        st_ = BanditState.initial(3, 0.5, REWARD_PRIOR_MEAN)
         mask = np.array([0.0, 1.0, 0.0])
         rew = np.array([0.0, 0.8, 0.0])
         out = update_day(st_, mask, rew)
-        # A = I + e1 e1^T  =>  theta_hat_1 = r / 2.
-        assert out.estimate[1] == pytest.approx(0.4)
-        assert out.estimate[0] == 0.0 and out.estimate[2] == 0.0
+        # precision_1 = 2, response_1 = 0.5 + 0.8  =>  theta_hat_1 = 0.65.
+        assert out.estimate[1] == pytest.approx(0.65)
+        assert out.estimate[0] == 0.5 and out.estimate[2] == 0.5
 
     def test_two_identical_plays(self):
-        st_ = BanditState.initial(2, 0.5)
+        st_ = BanditState.initial(2, 0.5, REWARD_PRIOR_MEAN)
         mask = np.array([1.0, 0.0])
         rew = np.array([1.0, 0.0])
         out = update_day(update_day(st_, mask, rew), mask, rew)
-        assert out.gram[0, 0] == 3.0
-        assert out.estimate[0] == pytest.approx(2.0 / 3.0)
+        assert out.precision[0] == 3.0
+        assert out.estimate[0] == pytest.approx(2.5 / 3.0)
+        assert out.estimate[1] == 0.5
 
     def test_matches_lstsq_oracle(self):
         rng = np.random.default_rng(5)
         m = 10
-        st_ = BanditState.initial(m, 0.5)
+        st_ = BanditState.initial(m, 0.5, REWARD_PRIOR_MEAN)
         masks, rews = [], []
         for _ in range(40):
             mask = (rng.random(m) < 0.4).astype(float)
@@ -173,16 +183,27 @@ class TestUpdates:
             st_ = update_day(st_, mask, rew)
             masks.append(mask)
             rews.append(rew)
-            assert np.allclose(st_.estimate, lstsq_ridge(masks, rews, m),
-                               atol=1e-9)
+            want = lstsq_one_hot(masks, rews, m, REWARD_PRIOR_MEAN)
+            assert np.allclose(st_.estimate, want, atol=1e-9)
+
+    def test_fixed_mask_estimate_consistent(self):
+        # The same instants played every day with noisy rewards: each
+        # coordinate's estimate converges to its true mean.
+        rng = np.random.default_rng(12)
+        mask = np.ones(3)
+        theta = np.array([0.3, 0.5, 0.7])
+        st_ = BanditState.initial(3, 0.5, REWARD_PRIOR_MEAN)
+        for _ in range(400):
+            st_ = update_day(st_, mask, theta + 0.1 * rng.normal(size=3))
+        assert np.max(np.abs(st_.estimate - theta)) < 0.05
 
     def test_rewards_off_mask_rejected(self):
-        st_ = BanditState.initial(2, 0.5)
+        st_ = BanditState.initial(2, 0.5, REWARD_PRIOR_MEAN)
         with pytest.raises(ValueError):
             update_day(st_, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
     def test_dimension_mismatch_rejected(self):
-        st_ = BanditState.initial(3, 0.5)
+        st_ = BanditState.initial(3, 0.5, REWARD_PRIOR_MEAN)
         with pytest.raises(ValueError):
             update_day(st_, np.zeros(4), np.zeros(4))
 
@@ -191,31 +212,29 @@ class TestUpdates:
     def test_spd_preserved(self, seed):
         rng = np.random.default_rng(seed)
         m = 6
-        st_ = BanditState.initial(m, 0.5)
+        st_ = BanditState.initial(m, 0.5, REWARD_PRIOR_MEAN)
         for _ in range(500):
             mask = (rng.random(m) < 0.5).astype(float)
             st_ = update_day(st_, mask, mask * rng.normal(size=m))
-        eig = np.linalg.eigvalsh(st_.gram)
-        assert eig.min() >= 1.0 - 1e-9
-        assert np.allclose(st_.gram, st_.gram.T)
+        assert st_.precision.min() >= 1.0
 
 
 class TestPvUpdates:
     def test_no_observation_is_identity(self):
-        st_ = PvLearnerState.initial(3, 100.0)
+        st_ = BanditState.initial(3, 100.0, 0.0)
         out = update_pv(st_, np.zeros(3), np.zeros(3))
         assert np.array_equal(out.precision, np.ones(3))
         assert np.array_equal(out.estimate, np.zeros(3))
 
     def test_per_instant_precision(self):
-        st_ = PvLearnerState.initial(3, 100.0)
+        st_ = BanditState.initial(3, 100.0, 0.0)
         mask = np.array([1.0, 1.0, 0.0])
         out = update_pv(st_, mask, mask * 0.5)
         assert np.array_equal(out.precision, [2.0, 2.0, 1.0])
         assert out.estimate[0] == pytest.approx(0.25)
 
     def test_single_instant_convergence(self):
-        st_ = PvLearnerState.initial(4, 100.0)
+        st_ = BanditState.initial(4, 100.0, 0.0)
         mask = np.array([0.0, 0.0, 1.0, 0.0])
         p = 1500.0
         for d in range(1, 21):
@@ -226,7 +245,7 @@ class TestPvUpdates:
         # Oracle: the dense ridge solve (I + sum diag(mask)) x = sum obs.
         rng = np.random.default_rng(6)
         m = 7
-        st_ = PvLearnerState.initial(m, 100.0)
+        st_ = BanditState.initial(m, 100.0, 0.0)
         gram, z = np.eye(m), np.zeros(m)
         for _ in range(60):
             mask = (rng.random(m) < 0.6).astype(float)
@@ -241,7 +260,7 @@ class TestPvUpdates:
     def test_per_arm_rule_tracks_running_mean(self):
         # Each observed coordinate shrinks toward its running mean even
         # when the whole window is observed daily.
-        st_ = PvLearnerState.initial(5, 100.0)
+        st_ = BanditState.initial(5, 100.0, 0.0)
         mask = np.ones(5)
         obs = np.array([0.0, 100.0, 900.0, 100.0, 0.0])
         for _ in range(200):
@@ -254,7 +273,7 @@ class TestPvUpdates:
         rng = np.random.default_rng(11)
         m = 6
         phi = rng.uniform(-0.5, 0.5, m)
-        st_ = PvLearnerState.initial(m, 0.0)
+        st_ = BanditState.initial(m, 0.0, 0.0)
         for _ in range(1000):
             mask = (rng.random(m) < 0.5).astype(float)
             obs = mask * (phi + 0.1 * rng.normal(size=m))
@@ -263,14 +282,17 @@ class TestPvUpdates:
 
     def test_no_dense_linear_algebra(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg called on a PV state")
+            raise AssertionError("np.linalg called on a learner state")
         for name in ("cholesky", "solve", "inv", "lstsq"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        st_ = PvLearnerState.initial(4, 50.0)
         mask = np.array([1.0, 0.0, 1.0, 1.0])
-        st_ = update_pv(st_, mask, mask * 700.0)
-        st_ = PvLearnerState.from_stats(st_.precision, st_.response, 50.0)
-        assert sample_parameter(st_, np.random.default_rng(0)).shape == (4,)
+        for scale, mean, values in ((0.5, REWARD_PRIOR_MEAN, mask * 0.7),
+                                    (50.0, 0.0, mask * 700.0)):
+            st_ = update_day(BanditState.initial(4, scale, mean), mask,
+                             values)
+            st_ = BanditState.from_stats(st_.precision, st_.response, scale)
+            assert sample_parameter(st_, np.random.default_rng(0)).shape \
+                == (4,)
 
 
 class TestPseudoRegret:

@@ -198,10 +198,35 @@ class TestValidateCommand:
         ("scenario:\n  ev:\n    p_max_kw: -7.0\n", "scenario.ev.p_max_kw"),
         ("scenario:\n  ev:\n    eta_chrg: 1.2\n", "scenario.ev.eta_chrg"),
         ("scenario:\n  ev:\n    soc_start: 0.9\n", "scenario.ev.soc_start"),
+        ("scenario:\n  topology:\n    v_base: 0\n",
+         "scenario.topology.v_base"),
+        ("scenario:\n  topology:\n    v_base: -5\n",
+         "scenario.topology.v_base"),
+        ("scenario:\n  topology:\n    line_rating: 0\n",
+         "scenario.topology.line_rating"),
+        ("scenario:\n  topology:\n    trunk_rating: 0\n",
+         "scenario.topology.trunk_rating"),
+        ("scenario:\n  topology:\n    v_min: 1.2\n",
+         "scenario.topology.v_min"),
+        ("scenario:\n  topology:\n    v_min: 0\n",
+         "scenario.topology.v_min"),
+        ("scenario:\n  topology:\n    sub_districts: 0\n",
+         "scenario.topology.sub_districts"),
+        ("scenario:\n  topology:\n    buses_per_feeder: 0\n",
+         "scenario.topology.buses_per_feeder"),
+        ("scenario:\n  topology:\n    households_per_bus: 0\n",
+         "scenario.topology.households_per_bus"),
+        ("scenario:\n  fleet_size: -1\n", "scenario.fleet_size"),
+        ("scenario:\n  instants_per_day: 0\n", "scenario.instants_per_day"),
     ], ids=["alpha-nan", "p_max-nan", "household-load-negative",
             "pv-area-overflow", "alpha-negative", "beta-negative",
             "pv-area-negative", "pv-efficiency-above-one", "e_bat-zero",
-            "p_max-negative", "eta-above-one", "soc-start-above-target"])
+            "p_max-negative", "eta-above-one", "soc-start-above-target",
+            "v_base-zero", "v_base-negative", "line_rating-zero",
+            "trunk_rating-zero", "v_min-above-v_max", "v_min-zero",
+            "sub_districts-zero", "buses_per_feeder-zero",
+            "households_per_bus-zero", "fleet_size-negative",
+            "instants_per_day-zero"])
     def test_rejected_value_names_key(self, tmp_path, capsys, body, key):
         path = write_config(tmp_path, body)
         assert main(["validate", "--config", path]) == 1
@@ -242,11 +267,10 @@ class TestCheckpoint:
         assert restored.days_completed == 2
         assert sorted(restored.bandits) == sorted(live.bandits)
         for ev in live.bandits:
-            for learners, stat in (("bandits", "gram"),
-                                   ("pv_learners", "precision")):
+            for learners in ("bandits", "pv_learners"):
                 got = getattr(restored, learners)[ev]
                 want = getattr(live, learners)[ev]
-                for name in (stat, "response", "estimate"):
+                for name in ("precision", "response", "estimate"):
                     assert np.array_equal(getattr(got, name),
                                           getattr(want, name)), (ev, name)
                 assert got.scale == want.scale
@@ -254,8 +278,10 @@ class TestCheckpoint:
     def test_format_tag_enforced(self):
         with pytest.raises(ValueError, match="format"):
             AmasStrategy.from_checkpoint({"format": "other/9"})
-        # neither the nested lists of /1 nor the dense PV Gram of /2 is read
-        for old in ("gridcharge.checkpoint/1", "gridcharge.checkpoint/2"):
+        # neither the nested lists of /1, the dense PV Gram of /2 nor the
+        # dense reward Gram of /3 is read
+        for old in ("gridcharge.checkpoint/1", "gridcharge.checkpoint/2",
+                    "gridcharge.checkpoint/3"):
             with pytest.raises(ValueError, match=old) as err:
                 AmasStrategy.from_checkpoint({"format": old, "evs": {}})
             assert CHECKPOINT_FORMAT in str(err.value)

@@ -1,15 +1,16 @@
 """Golden output fixture: sha256 of every file a small fixed run writes.
 
-The run has line congestion and bus under-voltage (228 line and 95 bus
-requests, 126 current and 40 voltage violation instants over 4 days), so
+The run has line congestion and bus under-voltage (226 line and 89 bus
+requests, 125 current and 41 voltage violation instants over 4 days), so
 it exercises the charging decision, request flooding and cooperative
 curtailment. A refactor of those rules must leave every digest unchanged.
 
 The run works in a temporary directory with relative config and output
 paths, so `manifest.json` is hashed as written, like the other files.
-The digests depend on this numpy/LAPACK build: floating-point results of
-the power flow and the learner's linear algebra may differ by an ulp on
-another build, which changes the bytes of the outputs.
+The digests depend on this numpy build: floating-point results of the
+power flow may differ by an ulp on another build, which changes the bytes
+of the outputs. The learners use no LAPACK call, only elementwise vector
+arithmetic.
 """
 import hashlib
 
@@ -33,19 +34,19 @@ cooperation_fraction: 0.3
 
 DIGESTS = {
     "checkpoint.json":
-        "209ea0eceb96807bca13b73ed469936f9bddc9122f77add366aac7693c07ed8a",
+        "07f27ee343c925e7d49afb4c969b64eb0dbb4ac4b256c70d97d72236c688446e",
     "manifest.json":
         "c677a937bc345d7bd9512e77bb7aca37d7445dc89fbc052b608a744243353e8e",
     "metrics_daily.csv":
-        "854860d624c3c6831b0a0a7e4d37e1add35f98da399092db74bae34fcf1de39a",
+        "b2c8ac87cea42cd88a1eb8b4920e3480dc1c7867c2e78b25837ce988f06c9fe0",
     "metrics_per_ev.csv":
-        "9ef05e5f366c5fe489b5b29bece411471c2548fd142af0e5f8c45e475dcdf6a8",
+        "71311d0a82e12423e8ffe60226d613119a8c82f50ec9b7f6144e9d3164ced632",
     "plot_cost_bars.csv":
-        "67eb92d185682943442b01ad9de45250145b0ff5279eb0711e3d4756cd1d0cde",
+        "f2db38d9b50da97feed6ec50e4a23e27afe0622da9103be8a03f0dc806408163",
     "plot_reward_vs_day.csv":
-        "96d763be13bc2881d0f4ad810e98f2cea4a7ed91b333fc1cf29cfb5f0a066013",
+        "0d8a4217c7cb0b17bcea7bf65907dfb0dd982b9782f0034f7c1fdc4aad60cc01",
     "summary.json":
-        "1f924df334ec18be910a5d914e657d145aa486209ae91bf5e69c796579fc1d3b",
+        "1139a8ca97088d4b4804d78576b590838ff922fe124be8355fd9f637375f6aeb",
 }
 
 
