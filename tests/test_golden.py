@@ -1,11 +1,17 @@
-"""Golden output fixture: sha256 of every file a small fixed run writes.
+"""Golden output fixtures: sha256 of every file a small fixed run writes.
 
 The run has line congestion and bus under-voltage (226 line and 89 bus
 requests, 125 current and 41 voltage violation instants over 4 days), so
 it exercises the charging decision, request flooding and cooperative
 curtailment. A refactor of those rules must leave every digest unchanged.
 
-The run works in a temporary directory with relative config and output
+Two more runs pin the strategies that do not learn, the uncontrolled
+baseline and the replay of greedy oracle schedules: 20 EVs on two
+sub-districts over 2 days, the uncontrolled fleet with 24 current and 18
+voltage violation instants. Their charging decisions run through the same
+per-instant kernel as the learner's.
+
+Each run works in a temporary directory with relative config and output
 paths, so `manifest.json` is hashed as written, like the other files.
 The digests depend on this numpy build: floating-point results of the
 power flow may differ by an ulp on another build, which changes the bytes
@@ -13,6 +19,8 @@ of the outputs. The learners use no LAPACK call, only elementwise vector
 arithmetic.
 """
 import hashlib
+
+import pytest
 
 from gridcharge.cli import main
 
@@ -50,10 +58,71 @@ DIGESTS = {
 }
 
 
-def test_outputs_match_golden_digests(tmp_path, monkeypatch):
+BASELINE_CONFIG = """\
+scenario:
+  topology:
+    sub_districts: 2
+    buses_per_feeder: 5
+    households_per_bus: 2
+    line_rating: 120.0
+    line_resistance: 0.01
+    v_min: 0.97
+  fleet_size: 20
+  household_load_w: 600.0
+strategy: {strategy}
+oracle_mode: greedy
+days: 2
+seed: 3
+cooperation_fraction: 0.3
+"""
+
+BASELINE_DIGESTS = {
+    "oracle": {
+        "manifest.json":
+            "4d22913643cfe566aa283e15442663083aba7c34ecbd6f66ae956b44b2a23e07",
+        "metrics_daily.csv":
+            "0672d7ccca240fcec09ac5994d1773f66a85f0238b14042a2cfbfa29ff322ab6",
+        "metrics_per_ev.csv":
+            "01b76ce051d595f3d667a1a23d7c7c879dcaea95477ec300f471500ac6fef14d",
+        "plot_cost_bars.csv":
+            "997cf257438cbe04c46b150cd2931f6d65f5b855d0989a009ae8ef9cbee108b2",
+        "plot_reward_vs_day.csv":
+            "20190a1d788e945a34b8143b08bbe162e3a42a4044b69d6e8dd2b24fb4dded86",
+        "summary.json":
+            "96fd78e83b4ee3faa8631bdc4fb49da257a044a9df44a48834af4f801b88b3af",
+    },
+    "uncontrolled": {
+        "manifest.json":
+            "44d64f37f9b7654e263fb27f4bfb40fcaf9d4ec5f4b1e33e22ae0afa28739a2f",
+        "metrics_daily.csv":
+            "acdbfca9a38bbf9a021cf67e548142254c3848816077b68fc45b1a454518a6c0",
+        "metrics_per_ev.csv":
+            "42fcb23e6e119f6261a03416457dd8bf8d22442d399335b4c5329b657e89dd0c",
+        "plot_cost_bars.csv":
+            "2a1026a25c8c4a2b1a9cdff3b7fde5c132e7f2c96fc3aa1a5b89d18cd48a09ee",
+        "plot_reward_vs_day.csv":
+            "01a92158984a1e14f3baaad6fdf82b7f37b9c030003ca152cb78132751410546",
+        "summary.json":
+            "bc58e580ac1cece65f5faa8a4aa286e1c86f95b935c2a81a2c4b4c8b0106cf37",
+    },
+}
+
+
+def run_digests(tmp_path, monkeypatch, config):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.yaml").write_text(CONFIG, encoding="utf-8")
+    (tmp_path / "run.yaml").write_text(config, encoding="utf-8")
     assert main(["run", "--config", "run.yaml", "--output-dir", "out"]) == 0
-    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-           for f in sorted((tmp_path / "out").iterdir())}
-    assert got == DIGESTS
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted((tmp_path / "out").iterdir())}
+
+
+def test_outputs_match_golden_digests(tmp_path, monkeypatch):
+    assert run_digests(tmp_path, monkeypatch, CONFIG) == DIGESTS
+
+
+@pytest.mark.parametrize("strategy", sorted(BASELINE_DIGESTS))
+def test_baseline_outputs_match_golden_digests(tmp_path, monkeypatch,
+                                               strategy):
+    config = BASELINE_CONFIG.format(strategy=strategy)
+    assert (run_digests(tmp_path, monkeypatch, config)
+            == BASELINE_DIGESTS[strategy])
