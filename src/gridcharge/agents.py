@@ -1,12 +1,13 @@
 """Line, bus, and EV agent behavior: criticalities, request forwarding,
 reward, charging-need re-planning, and cooperative curtailment.
 
+The fleet's EV agents are rows of one `Fleet`, and every EV rule takes the
+rows it acts on, so one call decides or records for all plugged-in EVs.
 All EV-side quantities live in the EV's local session frame: instant 0 is
 the plug-in instant and the connection window is [0, window_length).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +18,14 @@ from .bandit import select_super_arm
 __all__ = [
     "CriticalityRequest",
     "EvProfile",
-    "EvState",
+    "Fleet",
     "line_criticality",
     "bus_criticality",
     "request_priority",
     "forward_request",
     "sample_cooperation_targets",
     "ev_reward",
+    "take_requests",
     "required_instants",
     "ev_decide",
     "ev_record",
@@ -73,41 +75,98 @@ class EvProfile:
         return self.t_depart - self.t_arrive
 
 
-@dataclass
-class EvState:
-    """Per-session mutable EV state (reset at every plug-in)."""
-    soc: float
-    m: int
-    k_p: int = 0
-    played_mask: np.ndarray = None
-    reward_trace: np.ndarray = None
-    sampled_theta: np.ndarray = None
-    sampled_phi: np.ndarray = None
-    pv_mask: np.ndarray = None
-    pv_obs: np.ndarray = None
+class Fleet:
+    """The EV fleet as arrays, one row per EV in scenario order.
 
-    def __post_init__(self):
-        for name in ("played_mask", "reward_trace", "pv_mask", "pv_obs"):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros(self.m))
+    The static columns come from the profiles. The session state is reset
+    at every plug-in; its per-instant arrays have m columns in the EV's
+    local frame (column l is the l-th instant after plug-in), so a
+    connection window may not exceed m instants.
+    """
+
+    def __init__(self, profiles, m: int):
+        n = len(profiles)
+        self.m = m
+        self.ev_ids = [p.ev_id for p in profiles]
+        self.row = {ev: i for i, ev in enumerate(self.ev_ids)}
+
+        def column(name):
+            return np.array([getattr(p, name) for p in profiles], dtype=float)
+        self.e_bat = column("e_bat")            # kWh
+        self.p_max = column("p_max")            # kW
+        self.eta_chrg = column("eta_chrg")
+        self.soc_start = column("soc_start")
+        self.soc_target = column("soc_target")
+        self.window = np.array([p.window_length for p in profiles],
+                               dtype=np.int64)
+        if (self.window > m).any():
+            raise ValueError(f"connection windows must not exceed m={m} "
+                             "instants")
+        col = np.arange(m)
+        self._after = col > col[:, None]          # [l, j]: j comes after l
+
+        self.active = np.zeros(n, dtype=bool)
+        self.day = np.zeros(n, dtype=np.int64)    # learning day of the session
+        self.now = np.zeros(n, dtype=np.int64)    # local instant
+        self.soc = self.soc_start.copy()
+        self.k_p = np.zeros(n, dtype=np.int64)    # instants charged from grid
+        self.theta = np.zeros((n, m))             # the session's sampled theta
+        self.beaten_by = np.zeros((n, m), dtype=np.int64)  # see hold_samples
+        self.pv_ahead = np.zeros((n, m))          # sampled PV, watt, [l, window)
+        self.played = np.zeros((n, m))            # 1 where charged from grid
+        self.reward = np.zeros((n, m))            # reward at played instants
+        self.pv_mask = np.zeros((n, m))           # 1 at every instant seen
+        self.pv_obs = np.zeros((n, m))            # PV reading, watt
+        self.curtail = np.zeros(n, dtype=bool)    # a pending +1 names the EV
+        self.force = np.zeros(n, dtype=bool)      # a pending -1 names the EV
+
+    def plug_in(self, rows, day: int):
+        """Start a session on learning day `day` for each row."""
+        self.active[rows] = True
+        self.day[rows] = day
+        self.now[rows] = 0
+        self.soc[rows] = self.soc_start[rows]
+        self.k_p[rows] = 0
+        for a in (self.theta, self.beaten_by, self.pv_ahead, self.played,
+                  self.reward, self.pv_mask, self.pv_obs):
+            a[rows] = 0
+        self.curtail[rows] = False
+        self.force[rows] = False
+
+    def hold_samples(self, rows, theta, phi):
+        """Hold each row's posterior samples for its session, one row of
+        `theta` and of `phi` (PV, watt per local instant) per EV.
+
+        Theta is kept with -inf past the window, together with its rank
+        count: at column l, how many later instants of the window have a
+        strictly larger theta. Phi is kept as its sums over the rest of the
+        window, [l, window) at column l. The decision then reads both in
+        O(1) per instant.
+        """
+        inside = np.arange(self.m) < self.window[rows, None]
+        theta = np.where(inside, theta, -np.inf)
+        self.theta[rows] = theta
+        beats = theta[:, None, :] > theta[:, :, None]     # [row, l, j]
+        self.beaten_by[rows] = (beats & self._after).sum(axis=2,
+                                                         dtype=np.int32)
+        masked = np.where(inside, phi, 0.0)
+        self.pv_ahead[rows] = np.cumsum(masked[:, ::-1], axis=1)[:, ::-1]
 
 
-def line_criticality(current: float, rated: float) -> float:
-    """1 when the current strictly exceeds the rating, else 0."""
-    if current < 0.0 or rated < 0.0:
+def line_criticality(current, rated):
+    """1 where the current strictly exceeds the rating, else 0; elementwise."""
+    current, rated = np.asarray(current), np.asarray(rated)
+    if (current < 0.0).any() or (rated < 0.0).any():
         raise ValueError("current magnitudes must be >= 0")
-    return 1.0 if current > rated else 0.0
+    return (current > rated).astype(float)
 
 
-def bus_criticality(v: float, v_min: float, v_max: float) -> float:
-    """+1 for under-voltage, -1 for over-voltage, 0 inside the (closed) band."""
-    if v_min >= v_max:
+def bus_criticality(v, v_min, v_max):
+    """+1 for under-voltage, -1 for over-voltage, 0 inside the (closed) band;
+    elementwise."""
+    if (np.asarray(v_min) >= v_max).any():
         raise ValueError("v_min must be < v_max")
-    if v < v_min:
-        return 1.0
-    if v > v_max:
-        return -1.0
-    return 0.0
+    return np.where(v < v_min, 1.0, np.where(v > v_max, -1.0, 0.0))
 
 
 def request_priority(criticality: float) -> tuple:
@@ -116,20 +175,21 @@ def request_priority(criticality: float) -> tuple:
     return (abs(criticality), criticality)
 
 
-def forward_request(kind: str, held, received):
+def forward_request(held, received):
     """One agent's forwarding rule for the requests received in one round.
 
-    `kind` is "line", "bus" or "ev"; `held` is the request the agent holds
-    (its own, or the last one it adopted) or None. Returns the most critical
-    received request, to be adopted and passed on, or None when it does not
-    strictly beat `held`. A bus considers only received line-congestion
-    requests (+1 from a line) when there are any. Ties break toward the
-    lowest origin id.
+    `held` is the request the agent holds (its own, or the last one it
+    adopted) or None. Returns the most critical received request, to be
+    adopted and passed on, or None when it does not strictly beat `held`.
+    Ties break toward the lowest origin id.
+
+    Lines, buses and EVs apply the same rule. A bus needs no preference for
+    line-congestion requests over bus requests: flooding runs in
+    synchronous rounds over the bipartite line/bus tree and every request
+    starts in round 0, so a bus receives requests of bus origin only in
+    even rounds and of line origin only in odd rounds, and one round never
+    mixes the two kinds.
     """
-    if kind == "bus":
-        received = [r for r in received
-                    if r.origin_kind == "line" and r.criticality == 1.0] \
-            or received
     best = max(sorted(received, key=lambda r: r.origin_agent), default=None,
                key=lambda r: request_priority(r.criticality))
     if best is None or (held is not None and request_priority(best.criticality)
@@ -151,78 +211,100 @@ def sample_cooperation_targets(grid_charging_evs, count: int,
     return frozenset(pool[i] for i in picked)
 
 
-def ev_reward(cr_ev: float, neighbor_criticalities) -> float:
+def ev_reward(cr_ev, neighbor_criticalities):
     """Charging reward: -max of the nonzero neighborhood criticalities when
-    any exist, else one minus the normalized electricity cost."""
-    if not (0.0 <= cr_ev <= 1.0):
+    any exist, else one minus the normalized electricity cost.
+
+    The criticalities run along the last axis: a matrix, zero-padded,
+    gives one reward per row.
+    """
+    cost = np.asarray(cr_ev)
+    if not ((0.0 <= cost) & (cost <= 1.0)).all():
         raise ValueError("EV criticality (normalized cost) must be in [0, 1]")
-    nonzero = [c for c in neighbor_criticalities if c != 0.0]
-    if nonzero:
-        return -max(nonzero)
-    return 1.0 - cr_ev
+    crits = np.asarray(neighbor_criticalities, dtype=float)
+    top = np.where(crits != 0.0, crits, -np.inf).max(axis=-1,
+                                                      initial=-np.inf)
+    return np.where(top > -np.inf, -top, 1.0 - cost)[()]
 
 
-def required_instants(profile: EvProfile, delta_i: float, phi_estimate,
-                      k_p: int, now: int) -> int:
-    """Remaining grid-charging instants needed to hit the SoC target.
+def take_requests(fleet: Fleet, received) -> np.ndarray:
+    """Hold the requests each EV received (ev_id -> list) for its next
+    decision.
 
-    `delta_i` is minutes per instant; `phi_estimate` is the estimated PV
-    power in watt per local instant; the PV sum runs over the remaining
-    connected instants [now, window). The raw ceil value minus the already
-    charged count is clamped to [0, remaining instants].
+    Sets the pending flags of the EVs that a request names as cooperation
+    targets (+1 curtails, -1 forces) and clears every other flag. Returns
+    the criticalities each EV received as one zero-padded row per EV.
     """
-    window = profile.window_length
-    if not (0 <= now < window):
+    fleet.curtail[:] = False
+    fleet.force[:] = False
+    crits = np.zeros((len(fleet.ev_ids),
+                      max(map(len, received.values()), default=0)))
+    for ev, reqs in received.items():
+        row = fleet.row[ev]
+        crits[row, :len(reqs)] = [r.criticality for r in reqs]
+        named = [r.criticality for r in reqs if ev in r.target_evs]
+        fleet.curtail[row] = 1.0 in named
+        fleet.force[row] = -1.0 in named
+    return crits
+
+
+def required_instants(fleet: Fleet, rows, delta_i: float, pv_ahead_w, k_p,
+                      now) -> np.ndarray:
+    """Remaining grid-charging instants each row needs to hit its SoC
+    target.
+
+    `delta_i` is minutes per instant; `pv_ahead_w` is the estimated PV
+    power in watt summed over the row's remaining connected instants
+    [now, window). The raw ceil value minus the already charged count
+    `k_p` is clamped to [0, remaining instants].
+    """
+    window = fleet.window[rows]
+    if ((now < 0) | (now >= window)).any():
         raise ValueError("now must lie within the connection window")
-    phi = np.asarray(phi_estimate, dtype=float)
-    pv_sum_kw = float(phi[now:window].sum()) / 1000.0
-    per_instant = profile.p_max * profile.eta_chrg
-    need = (60.0 * profile.e_bat * (profile.soc_target - profile.soc_start)
+    per_instant = fleet.p_max[rows] * fleet.eta_chrg[rows]
+    need = (60.0 * fleet.e_bat[rows]
+            * (fleet.soc_target[rows] - fleet.soc_start[rows])
             / (delta_i * per_instant))
-    raw = math.ceil(need - pv_sum_kw / per_instant) - k_p
-    remaining = window - now
-    return max(0, min(raw, remaining))
+    raw = np.ceil(need - pv_ahead_w / 1000.0 / per_instant) - k_p
+    return np.maximum(0, np.minimum(raw, window - now)).astype(np.int64)
 
 
-def _targeted(requests, ev_id, criticality):
-    return any(r.criticality == criticality and ev_id in r.target_evs
-               for r in requests)
+def ev_decide(fleet: Fleet, rows, delta_i: float) -> np.ndarray:
+    """Charging power (kW) of each row's EV at its current local instant.
 
-
-def ev_decide(profile: EvProfile, state: EvState, now: int, requests,
-              delta_i: float) -> float:
-    """Charging power (kW) for the current local instant.
-
-    Re-plans the needed instant count, re-selects the top instants of the
-    remaining window under the day's sampled parameter, and overrides the
-    selection on cooperative requests naming this EV: +1 always curtails,
-    -1 forces charging while energy is still needed.
+    Re-plans the needed instant count k_f, charges when `now` is among the
+    top k_f instants of the remaining window under the session's sampled
+    theta, and overrides that on the requests pending for the EV: +1
+    always curtails, -1 forces charging while energy is still needed.
     """
-    if _targeted(requests, profile.ev_id, 1.0):
-        return 0.0
-    k_f = required_instants(profile, delta_i, state.sampled_phi, state.k_p, now)
-    if _targeted(requests, profile.ev_id, -1.0):
-        return profile.p_max if k_f > 0 else 0.0
+    now = fleet.now[rows]
+    k_f = required_instants(fleet, rows, delta_i, fleet.pv_ahead[rows, now],
+                            fleet.k_p[rows], now)
     # `now` is in the top-k_f of [now, window) under theta, ties toward the
     # lowest index, exactly when fewer than k_f later instants beat it.
-    theta = state.sampled_theta
-    beaten_by = np.count_nonzero(
-        theta[now + 1:profile.window_length] > theta[now])
-    return profile.p_max if beaten_by < k_f else 0.0
+    charge = (np.where(fleet.force[rows], k_f > 0,
+                       fleet.beaten_by[rows, now] < k_f)
+              & ~fleet.curtail[rows])
+    return np.where(charge, fleet.p_max[rows], 0.0)
 
 
-def ev_record(state: EvState, now: int, charged: bool, cost_now: float,
-              neighbor_criticalities, pv_reading: float) -> EvState:
+def ev_record(fleet: Fleet, rows, charged, cost_now: float,
+              neighbor_criticalities, pv_reading):
     """Perception-stage bookkeeping after the instant resolves.
 
-    Rewards are recorded only at instants the EV actually charged, keeping
-    the reward accumulator consistent with the played mask; PV readings are
-    recorded at every connected instant.
+    Per row: whether the EV charged from the grid, the criticalities it
+    received (a zero-padded row, see `ev_reward`) and its site's PV
+    reading. Rewards are recorded only at instants the EV actually
+    charged, keeping the reward accumulator consistent with the played
+    mask; PV readings are recorded at every connected instant.
     """
-    if charged:
-        state.played_mask[now] = 1.0
-        state.k_p = int(state.played_mask.sum())
-        state.reward_trace[now] = ev_reward(cost_now, neighbor_criticalities)
-    state.pv_mask[now] = 1.0
-    state.pv_obs[now] = pv_reading
-    return state
+    rows = np.asarray(rows)
+    charged = np.asarray(charged, dtype=bool)
+    now = fleet.now[rows]
+    got, at = rows[charged], now[charged]
+    fleet.played[got, at] = 1.0
+    fleet.k_p[got] += 1
+    fleet.reward[got, at] = ev_reward(
+        cost_now, np.asarray(neighbor_criticalities)[charged])
+    fleet.pv_mask[rows, now] = 1.0
+    fleet.pv_obs[rows, now] = pv_reading

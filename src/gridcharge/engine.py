@@ -1,9 +1,10 @@
 """Discrete-time simulation engine.
 
-Drives the per-instant pipeline over multi-day horizons: deliver pending
-requests, EV decisions, power flow, line/bus sensing with same-instant
-request flooding, then EV feedback. Also owns scenario generation and
-CSV profile ingestion.
+Drives the per-instant pipeline over multi-day horizons: EV decisions on
+the pending requests, battery/PV physics, power flow, line/bus sensing
+with same-instant request flooding, then EV feedback. The fleet is held
+as arrays, so each phase is one vector step over the plugged-in EVs.
+Also owns scenario generation and CSV profile ingestion.
 
 Each EV learns in its local session frame (instant 0 = plug-in), so
 connection windows crossing midnight behave like any other window; one
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (CriticalityRequest, EvProfile, EvState,
-                     bus_criticality, forward_request, line_criticality,
-                     sample_cooperation_targets)
+from .agents import (CriticalityRequest, EvProfile, Fleet, bus_criticality,
+                     forward_request, line_criticality,
+                     sample_cooperation_targets, take_requests)
 from .gridnet import (FeederSpec, NetworkTopology, build_replicated_feeder,
                       pv_power, solve_power_flow)
 
@@ -32,6 +33,7 @@ __all__ = [
     "SimulationResult",
     "Simulation",
     "generate_scenario",
+    "agent_neighbors",
     "flood_requests",
     "ingest_profile",
     "default_price_profile",
@@ -185,29 +187,38 @@ def generate_scenario(cfg: ScenarioConfig, days: int, seed: int) -> Scenario:
                     m=m, delta_i=delta_i, days=days, seed=seed)
 
 
-def flood_requests(topology: NetworkTopology, ev_bus: dict, initial):
+def agent_neighbors(topology: NetworkTopology) -> dict:
+    """The line/bus agent graph requests flood over: lines touch their
+    endpoint buses, buses touch their incident lines. It depends only on
+    the topology, so a simulation builds it once."""
+    neighbors = {("bus", bus.id): [] for bus in topology.buses}
+    for line in topology.lines:
+        ends = [("bus", line.from_bus), ("bus", line.to_bus)]
+        neighbors[("line", line.id)] = ends
+        for end in ends:
+            neighbors[end].append(("line", line.id))
+    return neighbors
+
+
+def flood_requests(neighbors: dict, evs_at_bus: dict, initial):
     """Monotone same-instant flooding of criticality requests.
 
-    Neighborhoods follow the physical graph: lines touch their endpoint
-    buses, buses touch incident lines and attached EVs. A node re-forwards
-    only when an incoming request strictly beats what it already holds, so
-    the process quiesces within the agent-graph diameter. Returns the list
-    of requests each EV received (in improving order) and the round count.
+    `neighbors` is the line/bus graph from `agent_neighbors`; `evs_at_bus`
+    maps a bus id to the EV ids attached to it, which hear what the bus
+    passes on. A node re-forwards only when an incoming request strictly
+    beats what it already holds, so the process quiesces within the
+    agent-graph diameter. Returns the list of requests each EV received
+    (in improving order) and the round count.
     """
     if not initial:
         return {}, 0
-    neighbors = {}
-    for li, line in enumerate(topology.lines):
-        node = ("line", line.id)
-        neighbors[node] = [("bus", line.from_bus), ("bus", line.to_bus)]
-    for bus in topology.buses:
-        neighbors[("bus", bus.id)] = []
-    for li, line in enumerate(topology.lines):
-        neighbors[("bus", line.from_bus)].append(("line", line.id))
-        neighbors[("bus", line.to_bus)].append(("line", line.id))
-    for ev_id, bus_id in ev_bus.items():
-        neighbors[("bus", bus_id)].append(("ev", ev_id))
-        neighbors[("ev", ev_id)] = [("bus", bus_id)]
+
+    def send(node, req, box):
+        for nb in neighbors[node]:
+            box.setdefault(nb, []).append(req)
+        if node[0] == "bus":
+            for ev in evs_at_bus.get(node[1], ()):
+                box.setdefault(("ev", ev), []).append(req)
 
     held = {}
     ev_received = {}
@@ -215,23 +226,21 @@ def flood_requests(topology: NetworkTopology, ev_bus: dict, initial):
     for req in initial:
         origin = (req.origin_kind, req.origin_agent)
         held[origin] = req
-        for nb in neighbors[origin]:
-            inbox.setdefault(nb, []).append(req)
+        send(origin, req, inbox)
 
     rounds = 0
     while inbox:
         rounds += 1
         outbox = {}
         for node, reqs in sorted(inbox.items()):
-            best = forward_request(node[0], held.get(node), reqs)
+            best = forward_request(held.get(node), reqs)
             if best is None:
                 continue
             held[node] = best
             if node[0] == "ev":
                 ev_received.setdefault(node[1], []).append(best)
             else:
-                for nb in neighbors[node]:
-                    outbox.setdefault(nb, []).append(best)
+                send(node, best, outbox)
         inbox = outbox
 
     return ev_received, rounds
@@ -262,7 +271,13 @@ class SimulationResult:
 
 
 class Simulation:
-    """Barrier-synchronized per-instant execution of one scenario."""
+    """Barrier-synchronized per-instant execution of one scenario.
+
+    The fleet lives in a `Fleet` of arrays. Each instant runs one vector
+    step over the plugged-in EVs: the strategy's decision, the battery/PV
+    physics and the cost/energy accounts, then the power flow, sensing
+    and flooding, then one feedback record.
+    """
 
     def __init__(self, scenario: Scenario, strategy, seed=None,
                  cooperation_fraction=0.05, keep_traces=True):
@@ -273,12 +288,15 @@ class Simulation:
         self.rng = np.random.default_rng(
             np.random.SeedSequence([scenario.seed if seed is None else seed, 0x51e])
         )
-        self.m = scenario.m
+        self.m = m = scenario.m
         self.delta_h = scenario.delta_i / 60.0
         self.net = scenario.topology
-        n = len(scenario.fleet)
-        self.ev_ids = [p.ev_id for p in scenario.fleet]
-        self.ev_bus = {p.ev_id: p.bus_id for p in scenario.fleet}
+        self.fleet = Fleet(scenario.fleet, m)
+        self.ev_ids = self.fleet.ev_ids
+        self._neighbors = agent_neighbors(self.net)
+        self._evs_at_bus = {}
+        for p in scenario.fleet:
+            self._evs_at_bus.setdefault(p.bus_id, []).append(p.ev_id)
         self._bus_of_site = np.array(
             [self.net.bus_index[s.bus_id] for s in scenario.sites], dtype=np.int64
         )
@@ -288,8 +306,23 @@ class Simulation:
         self._ev_bus_idx = np.array(
             [self.net.bus_index[p.bus_id] for p in scenario.fleet], dtype=np.int64
         )
+        # Read-only PV watt per (instant of day, site).
+        self._site_pv_w = pv_power(
+            np.array([s.pv_area for s in scenario.sites]),
+            np.array([s.pv_efficiency for s in scenario.sites]),
+            scenario.irradiance_profile[:, None])
+        self._site_pv_w.flags.writeable = False
+        # EVs plugging in, and leaving after, each instant of day.
+        t_arrive = np.array([p.t_arrive for p in scenario.fleet], dtype=np.int64)
+        last = (t_arrive + self.fleet.window - 1) % m
+        self._arrivals = [np.flatnonzero(t_arrive == i) for i in range(m)]
+        self._departures = [np.flatnonzero(last == i) for i in range(m)]
+        # Plugged-in EVs by session start, then index: the order in which
+        # their grid power enters the bus injections.
+        self._order = np.zeros(0, dtype=np.int64)
 
         D = scenario.days
+        n = len(scenario.fleet)
         self.cost = np.zeros((D, n))
         self.grid_energy = np.zeros((D, n))
         self.battery_energy = np.zeros((D, n))
@@ -299,113 +332,93 @@ class Simulation:
         self.violations_voltage = np.zeros(D, dtype=np.int64)
         self.traces = [] if keep_traces else None
 
-        self._active = {}    # ev index -> (session_day, local_now, EvState)
-        self._pending = {i: [] for i in range(n)}
-        self._site_pv_w = {}  # instant of day -> read-only PV watt per site
-
     # -- single instant ----------------------------------------------------
 
     def run_instant(self, g: int) -> InstantTrace | None:
-        sc = self.sc
-        m, dh = self.m, self.delta_h
-        i_day = g % m
-        day = g // m
+        sc, fleet, net = self.sc, self.fleet, self.net
+        dh = self.delta_h
+        i_day = g % self.m
+        day = g // self.m
 
         # Phase 0: plug-in sessions starting at this instant.
-        for idx, prof in enumerate(sc.fleet):
-            if i_day == prof.t_arrive and day < sc.days:
-                st = EvState(soc=prof.soc_start, m=m)
-                self.strategy.session_start(prof, st, self.rng)
-                self._active[idx] = [day, 0, st]
-                self._pending[idx] = []
+        new = self._arrivals[i_day]
+        if day < sc.days and new.size:
+            fleet.plug_in(new, day)
+            self.strategy.session_start(fleet, new, self.rng)
+            self._order = np.concatenate([self._order, new])
+        rows = self._order
 
+        # Phase 1+2: charging decisions on the pending requests, battery/PV
+        # physics and the cost/energy accounts. The strategy is asked only
+        # while an EV is plugged in.
         price = sc.price_profile[i_day]
-        site_pv_w = self._site_pv_w.get(i_day)
-        if site_pv_w is None:
-            irr = sc.irradiance_profile[i_day]
-            site_pv_w = np.array([pv_power(s.pv_area, s.pv_efficiency, irr)
-                                  for s in sc.sites])
-            site_pv_w.flags.writeable = False
-            self._site_pv_w[i_day] = site_pv_w
-
-        # Phase 1+2: deliver pending requests, take charging decisions.
-        grid_kw = {}
-        charged = {}
-        pv_batt_kwh = {}
-        for idx in sorted(self._active):
-            prof = sc.fleet[idx]
-            day_d, now, st = self._active[idx]
-            asked = self.strategy.decide(prof, st, now, self._pending[idx],
-                                         sc.delta_i)
-            headroom = max(0.0, (1.0 - st.soc) * prof.e_bat)
-            pv_kw = site_pv_w[self._ev_site[idx]] / 1000.0
-            pv_in = min(pv_kw * dh, headroom)
-            grid_in = min(prof.eta_chrg * asked * dh, headroom - pv_in)
-            eff_kw = grid_in / (prof.eta_chrg * dh) if grid_in > 0.0 else 0.0
-            st.soc += (pv_in + grid_in) / prof.e_bat
-            grid_kw[idx] = eff_kw
-            charged[idx] = eff_kw > 1e-12
-            pv_batt_kwh[idx] = pv_in
-            self.cost[day_d, idx] += price * eff_kw * dh
-            self.grid_energy[day_d, idx] += grid_in
-            self.battery_energy[day_d, idx] += pv_in + grid_in
+        site_pv_w = self._site_pv_w[i_day]
+        sites = self._ev_site[rows]
+        pv_w = site_pv_w[sites]
+        asked = (self.strategy.decide(fleet, rows, sc.delta_i) if rows.size
+                 else np.zeros(0))
+        eta = fleet.eta_chrg[rows]
+        e_bat = fleet.e_bat[rows]
+        headroom = np.maximum(0.0, (1.0 - fleet.soc[rows]) * e_bat)
+        pv_in = np.minimum(pv_w / 1000.0 * dh, headroom)
+        grid_in = np.minimum(eta * asked * dh, headroom - pv_in)
+        grid_kw = np.where(grid_in > 0.0, grid_in / (eta * dh), 0.0)
+        fleet.soc[rows] += (pv_in + grid_in) / e_bat
+        charged = grid_kw > 1e-12
+        days = fleet.day[rows]
+        self.cost[days, rows] += price * grid_kw * dh
+        self.grid_energy[days, rows] += grid_in
+        self.battery_energy[days, rows] += pv_in + grid_in
 
         # Phase 3: power flow with household + EV - PV injections.
-        inj = np.zeros(self.net.n_buses)
+        inj = np.zeros(net.n_buses)
         np.add.at(inj, self._bus_of_site, sc.site_load_profiles[:, i_day])
+        np.add.at(inj, self._ev_bus_idx[rows], grid_kw * 1000.0)
         pv_export_w = site_pv_w.copy()
-        for idx in self._active:
-            site = self._ev_site[idx]
-            pv_export_w[site] -= pv_batt_kwh[idx] / dh * 1000.0
-            inj[self._ev_bus_idx[idx]] += grid_kw[idx] * 1000.0
+        pv_export_w[sites] -= pv_in / dh * 1000.0
         np.subtract.at(inj, self._bus_of_site, pv_export_w)
-        sol = solve_power_flow(self.net, inj)
+        sol = solve_power_flow(net, inj)
 
         # Phase 4: sensing, request creation, flooding to quiescence.
-        grid_charging_evs = [sc.fleet[i].ev_id for i in sorted(self._active)
-                             if charged[i]]
-        n_targets = max(1, math.ceil(self.coop_fraction *
-                                     max(1, len(grid_charging_evs))))
         if sol.converged:
-            line_crit = [line_criticality(c, r) for c, r in
-                         zip(sol.line_currents, self.net.i_rated)]
-            bus_crit = [bus_criticality(v, b.v_min, b.v_max) for v, b in
-                        zip(sol.bus_voltages, self.net.buses)]
+            line_crit = line_criticality(sol.line_currents, net.i_rated)
+            bus_crit = bus_criticality(sol.bus_voltages, net.v_min, net.v_max)
         else:
             # Electrical state unknown: treat every line as congested so the
             # whole fleet backs off.
-            line_crit = [1.0] * self.net.n_lines
-            bus_crit = [0.0] * self.net.n_buses
+            line_crit = np.ones(net.n_lines)
+            bus_crit = np.zeros(net.n_buses)
         initial = []
-        for kind, agents, crits in (("line", self.net.lines, line_crit),
-                                    ("bus", self.net.buses, bus_crit)):
-            for agent, cr in zip(agents, crits):
-                if cr != 0.0:
+        if line_crit.any() or bus_crit.any():
+            grid_charging_evs = [fleet.ev_ids[i] for i in rows[charged]]
+            n_targets = max(1, math.ceil(self.coop_fraction *
+                                         max(1, len(grid_charging_evs))))
+            for kind, agents, crits in (("line", net.lines, line_crit),
+                                        ("bus", net.buses, bus_crit)):
+                for a in np.flatnonzero(crits):
                     initial.append(CriticalityRequest(
-                        criticality=cr,
+                        criticality=float(crits[a]),
                         target_evs=sample_cooperation_targets(
                             grid_charging_evs, n_targets, self.rng),
-                        origin_agent=agent.id, origin_kind=kind,
+                        origin_agent=agents[a].id, origin_kind=kind,
                         instant=i_day))
 
-        received, rounds = flood_requests(self.net, self.ev_bus, initial)
+        received, rounds = flood_requests(self._neighbors, self._evs_at_bus,
+                                          initial)
 
-        # Phase 5: feedback with same-instant criticalities.
-        for idx in sorted(self._active):
-            prof = sc.fleet[idx]
-            day_d, now, st = self._active[idx]
-            reqs = received.get(prof.ev_id, [])
-            crits = [r.criticality for r in reqs]
-            self.strategy.feedback(prof, st, now, charged[idx], price, crits,
-                                   site_pv_w[self._ev_site[idx]])
-            self._pending[idx] = reqs
+        # Phase 5: feedback with same-instant criticalities; the requests
+        # are held for the next decision.
+        if rows.size:
+            crits = take_requests(fleet, received)
+            self.strategy.feedback(fleet, rows, charged, price, crits[rows],
+                                   pv_w)
 
         # Violations are attributed to the global day (clipped to horizon);
         # a non-converged instant counts against both kinds.
         vday = min(day, sc.days - 1)
-        if any(line_crit):
+        if line_crit.any():
             self.violations_current[vday] += 1
-        if not sol.converged or any(bus_crit):
+        if not sol.converged or bus_crit.any():
             self.violations_voltage[vday] += 1
 
         trace = None
@@ -413,25 +426,23 @@ class Simulation:
             trace = InstantTrace(
                 converged=sol.converged, flood_rounds=rounds,
                 requests=tuple(initial), injections=inj,
-                ev_grid_kw={sc.fleet[i].ev_id: grid_kw[i]
-                            for i in self._active if grid_kw[i] > 0.0})
+                ev_grid_kw={fleet.ev_ids[i]: kw for i, kw in
+                            zip(rows.tolist(), grid_kw.tolist()) if kw > 0.0})
             self.traces.append(trace)
 
         # Phase 6: sessions ending after this instant.
-        for idx in sorted(self._active):
-            prof = sc.fleet[idx]
-            day_d, now, st = self._active[idx]
-            if now + 1 >= prof.window_length:
-                self.strategy.session_end(prof, st)
-                k_p = st.k_p
-                if k_p > 0:
-                    self.mean_reward_ev[day_d, idx] = (
-                        float(st.reward_trace.sum()) / k_p)
-                self.final_soc[day_d, idx] = st.soc
-                del self._active[idx]
-                self._pending[idx] = []
-            else:
-                self._active[idx][1] = now + 1
+        fleet.now[rows] += 1
+        ending = self._departures[i_day]
+        ending = ending[fleet.active[ending]]
+        if ending.size:
+            self.strategy.session_end(fleet, ending)
+            d, k_p = fleet.day[ending], fleet.k_p[ending]
+            got = k_p > 0
+            self.mean_reward_ev[d[got], ending[got]] = (
+                fleet.reward[ending[got]].sum(axis=1) / k_p[got])
+            self.final_soc[d, ending] = fleet.soc[ending]
+            fleet.active[ending] = False
+            self._order = rows[fleet.active[rows]]
 
         return trace
 

@@ -336,12 +336,17 @@ def power_mismatch(net: NetworkTopology, solution: PowerFlowSolution,
     return float(np.max(np.abs(mismatch)) / net.v_base**2)
 
 
-def pv_power(area: float, efficiency: float, irradiance: float) -> float:
-    """Instantaneous PV output in watt: panel area x efficiency x irradiance."""
-    if area < 0.0:
+def pv_power(area, efficiency, irradiance):
+    """Instantaneous PV output in watt: panel area x efficiency x irradiance.
+
+    Elementwise over arrays, which broadcast: one call gives a whole
+    (instant, site) table.
+    """
+    a, e, irr = np.asarray(area), np.asarray(efficiency), np.asarray(irradiance)
+    if (a < 0.0).any():
         raise ValueError("area must be >= 0")
-    if not (0.0 <= efficiency <= 1.0):
+    if ((e < 0.0) | (e > 1.0)).any():
         raise ValueError("efficiency must be within [0, 1]")
-    if irradiance < 0.0:
+    if (irr < 0.0).any():
         raise ValueError("irradiance must be >= 0")
     return area * efficiency * irradiance

@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 
 from . import agents
-from .agents import EvProfile, EvState, ev_record, required_instants
+from .agents import EvProfile, Fleet, ev_record, required_instants
 from .bandit import (REWARD_PRIOR_MEAN, BanditState, SuperArm,
                      sample_parameter, update_day, update_pv)
 from .engine import Scenario
@@ -41,18 +41,19 @@ def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
 
 
 class Strategy:
-    """Hooks invoked by the engine; defaults do nothing."""
+    """Hooks the engine calls on fleet rows (arrays of EV indices into the
+    `Fleet`); defaults do nothing, and feedback records."""
 
-    def session_start(self, profile: EvProfile, state: EvState, rng):
+    def session_start(self, fleet: Fleet, rows, rng):
         pass
 
-    def decide(self, profile, state, now, requests, delta_i) -> float:
+    def decide(self, fleet: Fleet, rows, delta_i) -> np.ndarray:
         raise NotImplementedError
 
-    def feedback(self, profile, state, now, charged, cost_norm, crits, pv_w):
-        ev_record(state, now, charged, cost_norm, crits, pv_w)
+    def feedback(self, fleet: Fleet, rows, charged, cost_norm, crits, pv_w):
+        ev_record(fleet, rows, charged, cost_norm, crits, pv_w)
 
-    def session_end(self, profile: EvProfile, state: EvState):
+    def session_end(self, fleet: Fleet, rows):
         pass
 
 
@@ -67,28 +68,37 @@ class AmasStrategy(Strategy):
         self.selections = {}   # ev_id -> [(SuperArm, theta_hat_d), ...]
         self.days_completed = 0
 
-    def session_start(self, profile, state, rng):
-        ev = profile.ev_id
-        if ev not in self.bandits:
-            self.bandits[ev] = BanditState.initial(state.m, self.alpha,
-                                                   REWARD_PRIOR_MEAN)
-            self.pv_learners[ev] = BanditState.initial(state.m, self.beta, 0.0)
-            self.selections[ev] = []
-        state.sampled_theta = sample_parameter(self.bandits[ev], rng)
-        state.sampled_phi = sample_parameter(self.pv_learners[ev], rng)
+    def session_start(self, fleet, rows, rng):
+        # One posterior draw per EV, in row order, theta before phi.
+        theta = np.empty((len(rows), fleet.m))
+        phi = np.empty((len(rows), fleet.m))
+        for k, idx in enumerate(rows):
+            ev = fleet.ev_ids[idx]
+            if ev not in self.bandits:
+                self.bandits[ev] = BanditState.initial(fleet.m, self.alpha,
+                                                       REWARD_PRIOR_MEAN)
+                self.pv_learners[ev] = BanditState.initial(fleet.m, self.beta,
+                                                           0.0)
+                self.selections[ev] = []
+            theta[k] = sample_parameter(self.bandits[ev], rng)
+            phi[k] = sample_parameter(self.pv_learners[ev], rng)
+        fleet.hold_samples(rows, theta, phi)
 
-    def decide(self, profile, state, now, requests, delta_i):
-        return agents.ev_decide(profile, state, now, requests, delta_i)
+    def decide(self, fleet, rows, delta_i):
+        return agents.ev_decide(fleet, rows, delta_i)
 
-    def session_end(self, profile, state):
-        ev = profile.ev_id
-        theta_hat_d = self.bandits[ev].estimate.copy()
-        played = SuperArm(tuple(np.flatnonzero(state.played_mask)))
-        self.selections[ev].append((played, theta_hat_d))
-        self.bandits[ev] = update_day(self.bandits[ev], state.played_mask,
-                                      state.reward_trace)
-        self.pv_learners[ev] = update_pv(self.pv_learners[ev], state.pv_mask,
-                                         state.pv_obs)
+    def session_end(self, fleet, rows):
+        for idx in rows:
+            ev = fleet.ev_ids[idx]
+            played = fleet.played[idx]
+            theta_hat_d = self.bandits[ev].estimate.copy()
+            self.selections[ev].append(
+                (SuperArm(tuple(np.flatnonzero(played))), theta_hat_d))
+            self.bandits[ev] = update_day(self.bandits[ev], played,
+                                          fleet.reward[idx])
+            self.pv_learners[ev] = update_pv(self.pv_learners[ev],
+                                             fleet.pv_mask[idx],
+                                             fleet.pv_obs[idx])
 
     # -- checkpointing -----------------------------------------------------
 
@@ -139,30 +149,36 @@ def _unpack(text: str, shape) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-def uncontrolled_action(profile: EvProfile, state: EvState) -> float:
+def uncontrolled_action(fleet: Fleet, rows) -> np.ndarray:
     """Plug-and-charge: full power until the SoC target, blind to everything."""
-    return profile.p_max if state.soc < profile.soc_target else 0.0
+    return np.where(fleet.soc[rows] < fleet.soc_target[rows],
+                    fleet.p_max[rows], 0.0)
 
 
 class UncontrolledStrategy(Strategy):
     """Charges at maximum power from plug-in; ignores prices and requests."""
 
-    def decide(self, profile, state, now, requests, delta_i):
-        return uncontrolled_action(profile, state)
+    def decide(self, fleet, rows, delta_i):
+        return uncontrolled_action(fleet, rows)
 
 
 class ScheduleStrategy(Strategy):
-    """Replays fixed per-EV schedules (local-instant booleans)."""
+    """Replays fixed per-EV schedules (local-instant booleans). A session's
+    theta row holds its schedule: 1 at planned instants."""
 
     def __init__(self, schedules: dict):
         self.schedules = {ev: np.asarray(s, dtype=bool)
                           for ev, s in schedules.items()}
 
-    def decide(self, profile, state, now, requests, delta_i):
-        plan = self.schedules.get(profile.ev_id)
-        if plan is None or now >= plan.shape[0] or not plan[now]:
-            return 0.0
-        return profile.p_max if state.soc < 1.0 else 0.0
+    def session_start(self, fleet, rows, rng):
+        for idx in rows:
+            plan = self.schedules.get(fleet.ev_ids[idx], ())[:fleet.m]
+            fleet.theta[idx, :len(plan)] = plan
+
+    def decide(self, fleet, rows, delta_i):
+        planned = fleet.theta[rows, fleet.now[rows]] > 0.0
+        return np.where(planned & (fleet.soc[rows] < 1.0),
+                        fleet.p_max[rows], 0.0)
 
 
 # -- centralized oracle ------------------------------------------------------
@@ -170,13 +186,9 @@ class ScheduleStrategy(Strategy):
 
 def _true_pv_local(scenario: Scenario, profile: EvProfile) -> np.ndarray:
     site = scenario.sites[scenario.ev_site[profile.ev_id]]
-    w = profile.window_length
-    out = np.empty(w)
-    for l in range(w):
-        i = (profile.t_arrive + l) % scenario.m
-        out[l] = pv_power(site.pv_area, site.pv_efficiency,
-                          scenario.irradiance_profile[i])
-    return out
+    i = (profile.t_arrive + np.arange(profile.window_length)) % scenario.m
+    return pv_power(site.pv_area, site.pv_efficiency,
+                    scenario.irradiance_profile[i])
 
 
 class _FeasibilityChecker:
@@ -190,25 +202,28 @@ class _FeasibilityChecker:
         self.sc = scenario
         net = scenario.topology
         m = scenario.m
-        site_bus = np.array([net.bus_index[s.bus_id] for s in scenario.sites])
+        sites = scenario.sites
+        site_bus = np.array([net.bus_index[s.bus_id] for s in sites],
+                            dtype=np.int64)
         self.ev_bus = {p.ev_id: net.bus_index[p.bus_id]
                        for p in scenario.fleet}
         self.p_max_w = {p.ev_id: p.p_max * 1000.0 for p in scenario.fleet}
-        connected = {i: set() for i in range(m)}
+        connected = np.zeros((m, len(sites)), dtype=bool)
         for p in scenario.fleet:
-            site = scenario.ev_site[p.ev_id]
-            for l in range(p.window_length):
-                connected[(p.t_arrive + l) % m].add(site)
+            i = (p.t_arrive + np.arange(p.window_length)) % m
+            connected[i, scenario.ev_site[p.ev_id]] = True
+        pv = pv_power(np.array([s.pv_area for s in sites]),
+                      np.array([s.pv_efficiency for s in sites]),
+                      scenario.irradiance_profile[:, None])
+        # One (instant, bus) entry per (instant, site) pair in site order,
+        # so each bus sums its loads, then subtracts its unconnected PV, in
+        # the same order as a per-instant loop.
+        at = (np.repeat(np.arange(m), len(sites)), np.tile(site_bus, m))
         self.base = np.zeros((m, net.n_buses))
-        for i in range(m):
-            inj = np.zeros(net.n_buses)
-            np.add.at(inj, site_bus, scenario.site_load_profiles[:, i])
-            for s_idx, site in enumerate(scenario.sites):
-                if s_idx not in connected[i]:
-                    inj[site_bus[s_idx]] -= pv_power(
-                        site.pv_area, site.pv_efficiency,
-                        scenario.irradiance_profile[i])
-            self.base[i] = inj
+        np.add.at(self.base, at, scenario.site_load_profiles.T.ravel())
+        away = ~connected.ravel()
+        np.subtract.at(self.base, (at[0][away], at[1][away]),
+                       pv.ravel()[away])
 
     def feasible(self, i_day: int, charging_ev_ids) -> bool:
         net = self.sc.topology
@@ -238,14 +253,14 @@ def centralized_oracle(scenario: Scenario, mode="greedy",
     checker = _FeasibilityChecker(scenario)
     m = scenario.m
 
-    needs = {}
-    local_price = {}
-    for p in fleet:
-        phi = _true_pv_local(scenario, p)
-        needs[p.ev_id] = required_instants(p, scenario.delta_i, phi, 0, 0)
-        local_price[p.ev_id] = np.array(
-            [scenario.price_profile[(p.t_arrive + l) % m]
-             for l in range(p.window_length)])
+    pv_ahead = np.array([_true_pv_local(scenario, p).sum() for p in fleet])
+    k = required_instants(Fleet(fleet, m), np.arange(len(fleet)),
+                          scenario.delta_i, pv_ahead, 0, 0)
+    needs = {p.ev_id: int(k_ev) for p, k_ev in zip(fleet, k)}
+    local_price = {
+        p.ev_id: scenario.price_profile[
+            (p.t_arrive + np.arange(p.window_length)) % m]
+        for p in fleet}
 
     if mode == "greedy":
         return _oracle_greedy(scenario, checker, needs, local_price)

@@ -18,7 +18,7 @@ from gridcharge.engine import (EvParams, ScenarioConfig, Simulation,
 from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
                                 power_mismatch, solve_power_flow)
 from gridcharge.metrics import fairness_index, mean_daily_reward, per_unit_costs
-from gridcharge.agents import EvProfile, required_instants
+from gridcharge.agents import EvProfile, Fleet, required_instants
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
                                    UncontrolledStrategy, centralized_oracle)
 
@@ -252,17 +252,23 @@ def test_criterion_7_power_flow_correctness(small_run):
 
 
 def test_criterion_8_required_instants_examples():
+    def need(profile, phi, k_p):
+        fleet = Fleet([profile], 60)
+        fleet.hold_samples([0], np.zeros((1, 60)), phi[None])
+        return int(required_instants(fleet, [0], 15.0, fleet.pv_ahead[0, 0],
+                                     k_p, 0)[0])
+
     p = EvProfile(ev_id="e", bus_id="b", e_bat=52.0, p_max=7.0,
                   eta_chrg=0.95, soc_start=0.5, soc_target=0.8,
                   t_arrive=0, t_depart=60)
-    a = required_instants(p, 15.0, np.zeros(60), 0, 0)
+    a = need(p, np.zeros(60), 0)
     flat = EvProfile(ev_id="e", bus_id="b", e_bat=52.0, p_max=7.0,
                      eta_chrg=0.95, soc_start=0.8, soc_target=0.8,
                      t_arrive=0, t_depart=60)
-    b = required_instants(flat, 15.0, np.zeros(60), 0, 0)
+    b = need(flat, np.zeros(60), 0)
     phi = np.zeros(60)
     phi[0] = 13_300.0  # 13.3 kW-instants of estimated PV
-    c = required_instants(p, 15.0, phi, 3, 0)
+    c = need(p, phi, 3)
     ok = (a, b, c) == (10, 0, 5)
     report(8, "charging-need rule examples", ok, f"got {(a, b, c)}, want (10, 0, 5)")
 

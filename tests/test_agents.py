@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcharge.agents import (CriticalityRequest, EvProfile, EvState,
+from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet,
                                bus_criticality, ev_decide, ev_record,
                                ev_reward, forward_request, line_criticality,
                                request_priority, required_instants,
-                               sample_cooperation_targets)
+                               sample_cooperation_targets, take_requests)
 from gridcharge.bandit import select_super_arm
 
 
@@ -57,46 +57,36 @@ class TestForwardRequest:
 
     def test_line_forwards_own_when_most_critical(self):
         own = req(1.0, origin="l3", targets={"ev1"})
-        assert forward_request("line", own, [req(-1.0, origin="b1",
-                                                 kind="bus")]) is None
-        assert forward_request("line", own, [req(1.0, origin="l0")]) is None
+        assert forward_request(own, [req(-1.0, origin="b1",
+                                         kind="bus")]) is None
+        assert forward_request(own, [req(1.0, origin="l0")]) is None
 
     def test_line_forwards_received_when_higher(self):
         incoming = req(1.0, origin="l9")
-        assert forward_request("line", None, [incoming]) is incoming
+        assert forward_request(None, [incoming]) is incoming
         weaker = req(0.5, origin="l1")
-        assert forward_request("line", weaker, [incoming]) is incoming
-
-    def test_bus_line_congestion_priority(self):
-        own = req(-1.0, origin="b1", kind="bus", targets={"evX"})
-        congested = req(1.0, origin="l2", kind="line")
-        undervolt = req(1.0, origin="b0", kind="bus")
-        assert forward_request("bus", own, [undervolt, congested]) is congested
-        # Only a bus gives line congestion priority; elsewhere the lower
-        # origin id wins the tie.
-        assert forward_request("line", None,
-                               [undervolt, congested]) is undervolt
+        assert forward_request(weaker, [incoming]) is incoming
 
     def test_bus_silent_when_all_zero(self):
-        assert forward_request("bus", None, []) is None
-        assert forward_request("line", req(1.0, origin="l1"), []) is None
+        assert forward_request(None, []) is None
+        assert forward_request(req(1.0, origin="l1"), []) is None
 
     def test_overvoltage_own_request_forwarded(self):
         over = req(-1.0, origin="b4", kind="bus", targets={"ev2"})
-        assert forward_request("bus", None, [over]) is over
+        assert forward_request(None, [over]) is over
         own = req(-1.0, origin="b1", kind="bus")
-        assert forward_request("bus", own, [over]) is None
+        assert forward_request(own, [over]) is None
 
     def test_plus_beats_minus_on_equal_magnitude(self):
         plus = req(1.0, origin="z", kind="bus")
-        out = forward_request("bus", None, [req(-1.0, origin="a", kind="bus"),
-                                            plus])
+        out = forward_request(None, [req(-1.0, origin="a", kind="bus"),
+                                     plus])
         assert out is plus
-        assert forward_request("bus", req(-1.0, origin="b", kind="bus"),
+        assert forward_request(req(-1.0, origin="b", kind="bus"),
                                [plus]) is plus
 
     def test_tie_breaks_to_lowest_origin_id(self):
-        out = forward_request("line", None,
+        out = forward_request(None,
                               [req(1.0, origin="l10"), req(1.0, origin="l1"),
                                req(1.0, origin="l2")])
         assert out.origin_agent == "l1"
@@ -106,7 +96,7 @@ class TestForwardRequest:
         # a +1 line-congestion request: equal priority is not a strict gain.
         own = req(1.0, origin="b3", kind="bus", targets={"ev4"})
         congested = req(1.0, origin="l_b3", kind="line", targets={"ev5"})
-        assert forward_request("bus", own, [congested]) is None
+        assert forward_request(own, [congested]) is None
 
     def test_forwarded_criticality_is_max_in_sight(self):
         rng = np.random.default_rng(12)
@@ -116,7 +106,7 @@ class TestForwardRequest:
                     else req(float(rng.choice(crits)), origin="me"))
             received = [req(float(rng.choice(crits)), origin=f"l{i}")
                         for i in range(rng.integers(1, 5))]
-            out = forward_request("line", held, received)
+            out = forward_request(held, received)
             top = max(request_priority(r.criticality) for r in received)
             if held is not None and request_priority(held.criticality) >= top:
                 assert out is None
@@ -175,157 +165,190 @@ class TestEvReward:
         assert -1.0 <= ev_reward(cost, crits) <= 1.0
 
 
+def one_ev(p, theta=None, phi=None):
+    """A one-row fleet in a fresh session of `p`, with its sampled theta
+    and PV estimate phi (watt per local instant)."""
+    w = p.window_length
+    fleet = Fleet([p], w)
+    fleet.plug_in([0], 0)
+    fleet.hold_samples([0], np.zeros((1, w)) if theta is None else [theta],
+                       np.zeros((1, w)) if phi is None else [phi])
+    return fleet
+
+
+def need(p, phi, k_p, now):
+    """required_instants for one EV, reading the PV ahead as the fleet
+    holds it."""
+    fleet = one_ev(p, phi=phi)
+    return int(required_instants(fleet, [0], 15.0, fleet.pv_ahead[0, now],
+                                 k_p, now)[0])
+
+
+def decide(fleet, now, requests):
+    """ev_decide for the one-row fleet at local instant `now`, with the
+    requests it received the instant before."""
+    fleet.now[0] = now
+    take_requests(fleet, {fleet.ev_ids[0]: requests})
+    return float(ev_decide(fleet, [0], 15.0)[0])
+
+
 class TestRequiredInstants:
     def test_paper_parameters_no_pv(self):
         p = profile()  # 52 kWh, dSoC 0.3, 7 kW, 0.95
-        assert required_instants(p, 15.0, np.zeros(60), 0, 0) == 10
+        assert need(p, np.zeros(60), 0, 0) == 10
 
     def test_zero_need(self):
         p = profile(soc_target=0.5)
-        assert required_instants(p, 15.0, np.zeros(60), 0, 0) == 0
+        assert need(p, np.zeros(60), 0, 0) == 0
 
     def test_pv_credit_and_k_p(self):
         p = profile()
         # 13.3 kW-instants of estimated PV, spread over the remaining window.
         phi = np.zeros(60)
         phi[0] = 13_300.0
-        assert required_instants(p, 15.0, phi, 3, 0) == 5
+        assert need(p, phi, 3, 0) == 5
 
     def test_clamped_to_remaining(self):
         p = profile(t_depart=5, soc_target=1.0)
-        assert required_instants(p, 15.0, np.zeros(5), 0, 2) == 3
+        assert need(p, np.zeros(5), 0, 2) == 3
 
     def test_pv_sum_excludes_past(self):
         p = profile()
         phi = np.zeros(60)
         phi[0] = 1e9  # already behind us at now=1
-        assert required_instants(p, 15.0, phi, 0, 1) == 10
+        assert need(p, phi, 0, 1) == 10
 
     def test_now_outside_window_rejected(self):
         with pytest.raises(ValueError):
-            required_instants(profile(), 15.0, np.zeros(60), 0, 60)
+            required_instants(one_ev(profile()), [0], 15.0, 0.0, 0, 60)
 
     @given(soc_start=st.floats(0.0, 0.8), k_p=st.integers(0, 20),
            now=st.integers(0, 59))
     @settings(max_examples=100, deadline=None)
     def test_k_f_conservation_zero_pv(self, soc_start, k_p, now):
         p = profile(soc_start=soc_start)
-        k_f = required_instants(p, 15.0, np.zeros(60), k_p, now)
+        k_f = need(p, np.zeros(60), k_p, now)
         per_instant_kwh = p.p_max * p.eta_chrg * 0.25
         need_kwh = p.e_bat * (p.soc_target - p.soc_start)
         needed_total = int(np.ceil(need_kwh / per_instant_kwh - 1e-12))
         assert k_p + k_f >= min(needed_total, k_p + (60 - now))
 
 
-def fresh_state(p, theta=None, phi=None):
-    st_ = EvState(soc=p.soc_start, m=p.window_length)
-    st_.sampled_theta = (theta if theta is not None
-                         else np.zeros(p.window_length))
-    st_.sampled_phi = phi if phi is not None else np.zeros(p.window_length)
-    return st_
-
-
 class TestEvDecide:
     def test_fully_charged_idles(self):
         p = profile(soc_target=0.5)
-        assert ev_decide(p, fresh_state(p), 0, [], 15.0) == 0.0
+        assert decide(one_ev(p), 0, []) == 0.0
 
     def test_best_instant_charges(self):
         p = profile()
         theta = np.zeros(60)
         theta[0] = 5.0
-        assert ev_decide(p, fresh_state(p, theta), 0, [], 15.0) == p.p_max
+        assert decide(one_ev(p, theta), 0, []) == p.p_max
 
     def test_unselected_instant_idles(self):
         p = profile()
         theta = np.arange(60, dtype=float)  # now=0 is the worst instant
-        assert ev_decide(p, fresh_state(p, theta), 0, [], 15.0) == 0.0
+        assert decide(one_ev(p, theta), 0, []) == 0.0
 
     def test_curtailment_overrides_selection(self):
         p = profile()
         theta = np.zeros(60)
         theta[0] = 5.0
         curtail = req(1.0, targets={"ev0"})
-        assert ev_decide(p, fresh_state(p, theta), 0, [curtail], 15.0) == 0.0
+        assert decide(one_ev(p, theta), 0, [curtail]) == 0.0
 
     def test_curtailment_ignores_untargeted(self):
         p = profile()
         theta = np.zeros(60)
         theta[0] = 5.0
         other = req(1.0, targets={"ev9"})
-        assert ev_decide(p, fresh_state(p, theta), 0, [other], 15.0) == p.p_max
+        assert decide(one_ev(p, theta), 0, [other]) == p.p_max
 
     def test_overvoltage_forces_charge(self):
         p = profile()
         theta = np.arange(60, dtype=float)  # would not pick now
         boost = req(-1.0, targets={"ev0"}, kind="bus")
-        assert ev_decide(p, fresh_state(p, theta), 0, [boost], 15.0) == p.p_max
+        assert decide(one_ev(p, theta), 0, [boost]) == p.p_max
 
     def test_overvoltage_noop_when_full(self):
         p = profile(soc_target=0.5)
         boost = req(-1.0, targets={"ev0"}, kind="bus")
-        assert ev_decide(p, fresh_state(p), 0, [boost], 15.0) == 0.0
+        assert decide(one_ev(p), 0, [boost]) == 0.0
 
     def test_played_instants_excluded_from_candidates(self):
         p = profile(t_depart=4, soc_target=0.56)
-        st_ = fresh_state(p, theta=np.array([0.0, 9.0, 1.0, 0.5]))
-        st_.played_mask[1] = 1.0
-        st_.k_p = 1
+        fleet = one_ev(p, theta=np.array([0.0, 9.0, 1.0, 0.5]))
+        fleet.played[0, 1] = 1.0
+        fleet.k_p[0] = 1
         # k_f at now=2 still wants one more instant; instant 1 is spent, so
         # the top remaining candidate is instant 2.
-        assert ev_decide(p, st_, 2, [], 15.0) == p.p_max
+        assert decide(fleet, 2, []) == p.p_max
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)
     def test_curtailment_supremacy(self, seed):
         rng = np.random.default_rng(seed)
         p = profile()
-        st_ = fresh_state(p, theta=rng.normal(size=60))
-        st_.soc = float(rng.uniform(0.0, 1.0))
+        fleet = one_ev(p, theta=rng.normal(size=60))
+        fleet.soc[0] = float(rng.uniform(0.0, 1.0))
         curtail = req(1.0, targets={"ev0"})
         now = int(rng.integers(0, 60))
-        assert ev_decide(p, st_, now, [curtail], 15.0) == 0.0
+        assert decide(fleet, now, [curtail]) == 0.0
 
-    @given(window=st.integers(1, 16), data=st.data())
+    @given(windows=st.lists(st.integers(1, 16), min_size=1, max_size=6),
+           data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_top_k_selection(self, window, data):
-        # Independent check: charge now exactly when now is among the top
-        # k_f instants of the remaining window that select_super_arm picks.
-        p = profile(t_depart=window)
-        theta = np.array(data.draw(st.lists(
-            st.sampled_from([-1.0, 0.0, 0.25, 1.0]),
-            min_size=window, max_size=window)))
-        phi = np.array(data.draw(st.lists(
-            st.sampled_from([0.0, 500.0, 3000.0]),
-            min_size=window, max_size=window)))
-        st_ = fresh_state(p, theta=theta, phi=phi)
-        st_.k_p = data.draw(st.integers(0, 10))
-        now = data.draw(st.integers(0, window - 1))
-        k_f = required_instants(p, 15.0, phi, st_.k_p, now)
-        picked = now in select_super_arm(theta, range(now, window), k_f)
-        assert (ev_decide(p, st_, now, [], 15.0) == p.p_max) == picked
+    def test_matches_top_k_selection(self, windows, data):
+        # Independent check, several EVs with their own windows, now, k_p
+        # and phi in one call: each charges now exactly when now is among
+        # the top k_f instants of its remaining window that
+        # select_super_arm picks. Columns past a window hold a theta that
+        # would beat every instant inside it.
+        m = 16
+        fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
+                       for r, w in enumerate(windows)], m)
+        rows = np.arange(len(windows))
+        fleet.plug_in(rows, 0)
+        theta = np.full((len(windows), m), 9.0)
+        phi = np.zeros((len(windows), m))
+        for r, w in enumerate(windows):
+            theta[r, :w] = data.draw(st.lists(
+                st.sampled_from([-1.0, 0.0, 0.25, 1.0]),
+                min_size=w, max_size=w))
+            phi[r, :w] = data.draw(st.lists(
+                st.sampled_from([0.0, 500.0, 3000.0]),
+                min_size=w, max_size=w))
+            fleet.k_p[r] = data.draw(st.integers(0, 10))
+            fleet.now[r] = data.draw(st.integers(0, w - 1))
+        fleet.hold_samples(rows, theta, phi)
+        got = ev_decide(fleet, rows, 15.0) == fleet.p_max
+        for r, w in enumerate(windows):
+            now = int(fleet.now[r])
+            k_f = need(profile(t_depart=w), phi[r, :w], int(fleet.k_p[r]),
+                       now)
+            picked = now in select_super_arm(theta[r], range(now, w), k_f)
+            assert got[r] == picked
 
 
 class TestEvRecord:
     def test_charged_records_reward(self):
-        p = profile()
-        st_ = fresh_state(p)
-        ev_record(st_, 3, True, 0.2, [], 500.0)
-        assert st_.played_mask[3] == 1.0
-        assert st_.k_p == 1
-        assert st_.reward_trace[3] == pytest.approx(0.8)
-        assert st_.pv_obs[3] == 500.0
+        fleet = one_ev(profile())
+        fleet.now[0] = 3
+        ev_record(fleet, [0], [True], 0.2, [[]], [500.0])
+        assert fleet.played[0, 3] == 1.0
+        assert fleet.k_p[0] == 1
+        assert fleet.reward[0, 3] == pytest.approx(0.8)
+        assert fleet.pv_obs[0, 3] == 500.0
 
     def test_uncharged_still_records_pv(self):
-        p = profile()
-        st_ = fresh_state(p)
-        ev_record(st_, 3, False, 0.2, [1.0], 500.0)
-        assert st_.played_mask[3] == 0.0
-        assert st_.reward_trace[3] == 0.0
-        assert st_.pv_mask[3] == 1.0
+        fleet = one_ev(profile())
+        fleet.now[0] = 3
+        ev_record(fleet, [0], [False], 0.2, [[1.0]], [500.0])
+        assert fleet.played[0, 3] == 0.0
+        assert fleet.reward[0, 3] == 0.0
+        assert fleet.pv_mask[0, 3] == 1.0
 
     def test_charged_during_congestion(self):
-        p = profile()
-        st_ = fresh_state(p)
-        ev_record(st_, 0, True, 0.2, [1.0], 0.0)
-        assert st_.reward_trace[0] == -1.0
+        fleet = one_ev(profile())
+        ev_record(fleet, [0], [True], 0.2, [[1.0]], [0.0])
+        assert fleet.reward[0, 0] == -1.0

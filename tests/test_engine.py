@@ -1,14 +1,23 @@
 """Simulation engine: scenario generation, flooding, instant pipeline, I/O."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridcharge.agents import CriticalityRequest, EvProfile
+from gridcharge import engine
+from gridcharge.agents import (CriticalityRequest, EvProfile, forward_request,
+                               request_priority)
 from gridcharge.engine import (EvParams, ProfileError, Scenario,
                                ScenarioConfig, ScenarioError, Simulation,
-                               default_price_profile, flood_requests,
-                               generate_scenario, ingest_profile)
-from gridcharge.gridnet import FeederSpec, build_replicated_feeder
+                               agent_neighbors, default_price_profile,
+                               flood_requests, generate_scenario,
+                               ingest_profile)
+from gridcharge.gridnet import (FeederSpec, NetworkTopology,
+                                build_replicated_feeder)
 from gridcharge.strategies import AmasStrategy, UncontrolledStrategy
+from test_grid import radial_trees
 
 
 def small_config(**kw):
@@ -26,6 +35,70 @@ def req(crit, origin, kind="line", targets=(), instant=0):
     return CriticalityRequest(criticality=crit, target_evs=frozenset(targets),
                               origin_agent=origin, origin_kind=kind,
                               instant=instant)
+
+
+def flood(net, ev_bus, initial):
+    """flood_requests over `net` with EVs attached as ev_id -> bus id."""
+    evs_at_bus = {}
+    for ev, bus in ev_bus.items():
+        evs_at_bus.setdefault(bus, []).append(ev)
+    return flood_requests(agent_neighbors(net), evs_at_bus, initial)
+
+
+def flood_with_bus_line_preference(net, ev_bus, initial):
+    """Reference: flooding as it ran while a bus preferred received +1
+    line-congestion requests over bus requests, with the full line, bus
+    and EV neighbour map built per call."""
+    neighbors = {}
+    for line in net.lines:
+        neighbors[("line", line.id)] = [("bus", line.from_bus),
+                                        ("bus", line.to_bus)]
+    for bus in net.buses:
+        neighbors[("bus", bus.id)] = []
+    for line in net.lines:
+        neighbors[("bus", line.from_bus)].append(("line", line.id))
+        neighbors[("bus", line.to_bus)].append(("line", line.id))
+    for ev_id, bus_id in ev_bus.items():
+        neighbors[("bus", bus_id)].append(("ev", ev_id))
+        neighbors[("ev", ev_id)] = [("bus", bus_id)]
+
+    def forward(kind, held, received):
+        if kind == "bus":
+            received = [r for r in received
+                        if r.origin_kind == "line" and r.criticality == 1.0] \
+                or received
+        best = max(sorted(received, key=lambda r: r.origin_agent),
+                   default=None, key=lambda r: request_priority(r.criticality))
+        if best is None or (held is not None and
+                             request_priority(best.criticality)
+                             <= request_priority(held.criticality)):
+            return None
+        return best
+
+    if not initial:
+        return {}, 0
+    held, ev_received, inbox = {}, {}, {}
+    for r in initial:
+        origin = (r.origin_kind, r.origin_agent)
+        held[origin] = r
+        for nb in neighbors[origin]:
+            inbox.setdefault(nb, []).append(r)
+    rounds = 0
+    while inbox:
+        rounds += 1
+        outbox = {}
+        for node, reqs in sorted(inbox.items()):
+            best = forward(node[0], held.get(node), reqs)
+            if best is None:
+                continue
+            held[node] = best
+            if node[0] == "ev":
+                ev_received.setdefault(node[1], []).append(best)
+            else:
+                for nb in neighbors[node]:
+                    outbox.setdefault(nb, []).append(best)
+        inbox = outbox
+    return ev_received, rounds
 
 
 def scenario_fingerprint(sc: Scenario) -> str:
@@ -87,14 +160,14 @@ class TestFloodRequests:
 
     def test_no_requests_zero_rounds(self):
         net = self.topo()
-        received, rounds = flood_requests(net, {"ev0": "d0b0"}, [])
+        received, rounds = flood(net, {"ev0": "d0b0"}, [])
         assert received == {} and rounds == 0
 
     def test_single_request_reaches_all_evs(self):
         net = self.topo()
         ev_bus = {f"ev{i}": f"d0b{i}" for i in range(5)}
         initial = [req(1.0, "l_d0b4", targets={"ev0"})]
-        received, rounds = flood_requests(net, ev_bus, initial)
+        received, rounds = flood(net, ev_bus, initial)
         assert set(received) == set(ev_bus)
         for reqs in received.values():
             assert reqs[-1].origin_agent == "l_d0b4"
@@ -106,7 +179,7 @@ class TestFloodRequests:
         net = self.topo(B)
         ev_bus = {"evfar": "d0b0", "evnear": f"d0b{B-1}"}
         initial = [req(1.0, f"l_d0b{B-1}")]
-        received, rounds = flood_requests(net, ev_bus, initial)
+        received, rounds = flood(net, ev_bus, initial)
         assert "evfar" in received
         diameter = 2 * B + 2
         assert rounds <= diameter
@@ -115,17 +188,47 @@ class TestFloodRequests:
         net = self.topo()
         ev_bus = {"ev0": "d0b2"}
         initial = [req(0.5, "d0b0", kind="bus"), req(1.0, "l_d0b4")]
-        received, _ = flood_requests(net, ev_bus, initial)
+        received, _ = flood(net, ev_bus, initial)
         assert received["ev0"][-1].criticality == 1.0
 
     def test_ev_receives_improving_sequence(self):
         net = self.topo()
         ev_bus = {"ev0": "d0b0"}
         initial = [req(0.5, "d0b4", kind="bus"), req(1.0, "l_d0b1")]
-        received, _ = flood_requests(net, ev_bus, initial)
+        received, _ = flood(net, ev_bus, initial)
         crits = [r.criticality for r in received["ev0"]]
         assert crits == sorted(crits)
         assert crits[-1] == 1.0
+
+    @given(tree=radial_trees(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rounds_never_mix_origin_kinds(self, tree, data):
+        # Every request starts in round 0 on a bipartite line/bus tree, so
+        # the requests a node receives in one round share one origin kind,
+        # and a bus preference for line congestion never changes a result.
+        buses, lines, slack = tree
+        net = NetworkTopology(buses, lines, slack)
+        bus_ids = [b.id for b in buses]
+        ev_bus = {f"ev{i}": data.draw(st.sampled_from(bus_ids))
+                  for i in range(data.draw(st.integers(0, 6)))}
+        targets = st.frozensets(st.sampled_from(sorted(ev_bus)), max_size=3) \
+            if ev_bus else st.just(frozenset())
+        initial = [req(1.0, line.id, targets=data.draw(targets))
+                   for line in lines if data.draw(st.booleans())]
+        initial += [req(data.draw(st.sampled_from([1.0, -1.0])), bus,
+                        kind="bus", targets=data.draw(targets))
+                    for bus in bus_ids if data.draw(st.booleans())]
+
+        kinds = []
+
+        def spy(held, received):
+            kinds.append({r.origin_kind for r in received})
+            return forward_request(held, received)
+
+        with mock.patch.object(engine, "forward_request", spy):
+            got = flood(net, ev_bus, initial)
+        assert all(len(k) == 1 for k in kinds)
+        assert got == flood_with_bus_line_preference(net, ev_bus, initial)
 
 
 def force_evening_fleet(sc, t_arrive=70, t_depart=96 + 32):

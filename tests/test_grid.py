@@ -11,6 +11,25 @@ from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
                                 power_mismatch, pv_power, solve_power_flow)
 
 
+@st.composite
+def radial_trees(draw, max_buses=16):
+    """A random radial tree of 2..max_buses buses: bus ids and the slack
+    position shuffled, lines listed in random order, about half of them
+    child->parent. Returns (buses, lines, slack bus id)."""
+    n = draw(st.integers(2, max_buses))
+    parent = [draw(st.integers(0, k - 1)) for k in range(1, n)]
+    order = draw(st.permutations(range(n)))
+    flip = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    line_order = draw(st.permutations(range(n - 1)))
+    name = [f"b{order[k]}" for k in range(n)]   # tree node k -> bus id
+    lines = []
+    for k in line_order:
+        child, up = name[k + 1], name[parent[k]]
+        ends = (child, up) if flip[k] else (up, child)
+        lines.append(Line(f"l{k}", *ends, 0.01, 0.005, 1000.0))
+    return [Bus(f"b{i}") for i in range(n)], lines, name[0]
+
+
 # Solution of the 46-bus case in `TestSegmentSums.test_pinned_trajectory`
 # as the depth-ordered sweep computed it, to 12 significant digits.
 PINNED_46_VOLTAGES = [
@@ -155,26 +174,15 @@ class TestSegmentSums:
         assert v["g"] < v["f"] < v["e"] < v["c"] < 1.0
         assert v["d"] < v["a"] < v["b"] < 1.0
 
-    @given(data=st.data(), n=st.integers(2, 16))
+    @given(tree=radial_trees(), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_random_radial_trees(self, data, n):
-        parent = [data.draw(st.integers(0, k - 1)) for k in range(1, n)]
-        order = data.draw(st.permutations(range(n)))
-        flip = data.draw(st.lists(st.booleans(), min_size=n - 1,
-                                  max_size=n - 1))
-        line_order = data.draw(st.permutations(range(n - 1)))
+    def test_random_radial_trees(self, tree, data):
+        buses, lines, slack = tree
         loads = data.draw(st.lists(
-            st.floats(-2000.0, 3000.0, allow_nan=False), min_size=n,
-            max_size=n))
-        name = [f"b{order[k]}" for k in range(n)]   # tree node k -> bus id
-        lines = []
-        for k in line_order:
-            child, up = name[k + 1], name[parent[k]]
-            ends = (child, up) if flip[k] else (up, child)
-            lines.append(Line(f"l{k}", *ends, 0.01, 0.005, 1000.0))
-        buses = [Bus(f"b{i}") for i in range(n)]
-        net = NetworkTopology(buses, lines, name[0])
-        inj = {name[k]: loads[k] for k in range(1, n)}
+            st.floats(-2000.0, 3000.0, allow_nan=False),
+            min_size=len(buses), max_size=len(buses)))
+        net = NetworkTopology(buses, lines, slack)
+        inj = {b.id: w for b, w in zip(buses, loads) if b.id != slack}
         sol = solve_power_flow(net, inj)
         assert sol.converged
         assert power_mismatch(net, sol, inj) < 1e-6

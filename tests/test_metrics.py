@@ -92,29 +92,33 @@ class TestConvergenceDay:
 
 
 def _profile_state(soc):
-    from gridcharge.agents import EvProfile, EvState
+    """A one-row fleet in session at the given SoC."""
+    from gridcharge.agents import EvProfile, Fleet
     p = EvProfile(ev_id="e", bus_id="b", e_bat=52.0, p_max=7.0, eta_chrg=0.95,
                   soc_start=0.5, soc_target=0.8, t_arrive=0, t_depart=10)
-    s = EvState(soc=soc, m=10)
-    return p, s
+    fleet = Fleet([p], 10)
+    fleet.plug_in([0], 0)
+    fleet.soc[0] = soc
+    return fleet, [0]
 
 
 class TestUncontrolledAction:
     def test_below_target_full_power(self):
-        p, s = _profile_state(0.5)
-        assert uncontrolled_action(p, s) == 7.0
+        fleet, rows = _profile_state(0.5)
+        assert uncontrolled_action(fleet, rows).tolist() == [7.0]
 
     def test_at_target_idle(self):
-        p, s = _profile_state(0.8)
-        assert uncontrolled_action(p, s) == 0.0
+        fleet, rows = _profile_state(0.8)
+        assert uncontrolled_action(fleet, rows).tolist() == [0.0]
 
     def test_price_blind(self):
         # The decide hook ignores prices and requests entirely.
-        p, s = _profile_state(0.5)
+        fleet, rows = _profile_state(0.5)
         strat = UncontrolledStrategy()
-        a = strat.decide(p, s, 0, [], 15.0)
-        b = strat.decide(p, s, 0, [object()], 15.0)
-        assert a == b == 7.0
+        a = strat.decide(fleet, rows, 15.0).tolist()
+        fleet.curtail[0] = fleet.force[0] = True
+        b = strat.decide(fleet, rows, 15.0).tolist()
+        assert a == b == [7.0]
 
 
 def tiny_scenario(n_ev=2, rating=1e6, m=12, seed=3, window=8,
@@ -176,9 +180,9 @@ class TestCentralizedOracle:
         assert not (ia & ib)
 
         # Brute force over all joint assignments of the needed sizes.
-        from gridcharge.agents import required_instants
-        ka = required_instants(a, sc.delta_i, np.zeros(a.window_length), 0, 0)
-        kb = required_instants(b, sc.delta_i, np.zeros(b.window_length), 0, 0)
+        from gridcharge.agents import Fleet, required_instants
+        ka, kb = required_instants(Fleet([a, b], sc.m), [0, 1], sc.delta_i,
+                                   0.0, 0, 0).tolist()
         prices_a = [sc.price_profile[(a.t_arrive + l) % sc.m]
                     for l in range(a.window_length)]
         prices_b = [sc.price_profile[(b.t_arrive + l) % sc.m]
