@@ -102,8 +102,6 @@ class Fleet:
         if (self.window > m).any():
             raise ValueError(f"connection windows must not exceed m={m} "
                              "instants")
-        col = np.arange(m)
-        self._after = col > col[:, None]          # [l, j]: j comes after l
 
         self.active = np.zeros(n, dtype=bool)
         self.day = np.zeros(n, dtype=np.int64)    # learning day of the session
@@ -111,7 +109,6 @@ class Fleet:
         self.soc = self.soc_start.copy()
         self.k_p = np.zeros(n, dtype=np.int64)    # instants charged from grid
         self.theta = np.zeros((n, m))             # the session's sampled theta
-        self.beaten_by = np.zeros((n, m), dtype=np.int64)  # see hold_samples
         self.pv_ahead = np.zeros((n, m))          # sampled PV, watt, [l, window)
         self.played = np.zeros((n, m))            # 1 where charged from grid
         self.reward = np.zeros((n, m))            # reward at played instants
@@ -127,9 +124,9 @@ class Fleet:
         self.now[rows] = 0
         self.soc[rows] = self.soc_start[rows]
         self.k_p[rows] = 0
-        for a in (self.theta, self.beaten_by, self.pv_ahead, self.played,
-                  self.reward, self.pv_mask, self.pv_obs):
-            a[rows] = 0
+        for a in (self.theta, self.pv_ahead, self.played, self.reward,
+                  self.pv_mask, self.pv_obs):
+            a[rows] = 0.0
         self.curtail[rows] = False
         self.force[rows] = False
 
@@ -137,18 +134,13 @@ class Fleet:
         """Hold each row's posterior samples for its session, one row of
         `theta` and of `phi` (PV, watt per local instant) per EV.
 
-        Theta is kept with -inf past the window, together with its rank
-        count: at column l, how many later instants of the window have a
-        strictly larger theta. Phi is kept as its sums over the rest of the
-        window, [l, window) at column l. The decision then reads both in
-        O(1) per instant.
+        Theta is kept with -inf past the window, so no instant there beats
+        one inside it. Phi is kept as its sums over the rest of the window,
+        [l, window) at column l, so the charging need reads the PV still
+        ahead in O(1).
         """
         inside = np.arange(self.m) < self.window[rows, None]
-        theta = np.where(inside, theta, -np.inf)
-        self.theta[rows] = theta
-        beats = theta[:, None, :] > theta[:, :, None]     # [row, l, j]
-        self.beaten_by[rows] = (beats & self._after).sum(axis=2,
-                                                         dtype=np.int32)
+        self.theta[rows] = np.where(inside, theta, -np.inf)
         masked = np.where(inside, phi, 0.0)
         self.pv_ahead[rows] = np.cumsum(masked[:, ::-1], axis=1)[:, ::-1]
 
@@ -282,8 +274,10 @@ def ev_decide(fleet: Fleet, rows, delta_i: float) -> np.ndarray:
                             fleet.k_p[rows], now)
     # `now` is in the top-k_f of [now, window) under theta, ties toward the
     # lowest index, exactly when fewer than k_f later instants beat it.
-    charge = (np.where(fleet.force[rows], k_f > 0,
-                       fleet.beaten_by[rows, now] < k_f)
+    later = np.arange(fleet.m) > now[:, None]
+    beats = fleet.theta[rows] > fleet.theta[rows, now][:, None]
+    beaten_by = np.count_nonzero(later & beats, axis=1)
+    charge = (np.where(fleet.force[rows], k_f > 0, beaten_by < k_f)
               & ~fleet.curtail[rows])
     return np.where(charge, fleet.p_max[rows], 0.0)
 

@@ -1,4 +1,5 @@
 """Simulation engine: scenario generation, flooding, instant pipeline, I/O."""
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -285,6 +286,25 @@ class TestSimulationPipeline:
         expected = sum(sc.price_profile[(p.t_arrive + l) % sc.m] * p.p_max * dh
                        for l in range(k))
         assert res.cost[0, 0] == pytest.approx(expected, abs=1e-9)
+
+    def test_ev_power_enters_injections_in_session_order(self):
+        # Two EVs share a bus and the higher index plugs in first. Grid
+        # power is added to the bus injection in session-start order; here
+        # the index order would round the float sum differently.
+        cfg = small_config(fleet_size=2, irradiance_profile=np.zeros(96),
+                           household_load_w=333.3)
+        sc = generate_scenario(cfg, 1, 7)
+        a, b = sc.fleet
+        sc.fleet = [replace(a, t_arrive=40, t_depart=60, p_max=7.0),
+                    replace(b, t_arrive=38, t_depart=60, p_max=3.0)]
+        trace = Simulation(sc, UncontrolledStrategy(),
+                           keep_traces=True).run().traces[40]
+        w_a, w_b = (trace.ev_grid_kw[p.ev_id] * 1000.0 for p in sc.fleet)
+        loads = 0.0 + 333.3 + 333.3            # the two households of the bus
+        session_order = (loads + w_b) + w_a
+        assert session_order != (loads + w_a) + w_b
+        assert a.bus_id == b.bus_id
+        assert trace.injections[sc.topology.bus_index[a.bus_id]] == session_order
 
     def test_undersized_feeder_emits_congestion(self):
         cfg = small_config(
