@@ -294,9 +294,7 @@ class Simulation:
         self.fleet = Fleet(scenario.fleet, m)
         self.ev_ids = self.fleet.ev_ids
         self._neighbors = agent_neighbors(self.net)
-        self._evs_at_bus = {}
-        for p in scenario.fleet:
-            self._evs_at_bus.setdefault(p.bus_id, []).append(p.ev_id)
+        self._ev_bus_id = [p.bus_id for p in scenario.fleet]
         self._bus_of_site = np.array(
             [self.net.bus_index[s.bus_id] for s in scenario.sites], dtype=np.int64
         )
@@ -403,7 +401,13 @@ class Simulation:
                         origin_agent=agents[a].id, origin_kind=kind,
                         instant=i_day))
 
-        received, rounds = flood_requests(self._neighbors, self._evs_at_bus,
+        # Requests reach only the plugged-in EVs at a bus.
+        evs_at_bus = {}
+        if initial:
+            for idx in rows.tolist():
+                evs_at_bus.setdefault(self._ev_bus_id[idx], []).append(
+                    fleet.ev_ids[idx])
+        received, rounds = flood_requests(self._neighbors, evs_at_bus,
                                           initial)
 
         # Phase 5: feedback with same-instant criticalities; the requests

@@ -67,11 +67,15 @@ class Line:
 
 @dataclass
 class PowerFlowSolution:
+    """One solve, or a stack of them: the arrays then gain a leading row
+    axis, `converged` holds for all rows and `iterations` is their sum."""
     bus_voltages: np.ndarray    # per-unit magnitude, indexed like topology.buses
     line_currents: np.ndarray   # ampere magnitude, indexed like topology.lines
     converged: bool
     iterations: int
     v_complex: np.ndarray = field(repr=False, default=None)  # volts
+    row_converged: np.ndarray | None = None   # (k,) bool, stacks only
+    row_iterations: np.ndarray | None = None  # (k,) int, stacks only
 
 
 class NetworkTopology:
@@ -184,18 +188,25 @@ class NetworkTopology:
         return len(self.lines)
 
     def injection_array(self, injections):
-        """Accept a dict bus_id -> watt or a dense array over bus indices."""
+        """Accept a dict bus_id -> watt, a dense array over bus indices, or
+        a `(k, n_buses)` stack of such arrays, one case per row."""
         if isinstance(injections, dict):
             p = np.zeros(self.n_buses)
             for bus_id, watt in injections.items():
                 p[self.bus_index[bus_id]] = watt
         else:
             p = np.asarray(injections, dtype=float)
-            if p.shape != (self.n_buses,):
+            if p.shape != (self.n_buses,) and not (
+                    p.ndim == 2 and p.shape[1] == self.n_buses):
                 raise ValueError(
-                    f"injection vector length {p.shape} != {self.n_buses} buses"
+                    f"injection shape {p.shape}: expected (n_buses,) or "
+                    f"(k, n_buses) with n_buses = {self.n_buses}"
                 )
         if not np.isfinite(p).all():
+            if p.ndim == 2:
+                rows = np.flatnonzero(~np.isfinite(p).all(axis=1)).tolist()
+                raise ValueError(f"injections must be finite; rows {rows} "
+                                 f"of the (k, n_buses) stack are not")
             raise ValueError("injections must be finite")
         return p
 
@@ -275,11 +286,14 @@ def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
     `injections` is signed active power in watt per bus (positive = load).
     Convergence: max per-unit voltage change < `tol`. A non-convergent case
     is returned with converged=False rather than raised; the caller decides
-    how to score that instant.
+    how to score that instant. A `(k, n_buses)` stack solves k independent
+    cases at once (see `_solve_stack`).
     """
     p = net.injection_array(injections)
     n = net.n_buses
     v_slack = complex(slack_voltage * net.v_base)
+    if p.ndim == 2:
+        return _solve_stack(net, p, v_slack, tol, max_iter)
 
     v = np.full(n, v_slack, dtype=complex)
     i_line = np.zeros(net.n_lines, dtype=complex)
@@ -313,6 +327,64 @@ def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
         converged=converged,
         iterations=iterations,
         v_complex=v,
+    )
+
+
+def _solve_stack(net, p, v_slack, tol, max_iter) -> PowerFlowSolution:
+    """The sweep of `solve_power_flow` over the rows of a `(k, n_buses)`
+    stack, with the segment sums taken along axis 1.
+
+    Each row leaves the sweep at its own convergence or at its first
+    non-finite sweep, so its voltages, currents, iterations and converged
+    flag equal those of a solve of that row alone, bit for bit. The rows
+    still sweeping are kept packed in `p_live`, `v_live` and `i_live`.
+    """
+    k, n = p.shape
+    v = np.full((k, n), v_slack, dtype=complex)
+    i_line = np.zeros((k, net.n_lines), dtype=complex)
+    row_converged = np.zeros(k, dtype=bool)
+    row_iterations = np.full(k, max_iter, dtype=np.int64)
+    live, p_live, v_live, i_live = np.arange(k), p, v, i_line
+
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        v_new = np.full((live.size, n), v_slack, dtype=complex)
+        if net.n_lines:
+            i_acc = np.conj(p_live / v_live)
+            i_live = np.add.reduceat(i_acc[:, net._below], net._below_start,
+                                     axis=1)
+            drop = net.impedance * i_live
+            v_new[:, net._non_slack] -= np.add.reduceat(
+                drop[:, net._above], net._above_start, axis=1)
+        finite = np.isfinite(v_new)
+        broken = ~finite.all(axis=1)
+        if broken.any():
+            v_new[broken] = np.where(finite[broken], v_new[broken],
+                                     v_live[broken])
+        done = np.abs(v_new - v_live).max(axis=1) / net.v_base < tol
+        done &= ~broken
+        leave = done | broken
+        if leave.any():
+            out = live[leave]
+            v[out], i_line[out], row_iterations[out] = (v_new[leave],
+                                                        i_live[leave], it)
+            row_converged[live[done]] = True
+            stay = ~leave
+            live, p_live, v_new, i_live = (live[stay], p_live[stay],
+                                           v_new[stay], i_live[stay])
+        v_live = v_new
+    # Rows still sweeping ran out of sweeps.
+    v[live], i_line[live] = v_live, i_live
+
+    return PowerFlowSolution(
+        bus_voltages=np.abs(v) / net.v_base,
+        line_currents=np.abs(i_line),
+        converged=bool(row_converged.all()),
+        iterations=int(row_iterations.sum()),
+        v_complex=v,
+        row_converged=row_converged,
+        row_iterations=row_iterations,
     )
 
 

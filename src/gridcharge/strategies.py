@@ -225,16 +225,22 @@ class _FeasibilityChecker:
         np.subtract.at(self.base, (at[0][away], at[1][away]),
                        pv.ravel()[away])
 
-    def feasible(self, i_day: int, charging_ev_ids) -> bool:
+    def within_limits(self, inj: np.ndarray) -> np.ndarray:
+        """Per row of a `(k, n_buses)` injection stack: whether the power
+        flow converges with every line within its rating and every bus
+        within its voltage band."""
         net = self.sc.topology
+        sol = solve_power_flow(net, inj)
+        v = sol.bus_voltages
+        return (sol.row_converged
+                & ~(sol.line_currents > net.i_rated).any(axis=1)
+                & ~((v < net.v_min) | (v > net.v_max)).any(axis=1))
+
+    def feasible(self, i_day: int, charging_ev_ids) -> bool:
         inj = self.base[i_day].copy()
         for ev in charging_ev_ids:
             inj[self.ev_bus[ev]] += self.p_max_w[ev]
-        sol = solve_power_flow(net, inj)
-        return bool(sol.converged
-                    and not (sol.line_currents > net.i_rated).any()
-                    and not ((sol.bus_voltages < net.v_min) |
-                             (sol.bus_voltages > net.v_max)).any())
+        return bool(self.within_limits(inj[None])[0])
 
 
 def centralized_oracle(scenario: Scenario, mode="greedy",
@@ -275,23 +281,36 @@ def centralized_oracle(scenario: Scenario, mode="greedy",
 
 
 def _oracle_greedy(scenario, checker, needs, local_price):
+    """Each EV in turn tests its cheapest free instants against the
+    injections of the EVs placed before it.
+
+    One EV's candidates sit at distinct instants, so each test sees only
+    the earlier EVs; the next `need - got` of them are all tested unless
+    one fails, so testing them in one stacked solve runs the same tests as
+    one at a time. `inj` adds each placed EV's charger power to its
+    instant's base injections; with one charger rating across the fleet,
+    the order of the additions does not change any value.
+    """
     m = scenario.m
     order = sorted(scenario.fleet,
                    key=lambda p: (p.window_length - needs[p.ev_id], p.ev_id))
-    charging_at = {i: set() for i in range(m)}
+    inj = checker.base.copy()
     schedules = {}
     for p in order:
+        bus, watt = checker.ev_bus[p.ev_id], checker.p_max_w[p.ev_id]
+        ranked = np.argsort(local_price[p.ev_id], kind="stable")
         plan = np.zeros(p.window_length, dtype=bool)
-        got = 0
-        for l in sorted(range(p.window_length),
-                        key=lambda l: (local_price[p.ev_id][l], l)):
-            if got == needs[p.ev_id]:
-                break
-            i = (p.t_arrive + l) % m
-            if checker.feasible(i, charging_at[i] | {p.ev_id}):
-                plan[l] = True
-                charging_at[i].add(p.ev_id)
-                got += 1
+        need, got, tried = needs[p.ev_id], 0, 0
+        while got < need and tried < ranked.size:
+            cand = ranked[tried:tried + need - got]
+            tried += cand.size
+            i = (p.t_arrive + cand) % m
+            rows = inj[i]
+            rows[:, bus] += watt
+            ok = checker.within_limits(rows)
+            plan[cand[ok]] = True
+            inj[i[ok]] = rows[ok]
+            got += int(ok.sum())
         schedules[p.ev_id] = plan
     return schedules
 

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcharge.agents import Fleet, required_instants
 from gridcharge.engine import (ScenarioConfig, Simulation, generate_scenario)
-from gridcharge.gridnet import FeederSpec
+from gridcharge.gridnet import FeederSpec, solve_power_flow
 from gridcharge.metrics import (convergence_day, fairness_index,
                                 mean_daily_reward, per_unit_costs)
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
-                                   UncontrolledStrategy, centralized_oracle,
+                                   UncontrolledStrategy, _FeasibilityChecker,
+                                   _true_pv_local, centralized_oracle,
                                    uncontrolled_action)
 
 
@@ -137,7 +139,70 @@ def tiny_scenario(n_ev=2, rating=1e6, m=12, seed=3, window=8,
     return generate_scenario(cfg, 1, seed)
 
 
+def sequential_greedy(sc):
+    """The greedy oracle tested one candidate instant per 1-D power flow:
+    EVs by flexibility, each taking its cheapest instants in turn while the
+    network stays within limits. Returns the plans and the rejections."""
+    net, m = sc.topology, sc.m
+    base = _FeasibilityChecker(sc).base
+    pv_ahead = np.array([_true_pv_local(sc, p).sum() for p in sc.fleet])
+    needs = required_instants(Fleet(sc.fleet, m), np.arange(len(sc.fleet)),
+                              sc.delta_i, pv_ahead, 0, 0)
+    order = sorted(range(len(sc.fleet)),
+                   key=lambda j: (sc.fleet[j].window_length - needs[j],
+                                  sc.fleet[j].ev_id))
+    charging_at = {i: [] for i in range(m)}
+    plans, rejected = {}, 0
+    for j in order:
+        p = sc.fleet[j]
+        prices = sc.price_profile[(p.t_arrive + np.arange(p.window_length))
+                                  % m]
+        plan = np.zeros(p.window_length, dtype=bool)
+        for l in sorted(range(p.window_length), key=lambda l: (prices[l], l)):
+            if plan.sum() == needs[j]:
+                break
+            i = (p.t_arrive + l) % m
+            inj = base[i].copy()
+            for q in charging_at[i] + [p]:
+                inj[net.bus_index[q.bus_id]] += q.p_max * 1000.0
+            sol = solve_power_flow(net, inj)
+            v = sol.bus_voltages
+            if (sol.converged and not (sol.line_currents > net.i_rated).any()
+                    and not ((v < net.v_min) | (v > net.v_max)).any()):
+                plan[l] = True
+                charging_at[i].append(p)
+            else:
+                rejected += 1
+        plans[p.ev_id] = plan
+    return plans, rejected
+
+
+def small_feeder(n_ev, rating, sub_districts=2, seed=1):
+    cfg = ScenarioConfig(
+        feeder=FeederSpec(sub_districts=sub_districts, buses_per_feeder=3,
+                          households_per_bus=3, line_rating=rating),
+        fleet_size=n_ev, m=24)
+    return generate_scenario(cfg, 1, seed)
+
+
 class TestCentralizedOracle:
+    @pytest.mark.parametrize("make", [
+        lambda: tiny_scenario(n_ev=2, rating=40.0, soc_target=0.53),
+        lambda: tiny_scenario(n_ev=4, rating=60.0, soc_target=0.6),
+        lambda: small_feeder(12, 60.0),
+        lambda: small_feeder(18, 100.0, seed=2),
+        lambda: small_feeder(9, 40.0, sub_districts=3, seed=4),
+    ])
+    def test_greedy_matches_sequential_reference(self, make):
+        sc = make()
+        expected, rejected = sequential_greedy(sc)
+        assert rejected > 0     # the ratings bind
+        plans = centralized_oracle(sc, mode="greedy")
+        assert plans.keys() == expected.keys()
+        for ev, plan in expected.items():
+            assert plans[ev].tolist() == plan.tolist()
+
+
     def test_zero_evs(self):
         sc = tiny_scenario(n_ev=0)
         assert centralized_oracle(sc, mode="exhaustive") == {}
