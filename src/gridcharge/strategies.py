@@ -225,22 +225,24 @@ class _FeasibilityChecker:
         np.subtract.at(self.base, (at[0][away], at[1][away]),
                        pv.ravel()[away])
 
-    def within_limits(self, inj: np.ndarray) -> np.ndarray:
-        """Per row of a `(k, n_buses)` injection stack: whether the power
-        flow converges with every line within its rating and every bus
-        within its voltage band."""
+    def within_limits(self, inj: np.ndarray):
+        """Whether the power flow of a bus injection vector converges with
+        every line within its rating and every bus within its voltage
+        band; one flag per row for a `(k, n_buses)` stack."""
         net = self.sc.topology
         sol = solve_power_flow(net, inj)
         v = sol.bus_voltages
-        return (sol.row_converged
-                & ~(sol.line_currents > net.i_rated).any(axis=1)
-                & ~((v < net.v_min) | (v > net.v_max)).any(axis=1))
+        converged = (sol.converged if sol.row_converged is None
+                     else sol.row_converged)
+        return (converged
+                & ~(sol.line_currents > net.i_rated).any(axis=-1)
+                & ~((v < net.v_min) | (v > net.v_max)).any(axis=-1))
 
     def feasible(self, i_day: int, charging_ev_ids) -> bool:
         inj = self.base[i_day].copy()
         for ev in charging_ev_ids:
             inj[self.ev_bus[ev]] += self.p_max_w[ev]
-        return bool(self.within_limits(inj[None])[0])
+        return bool(self.within_limits(inj))
 
 
 def centralized_oracle(scenario: Scenario, mode="greedy",
@@ -285,11 +287,12 @@ def _oracle_greedy(scenario, checker, needs, local_price):
     injections of the EVs placed before it.
 
     One EV's candidates sit at distinct instants, so each test sees only
-    the earlier EVs; the next `need - got` of them are all tested unless
-    one fails, so testing them in one stacked solve runs the same tests as
-    one at a time. `inj` adds each placed EV's charger power to its
-    instant's base injections; with one charger rating across the fleet,
-    the order of the additions does not change any value.
+    the earlier EVs. Testing one candidate at a time stops only once
+    `need` of them pass, so it tests at least the next `need - got`
+    whatever they return: testing those in one stacked solve runs the same
+    tests. `inj` adds each placed EV's charger power to its instant's base
+    injections; with one charger rating across the fleet, the order of the
+    additions does not change any value.
     """
     m = scenario.m
     order = sorted(scenario.fleet,
