@@ -283,7 +283,7 @@ def centralized_oracle(scenario: Scenario, mode="greedy",
 
 
 def _oracle_greedy(scenario, checker, needs, local_price):
-    """Each EV in turn tests its cheapest free instants against the
+    """Each EV in turn tests its cheapest instants against the
     injections of the EVs placed before it.
 
     One EV's candidates sit at distinct instants, so each test sees only
