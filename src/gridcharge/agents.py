@@ -181,6 +181,15 @@ def forward_request(held, received):
     starts in round 0, so a bus receives requests of bus origin only in
     even rounds and of line origin only in odd rounds, and one round never
     mixes the two kinds.
+
+    An equal-priority request is not relayed, by design. A bus holding its
+    own +1 under-voltage request does not pass on a +1 line-congestion
+    request: the EVs behind it already receive a +1, which asks the same
+    action (curtail) and gives the same reward (-1), and only the line's
+    named cooperation targets behind that bus miss their curtailment for
+    the instant; the line asks again, with fresh targets, at every instant
+    it stays congested. A strict gain also bounds the flood: each agent
+    adopts at most one request per priority level.
     """
     best = max(sorted(received, key=lambda r: r.origin_agent), default=None,
                key=lambda r: request_priority(r.criticality))

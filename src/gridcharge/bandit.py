@@ -8,6 +8,8 @@ under the reward sample. Both learners observe each instant on its own
 precision, kept as an m-vector: the CombLinTS update (Wen, Kveton & Ashkan,
 ICML 2015). Each coordinate's mean is the average of its observations and
 its prior pseudo-observation, so it converges to the instant's true mean.
+Every update and draw is elementwise, so a strategy holds each learner of
+its whole fleet as one state with one row per EV: the rows share nothing.
 
 The reward learner's prior mean is REWARD_PRIOR_MEAN = 0.5, the midpoint of
 the reward range [0, 1] of an instant without requests (1 - normalized
@@ -36,26 +38,32 @@ REWARD_PRIOR_MEAN = 0.5
 @dataclass
 class BanditState:
     """Diagonal Gaussian posterior over one m-vector, mean = response /
-    precision; used by both the reward and the PV learner."""
-    precision: np.ndarray  # m, diagonal of the posterior precision, >= 1
-    response: np.ndarray   # m
-    estimate: np.ndarray   # m, always response / precision
+    precision; used by both the reward and the PV learner.
+
+    The arrays may hold one row per EV, `(n, m)`: a strategy keeps each
+    learner of its whole fleet as one such state, and every operation
+    below acts elementwise, so the rows never mix.
+    """
+    precision: np.ndarray  # (..., m), posterior precision diagonal, >= 1
+    response: np.ndarray   # (..., m)
     scale: float           # exploration scale on the posterior covariance
+                           # (an array that broadcasts, when stacked)
+
+    @property
+    def estimate(self) -> np.ndarray:
+        return self.response / self.precision
 
     @classmethod
-    def initial(cls, m: int, scale: float, mean: float) -> "BanditState":
-        """Prior: one pseudo-observation of `mean` at every instant."""
+    def initial(cls, m: int, scale: float, mean: float,
+                n: int | None = None) -> "BanditState":
+        """Prior: one pseudo-observation of `mean` at every instant; `n`
+        rows of it when `n` is given."""
         if m < 1:
             raise ValueError("m must be >= 1")
         if scale < 0.0:
             raise ValueError("exploration scale must be >= 0")
-        return cls.from_stats(np.ones(m), np.full(m, float(mean)),
-                              float(scale))
-
-    @classmethod
-    def from_stats(cls, precision, response, scale) -> "BanditState":
-        return cls(precision=precision, response=response,
-                   estimate=response / precision, scale=scale)
+        shape = (m,) if n is None else (n, m)
+        return cls(np.ones(shape), np.full(shape, float(mean)), float(scale))
 
 
 @dataclass(frozen=True)
@@ -87,14 +95,22 @@ def sample_parameter(state: BanditState,
                      rng: np.random.Generator) -> np.ndarray:
     """One draw from the posterior N(estimate, scale^2 diag(precision)^-1).
 
-    Draws one standard normal m-vector and scales it by the inverse square
-    root of the precision. Scale 0 returns the mean exactly and draws
-    nothing.
+    Draws standard normals and scales them by the inverse square root of
+    the precision. Scale 0 returns the mean exactly and draws nothing.
+
+    A state may stack learners: `scale` then broadcasts against the
+    arrays, one scale per learner, and the normals are one block in C
+    order over the entries whose scale is not 0. A `(rows, learners, m)`
+    stack with scales of shape `(learners, 1)` thus draws exactly what one
+    call per row and learner, in that order, would draw.
     """
-    if state.scale == 0.0:
-        return state.estimate.copy()
-    z = rng.standard_normal(state.estimate.shape)
-    return state.estimate + state.scale * (z / np.sqrt(state.precision))
+    sample = state.estimate   # a new array
+    scale = np.broadcast_to(state.scale, sample.shape)
+    live = scale != 0.0
+    if live.any():
+        z = rng.standard_normal(np.count_nonzero(live))
+        sample[live] += scale[live] * (z / np.sqrt(state.precision[live]))
+    return sample
 
 
 def select_super_arm(theta_sample: np.ndarray, candidates, k: int) -> SuperArm:
@@ -112,26 +128,29 @@ def select_super_arm(theta_sample: np.ndarray, candidates, k: int) -> SuperArm:
     return SuperArm(tuple(ordered[:k]))
 
 
-def _checked(state, mask, values):
+def _checked(state, mask, values, rows):
     mask = np.asarray(mask, dtype=float)
     values = np.asarray(values, dtype=float)
-    if mask.shape != state.response.shape or values.shape != mask.shape:
+    if mask.shape != state.response[rows].shape or values.shape != mask.shape:
         raise ValueError("mask/values dimension mismatch with state")
     if np.any((mask == 0.0) & (values != 0.0)):
         raise ValueError("values must be zero at instants outside the mask")
     return mask, values
 
 
-def update_day(state: BanditState, mask, values) -> BanditState:
-    """End-of-day update from the instants observed that day.
+def update_day(state: BanditState, mask, values, rows=...) -> BanditState:
+    """End-of-day update from the instants observed that day, in place.
 
     Each observed instant adds one to its precision and its value (reward
-    or PV reading) to its response; the estimate is recomputed, never
-    stale.
+    or PV reading) to its response, so the estimate follows. `rows`
+    selects the rows of a fleet's learner that `mask` and `values`, one
+    row each, update; by default they cover the whole state. Returns the
+    state.
     """
-    mask, values = _checked(state, mask, values)
-    return BanditState.from_stats(state.precision + mask,
-                                  state.response + values, state.scale)
+    mask, values = _checked(state, mask, values, rows)
+    state.precision[rows] += mask
+    state.response[rows] += values
+    return state
 
 
 # One rule for both learners; the strategy calls it under both names, and

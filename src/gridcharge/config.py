@@ -189,6 +189,15 @@ def parse_config(path, overrides=None) -> RunConfig:
     for key in ("v_base", "line_rating", "trunk_rating"):
         if topo[key] is not None and topo[key] <= 0.0:
             raise ConfigError(f"scenario.topology.{key}: must be > 0")
+    for seg in ("line", "trunk"):
+        # The trunk segment exists only with two or more sub-districts.
+        used = seg == "line" or topo["sub_districts"] >= 2
+        r, x = topo[f"{seg}_resistance"], topo[f"{seg}_reactance"]
+        if used and r == x == 0.0:
+            raise ConfigError(
+                f"scenario.topology.{seg}_resistance, "
+                f"scenario.topology.{seg}_reactance: impedance magnitude "
+                "must be > 0")
     if not (0.0 < topo["v_min"] < topo["v_max"]):
         raise ConfigError("scenario.topology.v_min, scenario.topology.v_max: "
                           "need 0 < v_min < v_max")

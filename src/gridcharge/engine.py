@@ -292,6 +292,7 @@ class Simulation:
         self.delta_h = scenario.delta_i / 60.0
         self.net = scenario.topology
         self.fleet = Fleet(scenario.fleet, m)
+        strategy.attach(self.fleet)
         self.ev_ids = self.fleet.ev_ids
         self._neighbors = agent_neighbors(self.net)
         self._ev_bus_id = [p.bus_id for p in scenario.fleet]

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import agents
 from .agents import EvProfile, Fleet, ev_record, required_instants
-from .bandit import (REWARD_PRIOR_MEAN, BanditState, SuperArm,
-                     sample_parameter, update_day, update_pv)
+from .bandit import (REWARD_PRIOR_MEAN, BanditState, sample_parameter,
+                     update_day, update_pv)
 from .engine import Scenario
 from .gridnet import pv_power, solve_power_flow
 
@@ -32,7 +32,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "gridcharge.checkpoint/4"
+CHECKPOINT_FORMAT = "gridcharge.checkpoint/5"
 
 
 def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
@@ -43,6 +43,9 @@ def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
 class Strategy:
     """Hooks the engine calls on fleet rows (arrays of EV indices into the
     `Fleet`); defaults do nothing, and feedback records."""
+
+    def attach(self, fleet: Fleet):
+        """Called once with the simulation's fleet, before any session."""
 
     def session_start(self, fleet: Fleet, rows, rng):
         pass
@@ -58,62 +61,64 @@ class Strategy:
 
 
 class AmasStrategy(Strategy):
-    """Per-EV combinatorial linear Thompson Sampling with cooperation."""
+    """Per-EV combinatorial linear Thompson Sampling with cooperation.
+
+    Each learner of the fleet is one `BanditState` of `(n_ev, m)` matrices,
+    one row per EV in fleet order: `bandit` (reward) and `pv`.
+    """
 
     def __init__(self, alpha=0.5, beta=360.0):
         self.alpha = alpha
         self.beta = beta
-        self.bandits = {}      # ev_id -> BanditState, reward learner
-        self.pv_learners = {}  # ev_id -> BanditState, PV learner
-        self.selections = {}   # ev_id -> [(SuperArm, theta_hat_d), ...]
+        self.ev_ids = None     # fleet order of the learner rows
+        self.bandit = None     # reward learner
+        self.pv = None         # PV learner
         self.days_completed = 0
 
+    def attach(self, fleet):
+        if self.ev_ids is None:
+            n = len(fleet.ev_ids)
+            self.ev_ids = list(fleet.ev_ids)
+            self.bandit = BanditState.initial(fleet.m, self.alpha,
+                                              REWARD_PRIOR_MEAN, n)
+            self.pv = BanditState.initial(fleet.m, self.beta, 0.0, n)
+        elif (self.ev_ids != fleet.ev_ids
+              or self.bandit.precision.shape[1] != fleet.m):
+            raise ValueError("the learner rows do not match the fleet")
+
     def session_start(self, fleet, rows, rng):
-        # One posterior draw per EV, in row order, theta before phi.
-        theta = np.empty((len(rows), fleet.m))
-        phi = np.empty((len(rows), fleet.m))
-        for k, idx in enumerate(rows):
-            ev = fleet.ev_ids[idx]
-            if ev not in self.bandits:
-                self.bandits[ev] = BanditState.initial(fleet.m, self.alpha,
-                                                       REWARD_PRIOR_MEAN)
-                self.pv_learners[ev] = BanditState.initial(fleet.m, self.beta,
-                                                           0.0)
-                self.selections[ev] = []
-            theta[k] = sample_parameter(self.bandits[ev], rng)
-            phi[k] = sample_parameter(self.pv_learners[ev], rng)
-        fleet.hold_samples(rows, theta, phi)
+        # One block draw, row by row, theta before phi.
+        both = BanditState(
+            np.stack((self.bandit.precision[rows], self.pv.precision[rows]),
+                     axis=1),
+            np.stack((self.bandit.response[rows], self.pv.response[rows]),
+                     axis=1),
+            np.array([[self.alpha], [self.beta]], dtype=float))
+        sample = sample_parameter(both, rng)
+        fleet.hold_samples(rows, sample[:, 0], sample[:, 1])
 
     def decide(self, fleet, rows, delta_i):
         return agents.ev_decide(fleet, rows, delta_i)
 
     def session_end(self, fleet, rows):
-        for idx in rows:
-            ev = fleet.ev_ids[idx]
-            played = fleet.played[idx]
-            theta_hat_d = self.bandits[ev].estimate.copy()
-            self.selections[ev].append(
-                (SuperArm(tuple(np.flatnonzero(played))), theta_hat_d))
-            self.bandits[ev] = update_day(self.bandits[ev], played,
-                                          fleet.reward[idx])
-            self.pv_learners[ev] = update_pv(self.pv_learners[ev],
-                                             fleet.pv_mask[idx],
-                                             fleet.pv_obs[idx])
+        update_day(self.bandit, fleet.played[rows], fleet.reward[rows], rows)
+        update_pv(self.pv, fleet.pv_mask[rows], fleet.pv_obs[rows], rows)
 
     # -- checkpointing -----------------------------------------------------
 
     def to_checkpoint(self) -> dict:
         def dump(st):
             return {"precision": _pack(st.precision),
-                    "response": _pack(st.response), "scale": st.scale}
+                    "response": _pack(st.response)}
         return {
             "format": CHECKPOINT_FORMAT,
             "days_completed": self.days_completed,
             "alpha": self.alpha,
             "beta": self.beta,
-            "evs": {ev: {"bandit": dump(self.bandits[ev]),
-                         "pv": dump(self.pv_learners[ev])}
-                    for ev in sorted(self.bandits)},
+            "evs": self.ev_ids,
+            "instants_per_day": self.bandit.precision.shape[1],
+            "bandit": dump(self.bandit),
+            "pv": dump(self.pv),
         }
 
     @classmethod
@@ -122,16 +127,22 @@ class AmasStrategy(Strategy):
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {fmt!r}; "
                              f"expected {CHECKPOINT_FORMAT!r}")
-        def load(st):
-            return BanditState.from_stats(_unpack(st["precision"], (-1,)),
-                                          _unpack(st["response"], (-1,)),
-                                          st["scale"])
         strat = cls(alpha=payload["alpha"], beta=payload["beta"])
         strat.days_completed = payload["days_completed"]
-        for ev, blob in payload["evs"].items():
-            strat.bandits[ev] = load(blob["bandit"])
-            strat.pv_learners[ev] = load(blob["pv"])
-            strat.selections[ev] = []
+        strat.ev_ids = list(payload["evs"])
+        shape = (len(strat.ev_ids), payload["instants_per_day"])
+
+        def load(name, scale):
+            arrays = []
+            for field in ("precision", "response"):
+                try:
+                    arrays.append(_unpack(payload[name][field], shape))
+                except ValueError as exc:
+                    raise ValueError(f"checkpoint field {name}.{field}: "
+                                     f"{exc}") from None
+            return BanditState(*arrays, float(scale))
+        strat.bandit = load("bandit", strat.alpha)
+        strat.pv = load("pv", strat.beta)
         return strat
 
 

@@ -10,8 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState, pseudo_regret,
-                               select_super_arm, update_day)
+from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState, SuperArm,
+                               pseudo_regret, select_super_arm, update_day)
 from gridcharge.cli import main
 from gridcharge.engine import (EvParams, ScenarioConfig, Simulation,
                                generate_scenario)
@@ -208,10 +208,18 @@ def test_criterion_6_regret_sanity():
         irradiance_profile=np.zeros(24))
     sc = generate_scenario(cfg, 200, 6)
     profile = sc.fleet[0]
-    strategy = AmasStrategy(alpha=0.02)
-    Simulation(sc, strategy, keep_traces=False).run()
+    selections = []   # per day: (played super-arm, estimate before update)
 
-    selections = strategy.selections[profile.ev_id]
+    class Recorded(AmasStrategy):
+        def session_end(self, fleet, rows):
+            for idx in rows:
+                selections.append(
+                    (SuperArm(tuple(np.flatnonzero(fleet.played[idx]))),
+                     self.bandit.estimate[idx]))
+            super().session_end(fleet, rows)
+
+    Simulation(sc, Recorded(alpha=0.02), keep_traces=False).run()
+
     true_theta = np.array(
         [1.0 - sc.price_profile[(profile.t_arrive + l) % sc.m]
          for l in range(profile.window_length)])

@@ -1,5 +1,6 @@
 """Thompson-Sampling learner tests against enumeration and least-squares oracles."""
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState, SuperArm,
                                pseudo_regret, sample_parameter,
                                select_super_arm, update_day, update_pv)
+from gridcharge.strategies import AmasStrategy
 
 
 def brute_force_top_k(theta, candidates, k):
@@ -38,8 +40,8 @@ def lstsq_one_hot(masks, value_vectors, m, prior_mean):
 
 class TestSampleParameter:
     def test_zero_scale_returns_mean(self):
-        st_ = BanditState.from_stats(np.array([1.0, 2.0, 4.0, 8.0]),
-                                     np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
+        st_ = BanditState(np.array([1.0, 2.0, 4.0, 8.0]),
+                          np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         assert np.array_equal(sample_parameter(st_, rng), st_.estimate)
@@ -65,8 +67,7 @@ class TestSampleParameter:
         # matrix diag(precision) draws from the same normals.
         rng = np.random.default_rng(3)
         precision = rng.integers(1, 60, size=8).astype(float)
-        st_ = BanditState.from_stats(precision, rng.uniform(0, 9e4, 8),
-                                     250.0)
+        st_ = BanditState(precision, rng.uniform(0, 9e4, 8), 250.0)
         for seed in range(20):
             got = sample_parameter(st_, np.random.default_rng(seed))
             z = np.random.default_rng(seed).standard_normal(8)
@@ -78,11 +79,79 @@ class TestSampleParameter:
 
     def test_pv_variance_is_scale_squared_over_precision(self):
         precision = np.array([1.0, 4.0, 25.0])
-        st_ = BanditState.from_stats(precision, np.zeros(3), 2.0)
+        st_ = BanditState(precision, np.zeros(3), 2.0)
         rng = np.random.default_rng(4)
         draws = np.array([sample_parameter(st_, rng) for _ in range(50_000)])
         assert np.allclose(draws.var(axis=0) / (4.0 / precision), 1.0,
                            atol=0.03)
+
+
+def fleet_learners(n, m, **kwargs):
+    strategy = AmasStrategy(**kwargs)
+    strategy.attach(SimpleNamespace(ev_ids=[f"ev{i}" for i in range(n)], m=m))
+    return strategy
+
+
+class TestFleetLearners:
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 360.0), (0.0, 360.0),
+                                             (0.5, 0.0)])
+    def test_matches_per_ev_draws(self, alpha, beta):
+        # The strategy draws every starting row's theta and phi in one
+        # block; it must draw what one call per EV and learner, reward
+        # learner first, draws from the same generator.
+        m, n = 6, 5
+        strategy = fleet_learners(n, m, alpha=alpha, beta=beta)
+        data = np.random.default_rng(8)
+        for _ in range(4):   # distinct precisions and estimates per row
+            mask = (data.random((n, m)) < 0.5).astype(float)
+            update_day(strategy.bandit, mask, mask * data.random((n, m)))
+            update_pv(strategy.pv, mask, mask * data.uniform(0, 900, (n, m)))
+        rows = np.array([3, 0, 4])
+        held = {}
+        fleet = SimpleNamespace(hold_samples=lambda r, theta, phi:
+                                held.update(theta=theta, phi=phi))
+        rng = np.random.default_rng(21)
+        strategy.session_start(fleet, rows, rng)
+
+        ref_rng = np.random.default_rng(21)
+        for k, idx in enumerate(rows):
+            for learner, got in ((strategy.bandit, held["theta"]),
+                                 (strategy.pv, held["phi"])):
+                one = BanditState(learner.precision[idx].copy(),
+                                  learner.response[idx].copy(), learner.scale)
+                want = sample_parameter(one, ref_rng)
+                assert want.tobytes() == got[k].tobytes(), (idx, learner)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_session_end_matches_per_ev_updates(self):
+        # The departing rows take one masked add per learner; it must equal
+        # one update per EV and learner, and leave the other rows alone.
+        m, n = 6, 5
+        strategy = fleet_learners(n, m)
+        data = np.random.default_rng(9)
+        played = (data.random((n, m)) < 0.4).astype(float)
+        fleet = SimpleNamespace(played=played,
+                                reward=played * data.random((n, m)),
+                                pv_mask=np.ones((n, m)),
+                                pv_obs=data.uniform(0, 900, (n, m)))
+        rows = np.array([4, 1])
+        want = {}
+        for name, mask, values in (("bandit", fleet.played, fleet.reward),
+                                   ("pv", fleet.pv_mask, fleet.pv_obs)):
+            learner = getattr(strategy, name)
+            want[name] = [BanditState(learner.precision[i].copy(),
+                                      learner.response[i].copy(),
+                                      learner.scale) for i in range(n)]
+            for i in rows:
+                update_day(want[name][i], mask[i], values[i])
+        strategy.session_end(fleet, rows)
+        for name, states in want.items():
+            learner = getattr(strategy, name)
+            for i, one in enumerate(states):
+                assert learner.precision[i].tobytes() == \
+                    one.precision.tobytes(), (name, i)
+                assert learner.response[i].tobytes() == \
+                    one.response.tobytes(), (name, i)
 
 
 class TestSelectSuperArm:
@@ -290,7 +359,7 @@ class TestPvUpdates:
                                     (50.0, 0.0, mask * 700.0)):
             st_ = update_day(BanditState.initial(4, scale, mean), mask,
                              values)
-            st_ = BanditState.from_stats(st_.precision, st_.response, scale)
+            st_ = BanditState(st_.precision, st_.response, scale)
             assert sample_parameter(st_, np.random.default_rng(0)).shape \
                 == (4,)
 

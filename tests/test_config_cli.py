@@ -7,7 +7,7 @@ import pytest
 
 from gridcharge.cli import execute_run, main
 from gridcharge.config import ConfigError, build_scenario, parse_config
-from gridcharge.strategies import CHECKPOINT_FORMAT, AmasStrategy
+from gridcharge.strategies import CHECKPOINT_FORMAT, AmasStrategy, _pack
 
 SMALL = """\
 scenario:
@@ -218,6 +218,13 @@ class TestValidateCommand:
          "scenario.topology.households_per_bus"),
         ("scenario:\n  fleet_size: -1\n", "scenario.fleet_size"),
         ("scenario:\n  instants_per_day: 0\n", "scenario.instants_per_day"),
+        ("scenario:\n  topology:\n    line_resistance: 0\n"
+         "    line_reactance: 0\n",
+         "scenario.topology.line_resistance, scenario.topology.line_reactance"),
+        ("scenario:\n  topology:\n    sub_districts: 2\n"
+         "    trunk_resistance: 0\n    trunk_reactance: 0\n",
+         "scenario.topology.trunk_resistance, "
+         "scenario.topology.trunk_reactance"),
     ], ids=["alpha-nan", "p_max-nan", "household-load-negative",
             "pv-area-overflow", "alpha-negative", "beta-negative",
             "pv-area-negative", "pv-efficiency-above-one", "e_bat-zero",
@@ -226,7 +233,8 @@ class TestValidateCommand:
             "trunk_rating-zero", "v_min-above-v_max", "v_min-zero",
             "sub_districts-zero", "buses_per_feeder-zero",
             "households_per_bus-zero", "fleet_size-negative",
-            "instants_per_day-zero"])
+            "instants_per_day-zero", "line-impedance-zero",
+            "trunk-impedance-zero"])
     def test_rejected_value_names_key(self, tmp_path, capsys, body, key):
         path = write_config(tmp_path, body)
         assert main(["validate", "--config", path]) == 1
@@ -257,31 +265,60 @@ class TestCompareCommand:
 
 
 class TestCheckpoint:
+    @staticmethod
+    def restored(out):
+        payload = json.loads(read(os.path.join(out, "checkpoint.json")))
+        assert payload["format"] == CHECKPOINT_FORMAT
+        return AmasStrategy.from_checkpoint(payload)
+
     def test_round_trip(self, small_cfg):
         path, out = small_cfg
         assert main(["run", "--config", path]) == 0
-        payload = json.loads(read(os.path.join(out, "checkpoint.json")))
-        assert payload["format"] == CHECKPOINT_FORMAT
-        restored = AmasStrategy.from_checkpoint(payload)
+        restored = self.restored(out)
         _, live, _ = execute_run(parse_config(path))
         assert restored.days_completed == 2
-        assert sorted(restored.bandits) == sorted(live.bandits)
-        for ev in live.bandits:
-            for learners in ("bandits", "pv_learners"):
-                got = getattr(restored, learners)[ev]
-                want = getattr(live, learners)[ev]
-                for name in ("precision", "response", "estimate"):
-                    assert np.array_equal(getattr(got, name),
-                                          getattr(want, name)), (ev, name)
-                assert got.scale == want.scale
+        assert restored.ev_ids == live.ev_ids
+        for learner in ("bandit", "pv"):
+            got, want = getattr(restored, learner), getattr(live, learner)
+            assert got.precision.shape == (3, 96)
+            for name in ("precision", "response", "estimate"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), (learner, name)
+            assert got.scale == want.scale
+        # every EV learned from at least one session
+        assert (live.pv.precision > 1.0).any(axis=1).all()
+
+    def test_zero_days_holds_the_priors(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, SMALL.format(out=out)
+                            .replace("days: 2", "days: 0"))
+        assert main(["run", "--config", path]) == 0
+        restored = self.restored(out)
+        assert restored.days_completed == 0
+        assert restored.ev_ids == ["ev0", "ev1", "ev2"]
+        for learner, mean in (("bandit", 0.5), ("pv", 0.0)):
+            st_ = getattr(restored, learner)
+            assert np.array_equal(st_.precision, np.ones((3, 96)))
+            assert np.array_equal(st_.response, np.full((3, 96), mean))
+
+    @pytest.mark.parametrize("field", ["bandit.precision", "bandit.response",
+                                       "pv.precision", "pv.response"])
+    def test_matrix_size_must_match_evs(self, small_cfg, field):
+        path, _ = small_cfg
+        _, live, _ = execute_run(parse_config(path))
+        payload = live.to_checkpoint()
+        learner, name = field.split(".")
+        payload[learner][name] = _pack(np.ones((2, 96)))   # 3 EVs listed
+        with pytest.raises(ValueError, match=f"checkpoint field {field}"):
+            AmasStrategy.from_checkpoint(payload)
 
     def test_format_tag_enforced(self):
         with pytest.raises(ValueError, match="format"):
             AmasStrategy.from_checkpoint({"format": "other/9"})
-        # neither the nested lists of /1, the dense PV Gram of /2 nor the
-        # dense reward Gram of /3 is read
+        # neither the nested lists of /1, the dense PV Gram of /2, the
+        # dense reward Gram of /3 nor the per-EV arrays of /4 is read
         for old in ("gridcharge.checkpoint/1", "gridcharge.checkpoint/2",
-                    "gridcharge.checkpoint/3"):
+                    "gridcharge.checkpoint/3", "gridcharge.checkpoint/4"):
             with pytest.raises(ValueError, match=old) as err:
                 AmasStrategy.from_checkpoint({"format": old, "evs": {}})
             assert CHECKPOINT_FORMAT in str(err.value)

@@ -42,7 +42,7 @@ cooperation_fraction: 0.3
 
 DIGESTS = {
     "checkpoint.json":
-        "07f27ee343c925e7d49afb4c969b64eb0dbb4ac4b256c70d97d72236c688446e",
+        "e329b8880e602c04026ec34268e900d1fa365d2c4280b86976d0eca4121b4f1e",
     "manifest.json":
         "c677a937bc345d7bd9512e77bb7aca37d7445dc89fbc052b608a744243353e8e",
     "metrics_daily.csv":
