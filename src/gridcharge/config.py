@@ -190,9 +190,12 @@ def parse_config(path, overrides=None) -> RunConfig:
         if topo[key] is not None and topo[key] <= 0.0:
             raise ConfigError(f"scenario.topology.{key}: must be > 0")
     for seg in ("line", "trunk"):
+        r, x = topo[f"{seg}_resistance"], topo[f"{seg}_reactance"]
+        if r < 0.0:
+            raise ConfigError(f"scenario.topology.{seg}_resistance: "
+                              "must be >= 0")
         # The trunk segment exists only with two or more sub-districts.
         used = seg == "line" or topo["sub_districts"] >= 2
-        r, x = topo[f"{seg}_resistance"], topo[f"{seg}_reactance"]
         if used and r == x == 0.0:
             raise ConfigError(
                 f"scenario.topology.{seg}_resistance, "

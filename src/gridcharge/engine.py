@@ -319,6 +319,11 @@ class Simulation:
         # Plugged-in EVs by session start, then index: the order in which
         # their grid power enters the bus injections.
         self._order = np.zeros(0, dtype=np.int64)
+        # Injection bytes -> (converged, line crit, bus crit), read-only:
+        # the grid state depends only on the injections, which repeat
+        # across instants (flat household loads, no PV at night, replayed
+        # schedules), so each distinct vector is solved once.
+        self._grid_state = {}
 
         D = scenario.days
         n = len(scenario.fleet)
@@ -376,17 +381,25 @@ class Simulation:
         pv_export_w = site_pv_w.copy()
         pv_export_w[sites] -= pv_in / dh * 1000.0
         np.subtract.at(inj, self._bus_of_site, pv_export_w)
-        sol = solve_power_flow(net, inj)
 
         # Phase 4: sensing, request creation, flooding to quiescence.
-        if sol.converged:
-            line_crit = line_criticality(sol.line_currents, net.i_rated)
-            bus_crit = bus_criticality(sol.bus_voltages, net.v_min, net.v_max)
-        else:
-            # Electrical state unknown: treat every line as congested so the
-            # whole fleet backs off.
-            line_crit = np.ones(net.n_lines)
-            bus_crit = np.zeros(net.n_buses)
+        key = inj.tobytes()
+        state = self._grid_state.get(key)
+        if state is None:
+            sol = solve_power_flow(net, inj)
+            if sol.converged:
+                line_crit = line_criticality(sol.line_currents, net.i_rated)
+                bus_crit = bus_criticality(sol.bus_voltages, net.v_min,
+                                           net.v_max)
+            else:
+                # Electrical state unknown: treat every line as congested so
+                # the whole fleet backs off.
+                line_crit = np.ones(net.n_lines)
+                bus_crit = np.zeros(net.n_buses)
+            line_crit.flags.writeable = bus_crit.flags.writeable = False
+            state = self._grid_state[key] = (sol.converged, line_crit,
+                                             bus_crit)
+        converged, line_crit, bus_crit = state
         initial = []
         if line_crit.any() or bus_crit.any():
             grid_charging_evs = [fleet.ev_ids[i] for i in rows[charged]]
@@ -423,13 +436,13 @@ class Simulation:
         vday = min(day, sc.days - 1)
         if line_crit.any():
             self.violations_current[vday] += 1
-        if not sol.converged or bus_crit.any():
+        if not converged or bus_crit.any():
             self.violations_voltage[vday] += 1
 
         trace = None
         if self.keep_traces:
             trace = InstantTrace(
-                converged=sol.converged, flood_rounds=rounds,
+                converged=converged, flood_rounds=rounds,
                 requests=tuple(initial), injections=inj,
                 ev_grid_kw={fleet.ev_ids[i]: kw for i, kw in
                             zip(rows.tolist(), grid_kw.tolist()) if kw > 0.0})

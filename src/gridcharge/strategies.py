@@ -206,7 +206,10 @@ class _FeasibilityChecker:
     """Power-flow limit check for a set of EVs charging at a day-instant.
 
     Base injections assume every connected EV absorbs its site's PV output
-    (the engine's behavior away from a full battery).
+    (the engine's behavior away from a full battery). A verdict depends
+    only on the injection vector, and candidates repeat vectors (flat
+    household loads, no PV at night), so each distinct vector is solved
+    once and its verdict kept by its bytes.
     """
 
     def __init__(self, scenario: Scenario):
@@ -235,25 +238,31 @@ class _FeasibilityChecker:
         away = ~connected.ravel()
         np.subtract.at(self.base, (at[0][away], at[1][away]),
                        pv.ravel()[away])
+        self._verdicts = {}   # injection bytes -> within limits
 
-    def within_limits(self, inj: np.ndarray):
+    def within_limits(self, inj: np.ndarray) -> bool:
         """Whether the power flow of a bus injection vector converges with
-        every line within its rating and every bus within its voltage
-        band; one flag per row for a `(k, n_buses)` stack."""
-        net = self.sc.topology
-        sol = solve_power_flow(net, inj)
-        v = sol.bus_voltages
-        converged = (sol.converged if sol.row_converged is None
-                     else sol.row_converged)
-        return (converged
-                & ~(sol.line_currents > net.i_rated).any(axis=-1)
-                & ~((v < net.v_min) | (v > net.v_max)).any(axis=-1))
+        no line or bus criticality: every line within its rating and every
+        bus within its voltage band."""
+        key = inj.tobytes()
+        ok = self._verdicts.get(key)
+        if ok is None:
+            net = self.sc.topology
+            sol = solve_power_flow(net, inj)
+            ok = self._verdicts[key] = bool(
+                sol.converged
+                and not agents.line_criticality(sol.line_currents,
+                                                net.i_rated).any()
+                and not agents.bus_criticality(sol.bus_voltages, net.v_min,
+                                               net.v_max).any())
+        return ok
 
     def feasible(self, i_day: int, charging_ev_ids) -> bool:
         inj = self.base[i_day].copy()
-        for ev in charging_ev_ids:
+        # In id order, so the sums do not depend on set iteration order.
+        for ev in sorted(charging_ev_ids):
             inj[self.ev_bus[ev]] += self.p_max_w[ev]
-        return bool(self.within_limits(inj))
+        return self.within_limits(inj)
 
 
 def centralized_oracle(scenario: Scenario, mode="greedy",
@@ -294,16 +303,11 @@ def centralized_oracle(scenario: Scenario, mode="greedy",
 
 
 def _oracle_greedy(scenario, checker, needs, local_price):
-    """Each EV in turn tests its cheapest instants against the
-    injections of the EVs placed before it.
+    """Each EV in turn tests its instants in price order against the
+    injections of the EVs placed before it, until `need` of them pass.
 
-    One EV's candidates sit at distinct instants, so each test sees only
-    the earlier EVs. Testing one candidate at a time stops only once
-    `need` of them pass, so it tests at least the next `need - got`
-    whatever they return: testing those in one stacked solve runs the same
-    tests. `inj` adds each placed EV's charger power to its instant's base
-    injections; with one charger rating across the fleet, the order of the
-    additions does not change any value.
+    `inj` adds each placed EV's charger power to its instant's base
+    injections.
     """
     m = scenario.m
     order = sorted(scenario.fleet,
@@ -312,19 +316,18 @@ def _oracle_greedy(scenario, checker, needs, local_price):
     schedules = {}
     for p in order:
         bus, watt = checker.ev_bus[p.ev_id], checker.p_max_w[p.ev_id]
-        ranked = np.argsort(local_price[p.ev_id], kind="stable")
         plan = np.zeros(p.window_length, dtype=bool)
-        need, got, tried = needs[p.ev_id], 0, 0
-        while got < need and tried < ranked.size:
-            cand = ranked[tried:tried + need - got]
-            tried += cand.size
-            i = (p.t_arrive + cand) % m
-            rows = inj[i]
-            rows[:, bus] += watt
-            ok = checker.within_limits(rows)
-            plan[cand[ok]] = True
-            inj[i[ok]] = rows[ok]
-            got += int(ok.sum())
+        need, got = needs[p.ev_id], 0
+        for l in np.argsort(local_price[p.ev_id], kind="stable").tolist():
+            if got == need:
+                break
+            i = (p.t_arrive + l) % m
+            row = inj[i].copy()
+            row[bus] += watt
+            if checker.within_limits(row):
+                plan[l] = True
+                inj[i] = row
+                got += 1
         schedules[p.ev_id] = plan
     return schedules
 
@@ -342,21 +345,13 @@ def _oracle_exhaustive(scenario, checker, needs, local_price, max_expansions):
         )
         per_ev.append(subsets)
 
-    memo = {}   # (day-instant, charging EVs) -> feasible; the search
-                # revisits the same instant sets across joint schedules
-
-    def feasible_at(i, evs):
-        key = (i, frozenset(evs))
-        if key not in memo:
-            memo[key] = checker.feasible(i, evs)
-        return memo[key]
-
     def feasible_joint(idxs):
         charging_at = {}
         for e, p in enumerate(fleet):
             for l in per_ev[e][idxs[e]][1]:
                 charging_at.setdefault((p.t_arrive + l) % m, set()).add(p.ev_id)
-        return all(feasible_at(i, evs) for i, evs in charging_at.items())
+        return all(checker.feasible(i, evs)
+                   for i, evs in charging_at.items())
 
     start = tuple(0 for _ in fleet)
     heap = [(sum(per_ev[e][0][0] for e in range(len(fleet))), start)]

@@ -225,6 +225,11 @@ class TestValidateCommand:
          "    trunk_resistance: 0\n    trunk_reactance: 0\n",
          "scenario.topology.trunk_resistance, "
          "scenario.topology.trunk_reactance"),
+        ("scenario:\n  topology:\n    line_resistance: -0.001\n",
+         "scenario.topology.line_resistance"),
+        ("scenario:\n  topology:\n    sub_districts: 2\n"
+         "    trunk_resistance: -0.001\n",
+         "scenario.topology.trunk_resistance"),
     ], ids=["alpha-nan", "p_max-nan", "household-load-negative",
             "pv-area-overflow", "alpha-negative", "beta-negative",
             "pv-area-negative", "pv-efficiency-above-one", "e_bat-zero",
@@ -234,7 +239,8 @@ class TestValidateCommand:
             "sub_districts-zero", "buses_per_feeder-zero",
             "households_per_bus-zero", "fleet_size-negative",
             "instants_per_day-zero", "line-impedance-zero",
-            "trunk-impedance-zero"])
+            "trunk-impedance-zero", "line-resistance-negative",
+            "trunk-resistance-negative"])
     def test_rejected_value_names_key(self, tmp_path, capsys, body, key):
         path = write_config(tmp_path, body)
         assert main(["validate", "--config", path]) == 1

@@ -16,7 +16,7 @@ from gridcharge.engine import (EvParams, ProfileError, Scenario,
                                flood_requests, generate_scenario,
                                ingest_profile)
 from gridcharge.gridnet import (FeederSpec, NetworkTopology,
-                                build_replicated_feeder)
+                                build_replicated_feeder, solve_power_flow)
 from gridcharge.strategies import AmasStrategy, UncontrolledStrategy
 from test_grid import radial_trees
 
@@ -364,6 +364,59 @@ class TestSimulationPipeline:
         # EV -> bus -> ... -> bus -> EV across both sub-districts.
         diameter = 2 * 5 + 2
         assert all(t.flood_rounds <= diameter for t in res.traces)
+
+
+class TestGridStateMemo:
+    @pytest.fixture
+    def run(self, monkeypatch):
+        """A congested 2-day learner run, with every power flow the engine
+        solves recorded by its injection bytes."""
+        cfg = small_config(
+            feeder=FeederSpec(sub_districts=1, buses_per_feeder=3,
+                              households_per_bus=2, line_rating=30.0),
+            fleet_size=6)
+        sc = force_evening_fleet(generate_scenario(cfg, 2, 7))
+        solved = []
+
+        def record_solve(net, inj, **kw):
+            solved.append(inj.tobytes())
+            return solve_power_flow(net, inj, **kw)
+
+        monkeypatch.setattr(engine, "solve_power_flow", record_solve)
+        sim = Simulation(sc, AmasStrategy(), keep_traces=True,
+                         cooperation_fraction=1.0)
+        return sc, sim, sim.run(), solved
+
+    def test_solves_each_distinct_injection_once(self, run):
+        _, _, res, solved = run
+        rows = [t.injections.tobytes() for t in res.traces]
+        assert len(rows) > len(solved)   # instants repeat injections
+        assert solved == list(dict.fromkeys(rows))
+
+    def test_traces_and_violations_match_fresh_solves(self, run):
+        sc, _, res, _ = run
+        net = sc.topology
+        current = np.zeros(sc.days, dtype=np.int64)
+        voltage = np.zeros(sc.days, dtype=np.int64)
+        for g, t in enumerate(res.traces):
+            sol = solve_power_flow(net, t.injections)
+            assert t.converged == sol.converged
+            v = sol.bus_voltages
+            day = min(g // sc.m, sc.days - 1)
+            current[day] += (not sol.converged
+                             or (sol.line_currents > net.i_rated).any())
+            voltage[day] += (not sol.converged
+                             or ((v < net.v_min) | (v > net.v_max)).any())
+        assert current.sum() > 0
+        assert current.tolist() == res.violations_current.tolist()
+        assert voltage.tolist() == res.violations_voltage.tolist()
+
+    def test_cached_criticalities_are_read_only(self, run):
+        _, sim, _, _ = run
+        for _, line_crit, bus_crit in sim._grid_state.values():
+            for crit in (line_crit, bus_crit):
+                with pytest.raises(ValueError, match="read-only"):
+                    crit[0] = 1.0
 
 
 class TestIngestProfile:

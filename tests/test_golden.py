@@ -19,9 +19,13 @@ of the outputs. The learners use no LAPACK call, only elementwise vector
 arithmetic.
 """
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gridcharge
 from gridcharge.cli import main
 
 CONFIG = """\
@@ -108,12 +112,19 @@ BASELINE_DIGESTS = {
 }
 
 
+RUN = ["run", "--config", "run.yaml", "--output-dir", "out"]
+
+
+def digests(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir())}
+
+
 def run_digests(tmp_path, monkeypatch, config):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.yaml").write_text(config, encoding="utf-8")
-    assert main(["run", "--config", "run.yaml", "--output-dir", "out"]) == 0
-    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted((tmp_path / "out").iterdir())}
+    assert main(RUN) == 0
+    return digests(tmp_path / "out")
 
 
 def test_outputs_match_golden_digests(tmp_path, monkeypatch):
@@ -126,3 +137,24 @@ def test_baseline_outputs_match_golden_digests(tmp_path, monkeypatch,
     config = BASELINE_CONFIG.format(strategy=strategy)
     assert (run_digests(tmp_path, monkeypatch, config)
             == BASELINE_DIGESTS[strategy])
+
+
+def test_outputs_independent_of_hash_seed(tmp_path):
+    # String hashing is salted per process, so iteration over sets and
+    # dicts keyed by ids may differ between runs; none of it may reach the
+    # outputs.
+    src = os.path.dirname(os.path.dirname(gridcharge.__file__))
+    seen = []
+    for hash_seed in ("0", "1"):
+        work = tmp_path / hash_seed
+        work.mkdir()
+        (work / "run.yaml").write_text(CONFIG, encoding="utf-8")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-m", "gridcharge.cli", *RUN],
+                              cwd=work, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        seen.append(digests(work / "out"))
+    assert seen[0] == seen[1] == DIGESTS

@@ -210,78 +210,6 @@ class TestSegmentSums:
                                    rtol=1e-9, atol=0.0)
 
 
-def assert_rows_match_single_solves(net, stack, **kw):
-    """A stacked solve equals one 1-D solve per row, bit for bit."""
-    sol = solve_power_flow(net, stack, **kw)
-    k = len(stack)
-    assert sol.bus_voltages.shape == (k, net.n_buses)
-    assert sol.line_currents.shape == (k, net.n_lines)
-    for r, row in enumerate(stack):
-        one = solve_power_flow(net, row, **kw)
-        assert sol.bus_voltages[r].tobytes() == one.bus_voltages.tobytes()
-        assert sol.line_currents[r].tobytes() == one.line_currents.tobytes()
-        assert sol.v_complex[r].tobytes() == one.v_complex.tobytes()
-        assert sol.row_iterations[r] == one.iterations
-        assert sol.row_converged[r] == one.converged
-    assert sol.converged == bool(sol.row_converged.all())
-    assert sol.iterations == sol.row_iterations.sum()
-    return sol
-
-
-class TestStackedSolve:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_rows_leave_at_their_own_sweep(self):
-        # On a 0.5-ohm two-bus feeder (deliverable limit 26,450 W): flat,
-        # light and heavy loads converge after 1, 4 and 16 sweeps; 31,740 W
-        # never converges; 105,800 W drops the load bus to exactly 0 V in
-        # the first sweep, so the second one goes non-finite.
-        net = two_bus_net(r=0.5)
-        loads = [1000.0, 0.0, 105_800.0, 20_000.0, 31_740.0, 1000.0]
-        stack = np.array([[0.0, w] for w in loads])
-        sol = assert_rows_match_single_solves(net, stack)
-        assert sol.row_iterations.tolist() == [4, 1, 2, 16, 50, 4]
-        assert sol.row_converged.tolist() == [True, True, False, True,
-                                              False, True]
-        assert not sol.converged
-        assert np.isinf(sol.line_currents[2, 0])
-        assert np.isfinite(sol.v_complex).all()
-
-    def test_max_iter_cuts_every_row(self):
-        net = two_bus_net(r=0.5)
-        stack = np.array([[0.0, 0.0], [0.0, 1000.0], [0.0, 20_000.0]])
-        sol = assert_rows_match_single_solves(net, stack, max_iter=3)
-        assert sol.row_iterations.tolist() == [1, 3, 3]
-        assert sol.row_converged.tolist() == [True, False, False]
-
-    def test_feeder_rows(self):
-        net = build_replicated_feeder(FeederSpec(sub_districts=4))
-        rng = np.random.default_rng(5)
-        stack = rng.uniform(-3000.0, 20000.0, (8, net.n_buses))
-        stack *= rng.uniform(0.0, 4.0, (8, 1))
-        sol = assert_rows_match_single_solves(net, stack)
-        assert len(set(sol.row_iterations.tolist())) > 1
-
-    @given(tree=radial_trees(max_buses=10), data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_random_radial_trees(self, tree, data):
-        buses, lines, slack = tree
-        net = NetworkTopology(buses, lines, slack)
-        k = data.draw(st.integers(1, 4))
-        loads = data.draw(st.lists(
-            st.floats(-50_000.0, 200_000.0, allow_nan=False),
-            min_size=k * len(buses), max_size=k * len(buses)))
-        with np.errstate(all="ignore"):
-            assert_rows_match_single_solves(
-                net, np.reshape(loads, (k, len(buses))))
-
-    def test_lone_slack_bus(self):
-        net = NetworkTopology([Bus("s")], [], "s")
-        sol = assert_rows_match_single_solves(net, np.zeros((3, 1)))
-        assert sol.bus_voltages.tolist() == [[1.0]] * 3
-        assert sol.line_currents.shape == (3, 0)
-        assert sol.converged and sol.iterations == 3
-
-
 class TestFeederGenerator:
     def test_smallest_legal_tree(self):
         net = build_replicated_feeder(
@@ -355,6 +283,10 @@ class TestTopologyValidation:
         with pytest.raises(TopologyError):
             Line("l", "a", "b", 0.1, 0.0, 0.0)
 
+    def test_negative_resistance_rejected(self):
+        with pytest.raises(TopologyError, match="resistance"):
+            Line("l", "a", "b", -0.001, 0.0005, 10.0)
+
     def test_injection_validation(self):
         net = two_bus_net()
         with pytest.raises(ValueError):
@@ -363,16 +295,13 @@ class TestTopologyValidation:
             net.injection_array(np.array([0.0, np.inf]))
 
     def test_stack_validation(self):
+        # One injection vector per solve: a (k, n_buses) stack is a shape
+        # error.
         net = two_bus_net()
-        assert net.injection_array(np.zeros((3, 2))).shape == (3, 2)
-        with pytest.raises(ValueError, match=r"\(k, n_buses\).*n_buses = 2"):
-            net.injection_array(np.zeros((3, 4)))
-        with pytest.raises(ValueError, match=r"\(k, n_buses\)"):
-            net.injection_array(np.zeros((2, 3, 2)))
-        stack = np.zeros((3, 2))
-        stack[1, 1] = np.nan
-        with pytest.raises(ValueError, match=r"rows \[1\]"):
-            net.injection_array(stack)
+        with pytest.raises(ValueError, match=r"\(n_buses,\).*n_buses = 2"):
+            net.injection_array(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"\(n_buses,\)"):
+            solve_power_flow(net, np.zeros((1, 2)))
 
 
 class TestPvPower:

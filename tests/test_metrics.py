@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcharge import strategies
 from gridcharge.agents import Fleet, required_instants
 from gridcharge.engine import (ScenarioConfig, Simulation, generate_scenario)
 from gridcharge.gridnet import FeederSpec, solve_power_flow
@@ -202,6 +203,30 @@ class TestCentralizedOracle:
         for ev, plan in expected.items():
             assert plans[ev].tolist() == plan.tolist()
 
+    @pytest.mark.parametrize("mode, make", [
+        ("greedy", lambda: small_feeder(12, 60.0)),
+        ("exhaustive",
+         lambda: tiny_scenario(n_ev=2, rating=40.0, soc_target=0.53)),
+    ])
+    def test_solves_each_distinct_row_once(self, monkeypatch, mode, make):
+        checked, solved = [], []
+        within_limits = _FeasibilityChecker.within_limits
+        solve = strategies.solve_power_flow
+
+        def record_check(self, inj):
+            checked.append(inj.tobytes())
+            return within_limits(self, inj)
+
+        def record_solve(net, inj, **kw):
+            solved.append(inj.tobytes())
+            return solve(net, inj, **kw)
+
+        monkeypatch.setattr(_FeasibilityChecker, "within_limits",
+                            record_check)
+        monkeypatch.setattr(strategies, "solve_power_flow", record_solve)
+        centralized_oracle(make(), mode=mode)
+        assert len(checked) > len(solved)   # rows repeat
+        assert solved == list(dict.fromkeys(checked))
 
     def test_zero_evs(self):
         sc = tiny_scenario(n_ev=0)
