@@ -144,13 +144,12 @@ def test_outputs_independent_of_hash_seed(tmp_path):
     # dicts keyed by ids may differ between runs; none of it may reach the
     # outputs.
     src = os.path.dirname(os.path.dirname(gridcharge.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     seen = []
     for hash_seed in ("0", "1"):
         work = tmp_path / hash_seed
         work.mkdir()
         (work / "run.yaml").write_text(CONFIG, encoding="utf-8")
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-m", "gridcharge.cli", *RUN],
                               cwd=work, env=env, capture_output=True,
