@@ -15,6 +15,10 @@ import numpy as np
 # Not called here; perfbench/child.py wraps it under this module's name.
 from .bandit import select_super_arm
 
+# Most (row, instant, instant) booleans `hold_samples` compares at once:
+# 4 MiB, so a long window builds its rank table a few rows at a time.
+RANK_CHUNK = 1 << 22
+
 __all__ = [
     "CriticalityRequest",
     "EvProfile",
@@ -102,6 +106,11 @@ class Fleet:
         if (self.window > m).any():
             raise ValueError(f"connection windows must not exceed m={m} "
                              "instants")
+        # Per-EV constants of the charging need: the energy to the SoC
+        # target in kW-minutes and the battery power per grid instant.
+        self.need_kw_min = 60.0 * self.e_bat * (self.soc_target
+                                                - self.soc_start)
+        self.charge_kw = self.p_max * self.eta_chrg
 
         self.active = np.zeros(n, dtype=bool)
         self.day = np.zeros(n, dtype=np.int64)    # learning day of the session
@@ -109,6 +118,8 @@ class Fleet:
         self.soc = self.soc_start.copy()
         self.k_p = np.zeros(n, dtype=np.int64)    # instants charged from grid
         self.theta = np.zeros((n, m))             # the session's sampled theta
+        # Later instants of the window with a strictly larger theta.
+        self.beaten_by = np.zeros((n, m), dtype=np.int64)
         self.pv_ahead = np.zeros((n, m))          # sampled PV, watt, [l, window)
         self.played = np.zeros((n, m))            # 1 where charged from grid
         self.reward = np.zeros((n, m))            # reward at played instants
@@ -124,8 +135,8 @@ class Fleet:
         self.now[rows] = 0
         self.soc[rows] = self.soc_start[rows]
         self.k_p[rows] = 0
-        for a in (self.theta, self.pv_ahead, self.played, self.reward,
-                  self.pv_mask, self.pv_obs):
+        for a in (self.theta, self.beaten_by, self.pv_ahead, self.played,
+                  self.reward, self.pv_mask, self.pv_obs):
             a[rows] = 0.0
         self.curtail[rows] = False
         self.force[rows] = False
@@ -135,14 +146,38 @@ class Fleet:
         `theta` and of `phi` (PV, watt per local instant) per EV.
 
         Theta is kept with -inf past the window, so no instant there beats
-        one inside it. Phi is kept as its sums over the rest of the window,
-        [l, window) at column l, so the charging need reads the PV still
-        ahead in O(1).
+        one inside it, and ranked once: `beaten_by[row, l]` counts the
+        later instants of the window whose theta is strictly larger. Phi is
+        kept as its sums over the rest of the window, [l, window) at column
+        l, so the charging need reads the PV still ahead in O(1).
         """
-        inside = np.arange(self.m) < self.window[rows, None]
-        self.theta[rows] = np.where(inside, theta, -np.inf)
+        window = self.window[rows]
+        inside = np.arange(self.m) < window[:, None]
+        self.theta[rows] = held = np.where(inside, theta, -np.inf)
+        self.beaten_by[rows] = rank_table(held, int(window.max(initial=0)))
         masked = np.where(inside, phi, 0.0)
         self.pv_ahead[rows] = np.cumsum(masked[:, ::-1], axis=1)[:, ::-1]
+
+
+def rank_table(theta, width: int) -> np.ndarray:
+    """For each row and column l of `theta`, how many later columns hold a
+    strictly larger value.
+
+    Only the first `width` columns are compared; every column from `width`
+    on must hold -inf, so it beats nothing and counts 0. Each chunk of rows
+    compares all (l, l') pairs at once, `RANK_CHUNK` booleans at most.
+    """
+    out = np.zeros(theta.shape, dtype=np.int64)
+    if width:
+        cols = np.arange(width)
+        later = cols > cols[:, None]                 # [l, l'] = l' > l
+        step = max(1, RANK_CHUNK // (width * width))
+        for lo in range(0, len(theta), step):
+            t = theta[lo:lo + step, :width]
+            beats = t[:, None, :] > t[:, :, None]    # [r, l, l']
+            beats &= later
+            out[lo:lo + step, :width] = beats.sum(axis=2)
+    return out
 
 
 def line_criticality(current, rated):
@@ -158,7 +193,7 @@ def bus_criticality(v, v_min, v_max):
     elementwise."""
     if (np.asarray(v_min) >= v_max).any():
         raise ValueError("v_min must be < v_max")
-    return np.where(v < v_min, 1.0, np.where(v > v_max, -1.0, 0.0))
+    return np.subtract(v < v_min, v > v_max, dtype=float)
 
 
 def request_priority(criticality: float) -> tuple:
@@ -223,30 +258,35 @@ def ev_reward(cr_ev, neighbor_criticalities):
     if not ((0.0 <= cost) & (cost <= 1.0)).all():
         raise ValueError("EV criticality (normalized cost) must be in [0, 1]")
     crits = np.asarray(neighbor_criticalities, dtype=float)
+    if crits.shape[-1:] == (0,):   # none received: no maximum to take
+        return (1.0 - cost) + np.zeros(crits.shape[:-1])
     top = np.where(crits != 0.0, crits, -np.inf).max(axis=-1,
                                                       initial=-np.inf)
     return np.where(top > -np.inf, -top, 1.0 - cost)[()]
 
 
-def take_requests(fleet: Fleet, received) -> np.ndarray:
+def take_requests(fleet: Fleet, rows, received) -> np.ndarray:
     """Hold the requests each EV received (ev_id -> list) for its next
     decision.
 
     Sets the pending flags of the EVs that a request names as cooperation
     targets (+1 curtails, -1 forces) and clears every other flag. Returns
-    the criticalities each EV received as one zero-padded row per EV.
+    the criticalities each of `rows` received as one zero-padded row per
+    EV, with no column when no request arrived.
     """
     fleet.curtail[:] = False
     fleet.force[:] = False
-    crits = np.zeros((len(fleet.ev_ids),
-                      max(map(len, received.values()), default=0)))
+    width = max(map(len, received.values()), default=0)
+    if not width:
+        return np.zeros((len(rows), 0))
+    crits = np.zeros((len(fleet.ev_ids), width))
     for ev, reqs in received.items():
         row = fleet.row[ev]
         crits[row, :len(reqs)] = [r.criticality for r in reqs]
         named = [r.criticality for r in reqs if ev in r.target_evs]
         fleet.curtail[row] = 1.0 in named
         fleet.force[row] = -1.0 in named
-    return crits
+    return crits[rows]
 
 
 def required_instants(fleet: Fleet, rows, delta_i: float, pv_ahead_w, k_p,
@@ -262,10 +302,8 @@ def required_instants(fleet: Fleet, rows, delta_i: float, pv_ahead_w, k_p,
     window = fleet.window[rows]
     if ((now < 0) | (now >= window)).any():
         raise ValueError("now must lie within the connection window")
-    per_instant = fleet.p_max[rows] * fleet.eta_chrg[rows]
-    need = (60.0 * fleet.e_bat[rows]
-            * (fleet.soc_target[rows] - fleet.soc_start[rows])
-            / (delta_i * per_instant))
+    per_instant = fleet.charge_kw[rows]
+    need = fleet.need_kw_min[rows] / (delta_i * per_instant)
     raw = np.ceil(need - pv_ahead_w / 1000.0 / per_instant) - k_p
     return np.maximum(0, np.minimum(raw, window - now)).astype(np.int64)
 
@@ -283,10 +321,8 @@ def ev_decide(fleet: Fleet, rows, delta_i: float) -> np.ndarray:
                             fleet.k_p[rows], now)
     # `now` is in the top-k_f of [now, window) under theta, ties toward the
     # lowest index, exactly when fewer than k_f later instants beat it.
-    later = np.arange(fleet.m) > now[:, None]
-    beats = fleet.theta[rows] > fleet.theta[rows, now][:, None]
-    beaten_by = np.count_nonzero(later & beats, axis=1)
-    charge = (np.where(fleet.force[rows], k_f > 0, beaten_by < k_f)
+    charge = (np.where(fleet.force[rows], k_f > 0,
+                       fleet.beaten_by[rows, now] < k_f)
               & ~fleet.curtail[rows])
     return np.where(charge, fleet.p_max[rows], 0.0)
 

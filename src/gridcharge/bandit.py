@@ -24,12 +24,10 @@ import numpy as np
 __all__ = [
     "REWARD_PRIOR_MEAN",
     "BanditState",
-    "SuperArm",
     "sample_parameter",
     "select_super_arm",
     "update_day",
     "update_pv",
-    "pseudo_regret",
 ]
 
 REWARD_PRIOR_MEAN = 0.5
@@ -66,31 +64,6 @@ class BanditState:
         return cls(np.ones(shape), np.full(shape, float(mean)), float(scale))
 
 
-@dataclass(frozen=True)
-class SuperArm:
-    """A set of decision instants played together on one day."""
-    instants: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "instants", tuple(sorted(set(self.instants))))
-
-    def __contains__(self, instant: int) -> bool:
-        return instant in set(self.instants)
-
-    def __len__(self) -> int:
-        return len(self.instants)
-
-    def mask(self, m: int) -> np.ndarray:
-        if self.instants and not (0 <= min(self.instants) <= max(self.instants) < m):
-            raise ValueError("super-arm instants out of range")
-        out = np.zeros(m)
-        out[list(self.instants)] = 1.0
-        return out
-
-    def value(self, theta: np.ndarray) -> float:
-        return float(sum(theta[i] for i in self.instants))
-
-
 def sample_parameter(state: BanditState,
                      rng: np.random.Generator) -> np.ndarray:
     """One draw from the posterior N(estimate, scale^2 diag(precision)^-1).
@@ -100,11 +73,16 @@ def sample_parameter(state: BanditState,
 
     A state may stack learners: `scale` then broadcasts against the
     arrays, one scale per learner, and the normals are one block in C
-    order over the entries whose scale is not 0. A `(rows, learners, m)`
-    stack with scales of shape `(learners, 1)` thus draws exactly what one
-    call per row and learner, in that order, would draw.
+    order over the entries whose scale is not 0 (drawn in the arrays'
+    shape when no scale is 0). A `(rows, learners, m)` stack with scales
+    of shape `(learners, 1)` thus draws exactly what one call per row and
+    learner, in that order, would draw.
     """
     sample = state.estimate   # a new array
+    if (np.asarray(state.scale) != 0.0).all():
+        z = rng.standard_normal(sample.shape)
+        sample += state.scale * (z / np.sqrt(state.precision))
+        return sample
     scale = np.broadcast_to(state.scale, sample.shape)
     live = scale != 0.0
     if live.any():
@@ -113,8 +91,9 @@ def sample_parameter(state: BanditState,
     return sample
 
 
-def select_super_arm(theta_sample: np.ndarray, candidates, k: int) -> SuperArm:
-    """Top-k candidate instants under the sampled parameter.
+def select_super_arm(theta_sample: np.ndarray, candidates, k: int) -> tuple:
+    """Top-k candidate instants under the sampled parameter, as a sorted
+    tuple.
 
     Linear super-arm value means the greedy top-k is exactly optimal over
     all size-k subsets. Ties break toward the lowest instant index.
@@ -125,7 +104,7 @@ def select_super_arm(theta_sample: np.ndarray, candidates, k: int) -> SuperArm:
     if k > len(cand):
         raise ValueError(f"k={k} exceeds {len(cand)} candidates")
     ordered = sorted(cand, key=lambda c: (-theta_sample[c], c))
-    return SuperArm(tuple(ordered[:k]))
+    return tuple(sorted(ordered[:k]))
 
 
 def _checked(state, mask, values, rows):
@@ -156,28 +135,3 @@ def update_day(state: BanditState, mask, values, rows=...) -> BanditState:
 # One rule for both learners; the strategy calls it under both names, and
 # perfbench/child.py wraps each name.
 update_pv = update_day
-
-
-def pseudo_regret(true_theta: np.ndarray, daily_selections, k) -> dict:
-    """Cumulative regret traces over a run of daily selections.
-
-    `daily_selections` is a sequence of (SuperArm, theta_hat_d) pairs; `k`
-    is the optimal super-arm size, an int or one value per day. Returns
-    cumulative traces under two scorings of the played arm:
-      "estimated": optimal true value minus the day's estimated played value
-      "true":      optimal true value minus the true played value
-    The "true" trace is non-decreasing by optimality of the best arm.
-    """
-    true_theta = np.asarray(true_theta, dtype=float)
-    n = len(daily_selections)
-    ks = [int(k)] * n if np.isscalar(k) else [int(x) for x in k]
-    if len(ks) != n:
-        raise ValueError("one k per day required")
-    est = np.zeros(n)
-    tru = np.zeros(n)
-    for d, ((arm, theta_hat_d), kd) in enumerate(zip(daily_selections, ks)):
-        best = select_super_arm(true_theta, range(true_theta.shape[0]), kd)
-        opt = best.value(true_theta)
-        est[d] = opt - arm.value(np.asarray(theta_hat_d, dtype=float))
-        tru[d] = opt - arm.value(true_theta)
-    return {"estimated": np.cumsum(est), "true": np.cumsum(tru)}

@@ -206,6 +206,11 @@ def parse_config(path, overrides=None) -> RunConfig:
                           "need 0 < v_min < v_max")
     if scen["fleet_size"] < 0:
         raise ConfigError("scenario.fleet_size: must be >= 0")
+    sites = (topo["sub_districts"] * topo["buses_per_feeder"]
+             * topo["households_per_bus"])
+    if scen["fleet_size"] > sites:
+        raise ConfigError(f"scenario.fleet_size: {scen['fleet_size']} "
+                          f"exceeds {sites} household sites")
     if scen["instants_per_day"] < 1:
         raise ConfigError("scenario.instants_per_day: must be >= 1")
     for key, value in (("scenario.household_load_w", scen["household_load_w"]),
@@ -222,6 +227,9 @@ def parse_config(path, overrides=None) -> RunConfig:
             raise ConfigError(f"scenario.ev.{key}: must be > 0")
     if not (0.0 < ev["eta_chrg"] <= 1.0):
         raise ConfigError("scenario.ev.eta_chrg: must be in (0, 1]")
+    for key in ("arrival_std_hour", "depart_std_hour"):
+        if ev[key] < 0.0:
+            raise ConfigError(f"scenario.ev.{key}: must be >= 0")
     if not (0.0 <= ev["soc_start"] <= ev["soc_target"] <= 1.0):
         raise ConfigError("scenario.ev.soc_start, scenario.ev.soc_target: "
                           "need 0 <= soc_start <= soc_target <= 1")

@@ -311,6 +311,18 @@ class Simulation:
             np.array([s.pv_efficiency for s in scenario.sites]),
             scenario.irradiance_profile[:, None])
         self._site_pv_w.flags.writeable = False
+        # The same PV as kWh per instant.
+        self._site_pv_kwh = self._site_pv_w / 1000.0 * self.delta_h
+        self._site_pv_kwh.flags.writeable = False
+        # Read-only household-load injections per (instant of day, bus):
+        # bincount adds its weights in order, so each bus sums its sites'
+        # loads in site order, from 0.
+        n_buses = self.net.n_buses
+        cell = np.arange(m)[:, None] * n_buses + self._bus_of_site
+        self._load_inj = np.bincount(
+            cell.ravel(), scenario.site_load_profiles.T.ravel(),
+            minlength=m * n_buses).reshape(m, n_buses)
+        self._load_inj.flags.writeable = False
         # EVs plugging in, and leaving after, each instant of day.
         t_arrive = np.array([p.t_arrive for p in scenario.fleet], dtype=np.int64)
         last = (t_arrive + self.fleet.window - 1) % m
@@ -319,10 +331,11 @@ class Simulation:
         # Plugged-in EVs by session start, then index: the order in which
         # their grid power enters the bus injections.
         self._order = np.zeros(0, dtype=np.int64)
-        # Injection bytes -> (converged, line crit, bus crit), read-only:
-        # the grid state depends only on the injections, which repeat
-        # across instants (flat household loads, no PV at night, replayed
-        # schedules), so each distinct vector is solved once.
+        # Injection bytes -> (converged, line crit, bus crit, any line crit,
+        # any bus crit), the arrays read-only: the grid state depends only
+        # on the injections, which repeat across instants (flat household
+        # loads, no PV at night, replayed schedules), so each distinct
+        # vector is solved once.
         self._grid_state = {}
 
         D = scenario.days
@@ -364,19 +377,20 @@ class Simulation:
         eta = fleet.eta_chrg[rows]
         e_bat = fleet.e_bat[rows]
         headroom = np.maximum(0.0, (1.0 - fleet.soc[rows]) * e_bat)
-        pv_in = np.minimum(pv_w / 1000.0 * dh, headroom)
+        pv_in = np.minimum(self._site_pv_kwh[i_day][sites], headroom)
         grid_in = np.minimum(eta * asked * dh, headroom - pv_in)
         grid_kw = np.where(grid_in > 0.0, grid_in / (eta * dh), 0.0)
-        fleet.soc[rows] += (pv_in + grid_in) / e_bat
+        stored = pv_in + grid_in
+        fleet.soc[rows] += stored / e_bat
         charged = grid_kw > 1e-12
-        days = fleet.day[rows]
-        self.cost[days, rows] += price * grid_kw * dh
-        self.grid_energy[days, rows] += grid_in
-        self.battery_energy[days, rows] += pv_in + grid_in
+        # The (session day, EV) cells of the accounts, as flat indices.
+        cells = fleet.day[rows] * len(self.ev_ids) + rows
+        self.cost.reshape(-1)[cells] += price * grid_kw * dh
+        self.grid_energy.reshape(-1)[cells] += grid_in
+        self.battery_energy.reshape(-1)[cells] += stored
 
         # Phase 3: power flow with household + EV - PV injections.
-        inj = np.zeros(net.n_buses)
-        np.add.at(inj, self._bus_of_site, sc.site_load_profiles[:, i_day])
+        inj = self._load_inj[i_day].copy()
         np.add.at(inj, self._ev_bus_idx[rows], grid_kw * 1000.0)
         pv_export_w = site_pv_w.copy()
         pv_export_w[sites] -= pv_in / dh * 1000.0
@@ -398,10 +412,11 @@ class Simulation:
                 bus_crit = np.zeros(net.n_buses)
             line_crit.flags.writeable = bus_crit.flags.writeable = False
             state = self._grid_state[key] = (sol.converged, line_crit,
-                                             bus_crit)
-        converged, line_crit, bus_crit = state
+                                             bus_crit, line_crit.any(),
+                                             bus_crit.any())
+        converged, line_crit, bus_crit, line_any, bus_any = state
         initial = []
-        if line_crit.any() or bus_crit.any():
+        if line_any or bus_any:
             grid_charging_evs = [fleet.ev_ids[i] for i in rows[charged]]
             n_targets = max(1, math.ceil(self.coop_fraction *
                                          max(1, len(grid_charging_evs))))
@@ -427,16 +442,15 @@ class Simulation:
         # Phase 5: feedback with same-instant criticalities; the requests
         # are held for the next decision.
         if rows.size:
-            crits = take_requests(fleet, received)
-            self.strategy.feedback(fleet, rows, charged, price, crits[rows],
-                                   pv_w)
+            crits = take_requests(fleet, rows, received)
+            self.strategy.feedback(fleet, rows, charged, price, crits, pv_w)
 
         # Violations are attributed to the global day (clipped to horizon);
         # a non-converged instant counts against both kinds.
         vday = min(day, sc.days - 1)
-        if line_crit.any():
+        if line_any:
             self.violations_current[vday] += 1
-        if not converged or bus_crit.any():
+        if not converged or bus_any:
             self.violations_voltage[vday] += 1
 
         trace = None

@@ -13,6 +13,7 @@ the topology, so one sweep costs a few numpy calls at any feeder depth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,33 +282,40 @@ def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
     how to score that instant.
     """
     p = net.injection_array(injections)
-    n = net.n_buses
     v_slack = complex(slack_voltage * net.v_base)
-    v = np.full(n, v_slack, dtype=complex)
+    v = np.full(net.n_buses, v_slack, dtype=complex)
     i_line = np.zeros(net.n_lines, dtype=complex)
+    below, below_start = net._below, net._below_start
+    above, above_start = net._above, net._above_start
+    non_slack = net._non_slack
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        v_new = np.full(n, v_slack, dtype=complex)
         # np.add.reduceat rejects empty index lists: a lone slack bus has
         # no line, so its voltage stays at v_slack.
-        if net.n_lines:
-            # Backward: each line carries the current drawn by its subtree.
-            i_acc = np.conj(p / v)
-            i_line = np.add.reduceat(i_acc[net._below], net._below_start)
-            # Forward: each bus sits below the drops along its slack path.
-            drop = net.impedance * i_line
-            v_new[net._non_slack] -= np.add.reduceat(drop[net._above],
-                                                      net._above_start)
-        if not np.isfinite(v_new).all():
-            v = np.where(np.isfinite(v_new), v_new, v)
-            break
-        dv = np.abs(v_new - v).max() / net.v_base
-        v = v_new
-        if dv < tol:
+        if not net.n_lines:
             converged = True
             break
+        # Backward: each line carries the current drawn by its subtree.
+        i_line = np.add.reduceat(np.conj(p / v)[below], below_start)
+        # Forward: each bus sits below the drops along its slack path; the
+        # slack bus keeps v_slack.
+        v_new = v_slack - np.add.reduceat((net.impedance * i_line)[above],
+                                          above_start)
+        dv = np.abs(v_new - v[non_slack]).max() / net.v_base
+        if dv < tol:
+            v[non_slack] = v_new
+            converged = True
+            break
+        # A non-finite voltage makes dv non-finite, so only a failed test
+        # needs the finiteness pass.
+        if not math.isfinite(dv):
+            finite = np.isfinite(v_new)
+            if not finite.all():
+                v[non_slack[finite]] = v_new[finite]
+                break
+        v[non_slack] = v_new
 
     return PowerFlowSolution(
         bus_voltages=np.abs(v) / net.v_base,
@@ -316,26 +324,6 @@ def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
         iterations=iterations,
         v_complex=v,
     )
-
-
-def power_mismatch(net: NetworkTopology, solution: PowerFlowSolution,
-                   injections) -> float:
-    """Worst per-unit complex-power residual of a solution (base v_base^2 VA).
-
-    Recomputes each non-slack bus's net injection from the complex voltages
-    and compares against the specified active powers (reactive spec is 0).
-    """
-    p = net.injection_array(injections)
-    v = solution.v_complex
-    i_line = (v[net.line_from] - v[net.line_to]) / net.impedance
-    i_net = np.zeros(net.n_buses, dtype=complex)
-    np.add.at(i_net, net.line_to, i_line)
-    np.subtract.at(i_net, net.line_from, i_line)
-    s = v * np.conj(i_net)
-    mismatch = s - p
-    root = net.bus_index[net.slack_bus_id]
-    mismatch[root] = 0.0
-    return float(np.max(np.abs(mismatch)) / net.v_base**2)
 
 
 def pv_power(area, efficiency, irradiance):

@@ -64,7 +64,9 @@ class AmasStrategy(Strategy):
     """Per-EV combinatorial linear Thompson Sampling with cooperation.
 
     Each learner of the fleet is one `BanditState` of `(n_ev, m)` matrices,
-    one row per EV in fleet order: `bandit` (reward) and `pv`.
+    one row per EV in fleet order: `bandit` (reward) and `pv`. Once
+    attached, both are views of one `(n_ev, 2, m)` stack, so a session
+    start gathers its rows of both learners in one step.
     """
 
     def __init__(self, alpha=0.5, beta=360.0):
@@ -73,6 +75,7 @@ class AmasStrategy(Strategy):
         self.ev_ids = None     # fleet order of the learner rows
         self.bandit = None     # reward learner
         self.pv = None         # PV learner
+        self._both = None      # both learners as one (n_ev, 2, m) stack
         self.days_completed = 0
 
     def attach(self, fleet):
@@ -85,16 +88,22 @@ class AmasStrategy(Strategy):
         elif (self.ev_ids != fleet.ev_ids
               or self.bandit.precision.shape[1] != fleet.m):
             raise ValueError("the learner rows do not match the fleet")
+        precision = np.stack((self.bandit.precision, self.pv.precision),
+                             axis=1)
+        response = np.stack((self.bandit.response, self.pv.response), axis=1)
+        self._both = BanditState(precision, response,
+                                 np.array([[self.alpha], [self.beta]],
+                                          dtype=float))
+        self.bandit = BanditState(precision[:, 0], response[:, 0],
+                                  self.bandit.scale)
+        self.pv = BanditState(precision[:, 1], response[:, 1], self.pv.scale)
 
     def session_start(self, fleet, rows, rng):
         # One block draw, row by row, theta before phi.
-        both = BanditState(
-            np.stack((self.bandit.precision[rows], self.pv.precision[rows]),
-                     axis=1),
-            np.stack((self.bandit.response[rows], self.pv.response[rows]),
-                     axis=1),
-            np.array([[self.alpha], [self.beta]], dtype=float))
-        sample = sample_parameter(both, rng)
+        both = self._both
+        sample = sample_parameter(
+            BanditState(both.precision[rows], both.response[rows],
+                        both.scale), rng)
         fleet.hold_samples(rows, sample[:, 0], sample[:, 1])
 
     def decide(self, fleet, rows, delta_i):

@@ -10,17 +10,18 @@ import json
 import numpy as np
 import pytest
 
-from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState, SuperArm,
-                               pseudo_regret, select_super_arm, update_day)
+from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState,
+                               select_super_arm, update_day)
 from gridcharge.cli import main
 from gridcharge.engine import (EvParams, ScenarioConfig, Simulation,
                                generate_scenario)
 from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
-                                power_mismatch, solve_power_flow)
+                                solve_power_flow)
 from gridcharge.metrics import fairness_index, mean_daily_reward, per_unit_costs
 from gridcharge.agents import EvProfile, Fleet, required_instants
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
                                    UncontrolledStrategy, centralized_oracle)
+from helpers import SuperArm, power_mismatch, pseudo_regret
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = ""):
@@ -153,7 +154,7 @@ def test_criterion_5_bandit_correctness():
         m = int(rng.integers(2, 13))
         theta = rng.normal(size=m)
         k = int(rng.integers(0, min(4, m) + 1))
-        arm = select_super_arm(theta, range(m), k)
+        arm = SuperArm(select_super_arm(theta, range(m), k))
         best = max((sum(theta[list(c)])
                     for c in itertools.combinations(range(m), k)),
                    default=0.0)

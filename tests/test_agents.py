@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcharge import agents
 from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet,
                                bus_criticality, ev_decide, ev_record,
                                ev_reward, forward_request, line_criticality,
@@ -188,7 +189,7 @@ def decide(fleet, now, requests):
     """ev_decide for the one-row fleet at local instant `now`, with the
     requests it received the instant before."""
     fleet.now[0] = now
-    take_requests(fleet, {fleet.ev_ids[0]: requests})
+    take_requests(fleet, [0], {fleet.ev_ids[0]: requests})
     return float(ev_decide(fleet, [0], 15.0)[0])
 
 
@@ -328,6 +329,57 @@ class TestEvDecide:
                        now)
             picked = now in select_super_arm(theta[r], range(now, w), k_f)
             assert got[r] == picked
+
+
+def beaten_by_double_loop(theta, windows, m):
+    """For each row and local instant l inside its window, the later
+    instants of the window with a strictly larger theta; 0 elsewhere."""
+    out = np.zeros((len(windows), m), dtype=np.int64)
+    for r, w in enumerate(windows):
+        for l in range(w):
+            out[r, l] = sum(theta[r, j] > theta[r, l] for j in range(l + 1, w))
+    return out
+
+
+class TestRankTable:
+    @pytest.mark.parametrize("chunk", [agents.RANK_CHUNK, 1],
+                             ids=["one-chunk", "row-chunks"])
+    @pytest.mark.parametrize("m", [1, 5, 24])
+    def test_matches_double_loop(self, monkeypatch, m, chunk):
+        # Heavy ties: theta takes three values. Windows of 1, of m, and in
+        # between; columns past a window hold a theta that would beat
+        # every instant inside it.
+        monkeypatch.setattr(agents, "RANK_CHUNK", chunk)
+        rng = np.random.default_rng(m)
+        windows = [1, m, *rng.integers(1, m + 1, size=6).tolist()]
+        fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
+                       for r, w in enumerate(windows)], m)
+        rows = np.arange(len(windows))
+        theta = rng.choice([-0.5, 0.0, 0.5], size=(len(windows), m))
+        held = np.where(np.arange(m) < np.array(windows)[:, None], theta,
+                        9.0)
+        fleet.plug_in(rows, 0)
+        fleet.hold_samples(rows, held, np.zeros((len(windows), m)))
+        assert (fleet.beaten_by
+                == beaten_by_double_loop(theta, windows, m)).all()
+
+    def test_new_rows_leave_other_rows_alone(self):
+        m = 12
+        windows = [12, 3, 7, 9]
+        fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
+                       for r, w in enumerate(windows)], m)
+        rng = np.random.default_rng(5)
+        theta = rng.choice([0.0, 1.0], size=(4, m))
+        fleet.plug_in([0, 1, 2, 3], 0)
+        fleet.hold_samples([0, 1, 2, 3], theta, np.zeros((4, m)))
+        first = fleet.beaten_by.copy()
+        # Rows 1 and 3 start a new session with short windows' maximum 9.
+        again = rng.choice([0.0, 1.0], size=(2, m))
+        fleet.plug_in([3, 1], 1)
+        fleet.hold_samples([3, 1], again, np.zeros((2, m)))
+        want = beaten_by_double_loop(again, [9, 3], m)
+        assert (fleet.beaten_by[[3, 1]] == want).all()
+        assert (fleet.beaten_by[[0, 2]] == first[[0, 2]]).all()
 
 
 class TestEvRecord:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState, SuperArm,
-                               pseudo_regret, sample_parameter,
-                               select_super_arm, update_day, update_pv)
+from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState,
+                               sample_parameter, select_super_arm, update_day,
+                               update_pv)
 from gridcharge.strategies import AmasStrategy
+from helpers import SuperArm, pseudo_regret
 
 
 def brute_force_top_k(theta, candidates, k):
@@ -157,7 +158,7 @@ class TestFleetLearners:
 class TestSelectSuperArm:
     def test_spec_example(self):
         arm = select_super_arm(np.array([0.9, 0.1, 0.5, 0.7]), {0, 1, 2, 3}, 2)
-        assert set(arm.instants) == {0, 3}
+        assert arm == (0, 3)
 
     def test_k_zero(self):
         arm = select_super_arm(np.array([1.0, 2.0]), {0, 1}, 0)
@@ -165,7 +166,7 @@ class TestSelectSuperArm:
 
     def test_all_candidates_forced(self):
         arm = select_super_arm(np.array([0.0, 0.0, -1.0, -2.0]), {2, 3}, 2)
-        assert set(arm.instants) == {2, 3}
+        assert arm == (2, 3)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -173,7 +174,12 @@ class TestSelectSuperArm:
 
     def test_tie_breaks_to_lowest_index(self):
         arm = select_super_arm(np.array([0.5, 0.5, 0.5, 0.5]), range(4), 2)
-        assert arm.instants == (0, 1)
+        assert arm == (0, 1)
+
+    def test_returns_sorted_instants(self):
+        arm = select_super_arm(np.array([0.1, 0.2, 0.9, 0.4, 0.7]), range(5),
+                               3)
+        assert arm == (2, 3, 4)
 
     def test_matches_enumeration_randomized(self):
         rng = np.random.default_rng(42)
@@ -183,7 +189,7 @@ class TestSelectSuperArm:
             n_cand = int(rng.integers(1, m + 1))
             candidates = set(rng.choice(m, size=n_cand, replace=False).tolist())
             k = int(rng.integers(0, min(4, n_cand) + 1))
-            arm = select_super_arm(theta, candidates, k)
+            arm = SuperArm(select_super_arm(theta, candidates, k))
             assert arm.value(theta) == pytest.approx(
                 sum(theta[i] for i in brute_force_top_k(theta, candidates, k)),
                 abs=1e-12)
@@ -200,8 +206,7 @@ class TestSelectSuperArm:
         base = select_super_arm(theta, range(m), k)
         permuted = select_super_arm(theta[perm], range(m), k)
         inv = np.argsort(perm)
-        assert {int(inv[i]) for i in base.instants} == \
-            {int(p) for p in permuted.instants}
+        assert {int(inv[i]) for i in base} == {int(p) for p in permuted}
 
 
 class TestSuperArm:

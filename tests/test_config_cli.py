@@ -217,6 +217,11 @@ class TestValidateCommand:
         ("scenario:\n  topology:\n    households_per_bus: 0\n",
          "scenario.topology.households_per_bus"),
         ("scenario:\n  fleet_size: -1\n", "scenario.fleet_size"),
+        ("scenario:\n  fleet_size: 60\n", "scenario.fleet_size"),
+        ("scenario:\n  ev:\n    arrival_std_hour: -1.0\n",
+         "scenario.ev.arrival_std_hour"),
+        ("scenario:\n  ev:\n    depart_std_hour: -0.5\n",
+         "scenario.ev.depart_std_hour"),
         ("scenario:\n  instants_per_day: 0\n", "scenario.instants_per_day"),
         ("scenario:\n  topology:\n    line_resistance: 0\n"
          "    line_reactance: 0\n",
@@ -238,6 +243,8 @@ class TestValidateCommand:
             "trunk_rating-zero", "v_min-above-v_max", "v_min-zero",
             "sub_districts-zero", "buses_per_feeder-zero",
             "households_per_bus-zero", "fleet_size-negative",
+            "fleet_size-above-sites", "arrival_std-negative",
+            "depart_std-negative",
             "instants_per_day-zero", "line-impedance-zero",
             "trunk-impedance-zero", "line-resistance-negative",
             "trunk-resistance-negative"])

@@ -413,7 +413,7 @@ class TestGridStateMemo:
 
     def test_cached_criticalities_are_read_only(self, run):
         _, sim, _, _ = run
-        for _, line_crit, bus_crit in sim._grid_state.values():
+        for _, line_crit, bus_crit, _, _ in sim._grid_state.values():
             for crit in (line_crit, bus_crit):
                 with pytest.raises(ValueError, match="read-only"):
                     crit[0] = 1.0

@@ -11,6 +11,10 @@ sub-districts over 2 days, the uncontrolled fleet with 24 current and 18
 voltage violation instants. Their charging decisions run through the same
 per-instant kernel as the learner's.
 
+One more run repeats the first config with `bandit: {alpha: 0}`: every
+sampled theta is the prior mean, so every instant ties and the top-k
+choice rests on the tie rule alone (toward the lowest instant).
+
 Each run works in a temporary directory with relative config and output
 paths, so `manifest.json` is hashed as written, like the other files.
 The digests depend on this numpy build: floating-point results of the
@@ -59,6 +63,27 @@ DIGESTS = {
         "0d8a4217c7cb0b17bcea7bf65907dfb0dd982b9782f0034f7c1fdc4aad60cc01",
     "summary.json":
         "1139a8ca97088d4b4804d78576b590838ff922fe124be8355fd9f637375f6aeb",
+}
+
+# The first config with every sampled theta tied, computed before the
+# per-session rank table replaced the per-instant top-k count.
+TIED_CONFIG = CONFIG + "bandit: {alpha: 0}\n"
+
+TIED_DIGESTS = {
+    "checkpoint.json":
+        "60ab177dad58ca745a1f07cf0bd82d404b963575611b019a227e2508bfa3169f",
+    "manifest.json":
+        "d0a3997551d6a383e8c395a68b0902db097e0d1fb6385ba5a81139fb08c46fe2",
+    "metrics_daily.csv":
+        "d9b6ed2355eacefb42dc8034e23eb88d4e59893f8ca6ff1eb85038cf679f9846",
+    "metrics_per_ev.csv":
+        "d1607fd9e673c4a13365661d7b387e7c29a1d42efc275bf3183ede5dbb0d6a2e",
+    "plot_cost_bars.csv":
+        "70e6139a76eac2a7b8d36b6cdb276be4f07a4120fde555f3903ba1225b13a93c",
+    "plot_reward_vs_day.csv":
+        "e439abf44995155579c27f4c572805170210a9b87ec474f31cbcc3be40c7032e",
+    "summary.json":
+        "19534fb826801511376fe57da0120e26c82e207fe1528bd27536a72b3239c5c4",
 }
 
 
@@ -129,6 +154,10 @@ def run_digests(tmp_path, monkeypatch, config):
 
 def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert run_digests(tmp_path, monkeypatch, CONFIG) == DIGESTS
+
+
+def test_tied_theta_outputs_match_golden_digests(tmp_path, monkeypatch):
+    assert run_digests(tmp_path, monkeypatch, TIED_CONFIG) == TIED_DIGESTS
 
 
 @pytest.mark.parametrize("strategy", sorted(BASELINE_DIGESTS))

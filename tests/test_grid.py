@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
                                 TopologyError, build_replicated_feeder,
-                                power_mismatch, pv_power, solve_power_flow)
+                                pv_power, solve_power_flow)
+from helpers import power_mismatch
 
 
 @st.composite
