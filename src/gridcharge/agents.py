@@ -172,9 +172,11 @@ def rank_table(theta, width: int) -> np.ndarray:
         cols = np.arange(width)
         later = cols > cols[:, None]                 # [l, l'] = l' > l
         step = max(1, RANK_CHUNK // (width * width))
+        buf = np.empty((min(step, len(theta)), width, width), dtype=bool)
         for lo in range(0, len(theta), step):
             t = theta[lo:lo + step, :width]
-            beats = t[:, None, :] > t[:, :, None]    # [r, l, l']
+            beats = np.greater(t[:, None, :], t[:, :, None],
+                               out=buf[:len(t)])     # [r, l, l']
             beats &= later
             out[lo:lo + step, :width] = beats.sum(axis=2)
     return out
