@@ -253,11 +253,12 @@ def ev_reward(cr_ev, neighbor_criticalities):
     """Charging reward: -max of the nonzero neighborhood criticalities when
     any exist, else one minus the normalized electricity cost.
 
-    The criticalities run along the last axis: a matrix, zero-padded,
-    gives one reward per row.
+    The cost is one float for every row: the instant's price, which
+    `engine.Scenario` range-checks once. The criticalities run along the
+    last axis: a matrix, zero-padded, gives one reward per row.
     """
-    cost = np.asarray(cr_ev)
-    if not ((0.0 <= cost) & (cost <= 1.0)).all():
+    cost = float(cr_ev)
+    if not 0.0 <= cost <= 1.0:
         raise ValueError("EV criticality (normalized cost) must be in [0, 1]")
     crits = np.asarray(neighbor_criticalities, dtype=float)
     if crits.shape[-1:] == (0,):   # none received: no maximum to take

@@ -22,7 +22,7 @@ from .agents import (CriticalityRequest, EvProfile, Fleet, bus_criticality,
                      forward_request, line_criticality,
                      sample_cooperation_targets, take_requests)
 from .gridnet import (FeederSpec, NetworkTopology, build_replicated_feeder,
-                      pv_power, solve_power_flow)
+                      certainly_within_limits, pv_power, solve_power_flow)
 
 __all__ = [
     "EvParams",
@@ -105,6 +105,11 @@ class Scenario:
         for name in ("price_profile", "irradiance_profile"):
             if getattr(self, name).shape != (self.m,):
                 raise ScenarioError(f"{name} must have length m={self.m}")
+        # The price is the EV's normalized cost, which `ev_reward` takes
+        # as a plain float in [0, 1].
+        if not ((0.0 <= self.price_profile)
+                & (self.price_profile <= 1.0)).all():
+            raise ScenarioError("price_profile must lie in [0, 1]")
 
 
 def default_price_profile(m: int) -> np.ndarray:
@@ -335,8 +340,12 @@ class Simulation:
         # any bus crit), the arrays read-only: the grid state depends only
         # on the injections, which repeat across instants (flat household
         # loads, no PV at night, replayed schedules), so each distinct
-        # vector is solved once.
+        # vector is solved once. A vector certified within limits shares
+        # one all-clear entry and is not solved at all.
         self._grid_state = {}
+        line_ok, bus_ok = np.zeros(self.net.n_lines), np.zeros(n_buses)
+        line_ok.flags.writeable = bus_ok.flags.writeable = False
+        self._all_clear = (True, line_ok, bus_ok, False, False)
 
         D = scenario.days
         n = len(scenario.fleet)
@@ -399,6 +408,8 @@ class Simulation:
         # Phase 4: sensing, request creation, flooding to quiescence.
         key = inj.tobytes()
         state = self._grid_state.get(key)
+        if state is None and certainly_within_limits(net, inj):
+            state = self._grid_state[key] = self._all_clear
         if state is None:
             sol = solve_power_flow(net, inj)
             if sol.converged:

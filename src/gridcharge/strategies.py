@@ -19,7 +19,7 @@ from .agents import EvProfile, Fleet, ev_record, required_instants
 from .bandit import (REWARD_PRIOR_MEAN, BanditState, sample_parameter,
                      update_day, update_pv)
 from .engine import Scenario
-from .gridnet import pv_power, solve_power_flow
+from .gridnet import certainly_within_limits, pv_power, solve_power_flow
 
 __all__ = [
     "Strategy",
@@ -184,16 +184,25 @@ class UncontrolledStrategy(Strategy):
 
 class ScheduleStrategy(Strategy):
     """Replays fixed per-EV schedules (local-instant booleans). A session's
-    theta row holds its schedule: 1 at planned instants."""
+    theta row holds its schedule: 1 at planned instants.
+
+    Once attached, the schedules are one `(n_ev, m)` boolean matrix in
+    fleet order, so a session start copies its rows in one step.
+    """
 
     def __init__(self, schedules: dict):
         self.schedules = {ev: np.asarray(s, dtype=bool)
                           for ev, s in schedules.items()}
+        self.plans = None
+
+    def attach(self, fleet):
+        self.plans = np.zeros((len(fleet.ev_ids), fleet.m), dtype=bool)
+        for row, ev in enumerate(fleet.ev_ids):
+            plan = self.schedules.get(ev, ())[:fleet.m]
+            self.plans[row, :len(plan)] = plan
 
     def session_start(self, fleet, rows, rng):
-        for idx in rows:
-            plan = self.schedules.get(fleet.ev_ids[idx], ())[:fleet.m]
-            fleet.theta[idx, :len(plan)] = plan
+        fleet.theta[rows] = self.plans[rows]
 
     def decide(self, fleet, rows, delta_i):
         planned = fleet.theta[rows, fleet.now[rows]] > 0.0
@@ -217,8 +226,9 @@ class _FeasibilityChecker:
     Base injections assume every connected EV absorbs its site's PV output
     (the engine's behavior away from a full battery). A verdict depends
     only on the injection vector, and candidates repeat vectors (flat
-    household loads, no PV at night), so each distinct vector is solved
-    once and its verdict kept by its bytes.
+    household loads, no PV at night), so each distinct vector is judged
+    once and its verdict kept by its bytes. A vector certified within
+    limits is not solved.
     """
 
     def __init__(self, scenario: Scenario):
@@ -257,13 +267,17 @@ class _FeasibilityChecker:
         ok = self._verdicts.get(key)
         if ok is None:
             net = self.sc.topology
-            sol = solve_power_flow(net, inj)
-            ok = self._verdicts[key] = bool(
-                sol.converged
-                and not agents.line_criticality(sol.line_currents,
-                                                net.i_rated).any()
-                and not agents.bus_criticality(sol.bus_voltages, net.v_min,
-                                               net.v_max).any())
+            ok = certainly_within_limits(net, inj)
+            if not ok:
+                sol = solve_power_flow(net, inj)
+                ok = bool(
+                    sol.converged
+                    and not agents.line_criticality(sol.line_currents,
+                                                    net.i_rated).any()
+                    and not agents.bus_criticality(sol.bus_voltages,
+                                                   net.v_min,
+                                                   net.v_max).any())
+            self._verdicts[key] = ok
         return ok
 
     def feasible(self, i_day: int, charging_ev_ids) -> bool:

@@ -16,7 +16,8 @@ from gridcharge.engine import (EvParams, ProfileError, Scenario,
                                flood_requests, generate_scenario,
                                ingest_profile)
 from gridcharge.gridnet import (FeederSpec, NetworkTopology,
-                                build_replicated_feeder, solve_power_flow)
+                                build_replicated_feeder,
+                                certainly_within_limits, solve_power_flow)
 from gridcharge.strategies import AmasStrategy, UncontrolledStrategy
 from test_grid import radial_trees
 
@@ -140,6 +141,13 @@ class TestGenerateScenario:
     def test_fleet_larger_than_sites_rejected(self):
         with pytest.raises(ScenarioError):
             generate_scenario(small_config(fleet_size=100), 1, 1)
+
+    @pytest.mark.parametrize("bad", [1.2, -0.1, np.nan])
+    def test_price_outside_unit_range_rejected(self, bad):
+        price = np.full(96, 0.5)
+        price[3] = bad
+        with pytest.raises(ScenarioError, match="price_profile"):
+            generate_scenario(small_config(price_profile=price), 1, 1)
 
     def test_overnight_windows_never_wrap(self):
         sc = generate_scenario(ScenarioConfig(fleet_size=55), 1, 3)
@@ -388,10 +396,16 @@ class TestGridStateMemo:
         return sc, sim, sim.run(), solved
 
     def test_solves_each_distinct_injection_once(self, run):
-        _, _, res, solved = run
-        rows = [t.injections.tobytes() for t in res.traces]
-        assert len(rows) > len(solved)   # instants repeat injections
-        assert solved == list(dict.fromkeys(rows))
+        # Once per distinct vector that the certificate does not clear.
+        sc, sim, res, solved = run
+        rows = [t.injections for t in res.traces]
+        distinct = list(dict.fromkeys(inj.tobytes() for inj in rows))
+        cleared = {inj.tobytes() for inj in rows
+                   if certainly_within_limits(sc.topology, inj)}
+        assert len(rows) > len(distinct)   # instants repeat injections
+        assert cleared                     # and some are never solved
+        assert solved == [key for key in distinct if key not in cleared]
+        assert all(sim._grid_state[key] is sim._all_clear for key in cleared)
 
     def test_traces_and_violations_match_fresh_solves(self, run):
         sc, _, res, _ = run
@@ -417,6 +431,14 @@ class TestGridStateMemo:
             for crit in (line_crit, bus_crit):
                 with pytest.raises(ValueError, match="read-only"):
                     crit[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_injections_raise(self, bad):
+        sc = generate_scenario(small_config(), 1, 7)
+        sc.site_load_profiles[0, 0] = bad
+        sim = Simulation(sc, UncontrolledStrategy())
+        with pytest.raises(ValueError, match="finite"):
+            sim.run_instant(0)
 
 
 class TestIngestProfile:

@@ -1,5 +1,6 @@
 """Network topology and power-flow tests against closed-form oracles."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
                                 TopologyError, build_replicated_feeder,
-                                pv_power, solve_power_flow)
+                                certainly_within_limits, pv_power,
+                                solve_power_flow)
 from helpers import power_mismatch
 
 
@@ -29,6 +31,21 @@ def radial_trees(draw, max_buses=16):
         ends = (child, up) if flip[k] else (up, child)
         lines.append(Line(f"l{k}", *ends, 0.01, 0.005, 1000.0))
     return [Bus(f"b{i}") for i in range(n)], lines, name[0]
+
+
+@st.composite
+def limited_trees(draw):
+    """A `radial_trees` network with random line impedances and ratings and
+    random bus voltage bands. Returns a NetworkTopology."""
+    buses, lines, slack = draw(radial_trees())
+    lines = [replace(l, resistance=draw(st.floats(1e-4, 0.05)),
+                     reactance=draw(st.floats(0.0, 0.05)),
+                     i_rated=draw(st.floats(5.0, 500.0)))
+             for l in lines]
+    buses = [replace(b, v_min=draw(st.floats(0.8, 0.99)),
+                     v_max=draw(st.floats(1.01, 1.2)))
+             for b in buses]
+    return NetworkTopology(buses, lines, slack)
 
 
 # Solution of the 46-bus case in `TestSegmentSums.test_pinned_trajectory`
@@ -63,9 +80,10 @@ PINNED_46_CURRENTS = [
 ]
 
 
-def two_bus_net(r=0.1, x=0.0, v_base=230.0, rating=100.0):
+def two_bus_net(r=0.1, x=0.0, v_base=230.0, rating=100.0, v_min=0.95,
+                v_max=1.05):
     return NetworkTopology(
-        buses=[Bus("slack"), Bus("load")],
+        buses=[Bus("slack", v_min, v_max), Bus("load", v_min, v_max)],
         lines=[Line("l0", "slack", "load", r, x, rating)],
         slack_bus_id="slack",
         v_base=v_base,
@@ -209,6 +227,91 @@ class TestSegmentSums:
                                    rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(sol.line_currents, PINNED_46_CURRENTS,
                                    rtol=1e-9, atol=0.0)
+
+
+class TestCertificate:
+    """`certainly_within_limits` against the solve as an independent
+    oracle: True must mean a converged solve inside every limit."""
+
+    @given(net=limited_trees(), data=st.data())
+    def test_certified_vectors_solve_within_limits(self, net, data):
+        scale = data.draw(st.sampled_from([10.0, 100.0, 1e3, 1e4]))
+        p = np.array(data.draw(st.lists(
+            st.floats(-scale, scale), min_size=net.n_buses,
+            max_size=net.n_buses)))
+        slack = net.bus_index[net.slack_bus_id]
+        # The slack bus's band edges too, where rounding decides.
+        slack_voltage = data.draw(st.one_of(
+            st.floats(0.9, 1.1),
+            st.sampled_from([net.v_min[slack], net.v_max[slack]])))
+        if not certainly_within_limits(net, p, slack_voltage):
+            return
+        sol = solve_power_flow(net, p, slack_voltage=slack_voltage)
+        assert sol.converged
+        assert (sol.line_currents <= net.i_rated).all()
+        assert (net.v_min <= sol.bus_voltages).all()
+        assert (sol.bus_voltages <= net.v_max).all()
+
+    def test_clears_light_loads_on_the_feeders(self):
+        for spec in (FeederSpec(), FeederSpec(sub_districts=4)):
+            net = build_replicated_feeder(spec)
+            assert certainly_within_limits(net, np.zeros(net.n_buses))
+            assert certainly_within_limits(net, np.full(net.n_buses, 1500.0))
+            assert certainly_within_limits(net, np.full(net.n_buses, -900.0))
+
+    def test_past_the_deliverable_limit(self):
+        # Resistive two-bus feeder: no solution beyond V1^2 / (4 R).
+        net = two_bus_net(rating=1e6)
+        p = [0.0, 1.2 * 230.0**2 / (4 * 0.1)]
+        assert not certainly_within_limits(net, p)
+        assert not solve_power_flow(net, p).converged
+
+    def test_contraction_alone_refuses(self):
+        # v_lo = 23 V: at 3 kW, q = 0.1 * 3000 / 23^2 = 0.57 > 1/2, while
+        # the ball, the convergence bound and every limit hold. The solve
+        # itself is well inside the limits.
+        net = two_bus_net(rating=1e4, v_min=0.1, v_max=2.0)
+        assert certainly_within_limits(net, [0.0, 2000.0])   # q = 0.38
+        assert not certainly_within_limits(net, [0.0, 3000.0])
+        sol = solve_power_flow(net, [0.0, 3000.0])
+        assert sol.converged and sol.bus_voltages[1] > 0.99
+
+    def test_slack_voltage_outside_band(self):
+        net = two_bus_net()
+        assert certainly_within_limits(net, [0.0, 0.0], 1.04)
+        assert not certainly_within_limits(net, [0.0, 0.0], 1.06)
+        assert not certainly_within_limits(net, [0.0, 0.0], 0.94)
+
+    def test_margin_at_the_limits(self):
+        # v_lo = 0.5 * 256 = 128 V, so 1280 W puts the line bound S / v_lo
+        # exactly at the 10 A rating; the slack voltage sits exactly at a
+        # band edge. Both are within the limits, but not by the margin.
+        net = two_bus_net(v_base=256.0, rating=10.0, v_min=0.5)
+        assert certainly_within_limits(net, [0.0, 1279.0])
+        assert not certainly_within_limits(net, [0.0, 1280.0])
+        assert certainly_within_limits(net, [0.0, 0.0], 1.0)
+        assert not certainly_within_limits(net, [0.0, 0.0], 1.05)
+        assert not certainly_within_limits(net, [0.0, 0.0], 0.5)
+
+    def test_lone_slack_bus(self):
+        net = NetworkTopology([Bus("s")], [], "s")
+        assert certainly_within_limits(net, [5.0])
+        assert not certainly_within_limits(net, [5.0], 1.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_injections_raise(self, bad):
+        net = two_bus_net()
+        for at in (0, 1):   # the slack bus's injection is checked too
+            p = np.zeros(2)
+            p[at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                certainly_within_limits(net, p)
+
+    def test_wrong_shape_rejected_as_by_the_solve(self):
+        net = two_bus_net()
+        for p in (np.zeros(3), np.zeros((1, 2))):
+            with pytest.raises(ValueError, match=r"\(n_buses,\)"):
+                certainly_within_limits(net, p)
 
 
 class TestFeederGenerator:

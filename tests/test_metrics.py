@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from gridcharge import strategies
 from gridcharge.agents import Fleet, required_instants
 from gridcharge.engine import (ScenarioConfig, Simulation, generate_scenario)
-from gridcharge.gridnet import FeederSpec, solve_power_flow
+from gridcharge.gridnet import (FeederSpec, certainly_within_limits,
+                                solve_power_flow)
 from gridcharge.metrics import (convergence_day, fairness_index,
                                 mean_daily_reward, per_unit_costs)
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
@@ -209,12 +210,16 @@ class TestCentralizedOracle:
          lambda: tiny_scenario(n_ev=2, rating=40.0, soc_target=0.53)),
     ])
     def test_solves_each_distinct_row_once(self, monkeypatch, mode, make):
-        checked, solved = [], []
+        # Once per distinct row that the certificate does not clear.
+        sc = make()
+        checked, cleared, solved = [], set(), []
         within_limits = _FeasibilityChecker.within_limits
         solve = strategies.solve_power_flow
 
         def record_check(self, inj):
             checked.append(inj.tobytes())
+            if certainly_within_limits(sc.topology, inj):
+                cleared.add(inj.tobytes())
             return within_limits(self, inj)
 
         def record_solve(net, inj, **kw):
@@ -224,9 +229,19 @@ class TestCentralizedOracle:
         monkeypatch.setattr(_FeasibilityChecker, "within_limits",
                             record_check)
         monkeypatch.setattr(strategies, "solve_power_flow", record_solve)
-        centralized_oracle(make(), mode=mode)
-        assert len(checked) > len(solved)   # rows repeat
-        assert solved == list(dict.fromkeys(checked))
+        centralized_oracle(sc, mode=mode)
+        distinct = list(dict.fromkeys(checked))
+        assert len(checked) > len(distinct)   # rows repeat
+        assert cleared                        # and some are never solved
+        assert solved == [key for key in distinct if key not in cleared]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_raises(self, bad):
+        sc = tiny_scenario()
+        inj = np.zeros(sc.topology.n_buses)
+        inj[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _FeasibilityChecker(sc).within_limits(inj)
 
     def test_zero_evs(self):
         sc = tiny_scenario(n_ev=0)
