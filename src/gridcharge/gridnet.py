@@ -190,15 +190,13 @@ class NetworkTopology:
         self.i_rated = np.array([l.i_rated for l in self.lines])
         self.v_min = np.array([b.v_min for b in self.buses])
         self.v_max = np.array([b.v_max for b in self.buses])
-        # The limits as `certainly_within_limits` tests them, margins
-        # included.
+        # The plain limits `certainly_within_limits` tests, in volt and
+        # watt; it applies the margins itself.
         self._v_lo = self.v_min.max() * self.v_base
         self._abs_impedance = np.abs(self.impedance)
-        self._line_cap = (self._v_lo * (1.0 - CERTIFICATE_MARGIN)
-                          * self.i_rated)
+        self._line_cap = self._v_lo * self.i_rated   # bound on S_l
         self._bus_cap = self.v_max[self._non_slack] * self.v_base
-        self._slack_band = (self.v_min[root] * (1.0 + CERTIFICATE_MARGIN),
-                            self.v_max[root] * (1.0 - CERTIFICATE_MARGIN))
+        self._slack_band = (self.v_min[root], self.v_max[root])
 
     @property
     def n_buses(self):
@@ -349,10 +347,9 @@ def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
     )
 
 
-def certainly_within_limits(net: NetworkTopology, injections,
-                            slack_voltage=1.0) -> bool:
-    """Whether `solve_power_flow(net, injections, slack_voltage)`, with its
-    default `tol` and `max_iter`, surely converges with no line above its
+def certainly_within_limits(net: NetworkTopology, injections) -> bool:
+    """Whether `solve_power_flow(net, injections)`, with its default slack
+    voltage, `tol` and `max_iter`, surely converges with no line above its
     rating and every bus inside its voltage band.
 
     True is a proof; False only means "not proven", and the caller solves.
@@ -361,23 +358,23 @@ def certainly_within_limits(net: NetworkTopology, injections,
 
     Proof. Let S_l be the sum of |p_b| over the buses below line l,
     v_lo = max(v_min) * v_base, and d_b the sum of |Z_l| * S_l / v_lo over
-    the lines above bus b; v_s is the slack voltage in volt. The sweep
-    iterates T(v) = v_s - D conj(p / v) from the flat start v = v_s, where
-    D sums the impedances of the lines two buses share on their paths to
-    the slack. Take the ball B = {v : |v_b - v_s| <= d_b for every b} and
-    let max d <= v_s - v_lo. On B every |v_b| >= v_lo, so line l carries
-    at most S_l / v_lo and T(v) lies in B again: every iterate stays in B,
-    and every line current computed from one is at most S_l / v_lo. On B
-    also |conj(p/v) - conj(p/w)| <= |p| |v - w| / v_lo^2, so T contracts
-    the max-norm by q = max d / v_lo, and the k-th sweep changes the
-    voltages by at most q^(k-1) * max d. So when, besides
+    the lines above bus b; v_s = v_base is the slack voltage in volt. The
+    sweep iterates T(v) = v_s - D conj(p / v) from the flat start v = v_s,
+    where D sums the impedances of the lines two buses share on their
+    paths to the slack. Take the ball B = {v : |v_b - v_s| <= d_b for
+    every b} and let max d <= v_s - v_lo. On B every |v_b| >= v_lo, so
+    line l carries at most S_l / v_lo and T(v) lies in B again: every
+    iterate stays in B, and every line current computed from one is at
+    most S_l / v_lo. On B also |conj(p/v) - conj(p/w)| <= |p| |v - w| /
+    v_lo^2, so T contracts the max-norm by q = max d / v_lo, and the k-th
+    sweep changes the voltages by at most q^(k-1) * max d. So when, besides
     max d <= v_s - v_lo,
       - q <= 1/2,
       - q^(max_iter - 1) * max d < tol * v_base,
       - S_l <= v_lo * i_rated for every line,
       - v_s + d_b <= v_max_b * v_base for every bus (v_s - d_b >= v_lo >=
         v_min_b * v_base holds already),
-      - and the slack voltage lies inside the slack bus's band,
+      - and the slack voltage, 1 per unit, lies inside the slack bus's band,
     the sweep stops within `max_iter` sweeps at a point of B, where no
     line is above its rating and no bus outside its band.
 
@@ -390,14 +387,14 @@ def certainly_within_limits(net: NetworkTopology, injections,
     test is written so that a NaN fails it.
     """
     p = net.injection_array(injections)
-    v_s = slack_voltage * net.v_base
-    room = CERTIFICATE_MARGIN * v_s
-    v_lo = net._v_lo
+    margin = CERTIFICATE_MARGIN
     lo, hi = net._slack_band
-    if not (lo <= slack_voltage <= hi and v_lo > 0.0):
+    if not lo * (1.0 + margin) <= 1.0 <= hi * (1.0 - margin):
         return False
     if not net.n_lines:
         return True
+    v_s, v_lo = net.v_base, net._v_lo
+    room = margin * v_s
     load = np.add.reduceat(np.abs(p)[net._below], net._below_start)
     drop = np.add.reduceat((net._abs_impedance * load)[net._above],
                            net._above_start) / v_lo
@@ -407,8 +404,9 @@ def certainly_within_limits(net: NetworkTopology, injections,
                 and v_s - d >= v_lo + room
                 and (q ** (SWEEP_MAX_ITER - 1) * d + room
                      < SWEEP_TOL * net.v_base)
-                and (load <= net._line_cap).all()
+                and (load <= net._line_cap * (1.0 - margin)).all()
                 and (drop <= net._bus_cap - (v_s + room)).all())
+
 
 def pv_power(area, efficiency, irradiance):
     """Instantaneous PV output in watt: panel area x efficiency x irradiance.

@@ -36,14 +36,22 @@ def radial_trees(draw, max_buses=16):
 @st.composite
 def limited_trees(draw):
     """A `radial_trees` network with random line impedances and ratings and
-    random bus voltage bands. Returns a NetworkTopology."""
+    random bus voltage bands. Half the time the slack bus's band is drawn
+    from anywhere near 1 per unit, the slack voltage, so that it may
+    exclude it or end exactly at it, where rounding decides. Returns a
+    NetworkTopology."""
     buses, lines, slack = draw(radial_trees())
     lines = [replace(l, resistance=draw(st.floats(1e-4, 0.05)),
                      reactance=draw(st.floats(0.0, 0.05)),
                      i_rated=draw(st.floats(5.0, 500.0)))
              for l in lines]
-    buses = [replace(b, v_min=draw(st.floats(0.8, 0.99)),
-                     v_max=draw(st.floats(1.01, 1.2)))
+    edge = st.one_of(st.floats(0.8, 1.2), st.just(1.0))
+    slack_min, slack_max = draw(st.one_of(
+        st.tuples(st.floats(0.8, 0.99), st.floats(1.01, 1.2)),
+        st.tuples(edge, edge).map(sorted).filter(lambda b: b[0] < b[1])))
+    buses = [replace(b, v_min=slack_min, v_max=slack_max) if b.id == slack
+             else replace(b, v_min=draw(st.floats(0.8, 0.99)),
+                          v_max=draw(st.floats(1.01, 1.2)))
              for b in buses]
     return NetworkTopology(buses, lines, slack)
 
@@ -81,9 +89,10 @@ PINNED_46_CURRENTS = [
 
 
 def two_bus_net(r=0.1, x=0.0, v_base=230.0, rating=100.0, v_min=0.95,
-                v_max=1.05):
+                v_max=1.05, slack_band=None):
     return NetworkTopology(
-        buses=[Bus("slack", v_min, v_max), Bus("load", v_min, v_max)],
+        buses=[Bus("slack", *(slack_band or (v_min, v_max))),
+               Bus("load", v_min, v_max)],
         lines=[Line("l0", "slack", "load", r, x, rating)],
         slack_bus_id="slack",
         v_base=v_base,
@@ -239,14 +248,9 @@ class TestCertificate:
         p = np.array(data.draw(st.lists(
             st.floats(-scale, scale), min_size=net.n_buses,
             max_size=net.n_buses)))
-        slack = net.bus_index[net.slack_bus_id]
-        # The slack bus's band edges too, where rounding decides.
-        slack_voltage = data.draw(st.one_of(
-            st.floats(0.9, 1.1),
-            st.sampled_from([net.v_min[slack], net.v_max[slack]])))
-        if not certainly_within_limits(net, p, slack_voltage):
+        if not certainly_within_limits(net, p):
             return
-        sol = solve_power_flow(net, p, slack_voltage=slack_voltage)
+        sol = solve_power_flow(net, p)
         assert sol.converged
         assert (sol.line_currents <= net.i_rated).all()
         assert (net.v_min <= sol.bus_voltages).all()
@@ -276,27 +280,33 @@ class TestCertificate:
         sol = solve_power_flow(net, [0.0, 3000.0])
         assert sol.converged and sol.bus_voltages[1] > 0.99
 
-    def test_slack_voltage_outside_band(self):
-        net = two_bus_net()
-        assert certainly_within_limits(net, [0.0, 0.0], 1.04)
-        assert not certainly_within_limits(net, [0.0, 0.0], 1.06)
-        assert not certainly_within_limits(net, [0.0, 0.0], 0.94)
+    def test_slack_band_excluding_one(self):
+        assert certainly_within_limits(two_bus_net(), [0.0, 0.0])
+        for band in ((1.01, 1.1), (0.9, 0.99)):
+            net = two_bus_net(slack_band=band)
+            assert not certainly_within_limits(net, [0.0, 0.0])
+            # The solve holds the slack bus at 1.0, outside its band.
+            sol = solve_power_flow(net, [0.0, 0.0])
+            assert not band[0] <= sol.bus_voltages[0] <= band[1]
 
     def test_margin_at_the_limits(self):
         # v_lo = 0.5 * 256 = 128 V, so 1280 W puts the line bound S / v_lo
-        # exactly at the 10 A rating; the slack voltage sits exactly at a
-        # band edge. Both are within the limits, but not by the margin.
+        # exactly at the 10 A rating; a slack band ending at 1.0 puts the
+        # slack voltage exactly at its edge. Both are within the limits,
+        # but not by the margin.
         net = two_bus_net(v_base=256.0, rating=10.0, v_min=0.5)
         assert certainly_within_limits(net, [0.0, 1279.0])
         assert not certainly_within_limits(net, [0.0, 1280.0])
-        assert certainly_within_limits(net, [0.0, 0.0], 1.0)
-        assert not certainly_within_limits(net, [0.0, 0.0], 1.05)
-        assert not certainly_within_limits(net, [0.0, 0.0], 0.5)
+        for band in ((0.5, 1.0), (1.0, 1.05)):
+            net = two_bus_net(v_base=256.0, rating=10.0, v_min=0.5,
+                              slack_band=band)
+            assert not certainly_within_limits(net, [0.0, 0.0])
 
     def test_lone_slack_bus(self):
-        net = NetworkTopology([Bus("s")], [], "s")
-        assert certainly_within_limits(net, [5.0])
-        assert not certainly_within_limits(net, [5.0], 1.1)
+        assert certainly_within_limits(
+            NetworkTopology([Bus("s")], [], "s"), [5.0])
+        assert not certainly_within_limits(
+            NetworkTopology([Bus("s", 1.01, 1.1)], [], "s"), [5.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_injections_raise(self, bad):
