@@ -1,8 +1,9 @@
 """Line, bus, and EV agent behavior: criticalities, request forwarding,
 reward, charging-need re-planning, and cooperative curtailment.
 
-The fleet's EV agents are rows of one `Fleet`, and every EV rule takes the
-rows it acts on, so one call decides or records for all plugged-in EVs.
+The fleet's EV agents are entries of one `Fleet`, and the plugged-in ones
+are held as a `Roster` of contiguous arrays: every per-instant EV rule
+takes the roster, so one call decides or records for all of them.
 All EV-side quantities live in the EV's local session frame: instant 0 is
 the plug-in instant and the connection window is [0, window_length).
 """
@@ -19,10 +20,32 @@ from .bandit import select_super_arm
 # 4 MiB, so a long window builds its rank table a few rows at a time.
 RANK_CHUNK = 1 << 22
 
+# The per-EV columns of `Fleet` and `Roster`, as (name, is float) in the
+# order of the rows of their one int64 block; a float column is a float64
+# view of its row, so that copying the block copies every column. The
+# static columns come first, then from `soc` on the session state: `flat`
+# is the index `row * m + now` into the fleet's (n, m) tables, and
+# `curtail` and `force` (0 or 1) are the pending request flags.
+COLUMNS = (("eta_chrg", True), ("e_bat", True), ("p_max", True),
+           ("soc_target", True), ("charge_kw", True), ("need_kw_min", True),
+           ("site", False), ("bus", False), ("window", False),
+           ("soc", True), ("cost", True), ("grid_energy", True),
+           ("battery_energy", True),
+           ("k_p", False), ("now", False), ("flat", False),
+           ("curtail", False), ("force", False))
+_SESSION, _NOW, _FLAT = ([name for name, _ in COLUMNS].index(name)
+                          for name in ("soc", "now", "flat"))
+# The (name, row) pairs of the float columns, then of the others.
+_COLUMNS = ([(name, j) for j, (name, is_float) in enumerate(COLUMNS)
+             if is_float],
+            [(name, j) for j, (name, is_float) in enumerate(COLUMNS)
+             if not is_float])
+
 __all__ = [
     "CriticalityRequest",
     "EvProfile",
     "Fleet",
+    "Roster",
     "line_criticality",
     "bus_criticality",
     "request_priority",
@@ -30,6 +53,7 @@ __all__ = [
     "sample_cooperation_targets",
     "ev_reward",
     "take_requests",
+    "instants_short",
     "required_instants",
     "ev_decide",
     "ev_record",
@@ -80,66 +104,89 @@ class EvProfile:
 
 
 class Fleet:
-    """The EV fleet as arrays, one row per EV in scenario order.
+    """The EV fleet as arrays, one entry per EV in scenario order.
 
-    The static columns come from the profiles. The session state is reset
-    at every plug-in; its per-instant arrays have m columns in the EV's
-    local frame (column l is the l-th instant after plug-in), so a
-    connection window may not exceed m instants.
+    The per-EV columns a roster copies are the rows of one block, each
+    bound as an attribute of its name in `COLUMNS`: the static columns
+    first, then the session state, which a plug-in resets and a `Roster`
+    writes back when EVs leave. `site` and `bus` index the simulation's
+    site and bus tables (0 when not given).
+
+    The per-instant tables have m columns in the EV's local frame (column
+    l is the l-th instant after plug-in), so a connection window may not
+    exceed m instants. `delta_i` is the minutes per instant (1440 / m
+    unless given), which `hold_samples` turns the PV estimate into
+    charging instants with.
     """
 
-    def __init__(self, profiles, m: int):
+    def __init__(self, profiles, m: int, delta_i=None, site=None, bus=None):
         n = len(profiles)
         self.m = m
+        self.delta_i = 1440.0 / m if delta_i is None else float(delta_i)
         self.ev_ids = [p.ev_id for p in profiles]
         self.row = {ev: i for i, ev in enumerate(self.ev_ids)}
+        self._block = np.zeros((len(COLUMNS), n), dtype=np.int64)
+        _bind(self, _COLUMNS, self._block)
 
         def column(name):
             return np.array([getattr(p, name) for p in profiles], dtype=float)
-        self.e_bat = column("e_bat")            # kWh
-        self.p_max = column("p_max")            # kW
-        self.eta_chrg = column("eta_chrg")
+        for name in ("e_bat", "p_max", "eta_chrg", "soc_target"):
+            getattr(self, name)[:] = column(name)   # kWh, kW, 1, 1
         self.soc_start = column("soc_start")
-        self.soc_target = column("soc_target")
-        self.window = np.array([p.window_length for p in profiles],
-                               dtype=np.int64)
+        self.window[:] = [p.window_length for p in profiles]
         if (self.window > m).any():
             raise ValueError(f"connection windows must not exceed m={m} "
                              "instants")
+        if site is not None:
+            self.site[:] = site
+        if bus is not None:
+            self.bus[:] = bus
         # Per-EV constants of the charging need: the energy to the SoC
         # target in kW-minutes and the battery power per grid instant.
-        self.need_kw_min = 60.0 * self.e_bat * (self.soc_target
-                                                - self.soc_start)
-        self.charge_kw = self.p_max * self.eta_chrg
+        self.need_kw_min[:] = 60.0 * self.e_bat * (self.soc_target
+                                                   - self.soc_start)
+        self.charge_kw[:] = self.p_max * self.eta_chrg
+        self.soc[:] = self.soc_start
+        self.flat[:] = np.arange(n) * m
+        # soc and the session's cost, grid_energy and battery_energy sums.
+        self.session_floats = self._block[_SESSION:_SESSION + 4].view(
+            np.float64)
+        # Whether each local instant lies inside the EV's window, and
+        # [l, l'] = l' > l: the masks `hold_samples` reads.
+        cols = np.arange(m)
+        self._inside = cols < self.window[:, None]
+        self._later = cols > cols[:, None]
 
         self.active = np.zeros(n, dtype=bool)
         self.day = np.zeros(n, dtype=np.int64)    # learning day of the session
-        self.now = np.zeros(n, dtype=np.int64)    # local instant
-        self.soc = self.soc_start.copy()
-        self.k_p = np.zeros(n, dtype=np.int64)    # instants charged from grid
-        self.theta = np.zeros((n, m))             # the session's sampled theta
+        # The session's (n, m) tables, one block that a plug-in resets.
+        # Filled here rather than left to lazily zeroed pages, so that
+        # the first plug-in of each EV does not pay the page faults.
+        self._tables = np.full((7, n, m), 0.0)
+        (self.theta,       # the session's sampled theta
+         self.pv_ahead,    # sampled PV, watt, summed over [l, window)
+         self.short,       # `instants_short` at l under that PV
+         self.played,      # 1 where charged from grid
+         self.reward,      # reward at played instants
+         self.pv_mask,     # 1 at every instant seen
+         self.pv_obs,      # PV reading, watt
+         ) = self._tables
         # Later instants of the window with a strictly larger theta.
         self.beaten_by = np.zeros((n, m), dtype=np.int64)
-        self.pv_ahead = np.zeros((n, m))          # sampled PV, watt, [l, window)
-        self.played = np.zeros((n, m))            # 1 where charged from grid
-        self.reward = np.zeros((n, m))            # reward at played instants
-        self.pv_mask = np.zeros((n, m))           # 1 at every instant seen
-        self.pv_obs = np.zeros((n, m))            # PV reading, watt
-        self.curtail = np.zeros(n, dtype=bool)    # a pending +1 names the EV
-        self.force = np.zeros(n, dtype=bool)      # a pending -1 names the EV
+        # Each table flattened, by name, for `Roster.flat` to index.
+        self.cells = {name: getattr(self, name).reshape(-1)
+                      for name in ("theta", "short", "played", "reward",
+                                   "pv_mask", "pv_obs", "beaten_by")}
 
     def plug_in(self, rows, day: int):
         """Start a session on learning day `day` for each row."""
         self.active[rows] = True
         self.day[rows] = day
-        self.now[rows] = 0
+        self._block[_SESSION:, rows] = 0        # 0.0 in the float rows
         self.soc[rows] = self.soc_start[rows]
-        self.k_p[rows] = 0
-        for a in (self.theta, self.beaten_by, self.pv_ahead, self.played,
-                  self.reward, self.pv_mask, self.pv_obs):
-            a[rows] = 0.0
-        self.curtail[rows] = False
-        self.force[rows] = False
+        self.flat[rows] = np.asarray(rows) * self.m
+        self._tables[:, rows] = 0.0
+        self.beaten_by[rows] = 0
 
     def hold_samples(self, rows, theta, phi):
         """Hold each row's posterior samples for its session, one row of
@@ -149,28 +196,95 @@ class Fleet:
         one inside it, and ranked once: `beaten_by[row, l]` counts the
         later instants of the window whose theta is strictly larger. Phi is
         kept as its sums over the rest of the window, [l, window) at column
-        l, so the charging need reads the PV still ahead in O(1).
+        l, and as the charging instants still short of the SoC target
+        under that PV (`instants_short`), so the charging need at any
+        instant of the session is one lookup.
         """
-        window = self.window[rows]
-        inside = np.arange(self.m) < window[:, None]
+        inside = self._inside[rows]
         self.theta[rows] = held = np.where(inside, theta, -np.inf)
-        self.beaten_by[rows] = rank_table(held, int(window.max(initial=0)))
+        width = int(self.window[rows].max(initial=0))
+        self.beaten_by[rows] = rank_table(held, self._later[:width, :width])
         masked = np.where(inside, phi, 0.0)
-        self.pv_ahead[rows] = np.cumsum(masked[:, ::-1], axis=1)[:, ::-1]
+        self.pv_ahead[rows] = ahead = np.cumsum(masked[:, ::-1],
+                                                axis=1)[:, ::-1]
+        self.short[rows] = instants_short(self.need_kw_min[rows, None],
+                                          self.charge_kw[rows, None],
+                                          self.delta_i, ahead)
 
 
-def rank_table(theta, width: int) -> np.ndarray:
+class Roster:
+    """The plugged-in EVs of a fleet as contiguous arrays, one entry per EV
+    in the order of `rows`.
+
+    Holds a copy of every `Fleet` column, under the same names (see
+    `COLUMNS`). An instant works on these arrays alone, so it gathers
+    nothing by row: `flat` indexes the fleet's tables (see `Fleet.cells`)
+    and `advance` moves every EV on by one instant. The fleet's copy of
+    the session state is stale while an EV is on the roster: `keep`
+    writes it back when EVs leave.
+
+    Every column is a row of one block, so `join` and `keep` each copy
+    one array: the columns of the EVs that join, or of those that stay.
+    `Roster(fleet, rows)` copies the fleet's state of `rows`, with `flat`
+    recomputed from `now`.
+    """
+
+    def __init__(self, fleet: Fleet, rows=()):
+        self.fleet = fleet
+        rows = np.asarray(rows, dtype=np.int64)
+        block = fleet._block.take(rows, axis=1)
+        block[_FLAT] = rows * fleet.m + block[_NOW]
+        self._hold(rows, block)
+
+    def _hold(self, rows, block):
+        self.rows, self.size, self._block = rows, len(rows), block
+        _bind(self, _COLUMNS, block)
+        self.pending = block[_FLAT + 1:]          # curtail, force
+
+    def advance(self):
+        """Move every EV on to its next local instant."""
+        self._block[_NOW:_FLAT + 1] += 1          # now and flat
+
+    def join(self, rows):
+        """Append the fleet's `rows` at their state in the fleet."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self._hold(np.concatenate((self.rows, rows)), np.concatenate(
+            (self._block, self.fleet._block.take(rows, axis=1)), axis=1))
+
+    def keep(self, stay):
+        """Write the session state back to the fleet, and keep only the
+        entries where the mask `stay` is True."""
+        self.fleet._block[_SESSION:, self.rows] = self._block[_SESSION:]
+        self._hold(self.rows.compress(stay),
+                   self._block.compress(stay, axis=1))
+
+
+def _bind(owner, columns, block):
+    """Bind each row of `block` as the attribute `columns` (see `_COLUMNS`)
+    names it by, a float64 view of it where the column is a float."""
+    (floats, others), attrs = columns, owner.__dict__
+    as_float = block.view(np.float64)
+    for name, j in floats:
+        attrs[name] = as_float[j]
+    for name, j in others:
+        attrs[name] = block[j]
+
+
+def rank_table(theta, later) -> np.ndarray:
     """For each row and column l of `theta`, how many later columns hold a
     strictly larger value.
 
-    Only the first `width` columns are compared; every column from `width`
-    on must hold -inf, so it beats nothing and counts 0. Each chunk of rows
-    compares all (l, l') pairs at once, `RANK_CHUNK` booleans at most.
+    `later` is the `(width, width)` mask `[l, l'] = l' > l`: only the first
+    `width` columns are compared, and every column from `width` on must
+    hold -inf, so it beats nothing and counts 0. Each chunk of rows
+    compares all (l, l') pairs at once, `RANK_CHUNK` booleans at most, and
+    sums them as bytes; a count is below `width`, so the sum stays in
+    uint8 when `width` is below 256.
     """
     out = np.zeros(theta.shape, dtype=np.int64)
+    width = len(later)
     if width:
-        cols = np.arange(width)
-        later = cols > cols[:, None]                 # [l, l'] = l' > l
+        total = np.uint8 if width < 256 else np.int64
         step = max(1, RANK_CHUNK // (width * width))
         buf = np.empty((min(step, len(theta)), width, width), dtype=bool)
         for lo in range(0, len(theta), step):
@@ -178,7 +292,8 @@ def rank_table(theta, width: int) -> np.ndarray:
             beats = np.greater(t[:, None, :], t[:, :, None],
                                out=buf[:len(t)])     # [r, l, l']
             beats &= later
-            out[lo:lo + step, :width] = beats.sum(axis=2)
+            out[lo:lo + step, :width] = beats.view(np.uint8).sum(axis=2,
+                                                                 dtype=total)
     return out
 
 
@@ -262,91 +377,111 @@ def ev_reward(cr_ev, neighbor_criticalities):
         raise ValueError("EV criticality (normalized cost) must be in [0, 1]")
     crits = np.asarray(neighbor_criticalities, dtype=float)
     if crits.shape[-1:] == (0,):   # none received: no maximum to take
-        return (1.0 - cost) + np.zeros(crits.shape[:-1])
+        return np.full(crits.shape[:-1], 1.0 - cost)[()]
     top = np.where(crits != 0.0, crits, -np.inf).max(axis=-1,
                                                       initial=-np.inf)
     return np.where(top > -np.inf, -top, 1.0 - cost)[()]
 
 
-def take_requests(fleet: Fleet, rows, received) -> np.ndarray:
+def take_requests(roster: Roster, received) -> np.ndarray:
     """Hold the requests each EV received (ev_id -> list) for its next
     decision.
 
-    Sets the pending flags of the EVs that a request names as cooperation
-    targets (+1 curtails, -1 forces) and clears every other flag. Returns
-    the criticalities each of `rows` received as one zero-padded row per
-    EV, with no column when no request arrived.
+    Sets the pending flags of the roster's EVs that a request names as
+    cooperation targets (+1 curtails, -1 forces) and clears every other
+    flag. Returns the criticalities each EV received as one zero-padded
+    row per roster entry, with no column when no request arrived.
     """
-    fleet.curtail[:] = False
-    fleet.force[:] = False
     width = max(map(len, received.values()), default=0)
     if not width:
-        return np.zeros((len(rows), 0))
+        roster.pending.fill(0)
+        return np.zeros((roster.size, 0))
+    fleet = roster.fleet
     crits = np.zeros((len(fleet.ev_ids), width))
+    named = np.zeros((2, len(fleet.ev_ids)), dtype=bool)
     for ev, reqs in received.items():
         row = fleet.row[ev]
         crits[row, :len(reqs)] = [r.criticality for r in reqs]
-        named = [r.criticality for r in reqs if ev in r.target_evs]
-        fleet.curtail[row] = 1.0 in named
-        fleet.force[row] = -1.0 in named
-    return crits[rows]
+        hits = [r.criticality for r in reqs if ev in r.target_evs]
+        named[:, row] = 1.0 in hits, -1.0 in hits
+    roster.pending[:] = named[:, roster.rows]
+    return crits[roster.rows]
 
 
-def required_instants(fleet: Fleet, rows, delta_i: float, pv_ahead_w, k_p,
+def instants_short(need_kw_min, charge_kw, delta_i: float, pv_ahead_w):
+    """Grid-charging instants an EV needs to hit its SoC target, before
+    counting those it has charged: the energy need in instants of
+    `charge_kw` (`need_kw_min` kW-minutes, `delta_i` minutes per instant)
+    less the estimated PV `pv_ahead_w` (watt summed over the EV's
+    remaining connected instants), rounded up. Elementwise."""
+    need = need_kw_min / (delta_i * charge_kw)
+    return np.ceil(need - pv_ahead_w / 1000.0 / charge_kw)
+
+
+def _still_needed(short, k_p, now, window) -> np.ndarray:
+    """`short` less the instants already charged `k_p`, clamped to
+    [0, remaining instants of the window]."""
+    left = window - now
+    if np.count_nonzero((now < 0) | (left <= 0)):
+        raise ValueError("now must lie within the connection window")
+    return np.maximum(np.minimum(short - k_p, left), 0.0).astype(np.int64)
+
+
+def required_instants(evs, delta_i: float, pv_ahead_w, k_p,
                       now) -> np.ndarray:
-    """Remaining grid-charging instants each row needs to hit its SoC
-    target.
+    """Remaining grid-charging instants each EV of `evs` (a `Fleet` or a
+    `Roster`) needs to hit its SoC target.
 
     `delta_i` is minutes per instant; `pv_ahead_w` is the estimated PV
-    power in watt summed over the row's remaining connected instants
-    [now, window). The raw ceil value minus the already charged count
-    `k_p` is clamped to [0, remaining instants].
+    power in watt summed over the EV's remaining connected instants
+    [now, window). The raw ceil value (`instants_short`) minus the
+    already charged count `k_p` is clamped to [0, remaining instants].
     """
-    window = fleet.window[rows]
-    if ((now < 0) | (now >= window)).any():
-        raise ValueError("now must lie within the connection window")
-    per_instant = fleet.charge_kw[rows]
-    need = fleet.need_kw_min[rows] / (delta_i * per_instant)
-    raw = np.ceil(need - pv_ahead_w / 1000.0 / per_instant) - k_p
-    return np.maximum(0, np.minimum(raw, window - now)).astype(np.int64)
+    short = instants_short(evs.need_kw_min, evs.charge_kw, delta_i,
+                           pv_ahead_w)
+    return _still_needed(short, k_p, now, evs.window)
 
 
-def ev_decide(fleet: Fleet, rows, delta_i: float) -> np.ndarray:
-    """Charging power (kW) of each row's EV at its current local instant.
+def ev_decide(roster: Roster) -> np.ndarray:
+    """Charging power (kW) of each roster EV at its current local instant.
 
-    Re-plans the needed instant count k_f, charges when `now` is among the
-    top k_f instants of the remaining window under the session's sampled
-    theta, and overrides that on the requests pending for the EV: +1
-    always curtails, -1 forces charging while energy is still needed.
+    Re-plans the needed instant count k_f (`required_instants` under the
+    session's PV estimate, which `Fleet.hold_samples` tabulated), charges
+    when `now` is among the top k_f instants of the remaining window under
+    the session's sampled theta, and overrides that on the requests
+    pending for the EV: +1 always curtails, -1 forces charging while
+    energy is still needed.
     """
-    now = fleet.now[rows]
-    k_f = required_instants(fleet, rows, delta_i, fleet.pv_ahead[rows, now],
-                            fleet.k_p[rows], now)
+    cells, flat = roster.fleet.cells, roster.flat
+    k_f = _still_needed(cells["short"][flat], roster.k_p, roster.now,
+                        roster.window)
     # `now` is in the top-k_f of [now, window) under theta, ties toward the
     # lowest index, exactly when fewer than k_f later instants beat it.
-    charge = (np.where(fleet.force[rows], k_f > 0,
-                       fleet.beaten_by[rows, now] < k_f)
-              & ~fleet.curtail[rows])
-    return np.where(charge, fleet.p_max[rows], 0.0)
+    charge = cells["beaten_by"][flat] < k_f
+    if np.count_nonzero(roster.pending):
+        charge = (np.where(roster.force, k_f > 0, charge)
+                  & (roster.curtail == 0))
+    return np.where(charge, roster.p_max, 0.0)
 
 
-def ev_record(fleet: Fleet, rows, charged, cost_now: float,
+def ev_record(roster: Roster, charged, cost_now: float,
               neighbor_criticalities, pv_reading):
     """Perception-stage bookkeeping after the instant resolves.
 
-    Per row: whether the EV charged from the grid, the criticalities it
+    Per roster EV: whether it charged from the grid, the criticalities it
     received (a zero-padded row, see `ev_reward`) and its site's PV
     reading. Rewards are recorded only at instants the EV actually
     charged, keeping the reward accumulator consistent with the played
     mask; PV readings are recorded at every connected instant.
     """
-    rows = np.asarray(rows)
+    cells, flat = roster.fleet.cells, roster.flat
     charged = np.asarray(charged, dtype=bool)
-    now = fleet.now[rows]
-    got, at = rows[charged], now[charged]
-    fleet.played[got, at] = 1.0
-    fleet.k_p[got] += 1
-    fleet.reward[got, at] = ev_reward(
-        cost_now, np.asarray(neighbor_criticalities)[charged])
-    fleet.pv_mask[rows, now] = 1.0
-    fleet.pv_obs[rows, now] = pv_reading
+    at = flat[charged]
+    cells["played"][at] = 1.0
+    roster.k_p += charged
+    crits = np.asarray(neighbor_criticalities)
+    # With none received, every EV that charged gets the same reward.
+    crits = crits[charged] if crits.shape[-1] else ()
+    cells["reward"][at] = ev_reward(cost_now, crits)
+    cells["pv_mask"][flat] = 1.0
+    cells["pv_obs"][flat] = pv_reading

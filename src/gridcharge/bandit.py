@@ -110,7 +110,11 @@ def select_super_arm(theta_sample: np.ndarray, candidates, k: int) -> tuple:
 def _checked(state, mask, values, rows):
     mask = np.asarray(mask, dtype=float)
     values = np.asarray(values, dtype=float)
-    if mask.shape != state.response[rows].shape or values.shape != mask.shape:
+    # The shape of `state.response[rows]`, read from a zero-width view so
+    # that no row is copied.
+    response = state.response
+    picked = response[..., :0][rows].shape[:-1] + response.shape[-1:]
+    if mask.shape != picked or values.shape != mask.shape:
         raise ValueError("mask/values dimension mismatch with state")
     if np.any((mask == 0.0) & (values != 0.0)):
         raise ValueError("values must be zero at instants outside the mask")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (CriticalityRequest, EvProfile, Fleet, bus_criticality,
-                     forward_request, line_criticality,
+from .agents import (CriticalityRequest, EvProfile, Fleet, Roster,
+                     bus_criticality, forward_request, line_criticality,
                      sample_cooperation_targets, take_requests)
 from .gridnet import (FeederSpec, NetworkTopology, build_replicated_feeder,
                       certainly_within_limits, pv_power, solve_power_flow)
@@ -278,10 +278,13 @@ class SimulationResult:
 class Simulation:
     """Barrier-synchronized per-instant execution of one scenario.
 
-    The fleet lives in a `Fleet` of arrays. Each instant runs one vector
-    step over the plugged-in EVs: the strategy's decision, the battery/PV
-    physics and the cost/energy accounts, then the power flow, sensing
-    and flooding, then one feedback record.
+    The fleet lives in a `Fleet` of arrays, and the plugged-in EVs in a
+    `Roster` of contiguous copies that is rebuilt only when EVs plug in or
+    leave. Each instant runs one vector step over the roster: the
+    strategy's decision, the battery/PV physics and the session's
+    cost/energy sums, then the power flow, sensing and flooding, then one
+    feedback record. A session's sums and final SoC reach the `(days,
+    n_ev)` results when it ends.
     """
 
     def __init__(self, scenario: Scenario, strategy, seed=None,
@@ -296,19 +299,16 @@ class Simulation:
         self.m = m = scenario.m
         self.delta_h = scenario.delta_i / 60.0
         self.net = scenario.topology
-        self.fleet = Fleet(scenario.fleet, m)
+        self.fleet = Fleet(
+            scenario.fleet, m, delta_i=scenario.delta_i,
+            site=[scenario.ev_site[p.ev_id] for p in scenario.fleet],
+            bus=[self.net.bus_index[p.bus_id] for p in scenario.fleet])
         strategy.attach(self.fleet)
         self.ev_ids = self.fleet.ev_ids
         self._neighbors = agent_neighbors(self.net)
         self._ev_bus_id = [p.bus_id for p in scenario.fleet]
         self._bus_of_site = np.array(
             [self.net.bus_index[s.bus_id] for s in scenario.sites], dtype=np.int64
-        )
-        self._ev_site = np.array(
-            [scenario.ev_site[p.ev_id] for p in scenario.fleet], dtype=np.int64
-        )
-        self._ev_bus_idx = np.array(
-            [self.net.bus_index[p.bus_id] for p in scenario.fleet], dtype=np.int64
         )
         # Read-only PV watt per (instant of day, site).
         self._site_pv_w = pv_power(
@@ -328,6 +328,7 @@ class Simulation:
             cell.ravel(), scenario.site_load_profiles.T.ravel(),
             minlength=m * n_buses).reshape(m, n_buses)
         self._load_inj.flags.writeable = False
+        self._load_bus = np.arange(n_buses)
         # EVs plugging in, and leaving after, each instant of day.
         t_arrive = np.array([p.t_arrive for p in scenario.fleet], dtype=np.int64)
         last = (t_arrive + self.fleet.window - 1) % m
@@ -335,7 +336,8 @@ class Simulation:
         self._departures = [np.flatnonzero(last == i) for i in range(m)]
         # Plugged-in EVs by session start, then index: the order in which
         # their grid power enters the bus injections.
-        self._order = np.zeros(0, dtype=np.int64)
+        self.roster = Roster(self.fleet)
+        self._roster_changed()
         # Injection bytes -> (converged, line crit, bus crit, any line crit,
         # any bus crit), the arrays read-only: the grid state depends only
         # on the injections, which repeat across instants (flat household
@@ -349,14 +351,27 @@ class Simulation:
 
         D = scenario.days
         n = len(scenario.fleet)
-        self.cost = np.zeros((D, n))
-        self.grid_energy = np.zeros((D, n))
-        self.battery_energy = np.zeros((D, n))
+        # What each session leaves in its (day, EV) cell, one row per row
+        # of `Fleet.session_floats`.
+        self._session_results = np.zeros((4, D, n))
+        (self.final_soc, self.cost, self.grid_energy,
+         self.battery_energy) = self._session_results
         self.mean_reward_ev = np.full((D, n), np.nan)
-        self.final_soc = np.zeros((D, n))
         self.violations_current = np.zeros(D, dtype=np.int64)
         self.violations_voltage = np.zeros(D, dtype=np.int64)
         self.traces = [] if keep_traces else None
+
+    def _roster_changed(self):
+        """Derive what an instant reads from the roster's static columns.
+
+        An instant sums each bus's injection from its terms in this order:
+        its sites' household loads (one `_load_inj` entry), the grid power
+        of its plugged-in EVs in roster order, then minus the PV export of
+        its sites in site order. `_inj_bus` is the bus of every term.
+        """
+        self._eta_dh = self.roster.eta_chrg * self.delta_h
+        self._inj_bus = np.concatenate((self._load_bus, self.roster.bus,
+                                        self._bus_of_site))
 
     # -- single instant ----------------------------------------------------
 
@@ -371,39 +386,37 @@ class Simulation:
         if day < sc.days and new.size:
             fleet.plug_in(new, day)
             self.strategy.session_start(fleet, new, self.rng)
-            self._order = np.concatenate([self._order, new])
-        rows = self._order
+            self.roster.join(new)
+            self._roster_changed()
+        ro = self.roster
 
         # Phase 1+2: charging decisions on the pending requests, battery/PV
-        # physics and the cost/energy accounts. The strategy is asked only
-        # while an EV is plugged in.
+        # physics and the session's cost/energy sums. The strategy is
+        # asked only while an EV is plugged in.
         price = sc.price_profile[i_day]
         site_pv_w = self._site_pv_w[i_day]
-        sites = self._ev_site[rows]
-        pv_w = site_pv_w[sites]
-        asked = (self.strategy.decide(fleet, rows, sc.delta_i) if rows.size
-                 else np.zeros(0))
-        eta = fleet.eta_chrg[rows]
-        e_bat = fleet.e_bat[rows]
-        headroom = np.maximum(0.0, (1.0 - fleet.soc[rows]) * e_bat)
-        pv_in = np.minimum(self._site_pv_kwh[i_day][sites], headroom)
-        grid_in = np.minimum(eta * asked * dh, headroom - pv_in)
-        grid_kw = np.where(grid_in > 0.0, grid_in / (eta * dh), 0.0)
+        pv_w = site_pv_w[ro.site]
+        asked = self.strategy.decide(ro) if ro.size else np.zeros(0)
+        headroom = np.maximum(0.0, (1.0 - ro.soc) * ro.e_bat)
+        pv_in = np.minimum(self._site_pv_kwh[i_day][ro.site], headroom)
+        grid_in = np.minimum(ro.eta_chrg * asked * dh, headroom - pv_in)
+        grid_kw = np.where(grid_in > 0.0, grid_in / self._eta_dh, 0.0)
         stored = pv_in + grid_in
-        fleet.soc[rows] += stored / e_bat
+        ro.soc += stored / ro.e_bat
         charged = grid_kw > 1e-12
-        # The (session day, EV) cells of the accounts, as flat indices.
-        cells = fleet.day[rows] * len(self.ev_ids) + rows
-        self.cost.reshape(-1)[cells] += price * grid_kw * dh
-        self.grid_energy.reshape(-1)[cells] += grid_in
-        self.battery_energy.reshape(-1)[cells] += stored
+        ro.cost += price * grid_kw * dh
+        ro.grid_energy += grid_in
+        ro.battery_energy += stored
 
-        # Phase 3: power flow with household + EV - PV injections.
-        inj = self._load_inj[i_day].copy()
-        np.add.at(inj, self._ev_bus_idx[rows], grid_kw * 1000.0)
-        pv_export_w = site_pv_w.copy()
-        pv_export_w[sites] -= pv_in / dh * 1000.0
-        np.subtract.at(inj, self._bus_of_site, pv_export_w)
+        # Phase 3: power flow with household + EV - PV injections, summed
+        # term by term in the order `_roster_changed` gives; bincount adds
+        # its weights in order, from 0, and -(a - b) is exactly -a + b.
+        minus_export_w = np.negative(site_pv_w)
+        minus_export_w[ro.site] += pv_in / dh * 1000.0
+        inj = np.bincount(self._inj_bus,
+                          np.concatenate((self._load_inj[i_day],
+                                          grid_kw * 1000.0, minus_export_w)),
+                          minlength=net.n_buses)
 
         # Phase 4: sensing, request creation, flooding to quiescence.
         key = inj.tobytes()
@@ -428,7 +441,7 @@ class Simulation:
         converged, line_crit, bus_crit, line_any, bus_any = state
         initial = []
         if line_any or bus_any:
-            grid_charging_evs = [fleet.ev_ids[i] for i in rows[charged]]
+            grid_charging_evs = [fleet.ev_ids[i] for i in ro.rows[charged]]
             n_targets = max(1, math.ceil(self.coop_fraction *
                                          max(1, len(grid_charging_evs))))
             for kind, agents, crits in (("line", net.lines, line_crit),
@@ -444,7 +457,7 @@ class Simulation:
         # Requests reach only the plugged-in EVs at a bus.
         evs_at_bus = {}
         if initial:
-            for idx in rows.tolist():
+            for idx in ro.rows.tolist():
                 evs_at_bus.setdefault(self._ev_bus_id[idx], []).append(
                     fleet.ev_ids[idx])
         received, rounds = flood_requests(self._neighbors, evs_at_bus,
@@ -452,9 +465,9 @@ class Simulation:
 
         # Phase 5: feedback with same-instant criticalities; the requests
         # are held for the next decision.
-        if rows.size:
-            crits = take_requests(fleet, rows, received)
-            self.strategy.feedback(fleet, rows, charged, price, crits, pv_w)
+        if ro.size:
+            crits = take_requests(ro, received)
+            self.strategy.feedback(ro, charged, price, crits, pv_w)
 
         # Violations are attributed to the global day (clipped to horizon);
         # a non-converged instant counts against both kinds.
@@ -470,22 +483,25 @@ class Simulation:
                 converged=converged, flood_rounds=rounds,
                 requests=tuple(initial), injections=inj,
                 ev_grid_kw={fleet.ev_ids[i]: kw for i, kw in
-                            zip(rows.tolist(), grid_kw.tolist()) if kw > 0.0})
+                            zip(ro.rows.tolist(), grid_kw.tolist())
+                            if kw > 0.0})
             self.traces.append(trace)
 
         # Phase 6: sessions ending after this instant.
-        fleet.now[rows] += 1
+        ro.advance()
         ending = self._departures[i_day]
         ending = ending[fleet.active[ending]]
         if ending.size:
+            fleet.active[ending] = False
+            ro.keep(fleet.active[ro.rows])
+            self._roster_changed()
             self.strategy.session_end(fleet, ending)
             d, k_p = fleet.day[ending], fleet.k_p[ending]
             got = k_p > 0
             self.mean_reward_ev[d[got], ending[got]] = (
                 fleet.reward[ending[got]].sum(axis=1) / k_p[got])
-            self.final_soc[d, ending] = fleet.soc[ending]
-            fleet.active[ending] = False
-            self._order = rows[fleet.active[rows]]
+            self._session_results[:, d, ending] = (
+                fleet.session_floats[:, ending])
 
         return trace
 

@@ -11,8 +11,9 @@ below it, and a bus voltage is the slack voltage minus the drops along its
 path to the slack. Both maps are segment sums over index lists fixed by
 the topology, so one sweep costs a few numpy calls at any feeder depth.
 
-`certainly_within_limits` proves, from the same segment sums, that a
-sweep converges inside every limit without running it (the fixed-point
+`certainly_within_limits` proves, from one product of |p| with a matrix
+built from the same index lists, that a sweep converges inside every limit
+without running it (the fixed-point
 conditions of Wang, Bernstein, Le Boudec & Paolone, "Explicit conditions
 on existence and uniqueness of load-flow solutions in distribution
 networks", IEEE Trans. Smart Grid 9(2), 2018).
@@ -73,6 +74,10 @@ class Line:
     i_rated: float     # ampere
 
     def __post_init__(self):
+        for name in ("resistance", "reactance", "i_rated"):
+            if not math.isfinite(getattr(self, name)):
+                raise TopologyError(f"line {self.id!r}: {name} must be "
+                                    f"finite, got {getattr(self, name)}")
         if self.i_rated <= 0.0:
             raise TopologyError(f"line {self.id!r}: i_rated must be > 0")
         if self.resistance < 0.0:
@@ -99,7 +104,8 @@ class NetworkTopology:
     of its child's subtree, `_below` with segment starts `_below_start`;
     for each non-slack bus `_non_slack` the lines on its path to the slack,
     `_above` with starts `_above_start`. Building them costs O(sum of bus
-    depths).
+    depths). `certificate_matrix` is the certificate's bound map, built
+    from the same pairs.
     """
 
     def __init__(self, buses, lines, slack_bus_id, v_base=230.0):
@@ -190,13 +196,21 @@ class NetworkTopology:
         self.i_rated = np.array([l.i_rated for l in self.lines])
         self.v_min = np.array([b.v_min for b in self.buses])
         self.v_max = np.array([b.v_max for b in self.buses])
-        # The plain limits `certainly_within_limits` tests, in volt and
-        # watt; it applies the margins itself.
-        self._v_lo = self.v_min.max() * self.v_base
-        self._abs_impedance = np.abs(self.impedance)
-        self._line_cap = self._v_lo * self.i_rated   # bound on S_l
-        self._bus_cap = self.v_max[self._non_slack] * self.v_base
+        # What `certainly_within_limits` tests, in volt and watt.
+        self._v_lo = float(self.v_min.max() * self.v_base)
         self._slack_band = (self.v_min[root], self.v_max[root])
+        # The certificate's bounds are linear in |p|: stacked, one row per
+        # line, [l, b] = 1 where bus b lies below line l, so the product
+        # is S_l; then one row per non-slack bus, [b, b'] = the summed |Z|
+        # of the lines on both b's and b''s path to the slack, over v_lo,
+        # so the product is d_b.
+        below = np.zeros((len(self.lines), n))
+        below[pair_line, pair_bus] = 1.0
+        shared = below[:, self._non_slack].T @ (
+            np.abs(self.impedance)[:, None] * below)
+        self.certificate_matrix = np.vstack((below, shared / self._v_lo))
+        self.certificate_matrix.flags.writeable = False
+        self._certificate_limits = _certificate_limits(self)
 
     @property
     def n_buses(self):
@@ -358,16 +372,20 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
 
     Proof. Let S_l be the sum of |p_b| over the buses below line l,
     v_lo = max(v_min) * v_base, and d_b the sum of |Z_l| * S_l / v_lo over
-    the lines above bus b; v_s = v_base is the slack voltage in volt. The
-    sweep iterates T(v) = v_s - D conj(p / v) from the flat start v = v_s,
-    where D sums the impedances of the lines two buses share on their
-    paths to the slack. Take the ball B = {v : |v_b - v_s| <= d_b for
-    every b} and let max d <= v_s - v_lo. On B every |v_b| >= v_lo, so
-    line l carries at most S_l / v_lo and T(v) lies in B again: every
-    iterate stays in B, and every line current computed from one is at
-    most S_l / v_lo. On B also |conj(p/v) - conj(p/w)| <= |p| |v - w| /
-    v_lo^2, so T contracts the max-norm by q = max d / v_lo, and the k-th
-    sweep changes the voltages by at most q^(k-1) * max d. So when, besides
+    the lines above bus b; v_s = v_base is the slack voltage in volt. Both
+    are linear in |p|: d_b sums |p_b'| times the |Z| of the lines that the
+    paths of b and b' to the slack share, over v_lo, and
+    `net.certificate_matrix` stacks the two maps, so one product gives
+    every S_l and d_b. The sweep iterates T(v) = v_s - D conj(p / v) from
+    the flat start v = v_s, where D sums the impedances of the lines two
+    buses share on their paths to the slack. Take the ball
+    B = {v : |v_b - v_s| <= d_b for every b} and let max d <= v_s - v_lo.
+    On B every |v_b| >= v_lo, so line l carries at most S_l / v_lo and
+    T(v) lies in B again: every iterate stays in B, and every line current
+    computed from one is at most S_l / v_lo. On B also
+    |conj(p/v) - conj(p/w)| <= |p| |v - w| / v_lo^2, so T contracts the
+    max-norm by q = max d / v_lo, and the k-th sweep changes the voltages
+    by at most q^(k-1) * max d. So when, besides
     max d <= v_s - v_lo,
       - q <= 1/2,
       - q^(max_iter - 1) * max d < tol * v_base,
@@ -383,8 +401,10 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
     successive sweeps adds up to at most twice that. Each test but
     q <= 1/2 keeps a margin of `CERTIFICATE_MARGIN` (1e-9) of v_s, or of
     the rating or band edge it tests, far above the rounding, so the
-    floating-point sweep meets the limits that the exact map meets. Every
-    test is written so that a NaN fails it.
+    floating-point sweep meets the limits that the exact map meets; the
+    product's own rounding, a few units in the last place of each S_l and
+    d_b, is as far below it. Every test is written so that a NaN fails
+    it.
     """
     p = net.injection_array(injections)
     margin = CERTIFICATE_MARGIN
@@ -395,17 +415,29 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
         return True
     v_s, v_lo = net.v_base, net._v_lo
     room = margin * v_s
-    load = np.add.reduceat(np.abs(p)[net._below], net._below_start)
-    drop = np.add.reduceat((net._abs_impedance * load)[net._above],
-                           net._above_start) / v_lo
-    d = drop.max()
+    # Every S_l, then every d_b, in one product (see `NetworkTopology`).
+    bounds = net.certificate_matrix @ np.abs(p)
+    d = float(np.maximum.reduce(bounds[net.n_lines:]))
     q = d / v_lo
     return bool(q <= 0.5
                 and v_s - d >= v_lo + room
                 and (q ** (SWEEP_MAX_ITER - 1) * d + room
                      < SWEEP_TOL * net.v_base)
-                and (load <= net._line_cap * (1.0 - margin)).all()
-                and (drop <= net._bus_cap - (v_s + room)).all())
+                and np.count_nonzero(bounds <= net._certificate_limits)
+                == len(bounds))
+
+
+def _certificate_limits(net: NetworkTopology) -> np.ndarray:
+    """The right-hand sides of the certificate's per-line and per-bus
+    tests, stacked like `certificate_matrix`, with their margins:
+    S_l <= v_lo * i_rated * (1 - margin) and d_b <= v_max_b * v_base -
+    v_s * (1 + margin). Built once per topology."""
+    margin = CERTIFICATE_MARGIN
+    v_s = net.v_base
+    room = margin * v_s
+    return np.concatenate((net._v_lo * net.i_rated * (1.0 - margin),
+                           net.v_max[net._non_slack] * net.v_base
+                           - (v_s + room)))
 
 
 def pv_power(area, efficiency, irradiance):

@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 
 from . import agents
-from .agents import EvProfile, Fleet, ev_record, required_instants
+from .agents import EvProfile, Fleet, Roster, ev_record, required_instants
 from .bandit import (REWARD_PRIOR_MEAN, BanditState, sample_parameter,
                      update_day, update_pv)
 from .engine import Scenario
@@ -41,8 +41,9 @@ def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
 
 
 class Strategy:
-    """Hooks the engine calls on fleet rows (arrays of EV indices into the
-    `Fleet`); defaults do nothing, and feedback records."""
+    """Hooks the engine calls: at session boundaries on fleet rows (arrays
+    of EV indices into the `Fleet`), at every instant on the `Roster` of
+    plugged-in EVs. Defaults do nothing, and feedback records."""
 
     def attach(self, fleet: Fleet):
         """Called once with the simulation's fleet, before any session."""
@@ -50,11 +51,11 @@ class Strategy:
     def session_start(self, fleet: Fleet, rows, rng):
         pass
 
-    def decide(self, fleet: Fleet, rows, delta_i) -> np.ndarray:
+    def decide(self, roster: Roster) -> np.ndarray:
         raise NotImplementedError
 
-    def feedback(self, fleet: Fleet, rows, charged, cost_norm, crits, pv_w):
-        ev_record(fleet, rows, charged, cost_norm, crits, pv_w)
+    def feedback(self, roster: Roster, charged, cost_norm, crits, pv_w):
+        ev_record(roster, charged, cost_norm, crits, pv_w)
 
     def session_end(self, fleet: Fleet, rows):
         pass
@@ -106,8 +107,8 @@ class AmasStrategy(Strategy):
                         both.scale), rng)
         fleet.hold_samples(rows, sample[:, 0], sample[:, 1])
 
-    def decide(self, fleet, rows, delta_i):
-        return agents.ev_decide(fleet, rows, delta_i)
+    def decide(self, roster):
+        return agents.ev_decide(roster)
 
     def session_end(self, fleet, rows):
         update_day(self.bandit, fleet.played[rows], fleet.reward[rows], rows)
@@ -169,17 +170,16 @@ def _unpack(text: str, shape) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-def uncontrolled_action(fleet: Fleet, rows) -> np.ndarray:
+def uncontrolled_action(roster: Roster) -> np.ndarray:
     """Plug-and-charge: full power until the SoC target, blind to everything."""
-    return np.where(fleet.soc[rows] < fleet.soc_target[rows],
-                    fleet.p_max[rows], 0.0)
+    return np.where(roster.soc < roster.soc_target, roster.p_max, 0.0)
 
 
 class UncontrolledStrategy(Strategy):
     """Charges at maximum power from plug-in; ignores prices and requests."""
 
-    def decide(self, fleet, rows, delta_i):
-        return uncontrolled_action(fleet, rows)
+    def decide(self, roster):
+        return uncontrolled_action(roster)
 
 
 class ScheduleStrategy(Strategy):
@@ -204,10 +204,9 @@ class ScheduleStrategy(Strategy):
     def session_start(self, fleet, rows, rng):
         fleet.theta[rows] = self.plans[rows]
 
-    def decide(self, fleet, rows, delta_i):
-        planned = fleet.theta[rows, fleet.now[rows]] > 0.0
-        return np.where(planned & (fleet.soc[rows] < 1.0),
-                        fleet.p_max[rows], 0.0)
+    def decide(self, roster):
+        planned = roster.fleet.cells["theta"][roster.flat] > 0.0
+        return np.where(planned & (roster.soc < 1.0), roster.p_max, 0.0)
 
 
 # -- centralized oracle ------------------------------------------------------
@@ -305,8 +304,7 @@ def centralized_oracle(scenario: Scenario, mode="greedy",
     m = scenario.m
 
     pv_ahead = np.array([_true_pv_local(scenario, p).sum() for p in fleet])
-    k = required_instants(Fleet(fleet, m), np.arange(len(fleet)),
-                          scenario.delta_i, pv_ahead, 0, 0)
+    k = required_instants(Fleet(fleet, m), scenario.delta_i, pv_ahead, 0, 0)
     needs = {p.ev_id: int(k_ev) for p, k_ev in zip(fleet, k)}
     local_price = {
         p.ev_id: scenario.price_profile[

@@ -2,9 +2,11 @@
 does not use them.
 
 `SuperArm` scores a set of instants under a parameter vector,
-`pseudo_regret` traces the regret of a run of daily selections, and
+`pseudo_regret` traces the regret of a run of daily selections,
 `power_mismatch` recomputes a power-flow solution's residual from its
-complex voltages.
+complex voltages, `certificate_bounds` walks each bus up to the slack for
+the power-flow certificate's bounds, and `uncontrolled_accounts` books an
+uncontrolled run one EV and one instant at a time.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gridcharge.bandit import select_super_arm
-from gridcharge.gridnet import NetworkTopology, PowerFlowSolution
+from gridcharge.gridnet import NetworkTopology, PowerFlowSolution, pv_power
 
 
 @dataclass(frozen=True)
@@ -85,3 +87,65 @@ def power_mismatch(net: NetworkTopology, solution: PowerFlowSolution,
     root = net.bus_index[net.slack_bus_id]
     mismatch[root] = 0.0
     return float(np.max(np.abs(mismatch)) / net.v_base**2)
+
+
+def certificate_bounds(net: NetworkTopology, injections):
+    """The bounds `certainly_within_limits` tests, by walking every bus up
+    `parent_bus` to the slack in plain Python: S_l, the sum of |p| over the
+    buses below line l, and then for each non-slack bus in index order d_b,
+    the sum of |Z_l| * S_l / v_lo over the lines above it, with
+    v_lo = max(v_min) * v_base. Returns one list, S then d."""
+    p = [abs(float(x)) for x in injections]
+    parent_bus, parent_line = net.parent_bus.tolist(), net.parent_line.tolist()
+
+    def lines_above(bus):
+        while parent_bus[bus] >= 0:
+            yield parent_line[bus]
+            bus = parent_bus[bus]
+
+    load = [0.0] * net.n_lines
+    for bus, watt in enumerate(p):
+        for line in lines_above(bus):
+            load[line] += watt
+    v_lo = max(b.v_min for b in net.buses) * net.v_base
+    z = [abs(complex(l.resistance, l.reactance)) for l in net.lines]
+    drop = [sum(z[line] * load[line] / v_lo for line in lines_above(bus))
+            for bus in range(net.n_buses) if parent_bus[bus] >= 0]
+    return load + drop
+
+
+def uncontrolled_accounts(scenario):
+    """What a run of `UncontrolledStrategy` books, one EV and one instant at
+    a time in plain Python floats: per (day, EV) cell the cost, the grid
+    and battery energy and the final SoC.
+
+    Each day an EV plugs in at `t_arrive` with `soc_start` and stays
+    `window_length` instants; it asks for `p_max` while below its SoC
+    target; the battery takes its site's PV first, then grid power, both
+    capped by its free capacity. The network never curtails it.
+    """
+    m, days, dh = scenario.m, scenario.days, scenario.delta_i / 60.0
+    shape = (days, len(scenario.fleet))
+    cost, grid, battery, final = (np.zeros(shape) for _ in range(4))
+    for e, p in enumerate(scenario.fleet):
+        site = scenario.sites[scenario.ev_site[p.ev_id]]
+        for day in range(days):
+            soc, c, g, b = p.soc_start, 0.0, 0.0, 0.0
+            for l in range(p.window_length):
+                i = (p.t_arrive + l) % m
+                pv_w = float(pv_power(site.pv_area, site.pv_efficiency,
+                                      scenario.irradiance_profile[i]))
+                asked = p.p_max if soc < p.soc_target else 0.0
+                headroom = max(0.0, (1.0 - soc) * p.e_bat)
+                pv_in = min(pv_w / 1000.0 * dh, headroom)
+                grid_in = min(p.eta_chrg * asked * dh, headroom - pv_in)
+                grid_kw = grid_in / (p.eta_chrg * dh) if grid_in > 0.0 else 0.0
+                stored = pv_in + grid_in
+                soc += stored / p.e_bat
+                c += float(scenario.price_profile[i]) * grid_kw * dh
+                g += grid_in
+                b += stored
+            cost[day, e], grid[day, e] = c, g
+            battery[day, e], final[day, e] = b, soc
+    return {"cost": cost, "grid_energy": grid, "battery_energy": battery,
+            "final_soc": final}

@@ -264,7 +264,7 @@ def test_criterion_8_required_instants_examples():
     def need(profile, phi, k_p):
         fleet = Fleet([profile], 60)
         fleet.hold_samples([0], np.zeros((1, 60)), phi[None])
-        return int(required_instants(fleet, [0], 15.0, fleet.pv_ahead[0, 0],
+        return int(required_instants(fleet, 15.0, fleet.pv_ahead[0, 0],
                                      k_p, 0)[0])
 
     p = EvProfile(ev_id="e", bus_id="b", e_bat=52.0, p_max=7.0,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcharge import agents
-from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet,
+from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet, Roster,
                                bus_criticality, ev_decide, ev_record,
                                ev_reward, forward_request, line_criticality,
                                request_priority, required_instants,
@@ -170,7 +170,7 @@ def one_ev(p, theta=None, phi=None):
     """A one-row fleet in a fresh session of `p`, with its sampled theta
     and PV estimate phi (watt per local instant)."""
     w = p.window_length
-    fleet = Fleet([p], w)
+    fleet = Fleet([p], w, delta_i=15.0)
     fleet.plug_in([0], 0)
     fleet.hold_samples([0], np.zeros((1, w)) if theta is None else [theta],
                        np.zeros((1, w)) if phi is None else [phi])
@@ -181,7 +181,7 @@ def need(p, phi, k_p, now):
     """required_instants for one EV, reading the PV ahead as the fleet
     holds it."""
     fleet = one_ev(p, phi=phi)
-    return int(required_instants(fleet, [0], 15.0, fleet.pv_ahead[0, now],
+    return int(required_instants(fleet, 15.0, fleet.pv_ahead[0, now],
                                  k_p, now)[0])
 
 
@@ -189,8 +189,9 @@ def decide(fleet, now, requests):
     """ev_decide for the one-row fleet at local instant `now`, with the
     requests it received the instant before."""
     fleet.now[0] = now
-    take_requests(fleet, [0], {fleet.ev_ids[0]: requests})
-    return float(ev_decide(fleet, [0], 15.0)[0])
+    roster = Roster(fleet, [0])
+    take_requests(roster, {fleet.ev_ids[0]: requests})
+    return float(ev_decide(roster)[0])
 
 
 class TestRequiredInstants:
@@ -221,7 +222,7 @@ class TestRequiredInstants:
 
     def test_now_outside_window_rejected(self):
         with pytest.raises(ValueError):
-            required_instants(one_ev(profile()), [0], 15.0, 0.0, 0, 60)
+            required_instants(one_ev(profile()), 15.0, 0.0, 0, 60)
 
     @given(soc_start=st.floats(0.0, 0.8), k_p=st.integers(0, 20),
            now=st.integers(0, 59))
@@ -307,7 +308,7 @@ class TestEvDecide:
         # would beat every instant inside it.
         m = 16
         fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
-                       for r, w in enumerate(windows)], m)
+                       for r, w in enumerate(windows)], m, delta_i=15.0)
         rows = np.arange(len(windows))
         fleet.plug_in(rows, 0)
         theta = np.full((len(windows), m), 9.0)
@@ -322,7 +323,7 @@ class TestEvDecide:
             fleet.k_p[r] = data.draw(st.integers(0, 10))
             fleet.now[r] = data.draw(st.integers(0, w - 1))
         fleet.hold_samples(rows, theta, phi)
-        got = ev_decide(fleet, rows, 15.0) == fleet.p_max
+        got = ev_decide(Roster(fleet, rows)) == fleet.p_max
         for r, w in enumerate(windows):
             now = int(fleet.now[r])
             k_f = need(profile(t_depart=w), phi[r, :w], int(fleet.k_p[r]),
@@ -363,6 +364,16 @@ class TestRankTable:
         assert (fleet.beaten_by
                 == beaten_by_double_loop(theta, windows, m)).all()
 
+    def test_counts_past_a_byte(self):
+        # A rising theta over 300 instants: instant l is beaten by every
+        # later one, 299 at l = 0, more than a byte holds.
+        m = 300
+        fleet = Fleet([profile(t_depart=m)], m)
+        fleet.plug_in([0], 0)
+        fleet.hold_samples([0], np.arange(m, dtype=float)[None],
+                           np.zeros((1, m)))
+        assert fleet.beaten_by[0].tolist() == list(range(m - 1, -1, -1))
+
     def test_new_rows_leave_other_rows_alone(self):
         m = 12
         windows = [12, 3, 7, 9]
@@ -386,21 +397,27 @@ class TestEvRecord:
     def test_charged_records_reward(self):
         fleet = one_ev(profile())
         fleet.now[0] = 3
-        ev_record(fleet, [0], [True], 0.2, [[]], [500.0])
+        roster = Roster(fleet, [0])
+        ev_record(roster, [True], 0.2, [[]], [500.0])
         assert fleet.played[0, 3] == 1.0
-        assert fleet.k_p[0] == 1
+        assert roster.k_p[0] == 1
         assert fleet.reward[0, 3] == pytest.approx(0.8)
         assert fleet.pv_obs[0, 3] == 500.0
+        roster.keep(np.zeros(1, dtype=bool))
+        assert roster.size == 0
+        assert fleet.k_p[0] == 1
 
     def test_uncharged_still_records_pv(self):
         fleet = one_ev(profile())
         fleet.now[0] = 3
-        ev_record(fleet, [0], [False], 0.2, [[1.0]], [500.0])
+        roster = Roster(fleet, [0])
+        ev_record(roster, [False], 0.2, [[1.0]], [500.0])
         assert fleet.played[0, 3] == 0.0
         assert fleet.reward[0, 3] == 0.0
         assert fleet.pv_mask[0, 3] == 1.0
+        assert roster.k_p[0] == 0
 
     def test_charged_during_congestion(self):
         fleet = one_ev(profile())
-        ev_record(fleet, [0], [True], 0.2, [[1.0]], [0.0])
+        ev_record(Roster(fleet, [0]), [True], 0.2, [[1.0]], [0.0])
         assert fleet.reward[0, 0] == -1.0

@@ -281,6 +281,20 @@ class TestUpdates:
         with pytest.raises(ValueError):
             update_day(st_, np.zeros(4), np.zeros(4))
 
+    def test_selected_rows_shape_checked(self):
+        # `rows` picks the rows the mask updates: the mask needs one row
+        # per picked row, and the values the mask's shape.
+        st_ = BanditState.initial(3, 0.5, REWARD_PRIOR_MEAN, n=4)
+        rows = np.array([2, 0])
+        for mask, values in ((np.ones((3, 3)), np.ones((3, 3))),
+                             (np.ones((2, 3)), np.ones((2, 2)))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                update_day(st_, mask, values, rows)
+        update_day(st_, np.ones((2, 3)), np.ones((2, 3)), rows)
+        assert st_.precision[:, 0].tolist() == [2.0, 1.0, 2.0, 1.0]
+        update_day(st_, np.ones(3), np.ones(3), 1)
+        assert st_.precision[1].tolist() == [2.0, 2.0, 2.0]
+
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
     def test_spd_preserved(self, seed):

@@ -19,6 +19,7 @@ from gridcharge.gridnet import (FeederSpec, NetworkTopology,
                                 build_replicated_feeder,
                                 certainly_within_limits, solve_power_flow)
 from gridcharge.strategies import AmasStrategy, UncontrolledStrategy
+from helpers import uncontrolled_accounts
 from test_grid import radial_trees
 
 
@@ -272,6 +273,20 @@ class TestSimulationPipeline:
             assert total_kw >= 0.0
             if t.ev_grid_kw:
                 assert total_kw <= 7.0 / 0.95 * len(sc.fleet) + 1e-9
+
+    def test_roster_books_as_a_per_ev_loop(self):
+        # The second EV plugs in at the last instant of the first, whose
+        # session leaves the roster right after it; the third EV's window
+        # crosses midnight. The roster's session sums must book exactly
+        # what one EV and one instant at a time books.
+        sc = generate_scenario(small_config(m=24), 3, 7)
+        windows = [(9, 13), (12, 18), (21, 27)]
+        sc.fleet = [replace(p, t_arrive=a, t_depart=d, e_bat=20.0)
+                    for p, (a, d) in zip(sc.fleet, windows)]
+        res = Simulation(sc, UncontrolledStrategy(), keep_traces=False).run()
+        for name, want in uncontrolled_accounts(sc).items():
+            assert np.array_equal(getattr(res, name), want), name
+        assert (res.battery_energy > res.grid_energy).all()  # PV counted
 
     def test_uncontrolled_reaches_target(self):
         sc = generate_scenario(small_config(), 2, 7)

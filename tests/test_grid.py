@@ -11,7 +11,7 @@ from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
                                 TopologyError, build_replicated_feeder,
                                 certainly_within_limits, pv_power,
                                 solve_power_flow)
-from helpers import power_mismatch
+from helpers import certificate_bounds, power_mismatch
 
 
 @st.composite
@@ -256,6 +256,21 @@ class TestCertificate:
         assert (net.v_min <= sol.bus_voltages).all()
         assert (sol.bus_voltages <= net.v_max).all()
 
+    @given(net=limited_trees(), data=st.data())
+    def test_matrix_matches_a_walk_to_the_slack(self, net, data):
+        # The product of `certificate_matrix` with |p| against a walk up
+        # `parent_bus` from every bus: first each line's load S_l, then each
+        # non-slack bus's drop d_b.
+        magnitude = st.one_of(st.just(0.0), st.floats(1e-6, 1e4))
+        signed = st.tuples(magnitude, st.sampled_from([-1.0, 1.0]))
+        p = np.array([a * s for a, s in data.draw(st.lists(
+            signed, min_size=net.n_buses, max_size=net.n_buses))])
+        assert net.certificate_matrix.shape == (net.n_lines + net.n_buses - 1,
+                                                net.n_buses)
+        np.testing.assert_allclose(net.certificate_matrix @ np.abs(p),
+                                   certificate_bounds(net, p), rtol=1e-12,
+                                   atol=0.0)
+
     def test_clears_light_loads_on_the_feeders(self):
         for spec in (FeederSpec(), FeederSpec(sub_districts=4)):
             net = build_replicated_feeder(spec)
@@ -396,6 +411,17 @@ class TestTopologyValidation:
     def test_nonpositive_rating_rejected(self):
         with pytest.raises(TopologyError):
             Line("l", "a", "b", 0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["resistance", "reactance", "i_rated"])
+    def test_non_finite_line_value_rejected(self, field, bad):
+        # A NaN rating used to build, and NaN never compares above it, so
+        # the line could never congest.
+        values = dict(resistance=0.01, reactance=0.005, i_rated=100.0)
+        values[field] = bad
+        with pytest.raises(TopologyError,
+                           match=rf"line 'l7': {field} must be finite"):
+            Line("l7", "a", "b", **values)
 
     def test_negative_resistance_rejected(self):
         with pytest.raises(TopologyError, match="resistance"):

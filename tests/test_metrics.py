@@ -96,32 +96,32 @@ class TestConvergenceDay:
 
 
 def _profile_state(soc):
-    """A one-row fleet in session at the given SoC."""
-    from gridcharge.agents import EvProfile, Fleet
+    """The roster of a one-row fleet in session at the given SoC."""
+    from gridcharge.agents import EvProfile, Fleet, Roster
     p = EvProfile(ev_id="e", bus_id="b", e_bat=52.0, p_max=7.0, eta_chrg=0.95,
                   soc_start=0.5, soc_target=0.8, t_arrive=0, t_depart=10)
     fleet = Fleet([p], 10)
     fleet.plug_in([0], 0)
     fleet.soc[0] = soc
-    return fleet, [0]
+    return Roster(fleet, [0])
 
 
 class TestUncontrolledAction:
     def test_below_target_full_power(self):
-        fleet, rows = _profile_state(0.5)
-        assert uncontrolled_action(fleet, rows).tolist() == [7.0]
+        roster = _profile_state(0.5)
+        assert uncontrolled_action(roster).tolist() == [7.0]
 
     def test_at_target_idle(self):
-        fleet, rows = _profile_state(0.8)
-        assert uncontrolled_action(fleet, rows).tolist() == [0.0]
+        roster = _profile_state(0.8)
+        assert uncontrolled_action(roster).tolist() == [0.0]
 
     def test_price_blind(self):
         # The decide hook ignores prices and requests entirely.
-        fleet, rows = _profile_state(0.5)
+        roster = _profile_state(0.5)
         strat = UncontrolledStrategy()
-        a = strat.decide(fleet, rows, 15.0).tolist()
-        fleet.curtail[0] = fleet.force[0] = True
-        b = strat.decide(fleet, rows, 15.0).tolist()
+        a = strat.decide(roster).tolist()
+        roster.curtail[0] = roster.force[0] = True
+        b = strat.decide(roster).tolist()
         assert a == b == [7.0]
 
 
@@ -148,8 +148,7 @@ def sequential_greedy(sc):
     net, m = sc.topology, sc.m
     base = _FeasibilityChecker(sc).base
     pv_ahead = np.array([_true_pv_local(sc, p).sum() for p in sc.fleet])
-    needs = required_instants(Fleet(sc.fleet, m), np.arange(len(sc.fleet)),
-                              sc.delta_i, pv_ahead, 0, 0)
+    needs = required_instants(Fleet(sc.fleet, m), sc.delta_i, pv_ahead, 0, 0)
     order = sorted(range(len(sc.fleet)),
                    key=lambda j: (sc.fleet[j].window_length - needs[j],
                                   sc.fleet[j].ev_id))
@@ -286,7 +285,7 @@ class TestCentralizedOracle:
 
         # Brute force over all joint assignments of the needed sizes.
         from gridcharge.agents import Fleet, required_instants
-        ka, kb = required_instants(Fleet([a, b], sc.m), [0, 1], sc.delta_i,
+        ka, kb = required_instants(Fleet([a, b], sc.m), sc.delta_i,
                                    0.0, 0, 0).tolist()
         prices_a = [sc.price_profile[(a.t_arrive + l) % sc.m]
                     for l in range(a.window_length)]
