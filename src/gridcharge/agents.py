@@ -10,6 +10,7 @@ the plug-in instant and the connection window is [0, window_length).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
     "ev_reward",
     "take_requests",
     "instants_short",
+    "charging_need",
     "required_instants",
     "ev_decide",
     "ev_record",
@@ -128,12 +130,12 @@ class Fleet:
         self._block = np.zeros((len(COLUMNS), n), dtype=np.int64)
         _bind(self, _COLUMNS, self._block)
 
-        def column(name):
-            return np.array([getattr(p, name) for p in profiles], dtype=float)
         for name in ("e_bat", "p_max", "eta_chrg", "soc_target"):
-            getattr(self, name)[:] = column(name)   # kWh, kW, 1, 1
-        self.soc_start = column("soc_start")
-        self.window[:] = [p.window_length for p in profiles]
+            getattr(self, name)[:] = _column(profiles, name)  # kWh, kW, 1, 1
+        self.soc_start = _column(profiles, "soc_start")
+        need = charging_need(profiles)
+        for name in ("need_kw_min", "charge_kw", "window"):
+            getattr(self, name)[:] = getattr(need, name)
         if (self.window > m).any():
             raise ValueError(f"connection windows must not exceed m={m} "
                              "instants")
@@ -141,11 +143,6 @@ class Fleet:
             self.site[:] = site
         if bus is not None:
             self.bus[:] = bus
-        # Per-EV constants of the charging need: the energy to the SoC
-        # target in kW-minutes and the battery power per grid instant.
-        self.need_kw_min[:] = 60.0 * self.e_bat * (self.soc_target
-                                                   - self.soc_start)
-        self.charge_kw[:] = self.p_max * self.eta_chrg
         self.soc[:] = self.soc_start
         self.flat[:] = np.arange(n) * m
         # soc and the session's cost, grid_energy and battery_energy sums.
@@ -257,6 +254,23 @@ class Roster:
         self.fleet._block[_SESSION:, self.rows] = self._block[_SESSION:]
         self._hold(self.rows.compress(stay),
                    self._block.compress(stay, axis=1))
+
+
+def _column(profiles, name) -> np.ndarray:
+    return np.array([getattr(p, name) for p in profiles], dtype=float)
+
+
+def charging_need(profiles) -> SimpleNamespace:
+    """The per-EV columns `required_instants` reads, one entry per profile
+    in order: `need_kw_min`, the energy to the SoC target in kW-minutes,
+    `charge_kw`, the battery power per grid instant, and `window`, the
+    instants of the connection window. `Fleet` fills its columns of these
+    names from here."""
+    return SimpleNamespace(
+        need_kw_min=60.0 * _column(profiles, "e_bat")
+        * (_column(profiles, "soc_target") - _column(profiles, "soc_start")),
+        charge_kw=_column(profiles, "p_max") * _column(profiles, "eta_chrg"),
+        window=np.array([p.window_length for p in profiles], dtype=np.int64))
 
 
 def _bind(owner, columns, block):
@@ -429,8 +443,8 @@ def _still_needed(short, k_p, now, window) -> np.ndarray:
 
 def required_instants(evs, delta_i: float, pv_ahead_w, k_p,
                       now) -> np.ndarray:
-    """Remaining grid-charging instants each EV of `evs` (a `Fleet` or a
-    `Roster`) needs to hit its SoC target.
+    """Remaining grid-charging instants each EV of `evs` (a `Fleet`, a
+    `Roster` or a `charging_need`) needs to hit its SoC target.
 
     `delta_i` is minutes per instant; `pv_ahead_w` is the estimated PV
     power in watt summed over the EV's remaining connected instants

@@ -32,6 +32,9 @@ __all__ = [
     "InstantTrace",
     "SimulationResult",
     "Simulation",
+    "GridJudge",
+    "instant_tables",
+    "bus_sums",
     "generate_scenario",
     "agent_neighbors",
     "flood_requests",
@@ -192,6 +195,84 @@ def generate_scenario(cfg: ScenarioConfig, days: int, seed: int) -> Scenario:
                     m=m, delta_i=delta_i, days=days, seed=seed)
 
 
+def bus_sums(n_buses: int, term_bus, terms) -> np.ndarray:
+    """Per (instant, bus) sums of an (instants, terms) table, where term j
+    lands on bus `term_bus[j]`. bincount adds its weights in order, from 0,
+    so each bus sums its terms in column order."""
+    m = len(terms)
+    cell = np.arange(m)[:, None] * n_buses + np.asarray(term_bus)
+    return np.bincount(cell.ravel(), np.asarray(terms).ravel(),
+                       minlength=m * n_buses).reshape(m, n_buses)
+
+
+def instant_tables(scenario: Scenario):
+    """The per-instant tables every injection vector of a scenario starts
+    from, the same for the simulation and the oracle.
+
+    Returns the bus of each site, the household-load injections per
+    (instant of day, bus), each bus summing its sites' loads in site order
+    (see `bus_sums`), and the PV watt per (instant of day, site); both
+    tables are read-only.
+    """
+    net, sites = scenario.topology, scenario.sites
+    site_bus = np.array([net.bus_index[s.bus_id] for s in sites],
+                        dtype=np.int64)
+    load_inj = bus_sums(net.n_buses, site_bus, scenario.site_load_profiles.T)
+    site_pv_w = pv_power(np.array([s.pv_area for s in sites]),
+                         np.array([s.pv_efficiency for s in sites]),
+                         scenario.irradiance_profile[:, None])
+    load_inj.flags.writeable = site_pv_w.flags.writeable = False
+    return site_bus, load_inj, site_pv_w
+
+
+class GridJudge:
+    """The grid state of bus injection vectors, each judged once.
+
+    A state is (converged, line criticalities, bus criticalities, any line
+    critical, any bus critical), its arrays read-only, kept by the
+    vector's bytes. It depends only on the vector, and vectors repeat:
+    household loads and PV repeat per instant of day, and schedules
+    replay. A vector that `certainly_within_limits` clears shares one
+    all-clear state and is not solved; any other is solved once by
+    `solve`, the `solve_power_flow` of the caller's module, so that a
+    wrapper installed under that name sees the caller's solves. A power
+    flow that does not converge leaves the electrical state unknown, so
+    every line is marked critical and the whole fleet backs off.
+    """
+
+    def __init__(self, net: NetworkTopology, solve):
+        self.net, self._solve = net, solve
+        self.states = {}
+        line_ok, bus_ok = np.zeros(net.n_lines), np.zeros(net.n_buses)
+        line_ok.flags.writeable = bus_ok.flags.writeable = False
+        self.all_clear = (True, line_ok, bus_ok, False, False)
+
+    def state(self, inj: np.ndarray) -> tuple:
+        key, net = inj.tobytes(), self.net
+        state = self.states.get(key)
+        if state is None and certainly_within_limits(net, inj):
+            state = self.states[key] = self.all_clear
+        if state is None:
+            sol = self._solve(net, inj)
+            if sol.converged:
+                line_crit = line_criticality(sol.line_currents, net.i_rated)
+                bus_crit = bus_criticality(sol.bus_voltages, net.v_min,
+                                           net.v_max)
+            else:
+                line_crit = np.ones(net.n_lines)
+                bus_crit = np.zeros(net.n_buses)
+            line_crit.flags.writeable = bus_crit.flags.writeable = False
+            state = self.states[key] = (sol.converged, line_crit, bus_crit,
+                                        line_crit.any(), bus_crit.any())
+        return state
+
+    def within_limits(self, inj: np.ndarray) -> bool:
+        """Whether the power flow converges with every line within its
+        rating and every bus within its voltage band."""
+        converged, _, _, line_any, bus_any = self.state(inj)
+        return bool(converged and not line_any and not bus_any)
+
+
 def agent_neighbors(topology: NetworkTopology) -> dict:
     """The line/bus agent graph requests flood over: lines touch their
     endpoint buses, buses touch their incident lines. It depends only on
@@ -307,28 +388,12 @@ class Simulation:
         self.ev_ids = self.fleet.ev_ids
         self._neighbors = agent_neighbors(self.net)
         self._ev_bus_id = [p.bus_id for p in scenario.fleet]
-        self._bus_of_site = np.array(
-            [self.net.bus_index[s.bus_id] for s in scenario.sites], dtype=np.int64
-        )
-        # Read-only PV watt per (instant of day, site).
-        self._site_pv_w = pv_power(
-            np.array([s.pv_area for s in scenario.sites]),
-            np.array([s.pv_efficiency for s in scenario.sites]),
-            scenario.irradiance_profile[:, None])
-        self._site_pv_w.flags.writeable = False
-        # The same PV as kWh per instant.
+        self._bus_of_site, self._load_inj, self._site_pv_w = (
+            instant_tables(scenario))
+        # The site PV as kWh per instant.
         self._site_pv_kwh = self._site_pv_w / 1000.0 * self.delta_h
         self._site_pv_kwh.flags.writeable = False
-        # Read-only household-load injections per (instant of day, bus):
-        # bincount adds its weights in order, so each bus sums its sites'
-        # loads in site order, from 0.
-        n_buses = self.net.n_buses
-        cell = np.arange(m)[:, None] * n_buses + self._bus_of_site
-        self._load_inj = np.bincount(
-            cell.ravel(), scenario.site_load_profiles.T.ravel(),
-            minlength=m * n_buses).reshape(m, n_buses)
-        self._load_inj.flags.writeable = False
-        self._load_bus = np.arange(n_buses)
+        self._load_bus = np.arange(self.net.n_buses)
         # EVs plugging in, and leaving after, each instant of day.
         t_arrive = np.array([p.t_arrive for p in scenario.fleet], dtype=np.int64)
         last = (t_arrive + self.fleet.window - 1) % m
@@ -338,16 +403,7 @@ class Simulation:
         # their grid power enters the bus injections.
         self.roster = Roster(self.fleet)
         self._roster_changed()
-        # Injection bytes -> (converged, line crit, bus crit, any line crit,
-        # any bus crit), the arrays read-only: the grid state depends only
-        # on the injections, which repeat across instants (flat household
-        # loads, no PV at night, replayed schedules), so each distinct
-        # vector is solved once. A vector certified within limits shares
-        # one all-clear entry and is not solved at all.
-        self._grid_state = {}
-        line_ok, bus_ok = np.zeros(self.net.n_lines), np.zeros(n_buses)
-        line_ok.flags.writeable = bus_ok.flags.writeable = False
-        self._all_clear = (True, line_ok, bus_ok, False, False)
+        self.judge = GridJudge(self.net, solve_power_flow)
 
         D = scenario.days
         n = len(scenario.fleet)
@@ -419,26 +475,8 @@ class Simulation:
                           minlength=net.n_buses)
 
         # Phase 4: sensing, request creation, flooding to quiescence.
-        key = inj.tobytes()
-        state = self._grid_state.get(key)
-        if state is None and certainly_within_limits(net, inj):
-            state = self._grid_state[key] = self._all_clear
-        if state is None:
-            sol = solve_power_flow(net, inj)
-            if sol.converged:
-                line_crit = line_criticality(sol.line_currents, net.i_rated)
-                bus_crit = bus_criticality(sol.bus_voltages, net.v_min,
-                                           net.v_max)
-            else:
-                # Electrical state unknown: treat every line as congested so
-                # the whole fleet backs off.
-                line_crit = np.ones(net.n_lines)
-                bus_crit = np.zeros(net.n_buses)
-            line_crit.flags.writeable = bus_crit.flags.writeable = False
-            state = self._grid_state[key] = (sol.converged, line_crit,
-                                             bus_crit, line_crit.any(),
-                                             bus_crit.any())
-        converged, line_crit, bus_crit, line_any, bus_any = state
+        converged, line_crit, bus_crit, line_any, bus_any = (
+            self.judge.state(inj))
         initial = []
         if line_any or bus_any:
             grid_charging_evs = [fleet.ev_ids[i] for i in ro.rows[charged]]

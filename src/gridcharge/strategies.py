@@ -15,11 +15,12 @@ import zlib
 import numpy as np
 
 from . import agents
-from .agents import EvProfile, Fleet, Roster, ev_record, required_instants
+from .agents import (Fleet, Roster, charging_need, ev_record,
+                     required_instants)
 from .bandit import (REWARD_PRIOR_MEAN, BanditState, sample_parameter,
                      update_day, update_pv)
-from .engine import Scenario
-from .gridnet import certainly_within_limits, pv_power, solve_power_flow
+from .engine import GridJudge, Scenario, bus_sums, instant_tables
+from .gridnet import solve_power_flow
 
 __all__ = [
     "Strategy",
@@ -212,81 +213,6 @@ class ScheduleStrategy(Strategy):
 # -- centralized oracle ------------------------------------------------------
 
 
-def _true_pv_local(scenario: Scenario, profile: EvProfile) -> np.ndarray:
-    site = scenario.sites[scenario.ev_site[profile.ev_id]]
-    i = (profile.t_arrive + np.arange(profile.window_length)) % scenario.m
-    return pv_power(site.pv_area, site.pv_efficiency,
-                    scenario.irradiance_profile[i])
-
-
-class _FeasibilityChecker:
-    """Power-flow limit check for a set of EVs charging at a day-instant.
-
-    Base injections assume every connected EV absorbs its site's PV output
-    (the engine's behavior away from a full battery). A verdict depends
-    only on the injection vector, and candidates repeat vectors (flat
-    household loads, no PV at night), so each distinct vector is judged
-    once and its verdict kept by its bytes. A vector certified within
-    limits is not solved.
-    """
-
-    def __init__(self, scenario: Scenario):
-        self.sc = scenario
-        net = scenario.topology
-        m = scenario.m
-        sites = scenario.sites
-        site_bus = np.array([net.bus_index[s.bus_id] for s in sites],
-                            dtype=np.int64)
-        self.ev_bus = {p.ev_id: net.bus_index[p.bus_id]
-                       for p in scenario.fleet}
-        self.p_max_w = {p.ev_id: p.p_max * 1000.0 for p in scenario.fleet}
-        connected = np.zeros((m, len(sites)), dtype=bool)
-        for p in scenario.fleet:
-            i = (p.t_arrive + np.arange(p.window_length)) % m
-            connected[i, scenario.ev_site[p.ev_id]] = True
-        pv = pv_power(np.array([s.pv_area for s in sites]),
-                      np.array([s.pv_efficiency for s in sites]),
-                      scenario.irradiance_profile[:, None])
-        # One (instant, bus) entry per (instant, site) pair in site order,
-        # so each bus sums its loads, then subtracts its unconnected PV, in
-        # the same order as a per-instant loop.
-        at = (np.repeat(np.arange(m), len(sites)), np.tile(site_bus, m))
-        self.base = np.zeros((m, net.n_buses))
-        np.add.at(self.base, at, scenario.site_load_profiles.T.ravel())
-        away = ~connected.ravel()
-        np.subtract.at(self.base, (at[0][away], at[1][away]),
-                       pv.ravel()[away])
-        self._verdicts = {}   # injection bytes -> within limits
-
-    def within_limits(self, inj: np.ndarray) -> bool:
-        """Whether the power flow of a bus injection vector converges with
-        no line or bus criticality: every line within its rating and every
-        bus within its voltage band."""
-        key = inj.tobytes()
-        ok = self._verdicts.get(key)
-        if ok is None:
-            net = self.sc.topology
-            ok = certainly_within_limits(net, inj)
-            if not ok:
-                sol = solve_power_flow(net, inj)
-                ok = bool(
-                    sol.converged
-                    and not agents.line_criticality(sol.line_currents,
-                                                    net.i_rated).any()
-                    and not agents.bus_criticality(sol.bus_voltages,
-                                                   net.v_min,
-                                                   net.v_max).any())
-            self._verdicts[key] = ok
-        return ok
-
-    def feasible(self, i_day: int, charging_ev_ids) -> bool:
-        inj = self.base[i_day].copy()
-        # In id order, so the sums do not depend on set iteration order.
-        for ev in sorted(charging_ev_ids):
-            inj[self.ev_bus[ev]] += self.p_max_w[ev]
-        return self.within_limits(inj)
-
-
 def centralized_oracle(scenario: Scenario, mode="greedy",
                        max_expansions=500_000) -> dict:
     """Violation-free charging schedules under perfect PV foresight.
@@ -296,86 +222,101 @@ def centralized_oracle(scenario: Scenario, mode="greedy",
     "greedy": EVs ordered by flexibility take their cheapest instants that
     keep the power flow within limits.
     Returns ev_id -> boolean array over the EV's local connection window.
+
+    Every EV charges at full power at its planned instants. The base
+    injections assume that each connected EV absorbs its site's PV output
+    (the engine's behavior away from a full battery), so they take off
+    only the PV of the sites with no EV connected. The oracle's `GridJudge`
+    gives each row its verdict.
     """
     fleet = scenario.fleet
     if not fleet:
         return {}
-    checker = _FeasibilityChecker(scenario)
-    m = scenario.m
-
-    pv_ahead = np.array([_true_pv_local(scenario, p).sum() for p in fleet])
-    k = required_instants(Fleet(fleet, m), scenario.delta_i, pv_ahead, 0, 0)
-    needs = {p.ev_id: int(k_ev) for p, k_ev in zip(fleet, k)}
-    local_price = {
-        p.ev_id: scenario.price_profile[
-            (p.t_arrive + np.arange(p.window_length)) % m]
-        for p in fleet}
-
+    net, m = scenario.topology, scenario.m
+    site_bus, load_inj, site_pv_w = instant_tables(scenario)
+    # In fleet order: each EV's site, bus and charger watt, and its window
+    # as instants of day.
+    site = [scenario.ev_site[p.ev_id] for p in fleet]
+    bus = [net.bus_index[p.bus_id] for p in fleet]
+    watt = [p.p_max * 1000.0 for p in fleet]
+    window = [(p.t_arrive + np.arange(p.window_length)) % m for p in fleet]
+    away_pv = site_pv_w.copy()
+    for s, i in zip(site, window):
+        away_pv[i, s] = 0.0
+    # The loads of each bus, then minus its sites' PV in site order: a
+    # connected site adds -0.0, which changes no sum.
+    base = bus_sums(net.n_buses, np.concatenate((np.arange(net.n_buses),
+                                                 site_bus)),
+                    np.concatenate((load_inj, -away_pv), axis=1))
+    pv_ahead = np.array([site_pv_w[i, s].sum() for s, i in zip(site, window)])
+    needs = required_instants(charging_need(fleet), scenario.delta_i,
+                              pv_ahead, 0, 0).tolist()
+    prices = [scenario.price_profile[i] for i in window]
+    problem = (GridJudge(net, solve_power_flow), base,
+               [p.ev_id for p in fleet], window, bus, watt, needs, prices)
     if mode == "greedy":
-        return _oracle_greedy(scenario, checker, needs, local_price)
+        return _oracle_greedy(*problem)
     if mode == "exhaustive":
         if len(fleet) > 12:
             raise ValueError(
                 f"exhaustive oracle limited to 12 EVs (got {len(fleet)}); "
                 "use greedy mode")
-        return _oracle_exhaustive(scenario, checker, needs, local_price,
-                                  max_expansions)
+        return _oracle_exhaustive(*problem, max_expansions)
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 
-def _oracle_greedy(scenario, checker, needs, local_price):
-    """Each EV in turn tests its instants in price order against the
-    injections of the EVs placed before it, until `need` of them pass.
+def _oracle_greedy(judge, base, ev_ids, window, bus, watt, needs, prices):
+    """Each EV in turn, by flexibility, then id, tests its instants in
+    price order against the injections of the EVs placed before it, until
+    `need` of them pass.
 
     `inj` adds each placed EV's charger power to its instant's base
     injections.
     """
-    m = scenario.m
-    order = sorted(scenario.fleet,
-                   key=lambda p: (p.window_length - needs[p.ev_id], p.ev_id))
-    inj = checker.base.copy()
-    schedules = {}
-    for p in order:
-        bus, watt = checker.ev_bus[p.ev_id], checker.p_max_w[p.ev_id]
-        plan = np.zeros(p.window_length, dtype=bool)
-        need, got = needs[p.ev_id], 0
-        for l in np.argsort(local_price[p.ev_id], kind="stable").tolist():
-            if got == need:
+    inj = base.copy()
+    plans = {}
+    for e in sorted(range(len(ev_ids)),
+                    key=lambda e: (len(window[e]) - needs[e], ev_ids[e])):
+        plan = np.zeros(len(window[e]), dtype=bool)
+        got = 0
+        for l in np.argsort(prices[e], kind="stable").tolist():
+            if got == needs[e]:
                 break
-            i = (p.t_arrive + l) % m
+            i = window[e][l]
             row = inj[i].copy()
-            row[bus] += watt
-            if checker.within_limits(row):
+            row[bus[e]] += watt[e]
+            if judge.within_limits(row):
                 plan[l] = True
                 inj[i] = row
                 got += 1
-        schedules[p.ev_id] = plan
-    return schedules
+        plans[ev_ids[e]] = plan
+    return plans
 
 
-def _oracle_exhaustive(scenario, checker, needs, local_price, max_expansions):
-    m = scenario.m
-    fleet = scenario.fleet
-    per_ev = []
-    for p in fleet:
-        k = needs[p.ev_id]
-        prices = local_price[p.ev_id]
-        subsets = sorted(
-            (sum(prices[list(c)]), c)
-            for c in itertools.combinations(range(p.window_length), k)
-        )
-        per_ev.append(subsets)
+def _oracle_exhaustive(judge, base, ev_ids, window, bus, watt, needs, prices,
+                       max_expansions):
+    n = len(ev_ids)
+    per_ev = [sorted((sum(prices[e][list(c)]), c)
+                     for c in itertools.combinations(range(len(window[e])),
+                                                     needs[e]))
+              for e in range(n)]
+
+    def feasible(i, evs):
+        inj = base[i].copy()
+        # In id order, so the sums do not depend on the fleet order.
+        for e in sorted(evs, key=ev_ids.__getitem__):
+            inj[bus[e]] += watt[e]
+        return judge.within_limits(inj)
 
     def feasible_joint(idxs):
         charging_at = {}
-        for e, p in enumerate(fleet):
+        for e in range(n):
             for l in per_ev[e][idxs[e]][1]:
-                charging_at.setdefault((p.t_arrive + l) % m, set()).add(p.ev_id)
-        return all(checker.feasible(i, evs)
-                   for i, evs in charging_at.items())
+                charging_at.setdefault(int(window[e][l]), []).append(e)
+        return all(feasible(i, evs) for i, evs in charging_at.items())
 
-    start = tuple(0 for _ in fleet)
-    heap = [(sum(per_ev[e][0][0] for e in range(len(fleet))), start)]
+    start = tuple(0 for _ in range(n))
+    heap = [(sum(per_ev[e][0][0] for e in range(n)), start)]
     seen = {start}
     pops = 0
     while heap:
@@ -385,10 +326,10 @@ def _oracle_exhaustive(scenario, checker, needs, local_price, max_expansions):
             raise RuntimeError(
                 "exhaustive oracle exceeded the search budget; use greedy mode")
         if feasible_joint(idxs):
-            return {p.ev_id: _plan_from(per_ev[e][idxs[e]][1],
-                                        p.window_length)
-                    for e, p in enumerate(fleet)}
-        for e in range(len(fleet)):
+            return {ev_ids[e]: _plan_from(per_ev[e][idxs[e]][1],
+                                          len(window[e]))
+                    for e in range(n)}
+        for e in range(n):
             nxt = list(idxs)
             nxt[e] += 1
             if nxt[e] >= len(per_ev[e]):

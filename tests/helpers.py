@@ -5,8 +5,10 @@ does not use them.
 `pseudo_regret` traces the regret of a run of daily selections,
 `power_mismatch` recomputes a power-flow solution's residual from its
 complex voltages, `certificate_bounds` walks each bus up to the slack for
-the power-flow certificate's bounds, and `uncontrolled_accounts` books an
-uncontrolled run one EV and one instant at a time.
+the power-flow certificate's bounds, `site_tables` builds the per-instant
+load, PV and oracle base tables one instant and one site at a time, and
+`uncontrolled_accounts` books an uncontrolled run one EV and one instant
+at a time.
 """
 from __future__ import annotations
 
@@ -112,6 +114,33 @@ def certificate_bounds(net: NetworkTopology, injections):
     drop = [sum(z[line] * load[line] / v_lo for line in lines_above(bus))
             for bus in range(net.n_buses) if parent_bus[bus] >= 0]
     return load + drop
+
+
+def site_tables(scenario):
+    """The per-instant tables of a scenario, one instant of day and one
+    site at a time: the household-load injections per (instant, bus), each
+    bus adding its sites' loads in site order from 0; the PV watt per
+    (instant, site), area x efficiency x irradiance; and the greedy
+    oracle's base injections, the loads minus, in site order, the PV of
+    each site with no EV connected at that instant. Returns the three
+    tables."""
+    net, m, sites = scenario.topology, scenario.m, scenario.sites
+    connected = {((p.t_arrive + l) % m, scenario.ev_site[p.ev_id])
+                 for p in scenario.fleet for l in range(p.window_length)}
+    loads = np.zeros((m, net.n_buses))
+    pv = np.zeros((m, len(sites)))
+    base = np.zeros((m, net.n_buses))
+    for i in range(m):
+        irradiance = float(scenario.irradiance_profile[i])
+        for s, site in enumerate(sites):
+            loads[i, net.bus_index[site.bus_id]] += float(
+                scenario.site_load_profiles[s, i])
+            pv[i, s] = site.pv_area * site.pv_efficiency * irradiance
+        base[i] = loads[i]
+        for s, site in enumerate(sites):
+            if (i, s) not in connected:
+                base[i, net.bus_index[site.bus_id]] -= pv[i, s]
+    return loads, pv, base
 
 
 def uncontrolled_accounts(scenario):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcharge import engine
+from gridcharge import engine, strategies
 from gridcharge.agents import (CriticalityRequest, EvProfile, forward_request,
                                request_priority)
-from gridcharge.engine import (EvParams, ProfileError, Scenario,
+from gridcharge.engine import (EvParams, GridJudge, ProfileError, Scenario,
                                ScenarioConfig, ScenarioError, Simulation,
                                agent_neighbors, default_price_profile,
                                flood_requests, generate_scenario,
@@ -18,7 +18,8 @@ from gridcharge.engine import (EvParams, ProfileError, Scenario,
 from gridcharge.gridnet import (FeederSpec, NetworkTopology,
                                 build_replicated_feeder,
                                 certainly_within_limits, solve_power_flow)
-from gridcharge.strategies import AmasStrategy, UncontrolledStrategy
+from gridcharge.strategies import (AmasStrategy, UncontrolledStrategy,
+                                   centralized_oracle)
 from helpers import uncontrolled_accounts
 from test_grid import radial_trees
 
@@ -420,7 +421,8 @@ class TestGridStateMemo:
         assert len(rows) > len(distinct)   # instants repeat injections
         assert cleared                     # and some are never solved
         assert solved == [key for key in distinct if key not in cleared]
-        assert all(sim._grid_state[key] is sim._all_clear for key in cleared)
+        assert all(sim.judge.states[key] is sim.judge.all_clear
+                   for key in cleared)
 
     def test_traces_and_violations_match_fresh_solves(self, run):
         sc, _, res, _ = run
@@ -442,10 +444,34 @@ class TestGridStateMemo:
 
     def test_cached_criticalities_are_read_only(self, run):
         _, sim, _, _ = run
-        for _, line_crit, bus_crit, _, _ in sim._grid_state.values():
+        for _, line_crit, bus_crit, _, _ in sim.judge.states.values():
             for crit in (line_crit, bus_crit):
                 with pytest.raises(ValueError, match="read-only"):
                     crit[0] = 1.0
+
+    def test_oracle_verdicts_agree(self, run, monkeypatch):
+        # The oracle's judge gives False to every vector the simulation
+        # judged critical, and True to every one it cleared.
+        sc, sim, _, _ = run
+        judges = []
+
+        class Recorded(GridJudge):
+            def __init__(self, *args):
+                super().__init__(*args)
+                judges.append(self)
+
+        monkeypatch.setattr(strategies, "GridJudge", Recorded)
+        centralized_oracle(sc, mode="greedy")
+        assert len(judges) == 1
+        states = sim.judge.states.items()
+        critical = [key for key, (converged, _, _, line_any, bus_any)
+                    in states if not converged or line_any or bus_any]
+        cleared = [key for key, state in states
+                   if state is sim.judge.all_clear]
+        assert critical and cleared
+        for keys, verdict in ((critical, False), (cleared, True)):
+            for key in keys:
+                assert judges[0].within_limits(np.frombuffer(key)) is verdict
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_injections_raise(self, bad):

@@ -1,22 +1,24 @@
 """Evaluation metrics and the comparison strategies (uncontrolled, oracle)."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcharge import strategies
+from gridcharge import engine, strategies
 from gridcharge.agents import Fleet, required_instants
-from gridcharge.engine import (ScenarioConfig, Simulation, generate_scenario)
+from gridcharge.engine import (GridJudge, ScenarioConfig, Simulation,
+                               generate_scenario, instant_tables)
 from gridcharge.gridnet import (FeederSpec, certainly_within_limits,
                                 solve_power_flow)
 from gridcharge.metrics import (convergence_day, fairness_index,
                                 mean_daily_reward, per_unit_costs)
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
-                                   UncontrolledStrategy, _FeasibilityChecker,
-                                   _true_pv_local, centralized_oracle,
+                                   UncontrolledStrategy, centralized_oracle,
                                    uncontrolled_action)
+from helpers import site_tables
 
 
 class TestFairnessIndex:
@@ -146,8 +148,10 @@ def sequential_greedy(sc):
     EVs by flexibility, each taking its cheapest instants in turn while the
     network stays within limits. Returns the plans and the rejections."""
     net, m = sc.topology, sc.m
-    base = _FeasibilityChecker(sc).base
-    pv_ahead = np.array([_true_pv_local(sc, p).sum() for p in sc.fleet])
+    _, pv, base = site_tables(sc)
+    pv_ahead = np.array([
+        pv[(p.t_arrive + np.arange(p.window_length)) % m,
+           sc.ev_site[p.ev_id]].sum() for p in sc.fleet])
     needs = required_instants(Fleet(sc.fleet, m), sc.delta_i, pv_ahead, 0, 0)
     order = sorted(range(len(sc.fleet)),
                    key=lambda j: (sc.fleet[j].window_length - needs[j],
@@ -212,7 +216,7 @@ class TestCentralizedOracle:
         # Once per distinct row that the certificate does not clear.
         sc = make()
         checked, cleared, solved = [], set(), []
-        within_limits = _FeasibilityChecker.within_limits
+        within_limits = GridJudge.within_limits
         solve = strategies.solve_power_flow
 
         def record_check(self, inj):
@@ -225,8 +229,7 @@ class TestCentralizedOracle:
             solved.append(inj.tobytes())
             return solve(net, inj, **kw)
 
-        monkeypatch.setattr(_FeasibilityChecker, "within_limits",
-                            record_check)
+        monkeypatch.setattr(GridJudge, "within_limits", record_check)
         monkeypatch.setattr(strategies, "solve_power_flow", record_solve)
         centralized_oracle(sc, mode=mode)
         distinct = list(dict.fromkeys(checked))
@@ -240,7 +243,36 @@ class TestCentralizedOracle:
         inj = np.zeros(sc.topology.n_buses)
         inj[-1] = bad
         with pytest.raises(ValueError, match="finite"):
-            _FeasibilityChecker(sc).within_limits(inj)
+            GridJudge(sc.topology, solve_power_flow).within_limits(inj)
+
+    def test_tables_equal_a_site_loop(self, monkeypatch):
+        # Unequal loads and panels, and sites with no EV, so that the order
+        # of the sums and the unconnected-PV term both show.
+        sc = small_feeder(12, 60.0)
+        rng = np.random.default_rng(5)
+        sc.site_load_profiles = rng.uniform(0.0, 900.0,
+                                            sc.site_load_profiles.shape)
+        sc.sites = [replace(s, pv_area=float(a)) for s, a in
+                    zip(sc.sites, rng.uniform(5.0, 40.0, len(sc.sites)))]
+        loads, pv, base = site_tables(sc)
+        site_bus, load_inj, site_pv_w = instant_tables(sc)
+        assert site_bus.tolist() == [sc.topology.bus_index[s.bus_id]
+                                     for s in sc.sites]
+        assert load_inj.tobytes() == loads.tobytes()
+        assert site_pv_w.tobytes() == pv.tobytes()
+
+        # The oracle's base is its one table over (instant, bus) cells.
+        built = []
+
+        def record(*args):
+            built.append(engine.bus_sums(*args))
+            return built[-1]
+
+        monkeypatch.setattr(strategies, "bus_sums", record)
+        centralized_oracle(sc, mode="greedy")
+        assert len(built) == 1
+        assert built[0].tobytes() == base.tobytes()
+        assert not np.array_equal(base, loads)   # some sites are unconnected
 
     def test_zero_evs(self):
         sc = tiny_scenario(n_ev=0)
