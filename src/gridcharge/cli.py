@@ -44,12 +44,11 @@ def _strategy_for(rc: RunConfig, scenario):
     raise ConfigError(f"unknown strategy {rc.strategy!r}")
 
 
-def execute_run(rc: RunConfig, keep_traces=False):
+def execute_run(rc: RunConfig):
     scenario = build_scenario(rc)
     strategy = _strategy_for(rc, scenario)
     sim = Simulation(scenario, strategy,
-                     cooperation_fraction=rc.cooperation_fraction,
-                     keep_traces=keep_traces)
+                     cooperation_fraction=rc.cooperation_fraction)
     result = sim.run()
     return scenario, strategy, result
 

@@ -273,7 +273,6 @@ def parse_config(path, overrides=None) -> RunConfig:
 
 def build_scenario(rc: RunConfig) -> Scenario:
     sc = rc.raw["scenario"]
-    topo = sc["topology"]
     m = sc["instants_per_day"]
     price = None
     if sc["price_csv"]:
@@ -283,20 +282,7 @@ def build_scenario(rc: RunConfig) -> Scenario:
     if sc["irradiance_csv"]:
         irr = ingest_profile(sc["irradiance_csv"], "irradiance", m)
     cfg = ScenarioConfig(
-        feeder=FeederSpec(
-            sub_districts=topo["sub_districts"],
-            buses_per_feeder=topo["buses_per_feeder"],
-            households_per_bus=topo["households_per_bus"],
-            line_resistance=topo["line_resistance"],
-            line_reactance=topo["line_reactance"],
-            line_rating=topo["line_rating"],
-            trunk_resistance=topo["trunk_resistance"],
-            trunk_reactance=topo["trunk_reactance"],
-            trunk_rating=topo["trunk_rating"],
-            v_min=topo["v_min"],
-            v_max=topo["v_max"],
-            v_base=topo["v_base"],
-        ),
+        feeder=FeederSpec(**sc["topology"]),
         fleet_size=sc["fleet_size"],
         ev=EvParams(**sc["ev"]),
         pv_area_m2=sc["pv"]["area_m2"],

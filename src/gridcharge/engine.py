@@ -29,7 +29,6 @@ __all__ = [
     "ScenarioConfig",
     "Site",
     "Scenario",
-    "InstantTrace",
     "SimulationResult",
     "Simulation",
     "GridJudge",
@@ -333,17 +332,7 @@ def flood_requests(neighbors: dict, evs_at_bus: dict, initial):
 
 
 @dataclass
-class InstantTrace:
-    converged: bool
-    flood_rounds: int
-    requests: tuple                  # the instant's initial requests
-    injections: np.ndarray           # per-bus net injection, watt
-    ev_grid_kw: dict                 # ev_id -> grid power, charging EVs only
-
-
-@dataclass
 class SimulationResult:
-    strategy: str
     days: int
     ev_ids: list
     cost: np.ndarray            # (days, n_ev) currency
@@ -353,7 +342,6 @@ class SimulationResult:
     final_soc: np.ndarray       # (days, n_ev)
     violations_current: np.ndarray  # (days,) instants with a current violation
     violations_voltage: np.ndarray
-    traces: list | None
 
 
 class Simulation:
@@ -368,15 +356,13 @@ class Simulation:
     n_ev)` results when it ends.
     """
 
-    def __init__(self, scenario: Scenario, strategy, seed=None,
-                 cooperation_fraction=0.05, keep_traces=True):
+    def __init__(self, scenario: Scenario, strategy,
+                 cooperation_fraction=0.05):
         self.sc = scenario
         self.strategy = strategy
         self.coop_fraction = cooperation_fraction
-        self.keep_traces = keep_traces
         self.rng = np.random.default_rng(
-            np.random.SeedSequence([scenario.seed if seed is None else seed, 0x51e])
-        )
+            np.random.SeedSequence([scenario.seed, 0x51e]))
         self.m = m = scenario.m
         self.delta_h = scenario.delta_i / 60.0
         self.net = scenario.topology
@@ -415,7 +401,6 @@ class Simulation:
         self.mean_reward_ev = np.full((D, n), np.nan)
         self.violations_current = np.zeros(D, dtype=np.int64)
         self.violations_voltage = np.zeros(D, dtype=np.int64)
-        self.traces = [] if keep_traces else None
 
     def _roster_changed(self):
         """Derive what an instant reads from the roster's static columns.
@@ -431,7 +416,7 @@ class Simulation:
 
     # -- single instant ----------------------------------------------------
 
-    def run_instant(self, g: int) -> InstantTrace | None:
+    def run_instant(self, g: int) -> None:
         sc, fleet, net = self.sc, self.fleet, self.net
         dh = self.delta_h
         i_day = g % self.m
@@ -498,8 +483,7 @@ class Simulation:
             for idx in ro.rows.tolist():
                 evs_at_bus.setdefault(self._ev_bus_id[idx], []).append(
                     fleet.ev_ids[idx])
-        received, rounds = flood_requests(self._neighbors, evs_at_bus,
-                                          initial)
+        received, _ = flood_requests(self._neighbors, evs_at_bus, initial)
 
         # Phase 5: feedback with same-instant criticalities; the requests
         # are held for the next decision.
@@ -514,16 +498,6 @@ class Simulation:
             self.violations_current[vday] += 1
         if not converged or bus_any:
             self.violations_voltage[vday] += 1
-
-        trace = None
-        if self.keep_traces:
-            trace = InstantTrace(
-                converged=converged, flood_rounds=rounds,
-                requests=tuple(initial), injections=inj,
-                ev_grid_kw={fleet.ev_ids[i]: kw for i, kw in
-                            zip(ro.rows.tolist(), grid_kw.tolist())
-                            if kw > 0.0})
-            self.traces.append(trace)
 
         # Phase 6: sessions ending after this instant.
         ro.advance()
@@ -541,8 +515,6 @@ class Simulation:
             self._session_results[:, d, ending] = (
                 fleet.session_floats[:, ending])
 
-        return trace
-
     def run(self) -> SimulationResult:
         sc = self.sc
         tail = max((p.t_arrive + p.window_length - sc.m for p in sc.fleet),
@@ -551,7 +523,6 @@ class Simulation:
         for g in range(total):
             self.run_instant(g)
         return SimulationResult(
-            strategy=type(self.strategy).__name__,
             days=sc.days,
             ev_ids=self.ev_ids,
             cost=self.cost,
@@ -561,7 +532,6 @@ class Simulation:
             final_soc=self.final_soc,
             violations_current=self.violations_current,
             violations_voltage=self.violations_voltage,
-            traces=self.traces,
         )
 
 

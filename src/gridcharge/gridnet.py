@@ -221,18 +221,13 @@ class NetworkTopology:
         return len(self.lines)
 
     def injection_array(self, injections):
-        """Accept a dict bus_id -> watt or a dense array over bus indices."""
-        if isinstance(injections, dict):
-            p = np.zeros(self.n_buses)
-            for bus_id, watt in injections.items():
-                p[self.bus_index[bus_id]] = watt
-        else:
-            p = np.asarray(injections, dtype=float)
-            if p.shape != (self.n_buses,):
-                raise ValueError(
-                    f"injection shape {p.shape}: expected (n_buses,) with "
-                    f"n_buses = {self.n_buses}"
-                )
+        """The injections, watt per bus index, as a checked float array."""
+        p = np.asarray(injections, dtype=float)
+        if p.shape != (self.n_buses,):
+            raise ValueError(
+                f"injection shape {p.shape}: expected (n_buses,) with "
+                f"n_buses = {self.n_buses}"
+            )
         if not np.isfinite(p).all():
             raise ValueError("injections must be finite")
         return p
@@ -311,7 +306,8 @@ def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
                      ) -> PowerFlowSolution:
     """Backward/forward sweep for constant-power injections on a radial tree.
 
-    `injections` is signed active power in watt per bus (positive = load).
+    `injections` is signed active power in watt per bus, in bus index order
+    (positive = load).
     Convergence: max per-unit voltage change < `tol`. A non-convergent case
     is returned with converged=False rather than raised; the caller decides
     how to score that instant.

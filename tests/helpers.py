@@ -6,16 +6,19 @@ does not use them.
 `power_mismatch` recomputes a power-flow solution's residual from its
 complex voltages, `certificate_bounds` walks each bus up to the slack for
 the power-flow certificate's bounds, `site_tables` builds the per-instant
-load, PV and oracle base tables one instant and one site at a time, and
+load, PV and oracle base tables one instant and one site at a time,
 `uncontrolled_accounts` books an uncontrolled run one EV and one instant
-at a time.
+at a time, and `record_instants` runs a simulation and records what each
+of its instants looked up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 
+from gridcharge import engine
 from gridcharge.bandit import select_super_arm
 from gridcharge.gridnet import NetworkTopology, PowerFlowSolution, pv_power
 
@@ -178,3 +181,72 @@ def uncontrolled_accounts(scenario):
             battery[day, e], final[day, e] = b, soc
     return {"cost": cost, "grid_energy": grid, "battery_energy": battery,
             "final_soc": final}
+
+
+@dataclass
+class InstantRecord:
+    """What one instant `g` of a simulation looked up: the bus injection
+    vector it judged and whether its power flow converged, the initial
+    requests it flooded and the flood's round count, and, per EV that
+    charged from the grid, its grid power in kW."""
+    g: int
+    injections: np.ndarray | None = None
+    converged: bool | None = None
+    requests: tuple = ()
+    flood_rounds: int = 0
+    ev_grid_kw: dict = field(default_factory=dict)
+
+
+def record_instants(sim):
+    """Run `sim` and return its result and one `InstantRecord` per instant
+    it ran, in order.
+
+    Wraps, for the run only, what an instant looks up when it is called:
+    `sim.run_instant` opens each record, `sim.judge.state` gives the
+    injections and convergence, `engine.flood_requests` the initial
+    requests and rounds, and the strategy's `decide` and `feedback` the
+    roster's grid energy before and after the physics, of which the EVs
+    that `feedback` is told charged get the difference over eta * dh as
+    their grid power. For an EV that plugged in at that instant the
+    difference is its grid energy exactly; otherwise it may be off by
+    the rounding of the running sum.
+    """
+    records, grid_before = [], None
+    run_instant, state = sim.run_instant, sim.judge.state
+    flood, strategy = engine.flood_requests, sim.strategy
+    decide, feedback = strategy.decide, strategy.feedback
+
+    def on_instant(g):
+        records.append(InstantRecord(g))
+        return run_instant(g)
+
+    def on_state(inj):
+        out = state(inj)
+        records[-1].injections, records[-1].converged = inj, out[0]
+        return out
+
+    def on_flood(neighbors, evs_at_bus, initial):
+        received, rounds = flood(neighbors, evs_at_bus, initial)
+        records[-1].requests, records[-1].flood_rounds = tuple(initial), rounds
+        return received, rounds
+
+    def on_decide(roster):
+        nonlocal grid_before
+        grid_before = roster.grid_energy.copy()
+        return decide(roster)
+
+    def on_feedback(roster, charged, *args):
+        grid_kw = ((roster.grid_energy - grid_before)
+                   / (roster.eta_chrg * sim.delta_h))
+        ev_ids = roster.fleet.ev_ids
+        records[-1].ev_grid_kw = {ev_ids[i]: kw for i, kw in zip(
+            roster.rows[charged].tolist(), grid_kw[charged].tolist())}
+        return feedback(roster, charged, *args)
+
+    with mock.patch.object(sim, "run_instant", on_instant), \
+            mock.patch.object(sim.judge, "state", on_state), \
+            mock.patch.object(engine, "flood_requests", on_flood), \
+            mock.patch.object(strategy, "decide", on_decide), \
+            mock.patch.object(strategy, "feedback", on_feedback):
+        result = sim.run()
+    return result, records

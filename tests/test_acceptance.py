@@ -21,7 +21,8 @@ from gridcharge.metrics import fairness_index, mean_daily_reward, per_unit_costs
 from gridcharge.agents import EvProfile, Fleet, required_instants
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
                                    UncontrolledStrategy, centralized_oracle)
-from helpers import SuperArm, power_mismatch, pseudo_regret
+from helpers import SuperArm, power_mismatch, pseudo_regret, record_instants
+from test_grid import by_bus
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = ""):
@@ -47,15 +48,14 @@ SMALL_SCALE = ScenarioConfig(
 
 @pytest.fixture(scope="module")
 def small_run():
-    """55-EV, 60-day learning run with traces (shared reference run)."""
+    """55-EV, 60-day learning run with its instants recorded (shared
+    reference run)."""
     scenario = generate_scenario(SMALL_SCALE, 60, 1)
-    sim = Simulation(scenario, AmasStrategy(), keep_traces=True)
-    result = sim.run()
-    return scenario, result
+    return (scenario, *record_instants(Simulation(scenario, AmasStrategy())))
 
 
 def test_criterion_1_convergence(small_run):
-    _, result = small_run
+    _, result, _ = small_run
     rewards = mean_daily_reward(result.mean_reward_ev)
     assert all(r is not None for r in rewards)
     early = float(np.mean(rewards[:5]))
@@ -68,7 +68,7 @@ def test_criterion_1_convergence(small_run):
 
 
 def test_criterion_2_zero_violations_after_convergence(small_run):
-    _, result = small_run
+    _, result, _ = small_run
     cur = int(result.violations_current[30:].sum())
     volt = int(result.violations_voltage[30:].sum())
 
@@ -78,7 +78,7 @@ def test_criterion_2_zero_violations_after_convergence(small_run):
                           households_per_bus=5, line_rating=60.0),
         fleet_size=55, m=96)
     sc = generate_scenario(cfg, 2, 1)
-    unc = Simulation(sc, UncontrolledStrategy(), keep_traces=False).run()
+    unc = Simulation(sc, UncontrolledStrategy()).run()
     unc_viol = int(unc.violations_current.sum())
 
     ok = cur == 0 and volt == 0 and unc_viol > 0
@@ -88,7 +88,7 @@ def test_criterion_2_zero_violations_after_convergence(small_run):
 
 
 def test_criterion_3_fairness(small_run):
-    _, result = small_run
+    _, result, _ = small_run
     pu = per_unit_costs(result.cost, result.grid_energy, slice(30, 60))
     f = fairness_index(pu)
     ok = f >= 0.95
@@ -96,8 +96,7 @@ def test_criterion_3_fairness(small_run):
 
 
 def _day_cost(scenario, strategy):
-    return float(Simulation(scenario, strategy, keep_traces=False)
-                 .run().cost.sum())
+    return float(Simulation(scenario, strategy).run().cost.sum())
 
 
 def test_criterion_4_cost_ordering():
@@ -109,7 +108,7 @@ def test_criterion_4_cost_ordering():
     ok = True
     for seed in (1, 2, 3, 4, 5):
         learn = generate_scenario(cfg, 40, seed)
-        amas = float(Simulation(learn, AmasStrategy(), keep_traces=False)
+        amas = float(Simulation(learn, AmasStrategy())
                      .run().cost[-10:].sum(axis=1).mean())
         one_day = generate_scenario(cfg, 1, seed)
         unc = _day_cost(one_day, UncontrolledStrategy())
@@ -131,8 +130,7 @@ def test_criterion_4_cost_ordering():
         m=12, household_load_w=0.0,
         irradiance_profile=np.zeros(12))
     learn = generate_scenario(tiny, 150, 2)
-    amas_tiny = float(Simulation(learn, AmasStrategy(alpha=0.15),
-                                 keep_traces=False)
+    amas_tiny = float(Simulation(learn, AmasStrategy(alpha=0.15))
                       .run().cost[-20:].sum(axis=1).mean())
     plans = centralized_oracle(generate_scenario(tiny, 1, 2),
                                mode="exhaustive")
@@ -219,7 +217,7 @@ def test_criterion_6_regret_sanity():
                      self.bandit.estimate[idx]))
             super().session_end(fleet, rows)
 
-    Simulation(sc, Recorded(alpha=0.02), keep_traces=False).run()
+    Simulation(sc, Recorded(alpha=0.02)).run()
 
     true_theta = np.array(
         [1.0 - sc.price_profile[(profile.t_arrive + l) % sc.m]
@@ -240,24 +238,24 @@ def test_criterion_7_power_flow_correctness(small_run):
         buses=[Bus("slack"), Bus("load")],
         lines=[Line("l0", "slack", "load", 0.1, 0.0, 100.0)],
         slack_bus_id="slack", v_base=230.0)
-    sol = solve_power_flow(net, {"load": 2300.0})
+    sol = solve_power_flow(net, by_bus(net, {"load": 2300.0}))
     v2 = (230.0 + np.sqrt(230.0**2 - 4 * 0.1 * 2300.0)) / 2.0
     two_bus_err = abs(sol.bus_voltages[1] - v2 / 230.0)
 
-    scenario, result = small_run
+    scenario, _, records = small_run
     worst = 0.0
     non_converged = 0
-    for t in result.traces:
-        if not t.converged:
+    for r in records:
+        if not r.converged:
             non_converged += 1
             continue
-        sol_t = solve_power_flow(scenario.topology, t.injections)
+        sol_t = solve_power_flow(scenario.topology, r.injections)
         worst = max(worst,
-                    power_mismatch(scenario.topology, sol_t, t.injections))
+                    power_mismatch(scenario.topology, sol_t, r.injections))
     ok = two_bus_err < 1e-6 and worst < 1e-6 and non_converged == 0
     report(7, "power-flow correctness", ok,
            f"two-bus error {two_bus_err:.2e} pu, worst residual over "
-           f"{len(result.traces)} instants {worst:.2e}")
+           f"{len(records)} instants {worst:.2e}")
 
 
 def test_criterion_8_required_instants_examples():
@@ -290,7 +288,7 @@ def test_criterion_9_scalability_smoke():
         fleet_size=550, m=96)
     sc = generate_scenario(cfg, 40, 1)
     t0 = time.monotonic()
-    res = Simulation(sc, AmasStrategy(), keep_traces=False).run()
+    res = Simulation(sc, AmasStrategy()).run()
     elapsed = time.monotonic() - t0
     cur = int(res.violations_current[30:].sum())
     volt = int(res.violations_voltage[30:].sum())

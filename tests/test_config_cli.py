@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gridcharge.cli import execute_run, main
-from gridcharge.config import ConfigError, build_scenario, parse_config
+from gridcharge.config import (SCHEMA, ConfigError, build_scenario,
+                               parse_config)
 from gridcharge.strategies import CHECKPOINT_FORMAT, AmasStrategy, _pack
 
 SMALL = """\
@@ -32,6 +33,31 @@ def write_config(tmp_path, body, name="run.yaml"):
 def small_cfg(tmp_path):
     out = tmp_path / "out"
     return write_config(tmp_path, SMALL.format(out=out)), str(out)
+
+
+def trunk(net):
+    return next(line for line in net.lines if line.id == "l_trunk")
+
+
+# Per `scenario.topology` key, a value and how to read it back from the
+# built feeder: the chains hang off the trunk, the last bus and line end
+# the last chain.
+TOPOLOGY_READS = {
+    "sub_districts": (3, lambda net: sum(line.from_bus == "trunk"
+                                         for line in net.lines)),
+    "buses_per_feeder": (4, lambda net: sum(bus.id.startswith("d0b")
+                                            for bus in net.buses)),
+    "households_per_bus": (3, lambda net: len(net.buses[-1].devices)),
+    "line_resistance": (0.004, lambda net: net.lines[-1].resistance),
+    "line_reactance": (0.003, lambda net: net.lines[-1].reactance),
+    "line_rating": (700.0, lambda net: net.lines[-1].i_rated),
+    "trunk_resistance": (0.0009, lambda net: trunk(net).resistance),
+    "trunk_reactance": (0.0007, lambda net: trunk(net).reactance),
+    "trunk_rating": (1900.0, lambda net: trunk(net).i_rated),
+    "v_min": (0.9, lambda net: net.buses[-1].v_min),
+    "v_max": (1.1, lambda net: net.buses[-1].v_max),
+    "v_base": (400.0, lambda net: net.v_base),
+}
 
 
 class TestParseConfig:
@@ -85,6 +111,19 @@ class TestParseConfig:
         rc = parse_config(path)
         sc = build_scenario(rc)
         assert np.allclose(sc.price_profile, 1.0)  # normalized flat tariff
+
+    @pytest.mark.parametrize("key", list(SCHEMA["scenario"]["topology"]))
+    def test_topology_key_reaches_the_feeder(self, tmp_path, key):
+        # Two sub-districts, so that the trunk line exists; each key is set
+        # to a valid value other than its default and read back from the
+        # buses and lines built.
+        value, read = TOPOLOGY_READS[key]
+        assert value != SCHEMA["scenario"]["topology"][key][1]
+        body = {"scenario": {"topology": {"sub_districts": 2, key: value},
+                             "fleet_size": 1},
+                "days": 1}
+        rc = parse_config(write_config(tmp_path, json.dumps(body)))
+        assert read(build_scenario(rc).topology) == value
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -20,7 +20,7 @@ from gridcharge.gridnet import (FeederSpec, NetworkTopology,
                                 certainly_within_limits, solve_power_flow)
 from gridcharge.strategies import (AmasStrategy, UncontrolledStrategy,
                                    centralized_oracle)
-from helpers import uncontrolled_accounts
+from helpers import record_instants, uncontrolled_accounts
 from test_grid import radial_trees
 
 
@@ -135,10 +135,9 @@ class TestGenerateScenario:
     def test_zero_evs_valid(self):
         sc = generate_scenario(small_config(fleet_size=0), 2, 1)
         assert sc.fleet == []
-        sim = Simulation(sc, UncontrolledStrategy(), keep_traces=True)
-        res = sim.run()
+        res, records = record_instants(Simulation(sc, UncontrolledStrategy()))
         assert res.violations_current.sum() == 0
-        assert all(not t.requests for t in res.traces)
+        assert all(not r.requests for r in records)
 
     def test_fleet_larger_than_sites_rejected(self):
         with pytest.raises(ScenarioError):
@@ -256,8 +255,7 @@ def force_evening_fleet(sc, t_arrive=70, t_depart=96 + 32):
 class TestSimulationPipeline:
     def test_energy_accounting(self):
         sc = generate_scenario(small_config(), 3, 7)
-        sim = Simulation(sc, AmasStrategy(), keep_traces=False)
-        res = sim.run()
+        res = Simulation(sc, AmasStrategy()).run()
         for d in range(3):
             for j, p in enumerate(sc.fleet):
                 gained = (res.final_soc[d, j] - p.soc_start) * p.e_bat
@@ -266,13 +264,12 @@ class TestSimulationPipeline:
 
     def test_no_phantom_injections(self):
         sc = generate_scenario(small_config(), 1, 7)
-        sim = Simulation(sc, UncontrolledStrategy(), keep_traces=True)
-        res = sim.run()
-        for t in res.traces:
-            # grid-side EV power recorded in the trace matches the per-EV map
-            total_kw = sum(t.ev_grid_kw.values())
+        _, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        for r in records:
+            # an instant's grid-side EV power lies within what the fleet draws
+            total_kw = sum(r.ev_grid_kw.values())
             assert total_kw >= 0.0
-            if t.ev_grid_kw:
+            if r.ev_grid_kw:
                 assert total_kw <= 7.0 / 0.95 * len(sc.fleet) + 1e-9
 
     def test_roster_books_as_a_per_ev_loop(self):
@@ -284,14 +281,33 @@ class TestSimulationPipeline:
         windows = [(9, 13), (12, 18), (21, 27)]
         sc.fleet = [replace(p, t_arrive=a, t_depart=d, e_bat=20.0)
                     for p, (a, d) in zip(sc.fleet, windows)]
-        res = Simulation(sc, UncontrolledStrategy(), keep_traces=False).run()
+        res = Simulation(sc, UncontrolledStrategy()).run()
         for name, want in uncontrolled_accounts(sc).items():
             assert np.array_equal(getattr(res, name), want), name
         assert (res.battery_energy > res.grid_energy).all()  # PV counted
 
+    def test_recorder_books_the_grid_energy(self):
+        # The recorder's grid power, times eta * dh and summed over each
+        # session, gives back the run's grid energy, and it opens one
+        # record per instant up to the end of the last session.
+        sc = generate_scenario(small_config(), 3, 7)
+        res, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        grid = np.zeros_like(res.grid_energy)
+        dh = sc.delta_i / 60.0
+        for r in records:
+            for e, p in enumerate(sc.fleet):
+                if p.ev_id in r.ev_grid_kw:
+                    day = (r.g - p.t_arrive) // sc.m
+                    grid[day, e] += r.ev_grid_kw[p.ev_id] * p.eta_chrg * dh
+        assert (grid > 0.0).all()
+        assert np.allclose(grid, res.grid_energy, rtol=0.0, atol=1e-9)
+        last = max((sc.days - 1) * sc.m + p.t_arrive + p.window_length
+                   for p in sc.fleet)
+        assert [r.g for r in records] == list(range(max(last, sc.days * sc.m)))
+
     def test_uncontrolled_reaches_target(self):
         sc = generate_scenario(small_config(), 2, 7)
-        res = Simulation(sc, UncontrolledStrategy(), keep_traces=False).run()
+        res = Simulation(sc, UncontrolledStrategy()).run()
         assert (res.final_soc >= 0.8 - 1e-9).all()
 
     def test_uncontrolled_cost_closed_form(self):
@@ -302,7 +318,7 @@ class TestSimulationPipeline:
         cfg = small_config(fleet_size=1,
                            irradiance_profile=np.zeros(96))
         sc = generate_scenario(cfg, 1, 7)
-        res = Simulation(sc, UncontrolledStrategy(), keep_traces=False).run()
+        res = Simulation(sc, UncontrolledStrategy()).run()
         p = sc.fleet[0]
         dh = sc.delta_i / 60.0
         need = p.e_bat * (p.soc_target - p.soc_start)
@@ -321,14 +337,19 @@ class TestSimulationPipeline:
         a, b = sc.fleet
         sc.fleet = [replace(a, t_arrive=40, t_depart=60, p_max=7.0),
                     replace(b, t_arrive=38, t_depart=60, p_max=3.0)]
-        trace = Simulation(sc, UncontrolledStrategy(),
-                           keep_traces=True).run().traces[40]
-        w_a, w_b = (trace.ev_grid_kw[p.ev_id] * 1000.0 for p in sc.fleet)
+        record = record_instants(Simulation(sc, UncontrolledStrategy()))[1][40]
+        # Both EVs are far below their SoC target and capacity at instant
+        # 40 and see no PV, so each draws p_max, as the engine books it.
+        dh = sc.delta_i / 60.0
+        w_a, w_b = (p.eta_chrg * p.p_max * dh / (p.eta_chrg * dh) * 1000.0
+                    for p in sc.fleet)
+        assert record.ev_grid_kw == pytest.approx(
+            {a.ev_id: w_a / 1000.0, b.ev_id: w_b / 1000.0}, rel=1e-12)
         loads = 0.0 + 333.3 + 333.3            # the two households of the bus
         session_order = (loads + w_b) + w_a
         assert session_order != (loads + w_a) + w_b
         assert a.bus_id == b.bus_id
-        assert trace.injections[sc.topology.bus_index[a.bus_id]] == session_order
+        assert record.injections[sc.topology.bus_index[a.bus_id]] == session_order
 
     def test_undersized_feeder_emits_congestion(self):
         cfg = small_config(
@@ -337,11 +358,11 @@ class TestSimulationPipeline:
             fleet_size=6)
         sc = generate_scenario(cfg, 1, 7)
         sc = force_evening_fleet(sc)
-        res = Simulation(sc, UncontrolledStrategy(), keep_traces=True).run()
-        crit_traces = [t for t in res.traces if t.requests]
-        assert crit_traces, "expected at least one congestion request"
-        assert any(r.criticality == 1.0 for t in crit_traces
-                   for r in t.requests)
+        res, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        critical = [r for r in records if r.requests]
+        assert critical, "expected at least one congestion request"
+        assert any(q.criticality == 1.0 for r in critical
+                   for q in r.requests)
         assert res.violations_current.sum() > 0
 
     def test_curtailment_acts_next_instant(self):
@@ -351,9 +372,9 @@ class TestSimulationPipeline:
             fleet_size=6, household_load_w=0.0)
         sc = generate_scenario(cfg, 2, 7)
         sc = force_evening_fleet(sc)
-        res = Simulation(sc, AmasStrategy(), keep_traces=True,
-                         cooperation_fraction=1.0).run()
-        for prev, nxt in zip(res.traces, res.traces[1:]):
+        _, records = record_instants(
+            Simulation(sc, AmasStrategy(), cooperation_fraction=1.0))
+        for prev, nxt in zip(records, records[1:]):
             targets = set().union(*[r.target_evs for r in prev.requests
                                     if r.criticality == 1.0]) \
                 if prev.requests else set()
@@ -363,15 +384,15 @@ class TestSimulationPipeline:
 
     def test_days_zero_empty(self):
         sc = generate_scenario(small_config(), 0, 7)
-        res = Simulation(sc, AmasStrategy(), keep_traces=True).run()
+        res, records = record_instants(Simulation(sc, AmasStrategy()))
         assert res.days == 0
         assert res.cost.shape == (0, 3)
-        assert res.traces == []
+        assert records == []
 
     def test_determinism_same_seed(self):
         def run():
             sc = generate_scenario(small_config(), 4, 5)
-            res = Simulation(sc, AmasStrategy(), keep_traces=False).run()
+            res = Simulation(sc, AmasStrategy()).run()
             return (res.cost.tobytes(), res.mean_reward_ev.tobytes(),
                     res.final_soc.tobytes())
         assert run() == run()
@@ -383,18 +404,19 @@ class TestSimulationPipeline:
             fleet_size=8)
         sc = generate_scenario(cfg, 1, 7)
         sc = force_evening_fleet(sc)
-        res = Simulation(sc, UncontrolledStrategy(), keep_traces=True).run()
+        _, records = record_instants(Simulation(sc, UncontrolledStrategy()))
         # bus-chain depth 5 (slack->trunk->4 buses); agent-graph diameter:
         # EV -> bus -> ... -> bus -> EV across both sub-districts.
         diameter = 2 * 5 + 2
-        assert all(t.flood_rounds <= diameter for t in res.traces)
+        assert all(r.flood_rounds <= diameter for r in records)
 
 
 class TestGridStateMemo:
     @pytest.fixture
     def run(self, monkeypatch):
-        """A congested 2-day learner run, with every power flow the engine
-        solves recorded by its injection bytes."""
+        """A congested 2-day learner run, with its instants recorded and
+        every power flow the engine solves recorded by its injection
+        bytes."""
         cfg = small_config(
             feeder=FeederSpec(sub_districts=1, buses_per_feeder=3,
                               households_per_bus=2, line_rating=30.0),
@@ -407,14 +429,13 @@ class TestGridStateMemo:
             return solve_power_flow(net, inj, **kw)
 
         monkeypatch.setattr(engine, "solve_power_flow", record_solve)
-        sim = Simulation(sc, AmasStrategy(), keep_traces=True,
-                         cooperation_fraction=1.0)
-        return sc, sim, sim.run(), solved
+        sim = Simulation(sc, AmasStrategy(), cooperation_fraction=1.0)
+        return (sc, sim, *record_instants(sim), solved)
 
     def test_solves_each_distinct_injection_once(self, run):
         # Once per distinct vector that the certificate does not clear.
-        sc, sim, res, solved = run
-        rows = [t.injections for t in res.traces]
+        sc, sim, _, records, solved = run
+        rows = [r.injections for r in records]
         distinct = list(dict.fromkeys(inj.tobytes() for inj in rows))
         cleared = {inj.tobytes() for inj in rows
                    if certainly_within_limits(sc.topology, inj)}
@@ -425,13 +446,13 @@ class TestGridStateMemo:
                    for key in cleared)
 
     def test_traces_and_violations_match_fresh_solves(self, run):
-        sc, _, res, _ = run
+        sc, _, res, records, _ = run
         net = sc.topology
         current = np.zeros(sc.days, dtype=np.int64)
         voltage = np.zeros(sc.days, dtype=np.int64)
-        for g, t in enumerate(res.traces):
-            sol = solve_power_flow(net, t.injections)
-            assert t.converged == sol.converged
+        for g, r in enumerate(records):
+            sol = solve_power_flow(net, r.injections)
+            assert r.converged == sol.converged
             v = sol.bus_voltages
             day = min(g // sc.m, sc.days - 1)
             current[day] += (not sol.converged
@@ -443,7 +464,7 @@ class TestGridStateMemo:
         assert voltage.tolist() == res.violations_voltage.tolist()
 
     def test_cached_criticalities_are_read_only(self, run):
-        _, sim, _, _ = run
+        _, sim, _, _, _ = run
         for _, line_crit, bus_crit, _, _ in sim.judge.states.values():
             for crit in (line_crit, bus_crit):
                 with pytest.raises(ValueError, match="read-only"):
@@ -452,7 +473,7 @@ class TestGridStateMemo:
     def test_oracle_verdicts_agree(self, run, monkeypatch):
         # The oracle's judge gives False to every vector the simulation
         # judged critical, and True to every one it cleared.
-        sc, sim, _, _ = run
+        sc, sim, _, _, _ = run
         judges = []
 
         class Recorded(GridJudge):

@@ -99,6 +99,14 @@ def two_bus_net(r=0.1, x=0.0, v_base=230.0, rating=100.0, v_min=0.95,
     )
 
 
+def by_bus(net, watts):
+    """The injection array of `watts`, bus id -> watt; 0 at other buses."""
+    p = np.zeros(net.n_buses)
+    for bus_id, watt in watts.items():
+        p[net.bus_index[bus_id]] = watt
+    return p
+
+
 def two_bus_closed_form(v1, r, p_load):
     """Exact receiving-end voltage of a resistive two-bus feeder.
 
@@ -113,7 +121,7 @@ def two_bus_closed_form(v1, r, p_load):
 class TestTwoBusOracle:
     def test_matches_closed_form(self):
         net = two_bus_net()
-        sol = solve_power_flow(net, {"load": 2300.0})
+        sol = solve_power_flow(net, by_bus(net, {"load": 2300.0}))
         assert sol.converged
         v2 = two_bus_closed_form(230.0, 0.1, 2300.0)
         assert v2 == pytest.approx(228.99563, abs=1e-4)
@@ -126,7 +134,7 @@ class TestTwoBusOracle:
         rng = np.random.default_rng(7)
         for _ in range(50):
             p = float(rng.uniform(0.0, 100_000.0))
-            sol = solve_power_flow(net, {"load": p})
+            sol = solve_power_flow(net, by_bus(net, {"load": p}))
             v2 = two_bus_closed_form(230.0, 0.1, p)
             assert sol.converged
             assert sol.bus_voltages[1] == pytest.approx(v2 / 230.0, abs=1e-6)
@@ -134,7 +142,8 @@ class TestTwoBusOracle:
     def test_infeasible_load_does_not_converge(self):
         # Deliverable limit of the resistive two-bus feeder: V1^2 / (4 R).
         limit = 230.0**2 / (4 * 0.1)
-        sol = solve_power_flow(two_bus_net(), {"load": 1.2 * limit})
+        net = two_bus_net()
+        sol = solve_power_flow(net, by_bus(net, {"load": 1.2 * limit}))
         assert not sol.converged
 
     def test_zero_injections_flat_voltage(self):
@@ -147,7 +156,7 @@ class TestTwoBusOracle:
 
     def test_generation_raises_voltage(self):
         net = two_bus_net()
-        sol = solve_power_flow(net, {"load": -2300.0})
+        sol = solve_power_flow(net, by_bus(net, {"load": -2300.0}))
         assert sol.converged
         assert sol.bus_voltages[1] > 1.0
 
@@ -167,7 +176,7 @@ class TestTwoBusOracle:
         leaf = "d0b5"
         prev = None
         for p in [0.0, 1e3, 5e3, 2e4, 5e4]:
-            sol = solve_power_flow(net, {leaf: p})
+            sol = solve_power_flow(net, by_bus(net, {leaf: p}))
             v = sol.bus_voltages[net.bus_index[leaf]]
             if prev is not None:
                 assert v <= prev + 1e-12
@@ -191,8 +200,9 @@ class TestSegmentSums:
                  Line("sb", "s", "b", 0.005, 0.002, 100.0),
                  Line("cs", "c", "s", 0.005, 0.002, 100.0)]
         net = NetworkTopology(buses, lines, "s")
-        inj = {"a": 2000.0, "b": 1500.0, "c": -800.0, "d": 3000.0,
-               "e": 1000.0, "f": 2500.0, "g": 4000.0, "h": -1200.0}
+        inj = by_bus(net, {"a": 2000.0, "b": 1500.0, "c": -800.0,
+                           "d": 3000.0, "e": 1000.0, "f": 2500.0,
+                           "g": 4000.0, "h": -1200.0})
         sol = solve_power_flow(net, inj)
         assert sol.converged
         assert power_mismatch(net, sol, inj) < 1e-6
@@ -210,7 +220,8 @@ class TestSegmentSums:
             st.floats(-2000.0, 3000.0, allow_nan=False),
             min_size=len(buses), max_size=len(buses)))
         net = NetworkTopology(buses, lines, slack)
-        inj = {b.id: w for b, w in zip(buses, loads) if b.id != slack}
+        inj = by_bus(net, {b.id: w for b, w in zip(buses, loads)
+                           if b.id != slack})
         sol = solve_power_flow(net, inj)
         assert sol.converged
         assert power_mismatch(net, sol, inj) < 1e-6

@@ -353,8 +353,7 @@ class TestCentralizedOracle:
     def test_schedule_strategy_replays_plan(self):
         sc = tiny_scenario(n_ev=2)
         plans = centralized_oracle(sc, mode="greedy")
-        res = Simulation(sc, ScheduleStrategy(plans),
-                         keep_traces=False).run()
+        res = Simulation(sc, ScheduleStrategy(plans)).run()
         dh = sc.delta_i / 60.0
         for j, p in enumerate(sc.fleet):
             expected = sum(sc.price_profile[(p.t_arrive + l) % sc.m]
