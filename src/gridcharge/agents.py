@@ -68,7 +68,6 @@ class CriticalityRequest:
     target_evs: frozenset           # EV ids asked for cooperative action
     origin_agent: str
     origin_kind: str                # "line" | "bus"
-    instant: int
 
     def __post_init__(self):
         if not -1.0 <= self.criticality <= 1.0:
@@ -313,17 +312,12 @@ def rank_table(theta, later) -> np.ndarray:
 
 def line_criticality(current, rated):
     """1 where the current strictly exceeds the rating, else 0; elementwise."""
-    current, rated = np.asarray(current), np.asarray(rated)
-    if (current < 0.0).any() or (rated < 0.0).any():
-        raise ValueError("current magnitudes must be >= 0")
-    return (current > rated).astype(float)
+    return (np.asarray(current) > rated).astype(float)
 
 
 def bus_criticality(v, v_min, v_max):
     """+1 for under-voltage, -1 for over-voltage, 0 inside the (closed) band;
     elementwise."""
-    if (np.asarray(v_min) >= v_max).any():
-        raise ValueError("v_min must be < v_max")
     return np.subtract(v < v_min, v > v_max, dtype=float)
 
 

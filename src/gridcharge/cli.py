@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_scenario, parse_config
+from .config import (SCHEMA, ConfigError, RunConfig, build_scenario,
+                     parse_config)
 from .engine import Simulation
 from .metrics import (convergence_day, fairness_index, mean_daily_reward,
                       per_unit_costs)
@@ -227,8 +228,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--days", type=int)
-    p_run.add_argument("--strategy",
-                       choices=["amas", "uncontrolled", "oracle"])
+    p_run.add_argument("--strategy", choices=SCHEMA["strategy"][2])
     p_run.add_argument("--output-dir")
     p_run.set_defaults(func=cmd_run)
 

@@ -14,61 +14,65 @@ from .strategies import default_pv_exploration
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_scenario"]
 
-STRATEGIES = ("amas", "uncontrolled", "oracle")
-ORACLE_MODES = ("exhaustive", "greedy")
+# Each range a number may be held to, by the name a SCHEMA entry gives.
+RANGES = {
+    ">= 0": lambda x: x >= 0,
+    "> 0": lambda x: x > 0,
+    ">= 1": lambda x: x >= 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in (0, 1]": lambda x: 0 < x <= 1,
+}
 
-_OPT_FLOAT = ("optional_float", None)
-_OPT_STR = ("optional_str", None)
-
-# key -> (type tag, default) or a nested mapping
+# key -> (type tag, default, accepted values) or a nested mapping; the
+# accepted values are a RANGES name, a tuple of allowed strings, or None.
 SCHEMA = {
     "scenario": {
         "topology": {
-            "sub_districts": ("int", 1),
-            "buses_per_feeder": ("int", 11),
-            "households_per_bus": ("int", 5),
-            "line_resistance": ("float", 0.001),
-            "line_reactance": ("float", 0.0005),
-            "line_rating": ("float", 1300.0),
-            "trunk_resistance": ("float", 0.0003),
-            "trunk_reactance": ("float", 0.0001),
-            "trunk_rating": _OPT_FLOAT,
-            "v_min": ("float", 0.95),
-            "v_max": ("float", 1.05),
-            "v_base": ("float", 230.0),
+            "sub_districts": ("int", 1, ">= 1"),
+            "buses_per_feeder": ("int", 11, ">= 1"),
+            "households_per_bus": ("int", 5, ">= 1"),
+            "line_resistance": ("float", 0.001, ">= 0"),
+            "line_reactance": ("float", 0.0005, None),
+            "line_rating": ("float", 1300.0, "> 0"),
+            "trunk_resistance": ("float", 0.0003, ">= 0"),
+            "trunk_reactance": ("float", 0.0001, None),
+            "trunk_rating": ("optional_float", None, "> 0"),
+            "v_min": ("float", 0.95, "> 0"),
+            "v_max": ("float", 1.05, None),
+            "v_base": ("float", 230.0, "> 0"),
         },
-        "fleet_size": ("int", 55),
+        "fleet_size": ("int", 55, ">= 0"),
         "ev": {
-            "e_bat_kwh": ("float", 52.0),
-            "p_max_kw": ("float", 7.0),
-            "eta_chrg": ("float", 0.95),
-            "soc_start": ("float", 0.5),
-            "soc_target": ("float", 0.8),
-            "arrival_mean_hour": ("float", 17.5),
-            "arrival_std_hour": ("float", 1.0),
-            "depart_mean_hour": ("float", 8.0),
-            "depart_std_hour": ("float", 0.75),
+            "e_bat_kwh": ("float", 52.0, "> 0"),
+            "p_max_kw": ("float", 7.0, "> 0"),
+            "eta_chrg": ("float", 0.95, "in (0, 1]"),
+            "soc_start": ("float", 0.5, "in [0, 1]"),
+            "soc_target": ("float", 0.8, "in [0, 1]"),
+            "arrival_mean_hour": ("float", 17.5, None),
+            "arrival_std_hour": ("float", 1.0, ">= 0"),
+            "depart_mean_hour": ("float", 8.0, None),
+            "depart_std_hour": ("float", 0.75, ">= 0"),
         },
         "pv": {
-            "area_m2": ("float", 20.0),
-            "efficiency": ("float", 0.18),
+            "area_m2": ("float", 20.0, ">= 0"),
+            "efficiency": ("float", 0.18, "in [0, 1]"),
         },
-        "household_load_w": ("float", 300.0),
-        "instants_per_day": ("int", 96),
-        "price_csv": _OPT_STR,
-        "irradiance_csv": _OPT_STR,
-        "price_max": _OPT_FLOAT,
+        "household_load_w": ("float", 300.0, ">= 0"),
+        "instants_per_day": ("int", 96, ">= 1"),
+        "price_csv": ("optional_str", None, None),
+        "irradiance_csv": ("optional_str", None, None),
+        "price_max": ("optional_float", None, "> 0"),
     },
-    "strategy": ("str", "amas"),
-    "days": ("int", 60),
-    "seed": ("int", 1),
+    "strategy": ("str", "amas", ("amas", "uncontrolled", "oracle")),
+    "days": ("int", 60, ">= 0"),
+    "seed": ("int", 1, ">= 0"),
     "bandit": {
-        "alpha": ("float", 0.5),
-        "beta": _OPT_FLOAT,
+        "alpha": ("float", 0.5, ">= 0"),
+        "beta": ("optional_float", None, ">= 0"),
     },
-    "cooperation_fraction": ("float", 0.05),
-    "oracle_mode": ("str", "greedy"),
-    "output_dir": ("str", "runs/out"),
+    "cooperation_fraction": ("float", 0.05, "in (0, 1]"),
+    "oracle_mode": ("str", "greedy", ("exhaustive", "greedy")),
+    "output_dir": ("str", "runs/out", None),
 }
 
 
@@ -76,18 +80,19 @@ class ConfigError(ValueError):
     pass
 
 
-def _coerce(value, tag, path):
-    optional = tag.startswith("optional_")
+def _coerce(value, spec, path):
+    """`value` checked against its SCHEMA entry `spec`: type, then the
+    accepted values."""
+    tag, _, accepted = spec
     if value is None:
-        if optional:
+        if tag.startswith("optional_"):
             return None
         raise ConfigError(f"{path}: value may not be null")
     base = tag.removeprefix("optional_")
     if base == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if base == "float":
+    elif base == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         try:
@@ -96,12 +101,16 @@ def _coerce(value, tag, path):
             number = math.inf
         if not math.isfinite(number):
             raise ConfigError(f"{path}: must be finite, got {value!r}")
-        return number
-    if base == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    raise AssertionError(tag)
+        value = number
+    elif not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    if isinstance(accepted, tuple):
+        if value not in accepted:
+            raise ConfigError(
+                f"{path}: expected one of {accepted}, got {value!r}")
+    elif accepted is not None and not RANGES[accepted](value):
+        raise ConfigError(f"{path}: must be {accepted}, got {value!r}")
+    return value
 
 
 def _resolve(user, schema, prefix, defaults_applied):
@@ -119,7 +128,7 @@ def _resolve(user, schema, prefix, defaults_applied):
         if isinstance(spec, dict):
             out[key] = _resolve(user.get(key), spec, path, defaults_applied)
         elif key in user:
-            out[key] = _coerce(user[key], spec[0], path)
+            out[key] = _coerce(user[key], spec, path)
         else:
             out[key] = spec[1]
             defaults_applied.append(f"{path}={spec[1]}")
@@ -171,88 +180,49 @@ def parse_config(path, overrides=None) -> RunConfig:
             continue
         if key not in ("seed", "days", "strategy", "output_dir"):
             raise ConfigError(f"override for unknown key '{key}'")
-        tree[key] = _coerce(value, SCHEMA[key][0], key)
+        tree[key] = _coerce(value, SCHEMA[key], key)
         applied[key] = tree[key]
 
-    if tree["strategy"] not in STRATEGIES:
-        raise ConfigError(
-            f"strategy: expected one of {STRATEGIES}, got {tree['strategy']!r}")
-    if tree["days"] < 0:
-        raise ConfigError("days: must be >= 0")
-    if tree["oracle_mode"] not in ORACLE_MODES:
-        raise ConfigError(f"oracle_mode: expected one of {ORACLE_MODES}")
-    scen, bandit = tree["scenario"], tree["bandit"]
-    topo = scen["topology"]
-    for key in ("sub_districts", "buses_per_feeder", "households_per_bus"):
-        if topo[key] < 1:
-            raise ConfigError(f"scenario.topology.{key}: must be >= 1")
-    for key in ("v_base", "line_rating", "trunk_rating"):
-        if topo[key] is not None and topo[key] <= 0.0:
-            raise ConfigError(f"scenario.topology.{key}: must be > 0")
-    for seg in ("line", "trunk"):
-        r, x = topo[f"{seg}_resistance"], topo[f"{seg}_reactance"]
-        if r < 0.0:
-            raise ConfigError(f"scenario.topology.{seg}_resistance: "
-                              "must be >= 0")
-        # The trunk segment exists only with two or more sub-districts.
-        used = seg == "line" or topo["sub_districts"] >= 2
-        if used and r == x == 0.0:
+    # Each key's own accepted values are checked in `_coerce`; what is left
+    # ties two or more keys together.
+    scen = tree["scenario"]
+    topo, ev = scen["topology"], scen["ev"]
+    # The trunk segment exists only with two or more sub-districts.
+    for seg in ("line", "trunk") if topo["sub_districts"] >= 2 else ("line",):
+        if topo[f"{seg}_resistance"] == topo[f"{seg}_reactance"] == 0.0:
             raise ConfigError(
                 f"scenario.topology.{seg}_resistance, "
                 f"scenario.topology.{seg}_reactance: impedance magnitude "
                 "must be > 0")
-    if not (0.0 < topo["v_min"] < topo["v_max"]):
+    if not topo["v_min"] < topo["v_max"]:
         raise ConfigError("scenario.topology.v_min, scenario.topology.v_max: "
-                          "need 0 < v_min < v_max")
-    if scen["fleet_size"] < 0:
-        raise ConfigError("scenario.fleet_size: must be >= 0")
+                          "need v_min < v_max")
+    if not ev["soc_start"] <= ev["soc_target"]:
+        raise ConfigError("scenario.ev.soc_start, scenario.ev.soc_target: "
+                          "need soc_start <= soc_target")
     sites = (topo["sub_districts"] * topo["buses_per_feeder"]
              * topo["households_per_bus"])
     if scen["fleet_size"] > sites:
         raise ConfigError(f"scenario.fleet_size: {scen['fleet_size']} "
                           f"exceeds {sites} household sites")
-    if scen["instants_per_day"] < 1:
-        raise ConfigError("scenario.instants_per_day: must be >= 1")
-    for key, value in (("scenario.household_load_w", scen["household_load_w"]),
-                       ("scenario.pv.area_m2", scen["pv"]["area_m2"]),
-                       ("bandit.alpha", bandit["alpha"]),
-                       ("bandit.beta", bandit["beta"])):
-        if value is not None and value < 0.0:
-            raise ConfigError(f"{key}: must be >= 0")
-    if not (0.0 <= scen["pv"]["efficiency"] <= 1.0):
-        raise ConfigError("scenario.pv.efficiency: must be in [0, 1]")
-    ev = scen["ev"]
-    for key in ("e_bat_kwh", "p_max_kw"):
-        if ev[key] <= 0.0:
-            raise ConfigError(f"scenario.ev.{key}: must be > 0")
-    if not (0.0 < ev["eta_chrg"] <= 1.0):
-        raise ConfigError("scenario.ev.eta_chrg: must be in (0, 1]")
-    for key in ("arrival_std_hour", "depart_std_hour"):
-        if ev[key] < 0.0:
-            raise ConfigError(f"scenario.ev.{key}: must be >= 0")
-    if not (0.0 <= ev["soc_start"] <= ev["soc_target"] <= 1.0):
-        raise ConfigError("scenario.ev.soc_start, scenario.ev.soc_target: "
-                          "need 0 <= soc_start <= soc_target <= 1")
-    if not (0.0 < tree["cooperation_fraction"] <= 1.0):
-        raise ConfigError("cooperation_fraction: must be in (0, 1]")
     if tree["strategy"] == "oracle" and tree["oracle_mode"] == "exhaustive" \
-            and tree["scenario"]["fleet_size"] > 12:
+            and scen["fleet_size"] > 12:
         raise ConfigError(
-            "oracle_mode exhaustive supports at most 12 EVs; "
-            f"fleet_size is {tree['scenario']['fleet_size']}")
+            "oracle_mode, scenario.fleet_size: exhaustive supports at most "
+            f"12 EVs; fleet_size is {scen['fleet_size']}")
     base_dir = os.path.dirname(os.path.abspath(path))
     for key in ("price_csv", "irradiance_csv"):
-        p = tree["scenario"][key]
+        p = scen[key]
         if p is not None:
             resolved = p if os.path.isabs(p) else os.path.join(base_dir, p)
             if not os.path.exists(resolved):
                 raise ConfigError(f"scenario.{key}: file not found: {p}")
-            tree["scenario"][key] = resolved
+            scen[key] = resolved
 
     beta = tree["bandit"]["beta"]
     if beta is None:
-        beta = default_pv_exploration(tree["scenario"]["pv"]["area_m2"],
-                                      tree["scenario"]["pv"]["efficiency"])
+        beta = default_pv_exploration(scen["pv"]["area_m2"],
+                                      scen["pv"]["efficiency"])
         defaults_applied.append(f"bandit.beta={beta}")
 
     return RunConfig(

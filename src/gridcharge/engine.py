@@ -175,10 +175,6 @@ def generate_scenario(cfg: ScenarioConfig, days: int, seed: int) -> Scenario:
         t_arrive = int(round(arr_h * m / 24.0)) % m
         dep_i = int(round(dep_h * m / 24.0)) % m
         t_depart = dep_i if dep_i > t_arrive else dep_i + m
-        if t_depart == t_arrive:
-            raise ScenarioError(
-                "infeasible connection window: departure coincides with arrival"
-            )
         ev_id = f"ev{i}"
         fleet.append(EvProfile(
             ev_id=ev_id, bus_id=sites[i].bus_id,
@@ -474,8 +470,7 @@ class Simulation:
                         criticality=float(crits[a]),
                         target_evs=sample_cooperation_targets(
                             grid_charging_evs, n_targets, self.rng),
-                        origin_agent=agents[a].id, origin_kind=kind,
-                        instant=i_day))
+                        origin_agent=agents[a].id, origin_kind=kind))
 
         # Requests reach only the plugged-in EVs at a bus.
         evs_at_bus = {}
@@ -541,7 +536,7 @@ def ingest_profile(path, kind: str, m: int, c_max=None) -> np.ndarray:
     Price profiles are normalized to [0, 1] by `c_max` (default: the file
     maximum). Malformed files raise ProfileError naming the line.
     """
-    if kind not in ("price", "irradiance", "load"):
+    if kind not in ("price", "irradiance"):
         raise ValueError(f"unknown profile kind {kind!r}")
     values = []
     with open(path, newline="", encoding="utf-8") as fh:

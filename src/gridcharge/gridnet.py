@@ -38,7 +38,7 @@ __all__ = [
     "pv_power",
 ]
 
-# The sweep's default stopping rule, which the certificate assumes.
+# The sweep's stopping rule, which the certificate assumes.
 SWEEP_TOL = 1e-8
 SWEEP_MAX_ITER = 50
 # The certificate's relative margin on every limit it tests.
@@ -301,19 +301,18 @@ def build_replicated_feeder(spec: FeederSpec) -> NetworkTopology:
     return NetworkTopology(buses, lines, "slack", v_base=spec.v_base)
 
 
-def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
-                     tol=SWEEP_TOL, max_iter=SWEEP_MAX_ITER
-                     ) -> PowerFlowSolution:
+def solve_power_flow(net: NetworkTopology, injections) -> PowerFlowSolution:
     """Backward/forward sweep for constant-power injections on a radial tree.
 
     `injections` is signed active power in watt per bus, in bus index order
-    (positive = load).
-    Convergence: max per-unit voltage change < `tol`. A non-convergent case
-    is returned with converged=False rather than raised; the caller decides
-    how to score that instant.
+    (positive = load); the slack bus holds 1 per unit.
+    Convergence: max per-unit voltage change < `SWEEP_TOL`, within
+    `SWEEP_MAX_ITER` sweeps. A non-convergent case is returned with
+    converged=False rather than raised; the caller decides how to score
+    that instant.
     """
     p = net.injection_array(injections)
-    v_slack = complex(slack_voltage * net.v_base)
+    v_slack = complex(net.v_base)
     v = np.full(net.n_buses, v_slack, dtype=complex)
     i_line = np.zeros(net.n_lines, dtype=complex)
     below, below_start = net._below, net._below_start
@@ -322,7 +321,7 @@ def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, SWEEP_MAX_ITER + 1):
         # np.add.reduceat rejects empty index lists: a lone slack bus has
         # no line, so its voltage stays at v_slack.
         if not net.n_lines:
@@ -335,7 +334,7 @@ def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
         v_new = v_slack - np.add.reduceat((net.impedance * i_line)[above],
                                           above_start)
         dv = np.abs(v_new - v[non_slack]).max() / net.v_base
-        if dv < tol:
+        if dv < SWEEP_TOL:
             v[non_slack] = v_new
             converged = True
             break
@@ -358,9 +357,8 @@ def solve_power_flow(net: NetworkTopology, injections, slack_voltage=1.0,
 
 
 def certainly_within_limits(net: NetworkTopology, injections) -> bool:
-    """Whether `solve_power_flow(net, injections)`, with its default slack
-    voltage, `tol` and `max_iter`, surely converges with no line above its
-    rating and every bus inside its voltage band.
+    """Whether `solve_power_flow(net, injections)` surely converges with no
+    line above its rating and every bus inside its voltage band.
 
     True is a proof; False only means "not proven", and the caller solves.
     Input is checked as the solve checks it, so a wrong shape or a
@@ -384,12 +382,12 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
     by at most q^(k-1) * max d. So when, besides
     max d <= v_s - v_lo,
       - q <= 1/2,
-      - q^(max_iter - 1) * max d < tol * v_base,
+      - q^(SWEEP_MAX_ITER - 1) * max d < SWEEP_TOL * v_base,
       - S_l <= v_lo * i_rated for every line,
       - v_s + d_b <= v_max_b * v_base for every bus (v_s - d_b >= v_lo >=
         v_min_b * v_base holds already),
       - and the slack voltage, 1 per unit, lies inside the slack bus's band,
-    the sweep stops within `max_iter` sweeps at a point of B, where no
+    the sweep stops within `SWEEP_MAX_ITER` sweeps at a point of B, where no
     line is above its rating and no bus outside its band.
 
     Margin. One sweep's rounding moves the voltages by about 1e-14 of v_s

@@ -13,10 +13,9 @@ from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet, Roster,
 from gridcharge.bandit import select_super_arm
 
 
-def req(crit, origin="x", kind="line", targets=(), instant=0):
+def req(crit, origin="x", kind="line", targets=()):
     return CriticalityRequest(criticality=crit, target_evs=frozenset(targets),
-                              origin_agent=origin, origin_kind=kind,
-                              instant=instant)
+                              origin_agent=origin, origin_kind=kind)
 
 
 def profile(**kw):
@@ -39,17 +38,11 @@ class TestCriticalities:
     def test_bus(self, v, expect):
         assert bus_criticality(v, 0.95, 1.05) == expect
 
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            line_criticality(-1.0, 10.0)
-        with pytest.raises(ValueError):
-            bus_criticality(1.0, 1.05, 0.95)
-
     def test_request_range_enforced(self):
         with pytest.raises(ValueError):
             req(1.5)
         with pytest.raises(ValueError):
-            CriticalityRequest(0.5, frozenset(), "a", "house", 0)
+            CriticalityRequest(0.5, frozenset(), "a", "house")
 
 
 class TestForwardRequest:

@@ -192,6 +192,11 @@ class TestRunCommand:
         manifest = json.loads(read(env_out / "manifest.json"))
         assert manifest["overrides"]["output_dir"] == str(env_out)
 
+    def test_rejected_override_names_key(self, small_cfg, capsys):
+        path, _ = small_cfg
+        assert main(["run", "--config", path, "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_error_exit_nonzero(self, tmp_path, capsys):
         path = write_config(tmp_path, "strategy: psychic\n")
         assert main(["run", "--config", path]) == 1
@@ -274,6 +279,13 @@ class TestValidateCommand:
         ("scenario:\n  topology:\n    sub_districts: 2\n"
          "    trunk_resistance: -0.001\n",
          "scenario.topology.trunk_resistance"),
+        ("seed: -1\n", "seed"),
+        ("days: -1\n", "days"),
+        ("cooperation_fraction: 0\n", "cooperation_fraction"),
+        ("scenario:\n  price_max: 0\n", "scenario.price_max"),
+        ("scenario:\n  ev:\n    soc_target: 1.5\n",
+         "scenario.ev.soc_target"),
+        ("oracle_mode: bogus\n", "oracle_mode"),
     ], ids=["alpha-nan", "p_max-nan", "household-load-negative",
             "pv-area-overflow", "alpha-negative", "beta-negative",
             "pv-area-negative", "pv-efficiency-above-one", "e_bat-zero",
@@ -286,7 +298,9 @@ class TestValidateCommand:
             "depart_std-negative",
             "instants_per_day-zero", "line-impedance-zero",
             "trunk-impedance-zero", "line-resistance-negative",
-            "trunk-resistance-negative"])
+            "trunk-resistance-negative", "seed-negative", "days-negative",
+            "cooperation-zero", "price_max-zero", "soc-target-above-one",
+            "oracle_mode-unknown"])
     def test_rejected_value_names_key(self, tmp_path, capsys, body, key):
         path = write_config(tmp_path, body)
         assert main(["validate", "--config", path]) == 1

@@ -35,10 +35,9 @@ def small_config(**kw):
     return ScenarioConfig(**base)
 
 
-def req(crit, origin, kind="line", targets=(), instant=0):
+def req(crit, origin, kind="line", targets=()):
     return CriticalityRequest(criticality=crit, target_evs=frozenset(targets),
-                              origin_agent=origin, origin_kind=kind,
-                              instant=instant)
+                              origin_agent=origin, origin_kind=kind)
 
 
 def flood(net, ev_bus, initial):
