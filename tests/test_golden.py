@@ -15,6 +15,11 @@ One more run repeats the first config with `bandit: {alpha: 0}`: every
 sampled theta is the prior mean, so every instant ties and the top-k
 choice rests on the tie rule alone (toward the lowest instant).
 
+The first config floods only +1 requests. A daytime run with PV pushing
+buses over their band floods +1 and -1 requests at the same instant at 22
+instants, 3 of them with EVs charging, so it pins a flood of two priority
+levels.
+
 Each run works in a temporary directory with relative config and output
 paths, so `manifest.json` is hashed as written, like the other files.
 The digests depend on this numpy build: floating-point results of the
@@ -30,7 +35,12 @@ import sys
 import pytest
 
 import gridcharge
+from gridcharge.agents import request_priority
 from gridcharge.cli import main
+from gridcharge.config import build_scenario, parse_config
+from gridcharge.engine import Simulation
+from gridcharge.strategies import AmasStrategy
+from helpers import record_instants
 
 CONFIG = """\
 scenario:
@@ -84,6 +94,43 @@ TIED_DIGESTS = {
         "e439abf44995155579c27f4c572805170210a9b87ec474f31cbcc3be40c7032e",
     "summary.json":
         "19534fb826801511376fe57da0120e26c82e207fe1528bd27536a72b3239c5c4",
+}
+
+
+# Daytime sessions under 40 m^2 of PV per site, computed before the flood
+# became one breadth-first pass per priority level.
+TWO_LEVEL_CONFIG = """\
+scenario:
+  topology:
+    sub_districts: 1
+    buses_per_feeder: 6
+    households_per_bus: 3
+    line_rating: 150.0
+    line_resistance: 0.01
+    v_max: 1.02
+  fleet_size: 18
+  pv: {area_m2: 40.0}
+  ev: {arrival_mean_hour: 9.0, depart_mean_hour: 17.0}
+days: 3
+seed: 2
+cooperation_fraction: 0.3
+"""
+
+TWO_LEVEL_DIGESTS = {
+    "checkpoint.json":
+        "ffe94ef4a86fdbea88dd05df0f390e1ead1e8ba5a5f22e1b2e61f3a5b91bd8e2",
+    "manifest.json":
+        "3526ad131398503f2403a0c7fd12952046660c49542f77a7f2a6c48c9ec5874a",
+    "metrics_daily.csv":
+        "8cf92d48cc1224f2cf8e5309808b46b7a817d51e4600723995c3a499bd4db8f4",
+    "metrics_per_ev.csv":
+        "fdeb30dbb193e7d788cdfafab5a47bad67c7c0cba0fd8b386e1d5eb2838c1a2b",
+    "plot_cost_bars.csv":
+        "b467b99a8693de317929854e52ba87ccad70adb5b228f283897fdb3eb830f1ef",
+    "plot_reward_vs_day.csv":
+        "97e2c62d7107db7ee9401e5d3b2301d0d23be878b9752e311e24f19d855ba939",
+    "summary.json":
+        "f4a90a799ec08848e74dec6e7e4f8692e9b369bc6cbd4101405ed8b991be8522",
 }
 
 
@@ -158,6 +205,35 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
 
 def test_tied_theta_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert run_digests(tmp_path, monkeypatch, TIED_CONFIG) == TIED_DIGESTS
+
+
+def test_two_level_outputs_match_golden_digests(tmp_path, monkeypatch):
+    assert (run_digests(tmp_path, monkeypatch, TWO_LEVEL_CONFIG)
+            == TWO_LEVEL_DIGESTS)
+
+
+def recorded_instants(tmp_path, config):
+    """The `record_instants` records of a learner run of `config`."""
+    path = tmp_path / "run.yaml"
+    path.write_text(config, encoding="utf-8")
+    rc = parse_config(str(path))
+    sim = Simulation(build_scenario(rc), AmasStrategy(alpha=rc.alpha,
+                                                      beta=rc.beta),
+                     cooperation_fraction=rc.cooperation_fraction)
+    return record_instants(sim)[1]
+
+
+def test_golden_run_flood_rounds(tmp_path):
+    records = recorded_instants(tmp_path, CONFIG)
+    assert sum(r.flood_rounds for r in records) == 1106
+
+
+def test_two_level_run_floods_two_levels(tmp_path):
+    records = recorded_instants(tmp_path, TWO_LEVEL_CONFIG)
+    both = [r for r in records
+            if len({request_priority(q.criticality) for q in r.requests}) == 2]
+    assert len(both) == 22
+    assert sum(bool(r.ev_grid_kw) for r in both) == 3
 
 
 @pytest.mark.parametrize("strategy", sorted(BASELINE_DIGESTS))
