@@ -1,4 +1,4 @@
-"""Line, bus, and EV agent behavior: criticalities, request forwarding,
+"""Line, bus, and EV agent behavior: criticalities, request priority,
 reward, charging-need re-planning, and cooperative curtailment.
 
 The fleet's EV agents are entries of one `Fleet`, and the plugged-in ones
@@ -50,7 +50,6 @@ __all__ = [
     "line_criticality",
     "bus_criticality",
     "request_priority",
-    "forward_request",
     "sample_cooperation_targets",
     "ev_reward",
     "take_requests",
@@ -158,10 +157,9 @@ class Fleet:
         # The session's (n, m) tables, one block that a plug-in resets.
         # Filled here rather than left to lazily zeroed pages, so that
         # the first plug-in of each EV does not pay the page faults.
-        self._tables = np.full((7, n, m), 0.0)
+        self._tables = np.full((6, n, m), 0.0)
         (self.theta,       # the session's sampled theta
-         self.pv_ahead,    # sampled PV, watt, summed over [l, window)
-         self.short,       # `instants_short` at l under that PV
+         self.short,       # `instants_short` at l under the sampled PV
          self.played,      # 1 where charged from grid
          self.reward,      # reward at played instants
          self.pv_mask,     # 1 at every instant seen
@@ -191,8 +189,8 @@ class Fleet:
         Theta is kept with -inf past the window, so no instant there beats
         one inside it, and ranked once: `beaten_by[row, l]` counts the
         later instants of the window whose theta is strictly larger. Phi is
-        kept as its sums over the rest of the window, [l, window) at column
-        l, and as the charging instants still short of the SoC target
+        summed over the rest of the window, [l, window) at column l, and
+        kept only as the charging instants still short of the SoC target
         under that PV (`instants_short`), so the charging need at any
         instant of the session is one lookup.
         """
@@ -201,8 +199,7 @@ class Fleet:
         width = int(self.window[rows].max(initial=0))
         self.beaten_by[rows] = rank_table(held, self._later[:width, :width])
         masked = np.where(inside, phi, 0.0)
-        self.pv_ahead[rows] = ahead = np.cumsum(masked[:, ::-1],
-                                                axis=1)[:, ::-1]
+        ahead = np.cumsum(masked[:, ::-1], axis=1)[:, ::-1]
         self.short[rows] = instants_short(self.need_kw_min[rows, None],
                                           self.charge_kw[rows, None],
                                           self.delta_i, ahead)
@@ -325,38 +322,6 @@ def request_priority(criticality: float) -> tuple:
     """Ordering key for "most critical": larger magnitude first, congestion
     and under-voltage (+1) ahead of over-voltage (-1) on equal magnitude."""
     return (abs(criticality), criticality)
-
-
-def forward_request(held, received):
-    """One agent's forwarding rule for the requests received in one round.
-
-    `held` is the request the agent holds (its own, or the last one it
-    adopted) or None. Returns the most critical received request, to be
-    adopted and passed on, or None when it does not strictly beat `held`.
-    Ties break toward the lowest origin id.
-
-    Lines, buses and EVs apply the same rule. A bus needs no preference for
-    line-congestion requests over bus requests: flooding runs in
-    synchronous rounds over the bipartite line/bus tree and every request
-    starts in round 0, so a bus receives requests of bus origin only in
-    even rounds and of line origin only in odd rounds, and one round never
-    mixes the two kinds.
-
-    An equal-priority request is not relayed, by design. A bus holding its
-    own +1 under-voltage request does not pass on a +1 line-congestion
-    request: the EVs behind it already receive a +1, which asks the same
-    action (curtail) and gives the same reward (-1), and only the line's
-    named cooperation targets behind that bus miss their curtailment for
-    the instant; the line asks again, with fresh targets, at every instant
-    it stays congested. A strict gain also bounds the flood: each agent
-    adopts at most one request per priority level.
-    """
-    best = max(sorted(received, key=lambda r: r.origin_agent), default=None,
-               key=lambda r: request_priority(r.criticality))
-    if best is None or (held is not None and request_priority(best.criticality)
-                        <= request_priority(held.criticality)):
-        return None
-    return best
 
 
 def sample_cooperation_targets(grid_charging_evs, count: int,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import (CriticalityRequest, EvProfile, Fleet, Roster,
-                     bus_criticality, forward_request, line_criticality,
+                     bus_criticality, line_criticality, request_priority,
                      sample_cooperation_targets, take_requests)
 from .gridnet import (FeederSpec, NetworkTopology, build_replicated_feeder,
                       certainly_within_limits, pv_power, solve_power_flow)
@@ -32,6 +32,7 @@ __all__ = [
     "SimulationResult",
     "Simulation",
     "GridJudge",
+    "AgentGraph",
     "instant_tables",
     "bus_sums",
     "generate_scenario",
@@ -268,63 +269,120 @@ class GridJudge:
         return bool(converged and not line_any and not bus_any)
 
 
-def agent_neighbors(topology: NetworkTopology) -> dict:
-    """The line/bus agent graph requests flood over: lines touch their
-    endpoint buses, buses touch their incident lines. It depends only on
-    the topology, so a simulation builds it once."""
-    neighbors = {("bus", bus.id): [] for bus in topology.buses}
+@dataclass(frozen=True)
+class AgentGraph:
+    """The line/bus agent graph requests flood over, with integer nodes:
+    `node` maps ("bus", id) and ("line", id) to a node, `adjacent` holds
+    each node's neighbours and `bus_id` each node's bus id (None for a
+    line)."""
+    node: dict
+    adjacent: tuple
+    bus_id: tuple
+
+
+def agent_neighbors(topology: NetworkTopology) -> AgentGraph:
+    """The agent graph of a topology: lines touch their endpoint buses,
+    buses touch their incident lines. It depends only on the topology, so
+    a simulation builds it once."""
+    buses = [bus.id for bus in topology.buses]
+    node = {("bus", bus): k for k, bus in enumerate(buses)}
+    adjacent = [[] for _ in buses]
     for line in topology.lines:
-        ends = [("bus", line.from_bus), ("bus", line.to_bus)]
-        neighbors[("line", line.id)] = ends
+        k = node["line", line.id] = len(adjacent)
+        ends = (node["bus", line.from_bus], node["bus", line.to_bus])
+        adjacent.append(ends)
         for end in ends:
-            neighbors[end].append(("line", line.id))
-    return neighbors
+            adjacent[end].append(k)
+    return AgentGraph(node, tuple(map(tuple, adjacent)),
+                      tuple(buses) + (None,) * len(topology.lines))
 
 
-def flood_requests(neighbors: dict, evs_at_bus: dict, initial):
+def flood_requests(graph: AgentGraph, evs_at_bus: dict, initial):
     """Monotone same-instant flooding of criticality requests.
 
-    `neighbors` is the line/bus graph from `agent_neighbors`; `evs_at_bus`
-    maps a bus id to the EV ids attached to it, which hear what the bus
-    passes on. A node re-forwards only when an incoming request strictly
-    beats what it already holds, so the process quiesces within the
-    agent-graph diameter. Returns the list of requests each EV received
-    (in improving order) and the round count.
+    Every line and bus starts holding its own request, if any, and sends
+    it to its neighbours in round 0; in each later round a node adopts the
+    most critical request it received (`request_priority`; the lowest
+    origin id among equals) when it strictly beats the one it holds, and
+    passes it on in the next. A bus also passes each request it adopts to
+    the EVs `evs_at_bus` lists at it, which never relay.
+
+    Relaying only on a strict gain makes each priority level spread as a
+    breadth-first search from its origins, through the nodes that adopt
+    it, so the flood runs as one pass per level, highest first: a node
+    adopts a level in the first round it reaches it, unless a higher level
+    reached it in that round or earlier. The flood quiesces within the
+    agent-graph diameter per level.
+
+    A bus needs no preference for line-congestion requests over bus
+    requests: the line/bus graph is a bipartite tree and every request
+    starts in round 0, so a bus receives requests of bus origin only in
+    even rounds and of line origin only in odd rounds, and one round never
+    mixes the two kinds.
+
+    An equal-priority request is not relayed, by design. A bus holding its
+    own +1 under-voltage request does not pass on a +1 line-congestion
+    request: the EVs behind it already receive a +1, which asks the same
+    action (curtail) and gives the same reward (-1), and only the line's
+    named cooperation targets behind that bus miss their curtailment for
+    the instant; the line asks again, with fresh targets, at every instant
+    it stays congested. A strict gain also bounds the flood: each agent
+    adopts at most one request per priority level.
+
+    Returns the requests each EV received, its bus's adoptions in round
+    order (so in improving order), and the round count: one more than the
+    last round in which a node that adopted had a neighbour or an EV. One
+    origin may send one request only.
     """
     if not initial:
         return {}, 0
-
-    def send(node, req, box):
-        for nb in neighbors[node]:
-            box.setdefault(nb, []).append(req)
-        if node[0] == "bus":
-            for ev in evs_at_bus.get(node[1], ()):
-                box.setdefault(("ev", ev), []).append(req)
-
-    held = {}
-    ev_received = {}
-    inbox = {}
+    node, adjacent, bus_id = graph.node, graph.adjacent, graph.bus_id
+    levels = {}
+    origins = set()
     for req in initial:
-        origin = (req.origin_kind, req.origin_agent)
-        held[origin] = req
-        send(origin, req, inbox)
+        origin = node[req.origin_kind, req.origin_agent]
+        if origin in origins:
+            raise ValueError(f"two requests from {req.origin_kind} "
+                             f"{req.origin_agent!r}")
+        origins.add(origin)
+        levels.setdefault(request_priority(req.criticality), {})[origin] = req
 
-    rounds = 0
-    while inbox:
-        rounds += 1
-        outbox = {}
-        for node, reqs in sorted(inbox.items()):
-            best = forward_request(held.get(node), reqs)
-            if best is None:
+    # The first round a higher level reached each node.
+    higher = [math.inf] * len(adjacent)
+    adopted = {}                   # bus node -> its adoptions, latest first
+    last = -1
+    for level in sorted(levels, reverse=True):
+        holds = levels[level]      # node -> the request it adopts
+        reached = dict.fromkeys(holds, 0)   # node -> the round it reached
+        queue = list(holds)
+        for v in queue:            # breadth first: in round order
+            req, t = holds[v], reached[v]
+            out, evs = adjacent[v], evs_at_bus.get(bus_id[v])
+            if evs:
+                adopted.setdefault(v, []).append(req)
+            elif not out:
                 continue
-            held[node] = best
-            if node[0] == "ev":
-                ev_received.setdefault(node[1], []).append(best)
-            else:
-                send(node, best, outbox)
-        inbox = outbox
+            if t > last:
+                last = t
+            t += 1
+            for u in out:
+                if u not in reached:
+                    reached[u] = t
+                    if higher[u] > t:
+                        holds[u] = req
+                        queue.append(u)
+                elif (reached[u] == t and u in holds
+                      and req.origin_agent < holds[u].origin_agent):
+                    holds[u] = req
+        for v, t in reached.items():
+            higher[v] = min(higher[v], t)
 
-    return ev_received, rounds
+    received = {}
+    for v, seq in adopted.items():
+        seq.reverse()
+        for ev in evs_at_bus[bus_id[v]]:
+            received[ev] = seq.copy()
+    return received, last + 1
 
 
 @dataclass

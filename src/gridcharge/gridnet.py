@@ -320,6 +320,7 @@ def solve_power_flow(net: NetworkTopology, injections) -> PowerFlowSolution:
     non_slack = net._non_slack
     converged = False
     iterations = 0
+    tol_v = SWEEP_TOL * net.v_base
 
     for iterations in range(1, SWEEP_MAX_ITER + 1):
         # np.add.reduceat rejects empty index lists: a lone slack bus has
@@ -333,8 +334,10 @@ def solve_power_flow(net: NetworkTopology, injections) -> PowerFlowSolution:
         # slack bus keeps v_slack.
         v_new = v_slack - np.add.reduceat((net.impedance * i_line)[above],
                                           above_start)
-        dv = np.abs(v_new - v[non_slack]).max() / net.v_base
-        if dv < SWEEP_TOL:
+        # The change in volt against the tolerance in volt: dividing the
+        # change by a tiny v_base instead could overflow.
+        dv = np.abs(v_new - v[non_slack]).max()
+        if dv < tol_v:
             v[non_slack] = v_new
             converged = True
             break

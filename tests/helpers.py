@@ -8,8 +8,9 @@ complex voltages, `certificate_bounds` walks each bus up to the slack for
 the power-flow certificate's bounds, `site_tables` builds the per-instant
 load, PV and oracle base tables one instant and one site at a time,
 `uncontrolled_accounts` books an uncontrolled run one EV and one instant
-at a time, and `record_instants` runs a simulation and records what each
-of its instants looked up.
+at a time, `round_flood` floods requests one synchronous round at a time,
+and `record_instants` runs a simulation and records what each of its
+instants looked up.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from unittest import mock
 import numpy as np
 
 from gridcharge import engine
+from gridcharge.agents import request_priority
 from gridcharge.bandit import select_super_arm
 from gridcharge.gridnet import NetworkTopology, PowerFlowSolution, pv_power
 
@@ -181,6 +183,67 @@ def uncontrolled_accounts(scenario):
             battery[day, e], final[day, e] = b, soc
     return {"cost": cost, "grid_energy": grid, "battery_energy": battery,
             "final_soc": final}
+
+
+def forward_request(held, received):
+    """One agent's forwarding rule for the requests received in one round:
+    the most critical received request (`request_priority`, ties toward
+    the lowest origin id), or None when it does not strictly beat `held`,
+    the request the agent holds (or None)."""
+    best = max(sorted(received, key=lambda r: r.origin_agent), default=None,
+               key=lambda r: request_priority(r.criticality))
+    if best is None or (held is not None and request_priority(best.criticality)
+                        <= request_priority(held.criticality)):
+        return None
+    return best
+
+
+def round_flood(net: NetworkTopology, evs_at_bus: dict, initial,
+                forward=forward_request):
+    """`engine.flood_requests` over `net`, one synchronous round at a time.
+
+    Lines, buses and the EVs `evs_at_bus` lists at each bus are nodes keyed
+    (kind, id). Each origin holds its request and sends it to its
+    neighbours; in each round every node that received requests applies
+    `forward(held, received)`, adopts what it returns and, unless it is an
+    EV, sends it on. Returns each EV's adoptions in order and the number
+    of rounds in which some node received a request.
+    """
+    if not initial:
+        return {}, 0
+    neighbors = {("bus", bus.id): [] for bus in net.buses}
+    for line in net.lines:
+        ends = [("bus", line.from_bus), ("bus", line.to_bus)]
+        neighbors[("line", line.id)] = ends
+        for end in ends:
+            neighbors[end].append(("line", line.id))
+    for bus, evs in evs_at_bus.items():
+        neighbors[("bus", bus)] += [("ev", ev) for ev in evs]
+
+    def send(node, req, box):
+        for nb in neighbors.get(node, ()):
+            box.setdefault(nb, []).append(req)
+
+    held, ev_received, inbox = {}, {}, {}
+    for req in initial:
+        origin = (req.origin_kind, req.origin_agent)
+        held[origin] = req
+        send(origin, req, inbox)
+    rounds = 0
+    while inbox:
+        rounds += 1
+        outbox = {}
+        for node, reqs in sorted(inbox.items()):
+            best = forward(held.get(node), reqs)
+            if best is None:
+                continue
+            held[node] = best
+            if node[0] == "ev":
+                ev_received.setdefault(node[1], []).append(best)
+            else:
+                send(node, best, outbox)
+        inbox = outbox
+    return ev_received, rounds
 
 
 @dataclass

@@ -260,9 +260,8 @@ def test_criterion_7_power_flow_correctness(small_run):
 
 def test_criterion_8_required_instants_examples():
     def need(profile, phi, k_p):
-        fleet = Fleet([profile], 60)
-        fleet.hold_samples([0], np.zeros((1, 60)), phi[None])
-        return int(required_instants(fleet, 15.0, fleet.pv_ahead[0, 0],
+        ahead = np.cumsum(phi[::-1])[::-1]     # phi summed over [l, 60)
+        return int(required_instants(Fleet([profile], 60), 15.0, ahead[0],
                                      k_p, 0)[0])
 
     p = EvProfile(ev_id="e", bus_id="b", e_bat=52.0, p_max=7.0,

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from gridcharge import agents
 from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet, Roster,
                                bus_criticality, ev_decide, ev_record,
-                               ev_reward, forward_request, line_criticality,
+                               ev_reward, line_criticality,
                                request_priority, required_instants,
                                sample_cooperation_targets, take_requests)
 from gridcharge.bandit import select_super_arm
+from gridcharge.engine import agent_neighbors, flood_requests
+from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
+                                build_replicated_feeder)
 
 
 def req(crit, origin="x", kind="line", targets=()):
@@ -45,68 +48,100 @@ class TestCriticalities:
             CriticalityRequest(0.5, frozenset(), "a", "house")
 
 
+def chain():
+    """The agent graph of the feeder slack -l_d0b0- d0b0 -l_d0b1- d0b1
+    -l_d0b2- d0b2 -l_d0b3- d0b3."""
+    return agent_neighbors(build_replicated_feeder(FeederSpec(
+        sub_districts=1, buses_per_feeder=4, households_per_bus=1)))
+
+
+def received(requests, evs_at_bus, graph=None):
+    """What each EV received when `requests` flood `graph` (default: the
+    `chain` feeder) with the EVs `evs_at_bus` lists at each bus."""
+    return flood_requests(graph or chain(), evs_at_bus, requests)[0]
+
+
 class TestForwardRequest:
-    """The rule every line, bus and EV applies to the requests it receives
-    in one flooding round, given the request it already holds."""
+    """The rule every line and bus applies to the requests it receives in
+    one flooding round, given the request it already holds, seen in what
+    the EVs behind it receive."""
 
     def test_line_forwards_own_when_most_critical(self):
-        own = req(1.0, origin="l3", targets={"ev1"})
-        assert forward_request(own, [req(-1.0, origin="b1",
-                                         kind="bus")]) is None
-        assert forward_request(own, [req(1.0, origin="l0")]) is None
+        # l_d0b3 keeps its own +1 against the -1 of bus d0b2 beside it and
+        # against the +1 of l_d0b1, whose origin id is lower.
+        own = req(1.0, origin="l_d0b3", targets={"ev1"})
+        got = received([own, req(-1.0, origin="d0b2", kind="bus"),
+                        req(1.0, origin="l_d0b1")], {"d0b3": ["ev3"]})
+        assert got == {"ev3": [own]}
 
     def test_line_forwards_received_when_higher(self):
-        incoming = req(1.0, origin="l9")
-        assert forward_request(None, [incoming]) is incoming
-        weaker = req(0.5, origin="l1")
-        assert forward_request(weaker, [incoming]) is incoming
+        # l_d0b2 holds a 0.5 and l_d0b3 nothing; both pass on the +1 of bus
+        # d0b1 after what they held.
+        incoming = req(1.0, origin="d0b1", kind="bus")
+        weaker = req(0.5, origin="l_d0b2")
+        got = received([incoming, weaker], {"d0b3": ["ev3"]})
+        assert got["ev3"] == [weaker, incoming]
+        assert all(a is b for a, b in zip(got["ev3"], [weaker, incoming]))
 
     def test_bus_silent_when_all_zero(self):
-        assert forward_request(None, []) is None
-        assert forward_request(req(1.0, origin="l1"), []) is None
+        assert flood_requests(chain(), {"d0b0": ["ev0"]}, []) == ({}, 0)
+        # A lone bus holding its own request has no one to send it to.
+        lone = agent_neighbors(NetworkTopology([Bus("b0")], [], "b0"))
+        assert flood_requests(lone, {}, [req(1.0, origin="b0",
+                                             kind="bus")]) == ({}, 0)
 
     def test_overvoltage_own_request_forwarded(self):
-        over = req(-1.0, origin="b4", kind="bus", targets={"ev2"})
-        assert forward_request(None, [over]) is over
-        own = req(-1.0, origin="b1", kind="bus")
-        assert forward_request(own, [over]) is None
+        # d0b1 keeps its own -1 against the equal -1 of d0b3.
+        over = req(-1.0, origin="d0b3", kind="bus", targets={"ev2"})
+        own = req(-1.0, origin="d0b1", kind="bus")
+        got = received([over, own], {"d0b0": ["ev0"], "d0b3": ["ev3"]})
+        assert got == {"ev0": [own], "ev3": [over]}
 
     def test_plus_beats_minus_on_equal_magnitude(self):
-        plus = req(1.0, origin="z", kind="bus")
-        out = forward_request(None, [req(-1.0, origin="a", kind="bus"),
-                                     plus])
-        assert out is plus
-        assert forward_request(req(-1.0, origin="b", kind="bus"),
-                               [plus]) is plus
+        plus = req(1.0, origin="d0b2", kind="bus")
+        minus = req(-1.0, origin="d0b0", kind="bus")
+        got = received([minus, plus], {"d0b1": ["ev1"], "d0b0": ["ev0"]})
+        # Both reach d0b1 in one round; d0b0 already holds its -1.
+        assert got == {"ev1": [plus], "ev0": [minus, plus]}
 
     def test_tie_breaks_to_lowest_origin_id(self):
-        out = forward_request(None,
-                              [req(1.0, origin="l10"), req(1.0, origin="l1"),
-                               req(1.0, origin="l2")])
-        assert out.origin_agent == "l1"
+        hub = NetworkTopology(
+            [Bus("hub"), Bus("a"), Bus("b"), Bus("c")],
+            [Line("l10", "hub", "a", 0.01, 0.005, 100.0),
+             Line("l1", "hub", "b", 0.01, 0.005, 100.0),
+             Line("l2", "hub", "c", 0.01, 0.005, 100.0)], "hub")
+        requests = [req(1.0, origin=line) for line in ("l10", "l1", "l2")]
+        got = received(requests, {"hub": ["ev0"]}, agent_neighbors(hub))
+        assert got == {"ev0": [requests[1]]}
 
     def test_bus_own_undervoltage_blocks_line_congestion(self):
         # A bus that holds its own +1 under-voltage request does not relay
         # a +1 line-congestion request: equal priority is not a strict gain.
-        own = req(1.0, origin="b3", kind="bus", targets={"ev4"})
-        congested = req(1.0, origin="l_b3", kind="line", targets={"ev5"})
-        assert forward_request(own, [congested]) is None
+        own = req(1.0, origin="d0b3", kind="bus", targets={"ev4"})
+        congested = req(1.0, origin="l_d0b3", kind="line", targets={"ev5"})
+        got = received([own, congested], {"d0b3": ["ev4"], "d0b2": ["ev5"]})
+        assert got == {"ev4": [own], "ev5": [congested]}
 
     def test_forwarded_criticality_is_max_in_sight(self):
+        # The top level reaches every bus; what an EV receives improves
+        # strictly and ends at it.
         rng = np.random.default_rng(12)
         crits = [-1.0, -0.5, 0.5, 1.0]
+        graph = chain()
+        origins = [(kind, agent) for kind, agent in graph.node]
+        evs = {bus: [f"ev_{bus}"] for bus in graph.bus_id if bus}
         for _ in range(200):
-            held = (None if rng.random() < 0.3
-                    else req(float(rng.choice(crits)), origin="me"))
-            received = [req(float(rng.choice(crits)), origin=f"l{i}")
-                        for i in range(rng.integers(1, 5))]
-            out = forward_request(held, received)
-            top = max(request_priority(r.criticality) for r in received)
-            if held is not None and request_priority(held.criticality) >= top:
-                assert out is None
-            else:
-                assert out in received
-                assert request_priority(out.criticality) == top
+            picked = rng.choice(len(origins), size=rng.integers(1, 5),
+                                replace=False)
+            requests = [req(float(rng.choice(crits)), origin=origins[k][1],
+                            kind=origins[k][0]) for k in picked]
+            top = max(request_priority(r.criticality) for r in requests)
+            got = received(requests, evs, graph)
+            assert set(got) == {ev for bus in evs.values() for ev in bus}
+            for seq in got.values():
+                levels = [request_priority(r.criticality) for r in seq]
+                assert levels == sorted(set(levels)) and levels[-1] == top
+                assert all(r in requests for r in seq)
 
 
 class TestCooperationTargets:
@@ -171,11 +206,11 @@ def one_ev(p, theta=None, phi=None):
 
 
 def need(p, phi, k_p, now):
-    """required_instants for one EV, reading the PV ahead as the fleet
-    holds it."""
-    fleet = one_ev(p, phi=phi)
-    return int(required_instants(fleet, 15.0, fleet.pv_ahead[0, now],
-                                 k_p, now)[0])
+    """required_instants for one EV at local instant `now`, under the PV
+    estimate phi (watt per instant of its window) summed over the rest of
+    the window."""
+    ahead = np.cumsum(phi[::-1])[::-1]
+    return int(required_instants(one_ev(p), 15.0, ahead[now], k_p, now)[0])
 
 
 def decide(fleet, now, requests):

@@ -192,6 +192,20 @@ class TestRunCommand:
         manifest = json.loads(read(env_out / "manifest.json"))
         assert manifest["overrides"]["output_dir"] == str(env_out)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_v_base_runs_to_finite_outputs(self, tmp_path):
+        # Every sweep diverges at 1e-300 volt; its stopping test may not
+        # overflow on the way.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, SMALL.format(out=out).replace(
+            "households_per_bus: 2\n",
+            "households_per_bus: 2\n    v_base: 1.0e-300\n"))
+        assert main(["run", "--config", path]) == 0
+        summary = json.loads(read(os.path.join(out, "summary.json")))
+        assert summary["voltage_violations"] > 0
+        assert all(np.isfinite(v) for v in summary.values()
+                   if isinstance(v, float))
+
     def test_rejected_override_names_key(self, small_cfg, capsys):
         path, _ = small_cfg
         assert main(["run", "--config", path, "--seed", "-1"]) == 1

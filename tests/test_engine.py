@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcharge import engine, strategies
-from gridcharge.agents import (CriticalityRequest, EvProfile, forward_request,
-                               request_priority)
+from gridcharge.agents import CriticalityRequest, EvProfile, request_priority
 from gridcharge.engine import (EvParams, GridJudge, ProfileError, Scenario,
                                ScenarioConfig, ScenarioError, Simulation,
                                agent_neighbors, default_price_profile,
@@ -20,7 +19,8 @@ from gridcharge.gridnet import (FeederSpec, NetworkTopology,
                                 certainly_within_limits, solve_power_flow)
 from gridcharge.strategies import (AmasStrategy, UncontrolledStrategy,
                                    centralized_oracle)
-from helpers import record_instants, uncontrolled_accounts
+from helpers import (forward_request, record_instants, round_flood,
+                     uncontrolled_accounts)
 from test_grid import radial_trees
 
 
@@ -209,6 +209,54 @@ class TestFloodRequests:
         assert crits == sorted(crits)
         assert crits[-1] == 1.0
 
+    def test_second_request_from_one_origin_rejected(self):
+        net = self.topo()
+        with pytest.raises(ValueError, match="l_d0b1"):
+            flood(net, {}, [req(1.0, "l_d0b1"), req(0.5, "l_d0b1")])
+
+    def test_no_requests_never_read_the_graph(self):
+        assert flood_requests(None, {}, []) == ({}, 0)
+
+    @given(tree=radial_trees(min_buses=1), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_round_by_round_flood(self, tree, data):
+        # The one-pass-per-level flood against synchronous rounds of the
+        # forwarding rule, with requests of mixed levels and signs.
+        buses, lines, slack = tree
+        net = NetworkTopology(buses, lines, slack)
+        ev_bus, initial = self.draw_flood(data, buses, lines,
+                                          [1.0, -1.0, 0.5, -0.5])
+        evs_at_bus = {}
+        for ev, bus in ev_bus.items():
+            evs_at_bus.setdefault(bus, []).append(ev)
+        got, rounds = flood_requests(agent_neighbors(net), evs_at_bus,
+                                     initial)
+        want, want_rounds = round_flood(net, evs_at_bus, initial)
+        assert rounds == want_rounds
+        assert got.keys() == want.keys()
+        for ev, seq in want.items():
+            assert len(got[ev]) == len(seq)
+            assert all(a is b for a, b in zip(got[ev], seq))
+
+    @staticmethod
+    def draw_flood(data, buses, lines, bus_crits):
+        """EVs at random buses (ev id -> bus id) and requests from a random
+        subset of lines (+1, or a level of `bus_crits` when it has 0.5)
+        and of buses (a level of `bus_crits`), each naming a few EVs."""
+        bus_ids = [b.id for b in buses]
+        ev_bus = {f"ev{i}": data.draw(st.sampled_from(bus_ids))
+                  for i in range(data.draw(st.integers(0, 6)))}
+        targets = st.frozensets(st.sampled_from(sorted(ev_bus)), max_size=3) \
+            if ev_bus else st.just(frozenset())
+        line_crits = bus_crits if 0.5 in bus_crits else [1.0]
+        initial = [req(data.draw(st.sampled_from(line_crits)), line.id,
+                       targets=data.draw(targets))
+                   for line in lines if data.draw(st.booleans())]
+        initial += [req(data.draw(st.sampled_from(bus_crits)), bus,
+                        kind="bus", targets=data.draw(targets))
+                    for bus in bus_ids if data.draw(st.booleans())]
+        return ev_bus, initial
+
     @given(tree=radial_trees(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_rounds_never_mix_origin_kinds(self, tree, data):
@@ -217,16 +265,10 @@ class TestFloodRequests:
         # and a bus preference for line congestion never changes a result.
         buses, lines, slack = tree
         net = NetworkTopology(buses, lines, slack)
-        bus_ids = [b.id for b in buses]
-        ev_bus = {f"ev{i}": data.draw(st.sampled_from(bus_ids))
-                  for i in range(data.draw(st.integers(0, 6)))}
-        targets = st.frozensets(st.sampled_from(sorted(ev_bus)), max_size=3) \
-            if ev_bus else st.just(frozenset())
-        initial = [req(1.0, line.id, targets=data.draw(targets))
-                   for line in lines if data.draw(st.booleans())]
-        initial += [req(data.draw(st.sampled_from([1.0, -1.0])), bus,
-                        kind="bus", targets=data.draw(targets))
-                    for bus in bus_ids if data.draw(st.booleans())]
+        ev_bus, initial = self.draw_flood(data, buses, lines, [1.0, -1.0])
+        evs_at_bus = {}
+        for ev, bus in ev_bus.items():
+            evs_at_bus.setdefault(bus, []).append(ev)
 
         kinds = []
 
@@ -234,10 +276,10 @@ class TestFloodRequests:
             kinds.append({r.origin_kind for r in received})
             return forward_request(held, received)
 
-        with mock.patch.object(engine, "forward_request", spy):
-            got = flood(net, ev_bus, initial)
+        round_flood(net, evs_at_bus, initial, forward=spy)
         assert all(len(k) == 1 for k in kinds)
-        assert got == flood_with_bus_line_preference(net, ev_bus, initial)
+        assert (flood(net, ev_bus, initial)
+                == flood_with_bus_line_preference(net, ev_bus, initial))
 
 
 def force_evening_fleet(sc, t_arrive=70, t_depart=96 + 32):

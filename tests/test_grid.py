@@ -15,11 +15,11 @@ from helpers import certificate_bounds, power_mismatch
 
 
 @st.composite
-def radial_trees(draw, max_buses=16):
-    """A random radial tree of 2..max_buses buses: bus ids and the slack
-    position shuffled, lines listed in random order, about half of them
-    child->parent. Returns (buses, lines, slack bus id)."""
-    n = draw(st.integers(2, max_buses))
+def radial_trees(draw, max_buses=16, min_buses=2):
+    """A random radial tree of min_buses..max_buses buses: bus ids and the
+    slack position shuffled, lines listed in random order, about half of
+    them child->parent. Returns (buses, lines, slack bus id)."""
+    n = draw(st.integers(min_buses, max_buses))
     parent = [draw(st.integers(0, k - 1)) for k in range(1, n)]
     order = draw(st.permutations(range(n)))
     flip = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
