@@ -426,7 +426,7 @@ class Simulation:
             bus=[self.net.bus_index[p.bus_id] for p in scenario.fleet])
         strategy.attach(self.fleet)
         self.ev_ids = self.fleet.ev_ids
-        self._neighbors = agent_neighbors(self.net)
+        self._graph = agent_neighbors(self.net)
         self._ev_bus_id = [p.bus_id for p in scenario.fleet]
         self._bus_of_site, self._load_inj, self._site_pv_w = (
             instant_tables(scenario))
@@ -536,7 +536,7 @@ class Simulation:
             for idx in ro.rows.tolist():
                 evs_at_bus.setdefault(self._ev_bus_id[idx], []).append(
                     fleet.ev_ids[idx])
-        received, _ = flood_requests(self._neighbors, evs_at_bus, initial)
+        received, _ = flood_requests(self._graph, evs_at_bus, initial)
 
         # Phase 5: feedback with same-instant criticalities; the requests
         # are held for the next decision.

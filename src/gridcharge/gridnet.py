@@ -334,8 +334,7 @@ def solve_power_flow(net: NetworkTopology, injections) -> PowerFlowSolution:
         # slack bus keeps v_slack.
         v_new = v_slack - np.add.reduceat((net.impedance * i_line)[above],
                                           above_start)
-        # The change in volt against the tolerance in volt: dividing the
-        # change by a tiny v_base instead could overflow.
+        # Compared in volt: the change over a tiny v_base could overflow.
         dv = np.abs(v_new - v[non_slack]).max()
         if dv < tol_v:
             v[non_slack] = v_new

@@ -80,8 +80,7 @@ class TestForwardRequest:
         incoming = req(1.0, origin="d0b1", kind="bus")
         weaker = req(0.5, origin="l_d0b2")
         got = received([incoming, weaker], {"d0b3": ["ev3"]})
-        assert got["ev3"] == [weaker, incoming]
-        assert all(a is b for a, b in zip(got["ev3"], [weaker, incoming]))
+        assert got == {"ev3": [weaker, incoming]}
 
     def test_bus_silent_when_all_zero(self):
         assert flood_requests(chain(), {"d0b0": ["ev0"]}, []) == ({}, 0)
@@ -128,7 +127,7 @@ class TestForwardRequest:
         rng = np.random.default_rng(12)
         crits = [-1.0, -0.5, 0.5, 1.0]
         graph = chain()
-        origins = [(kind, agent) for kind, agent in graph.node]
+        origins = list(graph.node)
         evs = {bus: [f"ev_{bus}"] for bus in graph.bus_id if bus}
         for _ in range(200):
             picked = rng.choice(len(origins), size=rng.integers(1, 5),

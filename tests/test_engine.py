@@ -1,6 +1,5 @@
 """Simulation engine: scenario generation, flooding, instant pipeline, I/O."""
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,12 +39,17 @@ def req(crit, origin, kind="line", targets=()):
                               origin_agent=origin, origin_kind=kind)
 
 
-def flood(net, ev_bus, initial):
-    """flood_requests over `net` with EVs attached as ev_id -> bus id."""
+def evs_at(ev_bus):
+    """The EV ids at each bus id, from ev_id -> bus id."""
     evs_at_bus = {}
     for ev, bus in ev_bus.items():
         evs_at_bus.setdefault(bus, []).append(ev)
-    return flood_requests(agent_neighbors(net), evs_at_bus, initial)
+    return evs_at_bus
+
+
+def flood(net, ev_bus, initial):
+    """flood_requests over `net` with EVs attached as ev_id -> bus id."""
+    return flood_requests(agent_neighbors(net), evs_at(ev_bus), initial)
 
 
 def flood_with_bus_line_preference(net, ev_bus, initial):
@@ -224,14 +228,10 @@ class TestFloodRequests:
         # forwarding rule, with requests of mixed levels and signs.
         buses, lines, slack = tree
         net = NetworkTopology(buses, lines, slack)
-        ev_bus, initial = self.draw_flood(data, buses, lines,
-                                          [1.0, -1.0, 0.5, -0.5])
-        evs_at_bus = {}
-        for ev, bus in ev_bus.items():
-            evs_at_bus.setdefault(bus, []).append(ev)
-        got, rounds = flood_requests(agent_neighbors(net), evs_at_bus,
-                                     initial)
-        want, want_rounds = round_flood(net, evs_at_bus, initial)
+        levels = [1.0, -1.0, 0.5, -0.5]
+        ev_bus, initial = self.draw_flood(data, buses, lines, levels, levels)
+        got, rounds = flood(net, ev_bus, initial)
+        want, want_rounds = round_flood(net, evs_at(ev_bus), initial)
         assert rounds == want_rounds
         assert got.keys() == want.keys()
         for ev, seq in want.items():
@@ -239,16 +239,15 @@ class TestFloodRequests:
             assert all(a is b for a, b in zip(got[ev], seq))
 
     @staticmethod
-    def draw_flood(data, buses, lines, bus_crits):
+    def draw_flood(data, buses, lines, line_crits, bus_crits):
         """EVs at random buses (ev id -> bus id) and requests from a random
-        subset of lines (+1, or a level of `bus_crits` when it has 0.5)
-        and of buses (a level of `bus_crits`), each naming a few EVs."""
+        subset of lines and of buses, at criticalities drawn from
+        `line_crits` and `bus_crits`, each naming a few EVs."""
         bus_ids = [b.id for b in buses]
         ev_bus = {f"ev{i}": data.draw(st.sampled_from(bus_ids))
                   for i in range(data.draw(st.integers(0, 6)))}
         targets = st.frozensets(st.sampled_from(sorted(ev_bus)), max_size=3) \
             if ev_bus else st.just(frozenset())
-        line_crits = bus_crits if 0.5 in bus_crits else [1.0]
         initial = [req(data.draw(st.sampled_from(line_crits)), line.id,
                        targets=data.draw(targets))
                    for line in lines if data.draw(st.booleans())]
@@ -265,18 +264,15 @@ class TestFloodRequests:
         # and a bus preference for line congestion never changes a result.
         buses, lines, slack = tree
         net = NetworkTopology(buses, lines, slack)
-        ev_bus, initial = self.draw_flood(data, buses, lines, [1.0, -1.0])
-        evs_at_bus = {}
-        for ev, bus in ev_bus.items():
-            evs_at_bus.setdefault(bus, []).append(ev)
-
+        ev_bus, initial = self.draw_flood(data, buses, lines, [1.0],
+                                          [1.0, -1.0])
         kinds = []
 
         def spy(held, received):
             kinds.append({r.origin_kind for r in received})
             return forward_request(held, received)
 
-        round_flood(net, evs_at_bus, initial, forward=spy)
+        round_flood(net, evs_at(ev_bus), initial, forward=spy)
         assert all(len(k) == 1 for k in kinds)
         assert (flood(net, ev_bus, initial)
                 == flood_with_bus_line_preference(net, ev_bus, initial))
