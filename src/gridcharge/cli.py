@@ -40,7 +40,7 @@ def _strategy_for(rc: RunConfig, scenario):
     if rc.strategy == "uncontrolled":
         return UncontrolledStrategy()
     if rc.strategy == "oracle":
-        schedules = centralized_oracle(scenario, mode=rc.oracle_mode)
+        schedules = centralized_oracle(scenario)
         return ScheduleStrategy(schedules)
     raise ConfigError(f"unknown strategy {rc.strategy!r}")
 

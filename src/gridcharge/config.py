@@ -71,7 +71,8 @@ SCHEMA = {
         "beta": ("optional_float", None, ">= 0"),
     },
     "cooperation_fraction": ("float", 0.05, "in (0, 1]"),
-    "oracle_mode": ("str", "greedy", ("exhaustive", "greedy")),
+    # One planner; configs that name it still parse.
+    "oracle_mode": ("str", "greedy", ("greedy",)),
     "output_dir": ("str", "runs/out", None),
 }
 
@@ -144,7 +145,6 @@ class RunConfig:
     alpha: float
     beta: float
     cooperation_fraction: float
-    oracle_mode: str
     output_dir: str
     defaults_applied: list = field(default_factory=list)
     overrides: dict = field(default_factory=dict)
@@ -205,11 +205,6 @@ def parse_config(path, overrides=None) -> RunConfig:
     if scen["fleet_size"] > sites:
         raise ConfigError(f"scenario.fleet_size: {scen['fleet_size']} "
                           f"exceeds {sites} household sites")
-    if tree["strategy"] == "oracle" and tree["oracle_mode"] == "exhaustive" \
-            and scen["fleet_size"] > 12:
-        raise ConfigError(
-            "oracle_mode, scenario.fleet_size: exhaustive supports at most "
-            f"12 EVs; fleet_size is {scen['fleet_size']}")
     base_dir = os.path.dirname(os.path.abspath(path))
     for key in ("price_csv", "irradiance_csv"):
         p = scen[key]
@@ -233,7 +228,6 @@ def parse_config(path, overrides=None) -> RunConfig:
         alpha=tree["bandit"]["alpha"],
         beta=beta,
         cooperation_fraction=tree["cooperation_fraction"],
-        oracle_mode=tree["oracle_mode"],
         output_dir=tree["output_dir"],
         defaults_applied=defaults_applied,
         overrides=applied,

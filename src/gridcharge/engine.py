@@ -619,6 +619,9 @@ def ingest_profile(path, kind: str, m: int, c_max=None) -> np.ndarray:
             if idx != lineno - 2:
                 raise ProfileError(
                     f"{path} line {lineno}: expected instant {lineno - 2}, got {idx}")
+            if not math.isfinite(val):
+                raise ProfileError(
+                    f"{path} line {lineno}: non-finite value {row[1]!r}")
             if val < 0.0:
                 raise ProfileError(
                     f"{path} line {lineno}: negative value {val}")

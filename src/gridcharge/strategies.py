@@ -3,13 +3,11 @@
 AmasStrategy is the decentralized learner (one bandit pair per EV plus the
 cooperative-request protocol handled in agents). UncontrolledStrategy and
 ScheduleStrategy provide the two comparison baselines; centralized_oracle
-computes schedules for the latter under perfect PV knowledge.
+plans schedules for the latter greedily under perfect PV knowledge.
 """
 from __future__ import annotations
 
 import base64
-import heapq
-import itertools
 import zlib
 
 import numpy as np
@@ -184,11 +182,10 @@ class UncontrolledStrategy(Strategy):
 
 
 class ScheduleStrategy(Strategy):
-    """Replays fixed per-EV schedules (local-instant booleans). A session's
-    theta row holds its schedule: 1 at planned instants.
+    """Replays fixed per-EV schedules (local-instant booleans).
 
     Once attached, the schedules are one `(n_ev, m)` boolean matrix in
-    fleet order, so a session start copies its rows in one step.
+    fleet order, which a roster reads at its `flat` index, `row * m + now`.
     """
 
     def __init__(self, schedules: dict):
@@ -202,26 +199,20 @@ class ScheduleStrategy(Strategy):
             plan = self.schedules.get(ev, ())[:fleet.m]
             self.plans[row, :len(plan)] = plan
 
-    def session_start(self, fleet, rows, rng):
-        fleet.theta[rows] = self.plans[rows]
-
     def decide(self, roster):
-        planned = roster.fleet.cells["theta"][roster.flat] > 0.0
+        planned = self.plans.reshape(-1)[roster.flat]
         return np.where(planned & (roster.soc < 1.0), roster.p_max, 0.0)
 
 
 # -- centralized oracle ------------------------------------------------------
 
 
-def centralized_oracle(scenario: Scenario, mode="greedy",
-                       max_expansions=500_000) -> dict:
+def centralized_oracle(scenario: Scenario) -> dict:
     """Violation-free charging schedules under perfect PV foresight.
 
-    "exhaustive" (fleet <= 12): best-first search over the joint per-EV
-    instant subsets, returning the minimum-total-cost feasible assignment.
-    "greedy": EVs ordered by flexibility take their cheapest instants that
-    keep the power flow within limits.
-    Returns ev_id -> boolean array over the EV's local connection window.
+    EVs ordered by flexibility take their cheapest instants that keep the
+    power flow within limits. Returns ev_id -> boolean array over the EV's
+    local connection window.
 
     Every EV charges at full power at its planned instants. The base
     injections assume that each connected EV absorbs its site's PV output
@@ -251,35 +242,19 @@ def centralized_oracle(scenario: Scenario, mode="greedy",
     pv_ahead = np.array([site_pv_w[i, s].sum() for s, i in zip(site, window)])
     needs = required_instants(charging_need(fleet), scenario.delta_i,
                               pv_ahead, 0, 0).tolist()
-    prices = [scenario.price_profile[i] for i in window]
-    problem = (GridJudge(net, solve_power_flow), base,
-               [p.ev_id for p in fleet], window, bus, watt, needs, prices)
-    if mode == "greedy":
-        return _oracle_greedy(*problem)
-    if mode == "exhaustive":
-        if len(fleet) > 12:
-            raise ValueError(
-                f"exhaustive oracle limited to 12 EVs (got {len(fleet)}); "
-                "use greedy mode")
-        return _oracle_exhaustive(*problem, max_expansions)
-    raise ValueError(f"unknown oracle mode {mode!r}")
-
-
-def _oracle_greedy(judge, base, ev_ids, window, bus, watt, needs, prices):
-    """Each EV in turn, by flexibility, then id, tests its instants in
-    price order against the injections of the EVs placed before it, until
-    `need` of them pass.
-
-    `inj` adds each placed EV's charger power to its instant's base
-    injections.
-    """
+    judge = GridJudge(net, solve_power_flow)
+    # Each EV in turn, by flexibility, then id, tests its instants in price
+    # order against the injections of the EVs placed before it, until
+    # `need` of them pass. `inj` adds each placed EV's charger power to its
+    # instant's base injections.
     inj = base.copy()
     plans = {}
-    for e in sorted(range(len(ev_ids)),
-                    key=lambda e: (len(window[e]) - needs[e], ev_ids[e])):
+    for e in sorted(range(len(fleet)),
+                    key=lambda e: (len(window[e]) - needs[e], fleet[e].ev_id)):
         plan = np.zeros(len(window[e]), dtype=bool)
         got = 0
-        for l in np.argsort(prices[e], kind="stable").tolist():
+        prices = scenario.price_profile[window[e]]
+        for l in np.argsort(prices, kind="stable").tolist():
             if got == needs[e]:
                 break
             i = window[e][l]
@@ -289,61 +264,5 @@ def _oracle_greedy(judge, base, ev_ids, window, bus, watt, needs, prices):
                 plan[l] = True
                 inj[i] = row
                 got += 1
-        plans[ev_ids[e]] = plan
+        plans[fleet[e].ev_id] = plan
     return plans
-
-
-def _oracle_exhaustive(judge, base, ev_ids, window, bus, watt, needs, prices,
-                       max_expansions):
-    n = len(ev_ids)
-    per_ev = [sorted((sum(prices[e][list(c)]), c)
-                     for c in itertools.combinations(range(len(window[e])),
-                                                     needs[e]))
-              for e in range(n)]
-
-    def feasible(i, evs):
-        inj = base[i].copy()
-        # In id order, so the sums do not depend on the fleet order.
-        for e in sorted(evs, key=ev_ids.__getitem__):
-            inj[bus[e]] += watt[e]
-        return judge.within_limits(inj)
-
-    def feasible_joint(idxs):
-        charging_at = {}
-        for e in range(n):
-            for l in per_ev[e][idxs[e]][1]:
-                charging_at.setdefault(int(window[e][l]), []).append(e)
-        return all(feasible(i, evs) for i, evs in charging_at.items())
-
-    start = tuple(0 for _ in range(n))
-    heap = [(sum(per_ev[e][0][0] for e in range(n)), start)]
-    seen = {start}
-    pops = 0
-    while heap:
-        cost, idxs = heapq.heappop(heap)
-        pops += 1
-        if pops > max_expansions:
-            raise RuntimeError(
-                "exhaustive oracle exceeded the search budget; use greedy mode")
-        if feasible_joint(idxs):
-            return {ev_ids[e]: _plan_from(per_ev[e][idxs[e]][1],
-                                          len(window[e]))
-                    for e in range(n)}
-        for e in range(n):
-            nxt = list(idxs)
-            nxt[e] += 1
-            if nxt[e] >= len(per_ev[e]):
-                continue
-            nxt = tuple(nxt)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            delta = per_ev[e][nxt[e]][0] - per_ev[e][idxs[e]][0]
-            heapq.heappush(heap, (cost + delta, nxt))
-    raise RuntimeError("no violation-free joint schedule exists")
-
-
-def _plan_from(instants, window):
-    plan = np.zeros(window, dtype=bool)
-    plan[list(instants)] = True
-    return plan

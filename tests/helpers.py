@@ -7,22 +7,27 @@ does not use them.
 complex voltages, `certificate_bounds` walks each bus up to the slack for
 the power-flow certificate's bounds, `site_tables` builds the per-instant
 load, PV and oracle base tables one instant and one site at a time,
-`uncontrolled_accounts` books an uncontrolled run one EV and one instant
-at a time, `round_flood` floods requests one synchronous round at a time,
-and `record_instants` runs a simulation and records what each of its
-instants looked up.
+`within_limits` judges one injection vector by a power flow,
+`oracle_needs` counts the instants each EV needs at full power,
+`optimal_plans` finds the cheapest violation-free oracle plans by brute
+force, `uncontrolled_accounts` books an uncontrolled run one EV and one
+instant at a time, `round_flood` floods requests one synchronous round at
+a time, and `record_instants` runs a simulation and records what each of
+its instants looked up.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
 
 from gridcharge import engine
-from gridcharge.agents import request_priority
+from gridcharge.agents import Fleet, request_priority, required_instants
 from gridcharge.bandit import select_super_arm
-from gridcharge.gridnet import NetworkTopology, PowerFlowSolution, pv_power
+from gridcharge.gridnet import (NetworkTopology, PowerFlowSolution, pv_power,
+                                solve_power_flow)
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,78 @@ def site_tables(scenario):
             if (i, s) not in connected:
                 base[i, net.bus_index[site.bus_id]] -= pv[i, s]
     return loads, pv, base
+
+
+def within_limits(net: NetworkTopology, injections) -> bool:
+    """Whether a power flow over `injections` converges with no line above
+    its rating and no bus voltage outside its band."""
+    sol = solve_power_flow(net, injections)
+    v = sol.bus_voltages
+    return bool(sol.converged and not (sol.line_currents > net.i_rated).any()
+                and not ((v < net.v_min) | (v > net.v_max)).any())
+
+
+def oracle_needs(scenario) -> list:
+    """Each EV's `need`: the full-power instants it needs to reach its SoC
+    target with its own site's PV over its whole window."""
+    m = scenario.m
+    _, pv, _ = site_tables(scenario)
+    pv_ahead = np.array([
+        pv[(p.t_arrive + np.arange(p.window_length)) % m,
+           scenario.ev_site[p.ev_id]].sum() for p in scenario.fleet])
+    return required_instants(Fleet(scenario.fleet, m), scenario.delta_i,
+                             pv_ahead, 0, 0).tolist()
+
+
+def optimal_plans(scenario) -> dict:
+    """The cheapest violation-free charging plans, by brute force.
+
+    Goes over every joint choice of each EV's `need` instants of its
+    window, charging at full power on the base injections of `site_tables`,
+    and keeps the first of the cheapest (by the sum of the chosen prices)
+    whose every instant stays `within_limits`; each (instant, charging
+    EVs) verdict is solved once. Returns ev_id -> boolean array over the
+    EV's local window, as `centralized_oracle` does.
+    """
+    net, m, fleet = scenario.topology, scenario.m, scenario.fleet
+    _, _, base = site_tables(scenario)
+    windows = [(p.t_arrive + np.arange(p.window_length)) % m for p in fleet]
+    choices = [list(itertools.combinations(range(len(w)), k))
+               for w, k in zip(windows, oracle_needs(scenario))]
+    costs = [[sum(float(scenario.price_profile[w[l]]) for l in c)
+              for c in cs] for w, cs in zip(windows, choices)]
+    by_id = sorted(range(len(fleet)), key=lambda e: fleet[e].ev_id)
+    verdicts = {}
+
+    def feasible(joint):
+        charging = {}
+        for e in by_id:
+            for l in choices[e][joint[e]]:
+                charging.setdefault(int(windows[e][l]), []).append(e)
+        for i, evs in charging.items():
+            key = (i, tuple(evs))
+            if key not in verdicts:
+                inj = base[i].copy()
+                for e in evs:
+                    inj[net.bus_index[fleet[e].bus_id]] += \
+                        fleet[e].p_max * 1000.0
+                verdicts[key] = within_limits(net, inj)
+            if not verdicts[key]:
+                return False
+        return True
+
+    best, best_cost = None, np.inf
+    for joint in itertools.product(*(range(len(cs)) for cs in choices)):
+        cost = sum(costs[e][c] for e, c in enumerate(joint))
+        if cost < best_cost and feasible(joint):
+            best, best_cost = joint, cost
+    if best is None:
+        raise ValueError("no joint plan stays within the limits")
+    plans = {}
+    for e, p in enumerate(fleet):
+        plans[p.ev_id] = np.zeros(p.window_length, dtype=bool)
+        plans[p.ev_id][list(choices[e][best[e]])] = True
+    return plans
 
 
 def uncontrolled_accounts(scenario):

@@ -21,7 +21,8 @@ from gridcharge.metrics import fairness_index, mean_daily_reward, per_unit_costs
 from gridcharge.agents import EvProfile, Fleet, required_instants
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
                                    UncontrolledStrategy, centralized_oracle)
-from helpers import SuperArm, power_mismatch, pseudo_regret, record_instants
+from helpers import (SuperArm, optimal_plans, power_mismatch, pseudo_regret,
+                     record_instants)
 from test_grid import by_bus
 
 
@@ -112,14 +113,14 @@ def test_criterion_4_cost_ordering():
                      .run().cost[-10:].sum(axis=1).mean())
         one_day = generate_scenario(cfg, 1, seed)
         unc = _day_cost(one_day, UncontrolledStrategy())
-        plans = centralized_oracle(one_day, mode="greedy")
+        plans = centralized_oracle(one_day)
         orc = _day_cost(generate_scenario(cfg, 1, seed),
                         ScheduleStrategy(plans))
         ordered = orc <= amas <= unc
         ok = ok and ordered
         rows.append(f"seed {seed}: {orc:.2f} <= {amas:.2f} <= {unc:.2f}")
 
-    # Tiny instance: AMAS converged cost within 15% of the exhaustive oracle.
+    # Tiny instance: AMAS converged cost within 15% of the optimal plans.
     tiny = ScenarioConfig(
         feeder=FeederSpec(sub_districts=1, buses_per_feeder=2,
                           households_per_bus=2),
@@ -132,8 +133,7 @@ def test_criterion_4_cost_ordering():
     learn = generate_scenario(tiny, 150, 2)
     amas_tiny = float(Simulation(learn, AmasStrategy(alpha=0.15))
                       .run().cost[-20:].sum(axis=1).mean())
-    plans = centralized_oracle(generate_scenario(tiny, 1, 2),
-                               mode="exhaustive")
+    plans = optimal_plans(generate_scenario(tiny, 1, 2))
     orc_tiny = _day_cost(generate_scenario(tiny, 1, 2),
                          ScheduleStrategy(plans))
     gap = amas_tiny / orc_tiny - 1.0

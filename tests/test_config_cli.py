@@ -1,6 +1,8 @@
 """Config parsing, CLI subcommands, output files, checkpoint round-trip."""
+import inspect
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ import pytest
 from gridcharge.cli import execute_run, main
 from gridcharge.config import (SCHEMA, ConfigError, build_scenario,
                                parse_config)
-from gridcharge.strategies import CHECKPOINT_FORMAT, AmasStrategy, _pack
+from gridcharge.engine import EvParams, ScenarioConfig, Simulation
+from gridcharge.gridnet import FeederSpec
+from gridcharge.strategies import (CHECKPOINT_FORMAT, AmasStrategy, _pack,
+                                   default_pv_exploration)
 
 SMALL = """\
 scenario:
@@ -91,13 +96,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="strategy"):
             parse_config(path)
 
-    def test_exhaustive_oracle_fleet_limit(self, tmp_path):
-        body = ("strategy: oracle\noracle_mode: exhaustive\n"
-                "scenario:\n  fleet_size: 500\n"
-                "  topology:\n    sub_districts: 10\n")
-        path = write_config(tmp_path, body)
-        with pytest.raises(ConfigError, match="12 EVs"):
-            parse_config(path)
+    def test_schema_defaults_match_the_library(self):
+        # Each SCHEMA default that repeats a library default equals it.
+        def default(path):
+            spec = SCHEMA
+            for part in path.split("."):
+                spec = spec[part]
+            return spec[1]
+
+        scenario = {f.name: f.default for f in fields(ScenarioConfig)}
+        amas = inspect.signature(AmasStrategy).parameters
+        library = {f"scenario.topology.{f.name}": f.default
+                   for f in fields(FeederSpec)}
+        library.update((f"scenario.ev.{f.name}", f.default)
+                       for f in fields(EvParams))
+        library.update({
+            "scenario.fleet_size": scenario["fleet_size"],
+            "scenario.pv.area_m2": scenario["pv_area_m2"],
+            "scenario.pv.efficiency": scenario["pv_efficiency"],
+            "scenario.household_load_w": scenario["household_load_w"],
+            "scenario.instants_per_day": scenario["m"],
+            "bandit.alpha": amas["alpha"].default,
+            "cooperation_fraction": inspect.signature(
+                Simulation).parameters["cooperation_fraction"].default,
+        })
+        assert len(library) == 12 + 9 + 7
+        assert {path: default(path) for path in library} == library
+        # `bandit.beta` defaults to the PV exploration of the PV defaults.
+        assert default_pv_exploration(
+            default("scenario.pv.area_m2"),
+            default("scenario.pv.efficiency")) == amas["beta"].default
 
     def test_missing_profile_file(self, tmp_path):
         path = write_config(tmp_path, "scenario:\n  price_csv: nope.csv\n")
@@ -300,6 +328,8 @@ class TestValidateCommand:
         ("scenario:\n  ev:\n    soc_target: 1.5\n",
          "scenario.ev.soc_target"),
         ("oracle_mode: bogus\n", "oracle_mode"),
+        ("strategy: oracle\noracle_mode: exhaustive\n"
+         "scenario:\n  fleet_size: 1\n", "oracle_mode"),
     ], ids=["alpha-nan", "p_max-nan", "household-load-negative",
             "pv-area-overflow", "alpha-negative", "beta-negative",
             "pv-area-negative", "pv-efficiency-above-one", "e_bat-zero",
@@ -314,7 +344,7 @@ class TestValidateCommand:
             "trunk-impedance-zero", "line-resistance-negative",
             "trunk-resistance-negative", "seed-negative", "days-negative",
             "cooperation-zero", "price_max-zero", "soc-target-above-one",
-            "oracle_mode-unknown"])
+            "oracle_mode-unknown", "oracle_mode-exhaustive"])
     def test_rejected_value_names_key(self, tmp_path, capsys, body, key):
         path = write_config(tmp_path, body)
         assert main(["validate", "--config", path]) == 1

@@ -519,7 +519,7 @@ class TestGridStateMemo:
                 judges.append(self)
 
         monkeypatch.setattr(strategies, "GridJudge", Recorded)
-        centralized_oracle(sc, mode="greedy")
+        centralized_oracle(sc)
         assert len(judges) == 1
         states = sim.judge.states.items()
         critical = [key for key, (converged, _, _, line_any, bus_any)
@@ -578,6 +578,14 @@ class TestIngestProfile:
         path.write_text("instant,value\n0,1.0\n1,abc\n", encoding="utf-8")
         with pytest.raises(ProfileError, match="line 3"):
             ingest_profile(str(path), "irradiance", 2)
+
+    @pytest.mark.parametrize("kind", ["price", "irradiance"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_names_line(self, tmp_path, kind, bad):
+        path = tmp_path / "p.csv"
+        path.write_text(f"instant,value\n0,1.0\n1,{bad}\n", encoding="utf-8")
+        with pytest.raises(ProfileError, match=f"line 3: non-finite.*{bad}"):
+            ingest_profile(str(path), kind, 2)
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "p.csv"

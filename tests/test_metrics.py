@@ -1,5 +1,4 @@
 """Evaluation metrics and the comparison strategies (uncontrolled, oracle)."""
-import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcharge import engine, strategies
-from gridcharge.agents import Fleet, required_instants
 from gridcharge.engine import (GridJudge, ScenarioConfig, Simulation,
                                generate_scenario, instant_tables)
 from gridcharge.gridnet import (FeederSpec, certainly_within_limits,
@@ -18,7 +16,7 @@ from gridcharge.metrics import (convergence_day, fairness_index,
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
                                    UncontrolledStrategy, centralized_oracle,
                                    uncontrolled_action)
-from helpers import site_tables
+from helpers import oracle_needs, optimal_plans, site_tables, within_limits
 
 
 class TestFairnessIndex:
@@ -148,11 +146,8 @@ def sequential_greedy(sc):
     EVs by flexibility, each taking its cheapest instants in turn while the
     network stays within limits. Returns the plans and the rejections."""
     net, m = sc.topology, sc.m
-    _, pv, base = site_tables(sc)
-    pv_ahead = np.array([
-        pv[(p.t_arrive + np.arange(p.window_length)) % m,
-           sc.ev_site[p.ev_id]].sum() for p in sc.fleet])
-    needs = required_instants(Fleet(sc.fleet, m), sc.delta_i, pv_ahead, 0, 0)
+    _, _, base = site_tables(sc)
+    needs = oracle_needs(sc)
     order = sorted(range(len(sc.fleet)),
                    key=lambda j: (sc.fleet[j].window_length - needs[j],
                                   sc.fleet[j].ev_id))
@@ -170,16 +165,20 @@ def sequential_greedy(sc):
             inj = base[i].copy()
             for q in charging_at[i] + [p]:
                 inj[net.bus_index[q.bus_id]] += q.p_max * 1000.0
-            sol = solve_power_flow(net, inj)
-            v = sol.bus_voltages
-            if (sol.converged and not (sol.line_currents > net.i_rated).any()
-                    and not ((v < net.v_min) | (v > net.v_max)).any()):
+            if within_limits(net, inj):
                 plan[l] = True
                 charging_at[i].append(p)
             else:
                 rejected += 1
         plans[p.ev_id] = plan
     return plans, rejected
+
+
+def plan_cost(sc, plans):
+    """What `plans` pay at full power, summed over EVs and instants."""
+    dh = sc.delta_i / 60.0
+    return sum(sc.price_profile[(p.t_arrive + l) % sc.m] * p.p_max * dh
+               for p in sc.fleet for l in np.flatnonzero(plans[p.ev_id]))
 
 
 def small_feeder(n_ev, rating, sub_districts=2, seed=1):
@@ -202,19 +201,14 @@ class TestCentralizedOracle:
         sc = make()
         expected, rejected = sequential_greedy(sc)
         assert rejected > 0     # the ratings bind
-        plans = centralized_oracle(sc, mode="greedy")
+        plans = centralized_oracle(sc)
         assert plans.keys() == expected.keys()
         for ev, plan in expected.items():
             assert plans[ev].tolist() == plan.tolist()
 
-    @pytest.mark.parametrize("mode, make", [
-        ("greedy", lambda: small_feeder(12, 60.0)),
-        ("exhaustive",
-         lambda: tiny_scenario(n_ev=2, rating=40.0, soc_target=0.53)),
-    ])
-    def test_solves_each_distinct_row_once(self, monkeypatch, mode, make):
+    def test_solves_each_distinct_row_once(self, monkeypatch):
         # Once per distinct row that the certificate does not clear.
-        sc = make()
+        sc = small_feeder(12, 60.0)
         checked, cleared, solved = [], set(), []
         within_limits = GridJudge.within_limits
         solve = strategies.solve_power_flow
@@ -231,7 +225,7 @@ class TestCentralizedOracle:
 
         monkeypatch.setattr(GridJudge, "within_limits", record_check)
         monkeypatch.setattr(strategies, "solve_power_flow", record_solve)
-        centralized_oracle(sc, mode=mode)
+        centralized_oracle(sc)
         distinct = list(dict.fromkeys(checked))
         assert len(checked) > len(distinct)   # rows repeat
         assert cleared                        # and some are never solved
@@ -269,90 +263,50 @@ class TestCentralizedOracle:
             return built[-1]
 
         monkeypatch.setattr(strategies, "bus_sums", record)
-        centralized_oracle(sc, mode="greedy")
+        centralized_oracle(sc)
         assert len(built) == 1
         assert built[0].tobytes() == base.tobytes()
         assert not np.array_equal(base, loads)   # some sites are unconnected
 
     def test_zero_evs(self):
         sc = tiny_scenario(n_ev=0)
-        assert centralized_oracle(sc, mode="exhaustive") == {}
-        assert centralized_oracle(sc, mode="greedy") == {}
+        assert centralized_oracle(sc) == {}
 
     def test_unconstrained_picks_cheapest(self):
         sc = tiny_scenario(n_ev=1)
         p = sc.fleet[0]
-        plans = centralized_oracle(sc, mode="exhaustive")
-        plan = plans[p.ev_id]
-        k = int(plan.sum())
         prices = [sc.price_profile[(p.t_arrive + l) % sc.m]
                   for l in range(p.window_length)]
         cheapest = sorted(range(p.window_length), key=lambda l: (prices[l], l))
-        assert sorted(np.flatnonzero(plan)) == sorted(cheapest[:k])
+        for plans in (centralized_oracle(sc), optimal_plans(sc)):
+            plan = plans[p.ev_id]
+            k = int(plan.sum())
+            assert sorted(np.flatnonzero(plan)) == sorted(cheapest[:k])
 
     def test_greedy_matches_exhaustive_unconstrained(self):
         sc = tiny_scenario(n_ev=3)
-        g = centralized_oracle(sc, mode="greedy")
-        e = centralized_oracle(sc, mode="exhaustive")
-        dh = sc.delta_i / 60.0
-
-        def cost(plans):
-            total = 0.0
-            for p in sc.fleet:
-                for l in np.flatnonzero(plans[p.ev_id]):
-                    total += sc.price_profile[(p.t_arrive + l) % sc.m] \
-                        * p.p_max * dh
-            return total
-        assert cost(g) == pytest.approx(cost(e))
+        greedy, best = centralized_oracle(sc), optimal_plans(sc)
+        assert plan_cost(sc, greedy) == pytest.approx(plan_cost(sc, best))
 
     def test_constrained_staggering(self):
-        # Rating admits one charger at a time; the exhaustive plan must put
-        # the two EVs on disjoint instants and match a brute-force search.
+        # Rating admits one charger at a time: the optimum puts the two EVs
+        # on disjoint instants, and the greedy plans replay with no
+        # violation at no less than the optimum's cost.
         sc = tiny_scenario(n_ev=2, rating=40.0, soc_target=0.53)
-        plans = centralized_oracle(sc, mode="exhaustive")
+        best = optimal_plans(sc)
         a, b = sc.fleet
-        ia = {(a.t_arrive + l) % sc.m for l in np.flatnonzero(plans[a.ev_id])}
-        ib = {(b.t_arrive + l) % sc.m for l in np.flatnonzero(plans[b.ev_id])}
+        ia = {(a.t_arrive + l) % sc.m for l in np.flatnonzero(best[a.ev_id])}
+        ib = {(b.t_arrive + l) % sc.m for l in np.flatnonzero(best[b.ev_id])}
         assert not (ia & ib)
-
-        # Brute force over all joint assignments of the needed sizes.
-        from gridcharge.agents import Fleet, required_instants
-        ka, kb = required_instants(Fleet([a, b], sc.m), sc.delta_i,
-                                   0.0, 0, 0).tolist()
-        prices_a = [sc.price_profile[(a.t_arrive + l) % sc.m]
-                    for l in range(a.window_length)]
-        prices_b = [sc.price_profile[(b.t_arrive + l) % sc.m]
-                    for l in range(b.window_length)]
-        best = None
-        for ca in itertools.combinations(range(a.window_length), ka):
-            for cb in itertools.combinations(range(b.window_length), kb):
-                sa = {(a.t_arrive + l) % sc.m for l in ca}
-                sb = {(b.t_arrive + l) % sc.m for l in cb}
-                if sa & sb:
-                    continue
-                c = sum(prices_a[l] for l in ca) + sum(prices_b[l] for l in cb)
-                if best is None or c < best - 1e-12:
-                    best = c
-        got = sum(prices_a[l] for l in np.flatnonzero(plans[a.ev_id])) + \
-            sum(prices_b[l] for l in np.flatnonzero(plans[b.ev_id]))
-        assert got == pytest.approx(best)
-
-    def test_exhaustive_size_limit(self):
-        cfg = ScenarioConfig(
-            feeder=FeederSpec(sub_districts=1, buses_per_feeder=4,
-                              households_per_bus=4),
-            fleet_size=13, m=12)
-        sc = generate_scenario(cfg, 1, 1)
-        with pytest.raises(ValueError, match="greedy"):
-            centralized_oracle(sc, mode="exhaustive")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            centralized_oracle(tiny_scenario(n_ev=1), mode="magic")
+        plans = centralized_oracle(sc)
+        res = Simulation(sc, ScheduleStrategy(plans)).run()
+        assert res.violations_current.sum() == 0
+        assert res.violations_voltage.sum() == 0
+        assert plan_cost(sc, plans) >= plan_cost(sc, best) - 1e-12
 
     def test_schedule_strategy_replays_plan(self):
         sc = tiny_scenario(n_ev=2)
-        plans = centralized_oracle(sc, mode="greedy")
+        plans = centralized_oracle(sc)
         res = Simulation(sc, ScheduleStrategy(plans)).run()
         dh = sc.delta_i / 60.0
         for j, p in enumerate(sc.fleet):
