@@ -108,9 +108,11 @@ class Fleet:
 
     The per-EV columns a roster copies are the rows of one block, each
     bound as an attribute of its name in `COLUMNS`: the static columns
-    first, then the session state, which a plug-in resets and a `Roster`
-    writes back when EVs leave. `site` and `bus` index the simulation's
-    site and bus tables (0 when not given).
+    first, then the state every session starts from (`soc` at the EV's
+    starting SoC, `flat` at `row * m`, zero elsewhere). The block is
+    built once and read-only: a `Roster` copies an EV's columns when it
+    plugs in and owns its session state until it leaves. `site` and `bus`
+    index the simulation's site and bus tables (0 when not given).
 
     The per-instant tables have m columns in the EV's local frame (column
     l is the l-th instant after plug-in), so a connection window may not
@@ -130,7 +132,6 @@ class Fleet:
 
         for name in ("e_bat", "p_max", "eta_chrg", "soc_target"):
             getattr(self, name)[:] = _column(profiles, name)  # kWh, kW, 1, 1
-        self.soc_start = _column(profiles, "soc_start")
         need = charging_need(profiles)
         for name in ("need_kw_min", "charge_kw", "window"):
             getattr(self, name)[:] = getattr(need, name)
@@ -141,61 +142,53 @@ class Fleet:
             self.site[:] = site
         if bus is not None:
             self.bus[:] = bus
-        self.soc[:] = self.soc_start
+        self.soc[:] = _column(profiles, "soc_start")
         self.flat[:] = np.arange(n) * m
-        # soc and the session's cost, grid_energy and battery_energy sums.
-        self.session_floats = self._block[_SESSION:_SESSION + 4].view(
-            np.float64)
-        # Whether each local instant lies inside the EV's window, and
-        # [l, l'] = l' > l: the masks `hold_samples` reads.
+        # Rebound so that the column views are read-only too.
+        self._block.flags.writeable = False
+        _bind(self, _COLUMNS, self._block)
+        # Whether each local instant lies inside the EV's window, that is
+        # where every session reads PV, and [l, l'] = l' > l: the masks
+        # `hold_samples` reads.
         cols = np.arange(m)
-        self._inside = cols < self.window[:, None]
+        self.inside = cols < self.window[:, None]
         self._later = cols > cols[:, None]
 
-        self.active = np.zeros(n, dtype=bool)
-        self.day = np.zeros(n, dtype=np.int64)    # learning day of the session
-        # The session's (n, m) tables, one block that a plug-in resets.
-        # Filled here rather than left to lazily zeroed pages, so that
-        # the first plug-in of each EV does not pay the page faults.
-        self._tables = np.full((6, n, m), 0.0)
-        (self.theta,       # the session's sampled theta
-         self.short,       # `instants_short` at l under the sampled PV
-         self.played,      # 1 where charged from grid
+        # The session's (n, m) tables, one block. Filled here rather than
+        # left to lazily zeroed pages, so that the first plug-in of each
+        # EV does not pay the page faults.
+        self._tables = np.full((4, n, m), 0.0)
+        (self.played,      # 1 where charged from grid
          self.reward,      # reward at played instants
-         self.pv_mask,     # 1 at every instant seen
          self.pv_obs,      # PV reading, watt
+         self.short,       # `instants_short` at l under the sampled PV
          ) = self._tables
         # Later instants of the window with a strictly larger theta.
         self.beaten_by = np.zeros((n, m), dtype=np.int64)
         # Each table flattened, by name, for `Roster.flat` to index.
         self.cells = {name: getattr(self, name).reshape(-1)
-                      for name in ("theta", "short", "played", "reward",
-                                   "pv_mask", "pv_obs", "beaten_by")}
+                      for name in ("short", "played", "reward", "pv_obs",
+                                   "beaten_by")}
 
-    def plug_in(self, rows, day: int):
-        """Start a session on learning day `day` for each row."""
-        self.active[rows] = True
-        self.day[rows] = day
-        self._block[_SESSION:, rows] = 0        # 0.0 in the float rows
-        self.soc[rows] = self.soc_start[rows]
-        self.flat[rows] = np.asarray(rows) * self.m
-        self._tables[:, rows] = 0.0
-        self.beaten_by[rows] = 0
+    def plug_in(self, rows):
+        """Start a session for each row: clear the tables a session
+        accumulates (`hold_samples` overwrites the others)."""
+        self._tables[:3, rows] = 0.0
 
     def hold_samples(self, rows, theta, phi):
         """Hold each row's posterior samples for its session, one row of
         `theta` and of `phi` (PV, watt per local instant) per EV.
 
-        Theta is kept with -inf past the window, so no instant there beats
-        one inside it, and ranked once: `beaten_by[row, l]` counts the
-        later instants of the window whose theta is strictly larger. Phi is
+        Theta is ranked once, with -inf past the window so that no instant
+        there beats one inside it: `beaten_by[row, l]` counts the later
+        instants of the window whose theta is strictly larger. Phi is
         summed over the rest of the window, [l, window) at column l, and
         kept only as the charging instants still short of the SoC target
         under that PV (`instants_short`), so the charging need at any
         instant of the session is one lookup.
         """
-        inside = self._inside[rows]
-        self.theta[rows] = held = np.where(inside, theta, -np.inf)
+        inside = self.inside[rows]
+        held = np.where(inside, theta, -np.inf)
         width = int(self.window[rows].max(initial=0))
         self.beaten_by[rows] = rank_table(held, self._later[:width, :width])
         masked = np.where(inside, phi, 0.0)
@@ -207,47 +200,44 @@ class Fleet:
 
 class Roster:
     """The plugged-in EVs of a fleet as contiguous arrays, one entry per EV
-    in the order of `rows`.
+    in the order of `rows`, and the one owner of their session state.
 
     Holds a copy of every `Fleet` column, under the same names (see
-    `COLUMNS`). An instant works on these arrays alone, so it gathers
-    nothing by row: `flat` indexes the fleet's tables (see `Fleet.cells`)
-    and `advance` moves every EV on by one instant. The fleet's copy of
-    the session state is stale while an EV is on the roster: `keep`
-    writes it back when EVs leave.
+    `COLUMNS`), taken from the fleet's starting state as each EV joins.
+    An instant works on these arrays alone, so it gathers nothing by row:
+    `flat` indexes the fleet's tables (see `Fleet.cells`) and `advance`
+    moves every EV on by one instant, so an EV's session is over when its
+    `now` reaches its `window`. `session_floats` are the rows `soc`,
+    `cost`, `grid_energy` and `battery_energy`: what a session leaves.
 
     Every column is a row of one block, so `join` and `keep` each copy
     one array: the columns of the EVs that join, or of those that stay.
-    `Roster(fleet, rows)` copies the fleet's state of `rows`, with `flat`
-    recomputed from `now`.
     """
 
     def __init__(self, fleet: Fleet, rows=()):
         self.fleet = fleet
         rows = np.asarray(rows, dtype=np.int64)
-        block = fleet._block.take(rows, axis=1)
-        block[_FLAT] = rows * fleet.m + block[_NOW]
-        self._hold(rows, block)
+        self._hold(rows, fleet._block.take(rows, axis=1))
 
     def _hold(self, rows, block):
         self.rows, self.size, self._block = rows, len(rows), block
         _bind(self, _COLUMNS, block)
         self.pending = block[_FLAT + 1:]          # curtail, force
+        self.session_floats = block[_SESSION:_SESSION + 4].view(np.float64)
 
     def advance(self):
         """Move every EV on to its next local instant."""
         self._block[_NOW:_FLAT + 1] += 1          # now and flat
 
     def join(self, rows):
-        """Append the fleet's `rows` at their state in the fleet."""
+        """Append the fleet's `rows` at the state their sessions start
+        from."""
         rows = np.asarray(rows, dtype=np.int64)
         self._hold(np.concatenate((self.rows, rows)), np.concatenate(
             (self._block, self.fleet._block.take(rows, axis=1)), axis=1))
 
     def keep(self, stay):
-        """Write the session state back to the fleet, and keep only the
-        entries where the mask `stay` is True."""
-        self.fleet._block[_SESSION:, self.rows] = self._block[_SESSION:]
+        """Keep only the entries where the mask `stay` is True."""
         self._hold(self.rows.compress(stay),
                    self._block.compress(stay, axis=1))
 
@@ -456,5 +446,4 @@ def ev_record(roster: Roster, charged, cost_now: float,
     # With none received, every EV that charged gets the same reward.
     crits = crits[charged] if crits.shape[-1] else ()
     cells["reward"][at] = ev_reward(cost_now, crits)
-    cells["pv_mask"][flat] = 1.0
     cells["pv_obs"][flat] = pv_reading

@@ -401,13 +401,14 @@ class SimulationResult:
 class Simulation:
     """Barrier-synchronized per-instant execution of one scenario.
 
-    The fleet lives in a `Fleet` of arrays, and the plugged-in EVs in a
-    `Roster` of contiguous copies that is rebuilt only when EVs plug in or
-    leave. Each instant runs one vector step over the roster: the
-    strategy's decision, the battery/PV physics and the session's
-    cost/energy sums, then the power flow, sensing and flooding, then one
-    feedback record. A session's sums and final SoC reach the `(days,
-    n_ev)` results when it ends.
+    The fleet lives in a read-only `Fleet` of arrays, and the plugged-in
+    EVs in a `Roster` of contiguous copies, which holds their session
+    state and is rebuilt only when EVs plug in or leave. Each instant runs
+    one vector step over the roster: the strategy's decision, the
+    battery/PV physics and the session's cost/energy sums, then the power
+    flow, sensing and flooding, then one feedback record. A session's sums
+    and final SoC reach the `(days, n_ev)` results from the roster when it
+    ends.
     """
 
     def __init__(self, scenario: Scenario, strategy,
@@ -434,11 +435,12 @@ class Simulation:
         self._site_pv_kwh = self._site_pv_w / 1000.0 * self.delta_h
         self._site_pv_kwh.flags.writeable = False
         self._load_bus = np.arange(self.net.n_buses)
-        # EVs plugging in, and leaving after, each instant of day.
+        # EVs plugging in at each instant of day, and whether some window
+        # ends after it.
         t_arrive = np.array([p.t_arrive for p in scenario.fleet], dtype=np.int64)
         last = (t_arrive + self.fleet.window - 1) % m
         self._arrivals = [np.flatnonzero(t_arrive == i) for i in range(m)]
-        self._departures = [np.flatnonzero(last == i) for i in range(m)]
+        self._ends = np.isin(np.arange(m), last).tolist()
         # Plugged-in EVs by session start, then index: the order in which
         # their grid power enters the bus injections.
         self.roster = Roster(self.fleet)
@@ -448,7 +450,7 @@ class Simulation:
         D = scenario.days
         n = len(scenario.fleet)
         # What each session leaves in its (day, EV) cell, one row per row
-        # of `Fleet.session_floats`.
+        # of `Roster.session_floats`.
         self._session_results = np.zeros((4, D, n))
         (self.final_soc, self.cost, self.grid_energy,
          self.battery_energy) = self._session_results
@@ -479,7 +481,7 @@ class Simulation:
         # Phase 0: plug-in sessions starting at this instant.
         new = self._arrivals[i_day]
         if day < sc.days and new.size:
-            fleet.plug_in(new, day)
+            fleet.plug_in(new)
             self.strategy.session_start(fleet, new, self.rng)
             self.roster.join(new)
             self._roster_changed()
@@ -552,21 +554,21 @@ class Simulation:
         if not converged or bus_any:
             self.violations_voltage[vday] += 1
 
-        # Phase 6: sessions ending after this instant.
+        # Phase 6: sessions ending after this instant, which the roster
+        # books before it lets them go. A session that leaves after
+        # instant g with a window of w instants started on day
+        # (g + 1 - w) // m.
         ro.advance()
-        ending = self._departures[i_day]
-        ending = ending[fleet.active[ending]]
-        if ending.size:
-            fleet.active[ending] = False
-            ro.keep(fleet.active[ro.rows])
+        if self._ends[i_day] and (leave := ro.now == ro.window).any():
+            ending, k_p = ro.rows[leave], ro.k_p[leave]
+            d = (g + 1 - ro.window[leave]) // self.m
+            self._session_results[:, d, ending] = ro.session_floats[:, leave]
+            ro.keep(~leave)
             self._roster_changed()
             self.strategy.session_end(fleet, ending)
-            d, k_p = fleet.day[ending], fleet.k_p[ending]
             got = k_p > 0
             self.mean_reward_ev[d[got], ending[got]] = (
                 fleet.reward[ending[got]].sum(axis=1) / k_p[got])
-            self._session_results[:, d, ending] = (
-                fleet.session_floats[:, ending])
 
     def run(self) -> SimulationResult:
         sc = self.sc

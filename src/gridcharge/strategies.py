@@ -111,7 +111,7 @@ class AmasStrategy(Strategy):
 
     def session_end(self, fleet, rows):
         update_day(self.bandit, fleet.played[rows], fleet.reward[rows], rows)
-        update_pv(self.pv, fleet.pv_mask[rows], fleet.pv_obs[rows], rows)
+        update_pv(self.pv, fleet.inside[rows], fleet.pv_obs[rows], rows)
 
     # -- checkpointing -----------------------------------------------------
 

@@ -198,7 +198,7 @@ def one_ev(p, theta=None, phi=None):
     and PV estimate phi (watt per local instant)."""
     w = p.window_length
     fleet = Fleet([p], w, delta_i=15.0)
-    fleet.plug_in([0], 0)
+    fleet.plug_in([0])
     fleet.hold_samples([0], np.zeros((1, w)) if theta is None else [theta],
                        np.zeros((1, w)) if phi is None else [phi])
     return fleet
@@ -212,11 +212,22 @@ def need(p, phi, k_p, now):
     return int(required_instants(one_ev(p), 15.0, ahead[now], k_p, now)[0])
 
 
-def decide(fleet, now, requests):
+def in_session(fleet, rows, now=0, **columns):
+    """A roster of the fleet's `rows` at local instant `now` (one value, or
+    one per row), with the given session columns set the same way."""
+    roster = Roster(fleet, rows)
+    roster.now[:] = now
+    roster.flat += roster.now
+    for name, value in columns.items():
+        getattr(roster, name)[:] = value
+    return roster
+
+
+def decide(fleet, now, requests, **columns):
     """ev_decide for the one-row fleet at local instant `now`, with the
-    requests it received the instant before."""
-    fleet.now[0] = now
-    roster = Roster(fleet, [0])
+    requests it received the instant before and the given session
+    columns."""
+    roster = in_session(fleet, [0], now, **columns)
     take_requests(roster, {fleet.ev_ids[0]: requests})
     return float(ev_decide(roster)[0])
 
@@ -308,10 +319,9 @@ class TestEvDecide:
         p = profile(t_depart=4, soc_target=0.56)
         fleet = one_ev(p, theta=np.array([0.0, 9.0, 1.0, 0.5]))
         fleet.played[0, 1] = 1.0
-        fleet.k_p[0] = 1
         # k_f at now=2 still wants one more instant; instant 1 is spent, so
         # the top remaining candidate is instant 2.
-        assert decide(fleet, 2, []) == p.p_max
+        assert decide(fleet, 2, [], k_p=1) == p.p_max
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)
@@ -319,10 +329,10 @@ class TestEvDecide:
         rng = np.random.default_rng(seed)
         p = profile()
         fleet = one_ev(p, theta=rng.normal(size=60))
-        fleet.soc[0] = float(rng.uniform(0.0, 1.0))
+        soc = float(rng.uniform(0.0, 1.0))
         curtail = req(1.0, targets={"ev0"})
         now = int(rng.integers(0, 60))
-        assert decide(fleet, now, [curtail]) == 0.0
+        assert decide(fleet, now, [curtail], soc=soc) == 0.0
 
     @given(windows=st.lists(st.integers(1, 16), min_size=1, max_size=6),
            data=st.data())
@@ -337,9 +347,10 @@ class TestEvDecide:
         fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
                        for r, w in enumerate(windows)], m, delta_i=15.0)
         rows = np.arange(len(windows))
-        fleet.plug_in(rows, 0)
+        fleet.plug_in(rows)
         theta = np.full((len(windows), m), 9.0)
         phi = np.zeros((len(windows), m))
+        k_p, now = [], []
         for r, w in enumerate(windows):
             theta[r, :w] = data.draw(st.lists(
                 st.sampled_from([-1.0, 0.0, 0.25, 1.0]),
@@ -347,15 +358,14 @@ class TestEvDecide:
             phi[r, :w] = data.draw(st.lists(
                 st.sampled_from([0.0, 500.0, 3000.0]),
                 min_size=w, max_size=w))
-            fleet.k_p[r] = data.draw(st.integers(0, 10))
-            fleet.now[r] = data.draw(st.integers(0, w - 1))
+            k_p.append(data.draw(st.integers(0, 10)))
+            now.append(data.draw(st.integers(0, w - 1)))
         fleet.hold_samples(rows, theta, phi)
-        got = ev_decide(Roster(fleet, rows)) == fleet.p_max
+        got = ev_decide(in_session(fleet, rows, now, k_p=k_p)) == fleet.p_max
         for r, w in enumerate(windows):
-            now = int(fleet.now[r])
-            k_f = need(profile(t_depart=w), phi[r, :w], int(fleet.k_p[r]),
-                       now)
-            picked = now in select_super_arm(theta[r], range(now, w), k_f)
+            k_f = need(profile(t_depart=w), phi[r, :w], k_p[r], now[r])
+            picked = now[r] in select_super_arm(theta[r], range(now[r], w),
+                                                k_f)
             assert got[r] == picked
 
 
@@ -386,7 +396,7 @@ class TestRankTable:
         theta = rng.choice([-0.5, 0.0, 0.5], size=(len(windows), m))
         held = np.where(np.arange(m) < np.array(windows)[:, None], theta,
                         9.0)
-        fleet.plug_in(rows, 0)
+        fleet.plug_in(rows)
         fleet.hold_samples(rows, held, np.zeros((len(windows), m)))
         assert (fleet.beaten_by
                 == beaten_by_double_loop(theta, windows, m)).all()
@@ -396,7 +406,7 @@ class TestRankTable:
         # later one, 299 at l = 0, more than a byte holds.
         m = 300
         fleet = Fleet([profile(t_depart=m)], m)
-        fleet.plug_in([0], 0)
+        fleet.plug_in([0])
         fleet.hold_samples([0], np.arange(m, dtype=float)[None],
                            np.zeros((1, m)))
         assert fleet.beaten_by[0].tolist() == list(range(m - 1, -1, -1))
@@ -408,12 +418,12 @@ class TestRankTable:
                        for r, w in enumerate(windows)], m)
         rng = np.random.default_rng(5)
         theta = rng.choice([0.0, 1.0], size=(4, m))
-        fleet.plug_in([0, 1, 2, 3], 0)
+        fleet.plug_in([0, 1, 2, 3])
         fleet.hold_samples([0, 1, 2, 3], theta, np.zeros((4, m)))
         first = fleet.beaten_by.copy()
         # Rows 1 and 3 start a new session with short windows' maximum 9.
         again = rng.choice([0.0, 1.0], size=(2, m))
-        fleet.plug_in([3, 1], 1)
+        fleet.plug_in([3, 1])
         fleet.hold_samples([3, 1], again, np.zeros((2, m)))
         want = beaten_by_double_loop(again, [9, 3], m)
         assert (fleet.beaten_by[[3, 1]] == want).all()
@@ -423,8 +433,7 @@ class TestRankTable:
 class TestEvRecord:
     def test_charged_records_reward(self):
         fleet = one_ev(profile())
-        fleet.now[0] = 3
-        roster = Roster(fleet, [0])
+        roster = in_session(fleet, [0], 3)
         ev_record(roster, [True], 0.2, [[]], [500.0])
         assert fleet.played[0, 3] == 1.0
         assert roster.k_p[0] == 1
@@ -432,16 +441,16 @@ class TestEvRecord:
         assert fleet.pv_obs[0, 3] == 500.0
         roster.keep(np.zeros(1, dtype=bool))
         assert roster.size == 0
-        assert fleet.k_p[0] == 1
+        # The count left with the roster; the fleet keeps the start state.
+        assert fleet.k_p[0] == 0
 
     def test_uncharged_still_records_pv(self):
         fleet = one_ev(profile())
-        fleet.now[0] = 3
-        roster = Roster(fleet, [0])
+        roster = in_session(fleet, [0], 3)
         ev_record(roster, [False], 0.2, [[1.0]], [500.0])
         assert fleet.played[0, 3] == 0.0
         assert fleet.reward[0, 3] == 0.0
-        assert fleet.pv_mask[0, 3] == 1.0
+        assert fleet.pv_obs[0, 3] == 500.0
         assert roster.k_p[0] == 0
 
     def test_charged_during_congestion(self):

@@ -131,14 +131,16 @@ class TestFleetLearners:
         strategy = fleet_learners(n, m)
         data = np.random.default_rng(9)
         played = (data.random((n, m)) < 0.4).astype(float)
+        # PV is read at every instant of a window of 1 to m instants.
+        inside = np.arange(m) < data.integers(1, m + 1, (n, 1))
         fleet = SimpleNamespace(played=played,
                                 reward=played * data.random((n, m)),
-                                pv_mask=np.ones((n, m)),
-                                pv_obs=data.uniform(0, 900, (n, m)))
+                                inside=inside,
+                                pv_obs=inside * data.uniform(0, 900, (n, m)))
         rows = np.array([4, 1])
         want = {}
         for name, mask, values in (("bandit", fleet.played, fleet.reward),
-                                   ("pv", fleet.pv_mask, fleet.pv_obs)):
+                                   ("pv", fleet.inside, fleet.pv_obs)):
             learner = getattr(strategy, name)
             want[name] = [BanditState(learner.precision[i].copy(),
                                       learner.response[i].copy(),

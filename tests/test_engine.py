@@ -312,16 +312,35 @@ class TestSimulationPipeline:
     def test_roster_books_as_a_per_ev_loop(self):
         # The second EV plugs in at the last instant of the first, whose
         # session leaves the roster right after it; the third EV's window
-        # crosses midnight. The roster's session sums must book exactly
-        # what one EV and one instant at a time books.
-        sc = generate_scenario(small_config(m=24), 3, 7)
-        windows = [(9, 13), (12, 18), (21, 27)]
+        # crosses midnight. The fourth stays one instant, and the fifth
+        # exactly m, so it leaves at the instant before it plugs in again.
+        # The roster's session sums must book exactly what one EV and one
+        # instant at a time books.
+        sc = generate_scenario(small_config(m=24, fleet_size=5), 3, 7)
+        windows = [(9, 13), (12, 18), (21, 27), (5, 6), (14, 38)]
         sc.fleet = [replace(p, t_arrive=a, t_depart=d, e_bat=20.0)
                     for p, (a, d) in zip(sc.fleet, windows)]
         res = Simulation(sc, UncontrolledStrategy()).run()
         for name, want in uncontrolled_accounts(sc).items():
             assert np.array_equal(getattr(res, name), want), name
         assert (res.battery_energy > res.grid_energy).all()  # PV counted
+
+    @pytest.mark.parametrize("strategy", [AmasStrategy,
+                                          UncontrolledStrategy])
+    def test_run_leaves_the_fleet_block_as_built(self, strategy):
+        # The lines congest, every session crosses midnight and the last
+        # ones run into the tail. The roster owns all session state, so
+        # the fleet's block stays what each session starts from.
+        cfg = small_config(
+            feeder=FeederSpec(sub_districts=1, buses_per_feeder=3,
+                              households_per_bus=2, line_rating=30.0),
+            fleet_size=6)
+        sim = Simulation(force_evening_fleet(generate_scenario(cfg, 2, 7)),
+                         strategy())
+        built = sim.fleet._block.copy()
+        res = sim.run()
+        assert res.violations_current.sum() > 0
+        assert np.array_equal(sim.fleet._block, built)
 
     def test_recorder_books_the_grid_energy(self):
         # The recorder's grid power, times eta * dh and summed over each

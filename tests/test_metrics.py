@@ -101,9 +101,10 @@ def _profile_state(soc):
     p = EvProfile(ev_id="e", bus_id="b", e_bat=52.0, p_max=7.0, eta_chrg=0.95,
                   soc_start=0.5, soc_target=0.8, t_arrive=0, t_depart=10)
     fleet = Fleet([p], 10)
-    fleet.plug_in([0], 0)
-    fleet.soc[0] = soc
-    return Roster(fleet, [0])
+    fleet.plug_in([0])
+    roster = Roster(fleet, [0])
+    roster.soc[0] = soc
+    return roster
 
 
 class TestUncontrolledAction:
