@@ -163,12 +163,13 @@ class Fleet:
          self.pv_obs,      # PV reading, watt
          self.short,       # `instants_short` at l under the sampled PV
          ) = self._tables
-        # Later instants of the window with a strictly larger theta.
-        self.beaten_by = np.zeros((n, m), dtype=np.int64)
+        # `short` less the later instants of the window that beat l; left
+        # to lazily zeroed pages, which only a learning run touches.
+        self.slack = np.zeros((n, m))
         # Each table flattened, by name, for `Roster.flat` to index.
         self.cells = {name: getattr(self, name).reshape(-1)
-                      for name in ("short", "played", "reward", "pv_obs",
-                                   "beaten_by")}
+                      for name in ("short", "slack", "played", "reward",
+                                   "pv_obs")}
 
     def plug_in(self, rows):
         """Start a session for each row: clear the tables a session
@@ -179,23 +180,24 @@ class Fleet:
         """Hold each row's posterior samples for its session, one row of
         `theta` and of `phi` (PV, watt per local instant) per EV.
 
-        Theta is ranked once, with -inf past the window so that no instant
-        there beats one inside it: `beaten_by[row, l]` counts the later
-        instants of the window whose theta is strictly larger. Phi is
-        summed over the rest of the window, [l, window) at column l, and
-        kept only as the charging instants still short of the SoC target
+        Phi is summed over the rest of the window, [l, window) at column
+        l, and kept as the charging instants still short of the SoC target
         under that PV (`instants_short`), so the charging need at any
-        instant of the session is one lookup.
+        instant of the session is one lookup. Theta is ranked once, with
+        -inf past the window so that no instant there beats one inside it
+        (`rank_table`), and `slack[row, l]` is `short` less the later
+        instants of the window whose theta is strictly larger: the one
+        lookup `ev_decide` compares the instants charged with.
         """
         inside = self.inside[rows]
-        held = np.where(inside, theta, -np.inf)
-        width = int(self.window[rows].max(initial=0))
-        self.beaten_by[rows] = rank_table(held, self._later[:width, :width])
         masked = np.where(inside, phi, 0.0)
         ahead = np.cumsum(masked[:, ::-1], axis=1)[:, ::-1]
-        self.short[rows] = instants_short(self.need_kw_min[rows, None],
-                                          self.charge_kw[rows, None],
-                                          self.delta_i, ahead)
+        self.short[rows] = short = instants_short(
+            self.need_kw_min[rows, None], self.charge_kw[rows, None],
+            self.delta_i, ahead)
+        width = int(self.window[rows].max(initial=0))
+        self.slack[rows] = short - rank_table(
+            np.where(inside, theta, -np.inf), self._later[:width, :width])
 
 
 class Roster:
@@ -333,32 +335,33 @@ def ev_reward(cr_ev, neighbor_criticalities):
 
     The cost is one float for every row: the instant's price, which
     `engine.Scenario` range-checks once. The criticalities run along the
-    last axis: a matrix, zero-padded, gives one reward per row.
+    last axis: a matrix, zero-padded, gives one reward per row. With none
+    at all the reward is the float 1 - cost.
     """
     cost = float(cr_ev)
     if not 0.0 <= cost <= 1.0:
         raise ValueError("EV criticality (normalized cost) must be in [0, 1]")
+    if not len(neighbor_criticalities):
+        return 1.0 - cost
     crits = np.asarray(neighbor_criticalities, dtype=float)
-    if crits.shape[-1:] == (0,):   # none received: no maximum to take
-        return np.full(crits.shape[:-1], 1.0 - cost)[()]
     top = np.where(crits != 0.0, crits, -np.inf).max(axis=-1,
                                                       initial=-np.inf)
     return np.where(top > -np.inf, -top, 1.0 - cost)[()]
 
 
-def take_requests(roster: Roster, received) -> np.ndarray:
+def take_requests(roster: Roster, received):
     """Hold the requests each EV received (ev_id -> list) for its next
     decision.
 
     Sets the pending flags of the roster's EVs that a request names as
     cooperation targets (+1 curtails, -1 forces) and clears every other
     flag. Returns the criticalities each EV received as one zero-padded
-    row per roster entry, with no column when no request arrived.
+    row per roster entry, or () when no request arrived.
     """
     width = max(map(len, received.values()), default=0)
     if not width:
         roster.pending.fill(0)
-        return np.zeros((roster.size, 0))
+        return ()
     fleet = roster.fleet
     crits = np.zeros((len(fleet.ev_ids), width))
     named = np.zeros((2, len(fleet.ev_ids)), dtype=bool)
@@ -381,15 +384,6 @@ def instants_short(need_kw_min, charge_kw, delta_i: float, pv_ahead_w):
     return np.ceil(need - pv_ahead_w / 1000.0 / charge_kw)
 
 
-def _still_needed(short, k_p, now, window) -> np.ndarray:
-    """`short` less the instants already charged `k_p`, clamped to
-    [0, remaining instants of the window]."""
-    left = window - now
-    if np.count_nonzero((now < 0) | (left <= 0)):
-        raise ValueError("now must lie within the connection window")
-    return np.maximum(np.minimum(short - k_p, left), 0.0).astype(np.int64)
-
-
 def required_instants(evs, delta_i: float, pv_ahead_w, k_p,
                       now) -> np.ndarray:
     """Remaining grid-charging instants each EV of `evs` (a `Fleet`, a
@@ -400,50 +394,49 @@ def required_instants(evs, delta_i: float, pv_ahead_w, k_p,
     [now, window). The raw ceil value (`instants_short`) minus the
     already charged count `k_p` is clamped to [0, remaining instants].
     """
+    left = evs.window - now
+    if np.count_nonzero((now < 0) | (left <= 0)):
+        raise ValueError("now must lie within the connection window")
     short = instants_short(evs.need_kw_min, evs.charge_kw, delta_i,
                            pv_ahead_w)
-    return _still_needed(short, k_p, now, evs.window)
+    return np.maximum(np.minimum(short - k_p, left), 0.0).astype(np.int64)
 
 
 def ev_decide(roster: Roster) -> np.ndarray:
     """Charging power (kW) of each roster EV at its current local instant.
 
-    Re-plans the needed instant count k_f (`required_instants` under the
-    session's PV estimate, which `Fleet.hold_samples` tabulated), charges
-    when `now` is among the top k_f instants of the remaining window under
-    the session's sampled theta, and overrides that on the requests
-    pending for the EV: +1 always curtails, -1 forces charging while
-    energy is still needed.
+    Charges when `now` is among the top k_f instants of the remaining
+    window under the session's sampled theta, where k_f is the needed
+    instant count `required_instants` re-plans under the session's PV
+    estimate, and overrides that on the requests pending for the EV: +1
+    always curtails, -1 forces charging while energy is still needed.
+
+    Each rule is one lookup (`Fleet.hold_samples`). With ties toward the
+    lowest index, `now` is in that top k_f exactly when beaten_by < k_f =
+    clamp(short - k_p, 0, left), left = window - now >= 1. As 0 <=
+    beaten_by <= left - 1, that is beaten_by < short - k_p, or k_p <
+    slack; and k_f > 0 exactly when short > k_p.
     """
-    cells, flat = roster.fleet.cells, roster.flat
-    k_f = _still_needed(cells["short"][flat], roster.k_p, roster.now,
-                        roster.window)
-    # `now` is in the top-k_f of [now, window) under theta, ties toward the
-    # lowest index, exactly when fewer than k_f later instants beat it.
-    charge = cells["beaten_by"][flat] < k_f
+    cells, flat, k_p = roster.fleet.cells, roster.flat, roster.k_p
+    charge = k_p < cells["slack"][flat]
     if np.count_nonzero(roster.pending):
-        charge = (np.where(roster.force, k_f > 0, charge)
+        charge = (np.where(roster.force, cells["short"][flat] > k_p, charge)
                   & (roster.curtail == 0))
     return np.where(charge, roster.p_max, 0.0)
 
 
-def ev_record(roster: Roster, charged, cost_now: float,
-              neighbor_criticalities, pv_reading):
-    """Perception-stage bookkeeping after the instant resolves.
+def ev_record(roster: Roster, charged, cost_now: float, crits) -> np.ndarray:
+    """The booking every strategy makes after the instant resolves.
 
-    Per roster EV: whether it charged from the grid, the criticalities it
-    received (a zero-padded row, see `ev_reward`) and its site's PV
-    reading. Rewards are recorded only at instants the EV actually
-    charged, keeping the reward accumulator consistent with the played
-    mask; PV readings are recorded at every connected instant.
+    Per roster EV that charged from the grid: one more instant charged in
+    `k_p`, and its reward (`ev_reward`) in the reward table, from the
+    criticalities it received (a zero-padded row per roster EV, or () when
+    none arrived). Returns the flat table cells of the EVs that charged.
     """
-    cells, flat = roster.fleet.cells, roster.flat
     charged = np.asarray(charged, dtype=bool)
-    at = flat[charged]
-    cells["played"][at] = 1.0
+    at = roster.flat[charged]
     roster.k_p += charged
-    crits = np.asarray(neighbor_criticalities)
     # With none received, every EV that charged gets the same reward.
-    crits = crits[charged] if crits.shape[-1] else ()
-    cells["reward"][at] = ev_reward(cost_now, crits)
-    cells["pv_obs"][flat] = pv_reading
+    crits = np.asarray(crits)[charged] if len(crits) else ()
+    roster.fleet.cells["reward"][at] = ev_reward(cost_now, crits)
+    return at

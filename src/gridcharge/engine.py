@@ -35,6 +35,7 @@ __all__ = [
     "AgentGraph",
     "instant_tables",
     "bus_sums",
+    "site_injections",
     "generate_scenario",
     "agent_neighbors",
     "flood_requests",
@@ -199,6 +200,15 @@ def bus_sums(n_buses: int, term_bus, terms) -> np.ndarray:
     cell = np.arange(m)[:, None] * n_buses + np.asarray(term_bus)
     return np.bincount(cell.ravel(), np.asarray(terms).ravel(),
                        minlength=m * n_buses).reshape(m, n_buses)
+
+
+def site_injections(load_inj, site_bus, site_pv_w) -> np.ndarray:
+    """The injections per (instant, bus) of the sites alone: each bus's
+    household loads (`load_inj`), then minus the `site_pv_w` of its sites
+    in site order (`subtract.at` applies its indices in order)."""
+    inj = np.array(load_inj)
+    np.subtract.at(inj.T, site_bus, site_pv_w.T)
+    return inj
 
 
 def instant_tables(scenario: Scenario):
@@ -433,6 +443,12 @@ class Simulation:
             instant_tables(scenario))
         # The site PV as kWh per instant.
         self._site_pv_kwh = self._site_pv_w / 1000.0 * self.delta_h
+        # What an instant with no EV plugged in injects: byte for byte its
+        # bincount over `_roster_changed`'s terms without the EV terms,
+        # since a - b is exactly a + -b.
+        self._idle_inj = site_injections(self._load_inj, self._bus_of_site,
+                                         self._site_pv_w)
+        self._idle_inj.flags.writeable = False
         self._site_pv_kwh.flags.writeable = False
         self._load_bus = np.arange(self.net.n_buses)
         # EVs plugging in at each instant of day, and whether some window
@@ -488,32 +504,34 @@ class Simulation:
         ro = self.roster
 
         # Phase 1+2: charging decisions on the pending requests, battery/PV
-        # physics and the session's cost/energy sums. The strategy is
-        # asked only while an EV is plugged in.
+        # physics and the session's cost/energy sums. With no EV plugged
+        # in, the instant skips every EV phase and injects `_idle_inj`.
         price = sc.price_profile[i_day]
-        site_pv_w = self._site_pv_w[i_day]
-        pv_w = site_pv_w[ro.site]
-        asked = self.strategy.decide(ro) if ro.size else np.zeros(0)
-        headroom = np.maximum(0.0, (1.0 - ro.soc) * ro.e_bat)
-        pv_in = np.minimum(self._site_pv_kwh[i_day][ro.site], headroom)
-        grid_in = np.minimum(ro.eta_chrg * asked * dh, headroom - pv_in)
-        grid_kw = np.where(grid_in > 0.0, grid_in / self._eta_dh, 0.0)
-        stored = pv_in + grid_in
-        ro.soc += stored / ro.e_bat
-        charged = grid_kw > 1e-12
-        ro.cost += price * grid_kw * dh
-        ro.grid_energy += grid_in
-        ro.battery_energy += stored
+        if not ro.size:
+            charged, inj = np.zeros(0, dtype=bool), self._idle_inj[i_day]
+        else:
+            site_pv_w = self._site_pv_w[i_day]
+            pv_w = site_pv_w[ro.site]
+            asked = self.strategy.decide(ro)
+            headroom = np.maximum(0.0, (1.0 - ro.soc) * ro.e_bat)
+            pv_in = np.minimum(self._site_pv_kwh[i_day][ro.site], headroom)
+            grid_in = np.minimum(ro.eta_chrg * asked * dh, headroom - pv_in)
+            grid_kw = np.where(grid_in > 0.0, grid_in / self._eta_dh, 0.0)
+            stored = pv_in + grid_in
+            ro.soc += stored / ro.e_bat
+            charged = grid_kw > 1e-12
+            ro.cost += price * grid_kw * dh
+            ro.grid_energy += grid_in
+            ro.battery_energy += stored
 
-        # Phase 3: power flow with household + EV - PV injections, summed
-        # term by term in the order `_roster_changed` gives; bincount adds
-        # its weights in order, from 0, and -(a - b) is exactly -a + b.
-        minus_export_w = np.negative(site_pv_w)
-        minus_export_w[ro.site] += pv_in / dh * 1000.0
-        inj = np.bincount(self._inj_bus,
-                          np.concatenate((self._load_inj[i_day],
-                                          grid_kw * 1000.0, minus_export_w)),
-                          minlength=net.n_buses)
+            # Phase 3: power flow with household + EV - PV injections, in
+            # `_roster_changed`'s term order; bincount adds its weights in
+            # order, from 0, and -(a - b) is exactly -a + b.
+            minus_export_w = np.negative(site_pv_w)
+            minus_export_w[ro.site] += pv_in / dh * 1000.0
+            inj = np.bincount(self._inj_bus, np.concatenate(
+                (self._load_inj[i_day], grid_kw * 1000.0, minus_export_w)),
+                minlength=net.n_buses)
 
         # Phase 4: sensing, request creation, flooding to quiescence.
         converged, line_crit, bus_crit, line_any, bus_any = (
@@ -540,12 +558,6 @@ class Simulation:
                     fleet.ev_ids[idx])
         received, _ = flood_requests(self._graph, evs_at_bus, initial)
 
-        # Phase 5: feedback with same-instant criticalities; the requests
-        # are held for the next decision.
-        if ro.size:
-            crits = take_requests(ro, received)
-            self.strategy.feedback(ro, charged, price, crits, pv_w)
-
         # Violations are attributed to the global day (clipped to horizon);
         # a non-converged instant counts against both kinds.
         vday = min(day, sc.days - 1)
@@ -553,6 +565,13 @@ class Simulation:
             self.violations_current[vday] += 1
         if not converged or bus_any:
             self.violations_voltage[vday] += 1
+        if not ro.size:
+            return
+
+        # Phase 5: feedback with same-instant criticalities; the requests
+        # are held for the next decision.
+        crits = take_requests(ro, received)
+        self.strategy.feedback(ro, charged, price, crits, pv_w)
 
         # Phase 6: sessions ending after this instant, which the roster
         # books before it lets them go. A session that leaves after

@@ -17,7 +17,7 @@ from .agents import (Fleet, Roster, charging_need, ev_record,
                      required_instants)
 from .bandit import (REWARD_PRIOR_MEAN, BanditState, sample_parameter,
                      update_day, update_pv)
-from .engine import GridJudge, Scenario, bus_sums, instant_tables
+from .engine import GridJudge, Scenario, instant_tables, site_injections
 from .gridnet import solve_power_flow
 
 __all__ = [
@@ -42,7 +42,7 @@ def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
 class Strategy:
     """Hooks the engine calls: at session boundaries on fleet rows (arrays
     of EV indices into the `Fleet`), at every instant on the `Roster` of
-    plugged-in EVs. Defaults do nothing, and feedback records."""
+    plugged-in EVs. Defaults do nothing, and feedback calls `ev_record`."""
 
     def attach(self, fleet: Fleet):
         """Called once with the simulation's fleet, before any session."""
@@ -54,7 +54,7 @@ class Strategy:
         raise NotImplementedError
 
     def feedback(self, roster: Roster, charged, cost_norm, crits, pv_w):
-        ev_record(roster, charged, cost_norm, crits, pv_w)
+        ev_record(roster, charged, cost_norm, crits)
 
     def session_end(self, fleet: Fleet, rows):
         pass
@@ -108,6 +108,12 @@ class AmasStrategy(Strategy):
 
     def decide(self, roster):
         return agents.ev_decide(roster)
+
+    def feedback(self, roster, charged, cost_norm, crits, pv_w):
+        # Also the played mask and PV readings that `session_end` reads.
+        cells = roster.fleet.cells
+        cells["played"][ev_record(roster, charged, cost_norm, crits)] = 1.0
+        cells["pv_obs"][roster.flat] = pv_w
 
     def session_end(self, fleet, rows):
         update_day(self.bandit, fleet.played[rows], fleet.reward[rows], rows)
@@ -234,11 +240,8 @@ def centralized_oracle(scenario: Scenario) -> dict:
     away_pv = site_pv_w.copy()
     for s, i in zip(site, window):
         away_pv[i, s] = 0.0
-    # The loads of each bus, then minus its sites' PV in site order: a
-    # connected site adds -0.0, which changes no sum.
-    base = bus_sums(net.n_buses, np.concatenate((np.arange(net.n_buses),
-                                                 site_bus)),
-                    np.concatenate((load_inj, -away_pv), axis=1))
+    # A connected site takes off 0.0, which changes no sum.
+    base = site_injections(load_inj, site_bus, away_pv)
     pv_ahead = np.array([site_pv_w[i, s].sum() for s, i in zip(site, window)])
     needs = required_instants(charging_need(fleet), scenario.delta_i,
                               pv_ahead, 0, 0).tolist()

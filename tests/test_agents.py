@@ -14,6 +14,7 @@ from gridcharge.bandit import select_super_arm
 from gridcharge.engine import agent_neighbors, flood_requests
 from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
                                 build_replicated_feeder)
+from gridcharge.strategies import AmasStrategy
 
 
 def req(crit, origin="x", kind="line", targets=()):
@@ -338,11 +339,13 @@ class TestEvDecide:
            data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_top_k_selection(self, windows, data):
-        # Independent check, several EVs with their own windows, now, k_p
-        # and phi in one call: each charges now exactly when now is among
-        # the top k_f instants of its remaining window that
-        # select_super_arm picks. Columns past a window hold a theta that
-        # would beat every instant inside it.
+        # Independent check, several EVs with their own windows, now, k_p,
+        # phi and pending flags in one call: an EV with a pending curtail
+        # never charges; else one with a pending force charges exactly
+        # when the reference k_f is positive; else each charges now
+        # exactly when now is among the top k_f instants of its remaining
+        # window that select_super_arm picks. Columns past a window hold a
+        # theta that would beat every instant inside it.
         m = 16
         fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
                        for r, w in enumerate(windows)], m, delta_i=15.0)
@@ -360,13 +363,23 @@ class TestEvDecide:
                 min_size=w, max_size=w))
             k_p.append(data.draw(st.integers(0, 10)))
             now.append(data.draw(st.integers(0, w - 1)))
+        curtail, force = (data.draw(st.lists(st.integers(0, 1),
+                                             min_size=len(windows),
+                                             max_size=len(windows)))
+                          for _ in range(2))
         fleet.hold_samples(rows, theta, phi)
-        got = ev_decide(in_session(fleet, rows, now, k_p=k_p)) == fleet.p_max
+        got = ev_decide(in_session(fleet, rows, now, k_p=k_p,
+                                   curtail=curtail, force=force))
         for r, w in enumerate(windows):
             k_f = need(profile(t_depart=w), phi[r, :w], k_p[r], now[r])
-            picked = now[r] in select_super_arm(theta[r], range(now[r], w),
-                                                k_f)
-            assert got[r] == picked
+            if curtail[r]:
+                want = False
+            elif force[r]:
+                want = k_f > 0
+            else:
+                want = now[r] in select_super_arm(theta[r],
+                                                  range(now[r], w), k_f)
+            assert (got[r] == fleet.p_max[r]) == want
 
 
 def beaten_by_double_loop(theta, windows, m):
@@ -379,39 +392,40 @@ def beaten_by_double_loop(theta, windows, m):
     return out
 
 
+def later_mask(width):
+    """The `rank_table` mask [l, l'] = l' > l over `width` columns."""
+    cols = np.arange(width)
+    return cols > cols[:, None]
+
+
 class TestRankTable:
     @pytest.mark.parametrize("chunk", [agents.RANK_CHUNK, 1],
                              ids=["one-chunk", "row-chunks"])
     @pytest.mark.parametrize("m", [1, 5, 24])
     def test_matches_double_loop(self, monkeypatch, m, chunk):
         # Heavy ties: theta takes three values. Windows of 1, of m, and in
-        # between; columns past a window hold a theta that would beat
-        # every instant inside it.
+        # between; columns past a window hold -inf, as `hold_samples`
+        # passes them.
         monkeypatch.setattr(agents, "RANK_CHUNK", chunk)
         rng = np.random.default_rng(m)
         windows = [1, m, *rng.integers(1, m + 1, size=6).tolist()]
-        fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
-                       for r, w in enumerate(windows)], m)
-        rows = np.arange(len(windows))
         theta = rng.choice([-0.5, 0.0, 0.5], size=(len(windows), m))
         held = np.where(np.arange(m) < np.array(windows)[:, None], theta,
-                        9.0)
-        fleet.plug_in(rows)
-        fleet.hold_samples(rows, held, np.zeros((len(windows), m)))
-        assert (fleet.beaten_by
+                        -np.inf)
+        assert (agents.rank_table(held, later_mask(m))
                 == beaten_by_double_loop(theta, windows, m)).all()
 
     def test_counts_past_a_byte(self):
         # A rising theta over 300 instants: instant l is beaten by every
         # later one, 299 at l = 0, more than a byte holds.
         m = 300
-        fleet = Fleet([profile(t_depart=m)], m)
-        fleet.plug_in([0])
-        fleet.hold_samples([0], np.arange(m, dtype=float)[None],
-                           np.zeros((1, m)))
-        assert fleet.beaten_by[0].tolist() == list(range(m - 1, -1, -1))
+        got = agents.rank_table(np.arange(m, dtype=float)[None],
+                                later_mask(m))
+        assert got[0].tolist() == list(range(m - 1, -1, -1))
 
     def test_new_rows_leave_other_rows_alone(self):
+        # With no PV, `short` is one need per row, and `slack` is `short`
+        # less the rank table: a new session rewrites only its own rows.
         m = 12
         windows = [12, 3, 7, 9]
         fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
@@ -420,21 +434,23 @@ class TestRankTable:
         theta = rng.choice([0.0, 1.0], size=(4, m))
         fleet.plug_in([0, 1, 2, 3])
         fleet.hold_samples([0, 1, 2, 3], theta, np.zeros((4, m)))
-        first = fleet.beaten_by.copy()
+        first = fleet.slack.copy()
         # Rows 1 and 3 start a new session with short windows' maximum 9.
         again = rng.choice([0.0, 1.0], size=(2, m))
         fleet.plug_in([3, 1])
         fleet.hold_samples([3, 1], again, np.zeros((2, m)))
         want = beaten_by_double_loop(again, [9, 3], m)
-        assert (fleet.beaten_by[[3, 1]] == want).all()
-        assert (fleet.beaten_by[[0, 2]] == first[[0, 2]]).all()
+        assert (fleet.short[[3, 1]] - fleet.slack[[3, 1]] == want).all()
+        assert (fleet.slack[[0, 2]] == first[[0, 2]]).all()
 
 
 class TestEvRecord:
     def test_charged_records_reward(self):
+        # The learner's feedback books the played mask and the PV reading
+        # on top of `ev_record`'s count and reward.
         fleet = one_ev(profile())
         roster = in_session(fleet, [0], 3)
-        ev_record(roster, [True], 0.2, [[]], [500.0])
+        AmasStrategy().feedback(roster, [True], 0.2, [[]], [500.0])
         assert fleet.played[0, 3] == 1.0
         assert roster.k_p[0] == 1
         assert fleet.reward[0, 3] == pytest.approx(0.8)
@@ -447,7 +463,7 @@ class TestEvRecord:
     def test_uncharged_still_records_pv(self):
         fleet = one_ev(profile())
         roster = in_session(fleet, [0], 3)
-        ev_record(roster, [False], 0.2, [[1.0]], [500.0])
+        AmasStrategy().feedback(roster, [False], 0.2, [[1.0]], [500.0])
         assert fleet.played[0, 3] == 0.0
         assert fleet.reward[0, 3] == 0.0
         assert fleet.pv_obs[0, 3] == 500.0
@@ -455,5 +471,5 @@ class TestEvRecord:
 
     def test_charged_during_congestion(self):
         fleet = one_ev(profile())
-        ev_record(Roster(fleet, [0]), [True], 0.2, [[1.0]], [0.0])
+        ev_record(Roster(fleet, [0]), [True], 0.2, [[1.0]])
         assert fleet.reward[0, 0] == -1.0

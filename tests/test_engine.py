@@ -361,6 +361,51 @@ class TestSimulationPipeline:
                    for p in sc.fleet)
         assert [r.g for r in records] == list(range(max(last, sc.days * sc.m)))
 
+    def test_baselines_book_only_rewards(self):
+        # Only the learner reads the played mask and the PV readings, so
+        # the baselines book the instants charged and the rewards alone.
+        sc = generate_scenario(small_config(), 2, 7)
+        for strategy in (UncontrolledStrategy(),
+                         strategies.ScheduleStrategy(centralized_oracle(sc)),
+                         AmasStrategy()):
+            sim = Simulation(sc, strategy)
+            res = sim.run()
+            learns = isinstance(strategy, AmasStrategy)
+            assert sim.fleet.played.any() == learns
+            assert sim.fleet.pv_obs.any() == learns
+            assert (sim.fleet.reward > 0.0).any()
+            assert np.isfinite(res.mean_reward_ev).all()
+
+    def test_idle_injections_equal_a_site_loop(self):
+        # Two sub-districts, unequal loads and panels: at every instant
+        # with no EV plugged in, the judged vector is each bus's loads,
+        # then minus its sites' PV, in site order.
+        sc = generate_scenario(small_config(
+            feeder=FeederSpec(sub_districts=2, buses_per_feeder=3,
+                              households_per_bus=2), fleet_size=4), 2, 7)
+        rng = np.random.default_rng(3)
+        sc.site_load_profiles = rng.uniform(0.0, 900.0,
+                                            sc.site_load_profiles.shape)
+        sc.sites = [replace(s, pv_area=float(a)) for s, a in
+                    zip(sc.sites, rng.uniform(5.0, 40.0, len(sc.sites)))]
+        plugged = {d * sc.m + p.t_arrive + l for p in sc.fleet
+                   for d in range(sc.days) for l in range(p.window_length)}
+        _, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        net, idle = sc.topology, [r for r in records if r.g not in plugged]
+        assert idle and any(sc.irradiance_profile[r.g % sc.m] > 0.0
+                            for r in idle)
+        for r in idle:
+            i = r.g % sc.m
+            want = [0.0] * net.n_buses
+            for s, site in enumerate(sc.sites):
+                want[net.bus_index[site.bus_id]] += float(
+                    sc.site_load_profiles[s, i])
+            for site in sc.sites:
+                want[net.bus_index[site.bus_id]] -= (
+                    site.pv_area * site.pv_efficiency
+                    * float(sc.irradiance_profile[i]))
+            assert r.injections.tobytes() == np.array(want).tobytes()
+
     def test_uncontrolled_reaches_target(self):
         sc = generate_scenario(small_config(), 2, 7)
         res = Simulation(sc, UncontrolledStrategy()).run()

@@ -260,10 +260,10 @@ class TestCentralizedOracle:
         built = []
 
         def record(*args):
-            built.append(engine.bus_sums(*args))
+            built.append(engine.site_injections(*args))
             return built[-1]
 
-        monkeypatch.setattr(strategies, "bus_sums", record)
+        monkeypatch.setattr(strategies, "site_injections", record)
         centralized_oracle(sc)
         assert len(built) == 1
         assert built[0].tobytes() == base.tobytes()
