@@ -17,7 +17,7 @@ import numpy as np
 # Not called here; perfbench/child.py wraps it under this module's name.
 from .bandit import select_super_arm
 
-# Most (row, instant, instant) booleans `hold_samples` compares at once:
+# Most (row, instant, instant) booleans `rank_table` compares at once:
 # 4 MiB, so a long window builds its rank table a few rows at a time.
 RANK_CHUNK = 1 << 22
 
@@ -25,8 +25,9 @@ RANK_CHUNK = 1 << 22
 # order of the rows of their one int64 block; a float column is a float64
 # view of its row, so that copying the block copies every column. The
 # static columns come first, then from `soc` on the session state: `flat`
-# is the index `row * m + now` into the fleet's (n, m) tables, and
-# `curtail` and `force` (0 or 1) are the pending request flags.
+# is the index `row * m + now` into an (n, m) table in the local frame
+# (`Fleet.reward`, the learner's tables), and `curtail` and `force` (0 or
+# 1) are the pending request flags.
 COLUMNS = (("eta_chrg", True), ("e_bat", True), ("p_max", True),
            ("soc_target", True), ("charge_kw", True), ("need_kw_min", True),
            ("site", False), ("bus", False), ("window", False),
@@ -114,17 +115,16 @@ class Fleet:
     plugs in and owns its session state until it leaves. `site` and `bus`
     index the simulation's site and bus tables (0 when not given).
 
-    The per-instant tables have m columns in the EV's local frame (column
-    l is the l-th instant after plug-in), so a connection window may not
-    exceed m instants. `delta_i` is the minutes per instant (1440 / m
-    unless given), which `hold_samples` turns the PV estimate into
-    charging instants with.
+    The reward table has m columns in the EV's local frame (column l is
+    the l-th instant after plug-in), so a connection window may not exceed
+    m instants; every strategy books it and the engine's mean reward reads
+    it. `delta_i` is the minutes per instant, 1440 / m.
     """
 
-    def __init__(self, profiles, m: int, delta_i=None, site=None, bus=None):
+    def __init__(self, profiles, m: int, site=None, bus=None):
         n = len(profiles)
         self.m = m
-        self.delta_i = 1440.0 / m if delta_i is None else float(delta_i)
+        self.delta_i = 1440.0 / m
         self.ev_ids = [p.ev_id for p in profiles]
         self.row = {ev: i for i, ev in enumerate(self.ev_ids)}
         self._block = np.zeros((len(COLUMNS), n), dtype=np.int64)
@@ -147,57 +147,14 @@ class Fleet:
         # Rebound so that the column views are read-only too.
         self._block.flags.writeable = False
         _bind(self, _COLUMNS, self._block)
-        # Whether each local instant lies inside the EV's window, that is
-        # where every session reads PV, and [l, l'] = l' > l: the masks
-        # `hold_samples` reads.
-        cols = np.arange(m)
-        self.inside = cols < self.window[:, None]
-        self._later = cols > cols[:, None]
-
-        # The session's (n, m) tables, one block. Filled here rather than
-        # left to lazily zeroed pages, so that the first plug-in of each
-        # EV does not pay the page faults.
-        self._tables = np.full((4, n, m), 0.0)
-        (self.played,      # 1 where charged from grid
-         self.reward,      # reward at played instants
-         self.pv_obs,      # PV reading, watt
-         self.short,       # `instants_short` at l under the sampled PV
-         ) = self._tables
-        # `short` less the later instants of the window that beat l; left
-        # to lazily zeroed pages, which only a learning run touches.
-        self.slack = np.zeros((n, m))
-        # Each table flattened, by name, for `Roster.flat` to index.
-        self.cells = {name: getattr(self, name).reshape(-1)
-                      for name in ("short", "slack", "played", "reward",
-                                   "pv_obs")}
+        # The reward at played instants. Filled here rather than left to
+        # lazily zeroed pages, so that the first plug-in of each EV does not
+        # pay the page faults.
+        self.reward = np.full((n, m), 0.0)
 
     def plug_in(self, rows):
-        """Start a session for each row: clear the tables a session
-        accumulates (`hold_samples` overwrites the others)."""
-        self._tables[:3, rows] = 0.0
-
-    def hold_samples(self, rows, theta, phi):
-        """Hold each row's posterior samples for its session, one row of
-        `theta` and of `phi` (PV, watt per local instant) per EV.
-
-        Phi is summed over the rest of the window, [l, window) at column
-        l, and kept as the charging instants still short of the SoC target
-        under that PV (`instants_short`), so the charging need at any
-        instant of the session is one lookup. Theta is ranked once, with
-        -inf past the window so that no instant there beats one inside it
-        (`rank_table`), and `slack[row, l]` is `short` less the later
-        instants of the window whose theta is strictly larger: the one
-        lookup `ev_decide` compares the instants charged with.
-        """
-        inside = self.inside[rows]
-        masked = np.where(inside, phi, 0.0)
-        ahead = np.cumsum(masked[:, ::-1], axis=1)[:, ::-1]
-        self.short[rows] = short = instants_short(
-            self.need_kw_min[rows, None], self.charge_kw[rows, None],
-            self.delta_i, ahead)
-        width = int(self.window[rows].max(initial=0))
-        self.slack[rows] = short - rank_table(
-            np.where(inside, theta, -np.inf), self._later[:width, :width])
+        """Start a session for each row: clear its rewards."""
+        self.reward[rows] = 0.0
 
 
 class Roster:
@@ -207,9 +164,9 @@ class Roster:
     Holds a copy of every `Fleet` column, under the same names (see
     `COLUMNS`), taken from the fleet's starting state as each EV joins.
     An instant works on these arrays alone, so it gathers nothing by row:
-    `flat` indexes the fleet's tables (see `Fleet.cells`) and `advance`
-    moves every EV on by one instant, so an EV's session is over when its
-    `now` reaches its `window`. `session_floats` are the rows `soc`,
+    `flat` indexes the (n, m) tables (`Fleet.reward`, the learner's) and
+    `advance` moves every EV on by one instant, so an EV's session is over
+    when its `now` reaches its `window`. `session_floats` are the rows `soc`,
     `cost`, `grid_energy` and `battery_energy`: what a session leaves.
 
     Every column is a row of one block, so `join` and `keep` each copy
@@ -402,7 +359,7 @@ def required_instants(evs, delta_i: float, pv_ahead_w, k_p,
     return np.maximum(np.minimum(short - k_p, left), 0.0).astype(np.int64)
 
 
-def ev_decide(roster: Roster) -> np.ndarray:
+def ev_decide(roster: Roster, short, slack) -> np.ndarray:
     """Charging power (kW) of each roster EV at its current local instant.
 
     Charges when `now` is among the top k_f instants of the remaining
@@ -411,16 +368,17 @@ def ev_decide(roster: Roster) -> np.ndarray:
     estimate, and overrides that on the requests pending for the EV: +1
     always curtails, -1 forces charging while energy is still needed.
 
-    Each rule is one lookup (`Fleet.hold_samples`). With ties toward the
-    lowest index, `now` is in that top k_f exactly when beaten_by < k_f =
-    clamp(short - k_p, 0, left), left = window - now >= 1. As 0 <=
-    beaten_by <= left - 1, that is beaten_by < short - k_p, or k_p <
-    slack; and k_f > 0 exactly when short > k_p.
+    Each rule is one lookup in the `(n, m)` tables `short` and `slack` at
+    the roster's `flat` cells (`AmasStrategy.hold_samples`). With ties
+    toward the lowest index, `now` is in that top k_f exactly when
+    beaten_by < k_f = clamp(short - k_p, 0, left), left = window - now
+    >= 1. As 0 <= beaten_by <= left - 1, that is beaten_by < short - k_p,
+    or k_p < slack; and k_f > 0 exactly when short > k_p.
     """
-    cells, flat, k_p = roster.fleet.cells, roster.flat, roster.k_p
-    charge = k_p < cells["slack"][flat]
+    flat, k_p = roster.flat, roster.k_p
+    charge = k_p < slack.take(flat)
     if np.count_nonzero(roster.pending):
-        charge = (np.where(roster.force, cells["short"][flat] > k_p, charge)
+        charge = (np.where(roster.force, short.take(flat) > k_p, charge)
                   & (roster.curtail == 0))
     return np.where(charge, roster.p_max, 0.0)
 
@@ -429,7 +387,7 @@ def ev_record(roster: Roster, charged, cost_now: float, crits) -> np.ndarray:
     """The booking every strategy makes after the instant resolves.
 
     Per roster EV that charged from the grid: one more instant charged in
-    `k_p`, and its reward (`ev_reward`) in the reward table, from the
+    `k_p`, and its reward (`ev_reward`) in `Fleet.reward`, from the
     criticalities it received (a zero-padded row per roster EV, or () when
     none arrived). Returns the flat table cells of the EVs that charged.
     """
@@ -438,5 +396,5 @@ def ev_record(roster: Roster, charged, cost_now: float, crits) -> np.ndarray:
     roster.k_p += charged
     # With none received, every EV that charged gets the same reward.
     crits = np.asarray(crits)[charged] if len(crits) else ()
-    roster.fleet.cells["reward"][at] = ev_reward(cost_now, crits)
+    roster.fleet.reward.put(at, ev_reward(cost_now, crits))
     return at

@@ -432,7 +432,7 @@ class Simulation:
         self.delta_h = scenario.delta_i / 60.0
         self.net = scenario.topology
         self.fleet = Fleet(
-            scenario.fleet, m, delta_i=scenario.delta_i,
+            scenario.fleet, m,
             site=[scenario.ev_site[p.ev_id] for p in scenario.fleet],
             bus=[self.net.bus_index[p.bus_id] for p in scenario.fleet])
         strategy.attach(self.fleet)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import agents
 from .agents import (Fleet, Roster, charging_need, ev_record,
-                     required_instants)
+                     instants_short, rank_table, required_instants)
 from .bandit import (REWARD_PRIOR_MEAN, BanditState, sample_parameter,
                      update_day, update_pv)
 from .engine import GridJudge, Scenario, instant_tables, site_injections
@@ -67,6 +67,11 @@ class AmasStrategy(Strategy):
     one row per EV in fleet order: `bandit` (reward) and `pv`. Once
     attached, both are views of one `(n_ev, 2, m)` stack, so a session
     start gathers its rows of both learners in one step.
+
+    It also holds its sessions' `(n_ev, m)` tables, which a roster reads
+    at its `flat` cells: `played` (1 where charged from the grid) and
+    `pv_obs` (PV reading, watt), which `session_end` learns from, and
+    `short` and `slack`, which `hold_samples` fills for `ev_decide`.
     """
 
     def __init__(self, alpha=0.5, beta=360.0):
@@ -97,6 +102,17 @@ class AmasStrategy(Strategy):
         self.bandit = BanditState(precision[:, 0], response[:, 0],
                                   self.bandit.scale)
         self.pv = BanditState(precision[:, 1], response[:, 1], self.pv.scale)
+        # Whether each local instant lies inside the EV's window, that is
+        # where every session reads PV, and [l, l'] = l' > l: the masks
+        # `hold_samples` reads.
+        cols = np.arange(fleet.m)
+        self.inside = cols < fleet.window[:, None]
+        self._later = cols > cols[:, None]
+        # The session tables, one block, filled here rather than left to
+        # lazily zeroed pages, so that the first plug-in of each EV does
+        # not pay the page faults.
+        self._tables = np.full((4, len(fleet.ev_ids), fleet.m), 0.0)
+        self.played, self.pv_obs, self.short, self.slack = self._tables
 
     def session_start(self, fleet, rows, rng):
         # One block draw, row by row, theta before phi.
@@ -104,20 +120,44 @@ class AmasStrategy(Strategy):
         sample = sample_parameter(
             BanditState(both.precision[rows], both.response[rows],
                         both.scale), rng)
-        fleet.hold_samples(rows, sample[:, 0], sample[:, 1])
+        self.hold_samples(fleet, rows, sample[:, 0], sample[:, 1])
+
+    def hold_samples(self, fleet, rows, theta, phi):
+        """Hold each row's posterior samples for its session, one row of
+        `theta` and of `phi` (PV, watt per local instant) per EV, and
+        clear the row's `played` and `pv_obs`.
+
+        Phi is summed over the rest of the window, [l, window) at column
+        l, and kept as the charging instants still short of the SoC target
+        under that PV (`instants_short`), so the charging need at any
+        instant of the session is one lookup. Theta is ranked once, with
+        -inf past the window so that no instant there beats one inside it
+        (`rank_table`), and `slack[row, l]` is `short` less the later
+        instants of the window whose theta is strictly larger: the one
+        lookup `ev_decide` compares the instants charged with.
+        """
+        self._tables[:2, rows] = 0.0
+        inside = self.inside[rows]
+        masked = np.where(inside, phi, 0.0)
+        ahead = np.cumsum(masked[:, ::-1], axis=1)[:, ::-1]
+        self.short[rows] = short = instants_short(
+            fleet.need_kw_min[rows, None], fleet.charge_kw[rows, None],
+            fleet.delta_i, ahead)
+        width = int(fleet.window[rows].max(initial=0))
+        self.slack[rows] = short - rank_table(
+            np.where(inside, theta, -np.inf), self._later[:width, :width])
 
     def decide(self, roster):
-        return agents.ev_decide(roster)
+        return agents.ev_decide(roster, self.short, self.slack)
 
     def feedback(self, roster, charged, cost_norm, crits, pv_w):
         # Also the played mask and PV readings that `session_end` reads.
-        cells = roster.fleet.cells
-        cells["played"][ev_record(roster, charged, cost_norm, crits)] = 1.0
-        cells["pv_obs"][roster.flat] = pv_w
+        self.played.put(ev_record(roster, charged, cost_norm, crits), 1.0)
+        self.pv_obs.put(roster.flat, pv_w)
 
     def session_end(self, fleet, rows):
-        update_day(self.bandit, fleet.played[rows], fleet.reward[rows], rows)
-        update_pv(self.pv, fleet.inside[rows], fleet.pv_obs[rows], rows)
+        update_day(self.bandit, self.played[rows], fleet.reward[rows], rows)
+        update_pv(self.pv, self.inside[rows], self.pv_obs[rows], rows)
 
     # -- checkpointing -----------------------------------------------------
 

@@ -213,7 +213,7 @@ def test_criterion_6_regret_sanity():
         def session_end(self, fleet, rows):
             for idx in rows:
                 selections.append(
-                    (SuperArm(tuple(np.flatnonzero(fleet.played[idx]))),
+                    (SuperArm(tuple(np.flatnonzero(self.played[idx]))),
                      self.bandit.estimate[idx]))
             super().session_end(fleet, rows)
 

@@ -195,14 +195,18 @@ class TestEvReward:
 
 
 def one_ev(p, theta=None, phi=None):
-    """A one-row fleet in a fresh session of `p`, with its sampled theta
-    and PV estimate phi (watt per local instant)."""
-    w = p.window_length
-    fleet = Fleet([p], w, delta_i=15.0)
+    """A one-row fleet of 96 instants a day in a fresh session of `p`, and
+    the learner attached to it, holding the session's sampled theta and
+    PV estimate phi (watt per local instant of the window)."""
+    fleet, learner = Fleet([p], 96), AmasStrategy()
+    learner.attach(fleet)
     fleet.plug_in([0])
-    fleet.hold_samples([0], np.zeros((1, w)) if theta is None else [theta],
-                       np.zeros((1, w)) if phi is None else [phi])
-    return fleet
+    held = np.zeros((2, 1, 96))
+    for sample, values in zip(held, (theta, phi)):
+        if values is not None:
+            sample[0, :len(values)] = values
+    learner.hold_samples(fleet, [0], *held)
+    return fleet, learner
 
 
 def need(p, phi, k_p, now):
@@ -210,7 +214,8 @@ def need(p, phi, k_p, now):
     estimate phi (watt per instant of its window) summed over the rest of
     the window."""
     ahead = np.cumsum(phi[::-1])[::-1]
-    return int(required_instants(one_ev(p), 15.0, ahead[now], k_p, now)[0])
+    return int(required_instants(one_ev(p)[0], 15.0, ahead[now], k_p,
+                                 now)[0])
 
 
 def in_session(fleet, rows, now=0, **columns):
@@ -224,13 +229,14 @@ def in_session(fleet, rows, now=0, **columns):
     return roster
 
 
-def decide(fleet, now, requests, **columns):
-    """ev_decide for the one-row fleet at local instant `now`, with the
-    requests it received the instant before and the given session
-    columns."""
+def decide(ev, now, requests, **columns):
+    """ev_decide for the one-row fleet and learner `ev` (see `one_ev`) at
+    local instant `now`, with the requests it received the instant before
+    and the given session columns."""
+    fleet, learner = ev
     roster = in_session(fleet, [0], now, **columns)
     take_requests(roster, {fleet.ev_ids[0]: requests})
-    return float(ev_decide(roster)[0])
+    return float(ev_decide(roster, learner.short, learner.slack)[0])
 
 
 class TestRequiredInstants:
@@ -261,7 +267,7 @@ class TestRequiredInstants:
 
     def test_now_outside_window_rejected(self):
         with pytest.raises(ValueError):
-            required_instants(one_ev(profile()), 15.0, 0.0, 0, 60)
+            required_instants(one_ev(profile())[0], 15.0, 0.0, 0, 60)
 
     @given(soc_start=st.floats(0.0, 0.8), k_p=st.integers(0, 20),
            now=st.integers(0, 59))
@@ -316,24 +322,25 @@ class TestEvDecide:
         boost = req(-1.0, targets={"ev0"}, kind="bus")
         assert decide(one_ev(p), 0, [boost]) == 0.0
 
-    def test_played_instants_excluded_from_candidates(self):
+    def test_charged_instants_count_against_the_need(self):
+        # Two instants meet the need. With one charged (k_p=1), k_f at
+        # now=2 still wants one more, and instant 2 is the top remaining
+        # candidate; with two charged, nothing is left to charge.
         p = profile(t_depart=4, soc_target=0.56)
-        fleet = one_ev(p, theta=np.array([0.0, 9.0, 1.0, 0.5]))
-        fleet.played[0, 1] = 1.0
-        # k_f at now=2 still wants one more instant; instant 1 is spent, so
-        # the top remaining candidate is instant 2.
-        assert decide(fleet, 2, [], k_p=1) == p.p_max
+        ev = one_ev(p, theta=np.array([0.0, 9.0, 1.0, 0.5]))
+        assert decide(ev, 2, [], k_p=1) == p.p_max
+        assert decide(ev, 2, [], k_p=2) == 0.0
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=50, deadline=None)
     def test_curtailment_supremacy(self, seed):
         rng = np.random.default_rng(seed)
         p = profile()
-        fleet = one_ev(p, theta=rng.normal(size=60))
+        ev = one_ev(p, theta=rng.normal(size=60))
         soc = float(rng.uniform(0.0, 1.0))
         curtail = req(1.0, targets={"ev0"})
         now = int(rng.integers(0, 60))
-        assert decide(fleet, now, [curtail], soc=soc) == 0.0
+        assert decide(ev, now, [curtail], soc=soc) == 0.0
 
     @given(windows=st.lists(st.integers(1, 16), min_size=1, max_size=6),
            data=st.data())
@@ -346,9 +353,11 @@ class TestEvDecide:
         # exactly when now is among the top k_f instants of its remaining
         # window that select_super_arm picks. Columns past a window hold a
         # theta that would beat every instant inside it.
-        m = 16
+        m = 96
         fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
-                       for r, w in enumerate(windows)], m, delta_i=15.0)
+                       for r, w in enumerate(windows)], m)
+        learner = AmasStrategy()
+        learner.attach(fleet)
         rows = np.arange(len(windows))
         fleet.plug_in(rows)
         theta = np.full((len(windows), m), 9.0)
@@ -367,9 +376,10 @@ class TestEvDecide:
                                              min_size=len(windows),
                                              max_size=len(windows)))
                           for _ in range(2))
-        fleet.hold_samples(rows, theta, phi)
+        learner.hold_samples(fleet, rows, theta, phi)
         got = ev_decide(in_session(fleet, rows, now, k_p=k_p,
-                                   curtail=curtail, force=force))
+                                   curtail=curtail, force=force),
+                        learner.short, learner.slack)
         for r, w in enumerate(windows):
             k_f = need(profile(t_depart=w), phi[r, :w], k_p[r], now[r])
             if curtail[r]:
@@ -430,46 +440,48 @@ class TestRankTable:
         windows = [12, 3, 7, 9]
         fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
                        for r, w in enumerate(windows)], m)
+        learner = AmasStrategy()
+        learner.attach(fleet)
         rng = np.random.default_rng(5)
         theta = rng.choice([0.0, 1.0], size=(4, m))
         fleet.plug_in([0, 1, 2, 3])
-        fleet.hold_samples([0, 1, 2, 3], theta, np.zeros((4, m)))
-        first = fleet.slack.copy()
+        learner.hold_samples(fleet, [0, 1, 2, 3], theta, np.zeros((4, m)))
+        first = learner.slack.copy()
         # Rows 1 and 3 start a new session with short windows' maximum 9.
         again = rng.choice([0.0, 1.0], size=(2, m))
         fleet.plug_in([3, 1])
-        fleet.hold_samples([3, 1], again, np.zeros((2, m)))
+        learner.hold_samples(fleet, [3, 1], again, np.zeros((2, m)))
         want = beaten_by_double_loop(again, [9, 3], m)
-        assert (fleet.short[[3, 1]] - fleet.slack[[3, 1]] == want).all()
-        assert (fleet.slack[[0, 2]] == first[[0, 2]]).all()
+        assert (learner.short[[3, 1]] - learner.slack[[3, 1]] == want).all()
+        assert (learner.slack[[0, 2]] == first[[0, 2]]).all()
 
 
 class TestEvRecord:
     def test_charged_records_reward(self):
         # The learner's feedback books the played mask and the PV reading
         # on top of `ev_record`'s count and reward.
-        fleet = one_ev(profile())
+        fleet, learner = one_ev(profile())
         roster = in_session(fleet, [0], 3)
-        AmasStrategy().feedback(roster, [True], 0.2, [[]], [500.0])
-        assert fleet.played[0, 3] == 1.0
+        learner.feedback(roster, [True], 0.2, [[]], [500.0])
+        assert learner.played[0, 3] == 1.0
         assert roster.k_p[0] == 1
         assert fleet.reward[0, 3] == pytest.approx(0.8)
-        assert fleet.pv_obs[0, 3] == 500.0
+        assert learner.pv_obs[0, 3] == 500.0
         roster.keep(np.zeros(1, dtype=bool))
         assert roster.size == 0
         # The count left with the roster; the fleet keeps the start state.
         assert fleet.k_p[0] == 0
 
     def test_uncharged_still_records_pv(self):
-        fleet = one_ev(profile())
+        fleet, learner = one_ev(profile())
         roster = in_session(fleet, [0], 3)
-        AmasStrategy().feedback(roster, [False], 0.2, [[1.0]], [500.0])
-        assert fleet.played[0, 3] == 0.0
+        learner.feedback(roster, [False], 0.2, [[1.0]], [500.0])
+        assert learner.played[0, 3] == 0.0
         assert fleet.reward[0, 3] == 0.0
-        assert fleet.pv_obs[0, 3] == 500.0
+        assert learner.pv_obs[0, 3] == 500.0
         assert roster.k_p[0] == 0
 
     def test_charged_during_congestion(self):
-        fleet = one_ev(profile())
+        fleet, _ = one_ev(profile())
         ev_record(Roster(fleet, [0]), [True], 0.2, [[1.0]])
         assert fleet.reward[0, 0] == -1.0

@@ -87,9 +87,13 @@ class TestSampleParameter:
                            atol=0.03)
 
 
-def fleet_learners(n, m, **kwargs):
+def fleet_learners(n, m, window=None, **kwargs):
+    """An attached strategy for n EVs with windows of `window` instants
+    (one per EV; m each by default)."""
     strategy = AmasStrategy(**kwargs)
-    strategy.attach(SimpleNamespace(ev_ids=[f"ev{i}" for i in range(n)], m=m))
+    strategy.attach(SimpleNamespace(
+        ev_ids=[f"ev{i}" for i in range(n)], m=m,
+        window=np.full(n, m) if window is None else np.asarray(window)))
     return strategy
 
 
@@ -109,10 +113,10 @@ class TestFleetLearners:
             update_pv(strategy.pv, mask, mask * data.uniform(0, 900, (n, m)))
         rows = np.array([3, 0, 4])
         held = {}
-        fleet = SimpleNamespace(hold_samples=lambda r, theta, phi:
-                                held.update(theta=theta, phi=phi))
+        strategy.hold_samples = lambda fleet, r, theta, phi: held.update(
+            theta=theta, phi=phi)
         rng = np.random.default_rng(21)
-        strategy.session_start(fleet, rows, rng)
+        strategy.session_start(None, rows, rng)
 
         ref_rng = np.random.default_rng(21)
         for k, idx in enumerate(rows):
@@ -128,19 +132,19 @@ class TestFleetLearners:
         # The departing rows take one masked add per learner; it must equal
         # one update per EV and learner, and leave the other rows alone.
         m, n = 6, 5
-        strategy = fleet_learners(n, m)
         data = np.random.default_rng(9)
         played = (data.random((n, m)) < 0.4).astype(float)
         # PV is read at every instant of a window of 1 to m instants.
-        inside = np.arange(m) < data.integers(1, m + 1, (n, 1))
-        fleet = SimpleNamespace(played=played,
-                                reward=played * data.random((n, m)),
-                                inside=inside,
-                                pv_obs=inside * data.uniform(0, 900, (n, m)))
+        window = data.integers(1, m + 1, n)
+        inside = np.arange(m) < window[:, None]
+        strategy = fleet_learners(n, m, window)
+        fleet = SimpleNamespace(reward=played * data.random((n, m)))
+        pv_obs = inside * data.uniform(0, 900, (n, m))
+        strategy.played[:], strategy.pv_obs[:] = played, pv_obs
         rows = np.array([4, 1])
         want = {}
-        for name, mask, values in (("bandit", fleet.played, fleet.reward),
-                                   ("pv", fleet.inside, fleet.pv_obs)):
+        for name, mask, values in (("bandit", played, fleet.reward),
+                                   ("pv", inside, pv_obs)):
             learner = getattr(strategy, name)
             want[name] = [BanditState(learner.precision[i].copy(),
                                       learner.response[i].copy(),

@@ -361,20 +361,32 @@ class TestSimulationPipeline:
                    for p in sc.fleet)
         assert [r.g for r in records] == list(range(max(last, sc.days * sc.m)))
 
-    def test_baselines_book_only_rewards(self):
-        # Only the learner reads the played mask and the PV readings, so
-        # the baselines book the instants charged and the rewards alone.
+    def test_baselines_hold_no_learner_tables(self):
+        # Only the learner reads the played mask, the PV readings and the
+        # decision tables, so after a baseline run the fleet and the
+        # strategy hold no array of n * m cells or more but the fleet's
+        # rewards and the oracle's plans. The learner books both of its
+        # learning tables.
         sc = generate_scenario(small_config(), 2, 7)
+        cells = len(sc.fleet) * sc.m
         for strategy in (UncontrolledStrategy(),
                          strategies.ScheduleStrategy(centralized_oracle(sc)),
                          AmasStrategy()):
             sim = Simulation(sc, strategy)
             res = sim.run()
-            learns = isinstance(strategy, AmasStrategy)
-            assert sim.fleet.played.any() == learns
-            assert sim.fleet.pv_obs.any() == learns
             assert (sim.fleet.reward > 0.0).any()
             assert np.isfinite(res.mean_reward_ev).all()
+            if isinstance(strategy, AmasStrategy):
+                assert strategy.played.any() and strategy.pv_obs.any()
+                continue
+            tables = {f"{type(owner).__name__}.{name}"
+                      for owner in (sim.fleet, strategy)
+                      for name, value in vars(owner).items()
+                      if isinstance(value, np.ndarray) and value.size >= cells}
+            want = {"Fleet.reward"}
+            if isinstance(strategy, strategies.ScheduleStrategy):
+                want.add("ScheduleStrategy.plans")
+            assert tables == want
 
     def test_idle_injections_equal_a_site_loop(self):
         # Two sub-districts, unequal loads and panels: at every instant
