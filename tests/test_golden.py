@@ -134,6 +134,42 @@ TWO_LEVEL_DIGESTS = {
 }
 
 
+# The first config on two branches, computed before requests named fleet
+# rows instead of EV ids.
+BRANCHES_CONFIG = """\
+scenario:
+  topology:
+    sub_districts: 2
+    buses_per_feeder: 6
+    households_per_bus: 3
+    line_rating: 150.0
+    line_resistance: 0.01
+    v_min: 0.97
+  fleet_size: 24
+  household_load_w: 600.0
+days: 3
+seed: 2
+cooperation_fraction: 0.3
+"""
+
+BRANCHES_DIGESTS = {
+    "checkpoint.json":
+        "fd440d38d3e40d79faa9b7cf5b1badf6fd220741cbcd9ea422304bac4f91407f",
+    "manifest.json":
+        "43a163bc8eacd7b7726ec40a2ca074f67a404449385b1fecefa676ccd00f050d",
+    "metrics_daily.csv":
+        "470ffe08e579f8c56758e044ef0ca27a1cb4dac5822eaa3d6dead846c8320c07",
+    "metrics_per_ev.csv":
+        "bff4d0ad6bbd881979baa01b68e9174bc8e0f5c5f38dedc96608d1a62f8c5b96",
+    "plot_cost_bars.csv":
+        "8025c9a1d867f3cf6509508c3b8484b75ba98ec7f44466618921ec32296bb471",
+    "plot_reward_vs_day.csv":
+        "9bfdc18492be5dd345d396aec970712e54093e15f7dfd496abfbe2e8df539e38",
+    "summary.json":
+        "c2d01eabb19fe53036322de306e22cf4cf9d618ff4324fd7cdbe29ca77e15d67",
+}
+
+
 BASELINE_CONFIG = """\
 scenario:
   topology:
@@ -210,6 +246,11 @@ def test_tied_theta_outputs_match_golden_digests(tmp_path, monkeypatch):
 def test_two_level_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert (run_digests(tmp_path, monkeypatch, TWO_LEVEL_CONFIG)
             == TWO_LEVEL_DIGESTS)
+
+
+def test_branches_outputs_match_golden_digests(tmp_path, monkeypatch):
+    assert (run_digests(tmp_path, monkeypatch, BRANCHES_CONFIG)
+            == BRANCHES_DIGESTS)
 
 
 def recorded_instants(tmp_path, config):
