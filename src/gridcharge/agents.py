@@ -62,10 +62,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)      # equal and hashed by identity
 class CriticalityRequest:
     criticality: float              # in [-1, 1]
-    target_evs: frozenset           # EV ids asked for cooperative action
+    target_rows: np.ndarray         # fleet rows asked for cooperative action
     origin_agent: str
     origin_kind: str                # "line" | "bus"
 
@@ -126,7 +126,6 @@ class Fleet:
         self.m = m
         self.delta_i = 1440.0 / m
         self.ev_ids = [p.ev_id for p in profiles]
-        self.row = {ev: i for i, ev in enumerate(self.ev_ids)}
         self._block = np.zeros((len(COLUMNS), n), dtype=np.int64)
         _bind(self, _COLUMNS, self._block)
 
@@ -273,62 +272,65 @@ def request_priority(criticality: float) -> tuple:
     return (abs(criticality), criticality)
 
 
-def sample_cooperation_targets(grid_charging_evs, count: int,
-                               rng: np.random.Generator) -> frozenset:
-    """Uniform without-replacement draw of EVs asked to cooperate."""
+def sample_cooperation_targets(pool, count: int,
+                               rng: np.random.Generator) -> np.ndarray:
+    """Uniform without-replacement draw of the EVs asked to cooperate:
+    `count` entries of `pool` (all of them when it holds fewer), the fleet
+    rows of the grid-charging EVs in the order of their ids."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    pool = sorted(grid_charging_evs)
-    if not pool:
-        return frozenset()
+    if not len(pool):
+        return pool
     take = min(count, len(pool))
-    picked = rng.choice(len(pool), size=take, replace=False)
-    return frozenset(pool[i] for i in picked)
+    return pool[rng.choice(len(pool), size=take, replace=False)]
 
 
-def ev_reward(cr_ev, neighbor_criticalities):
-    """Charging reward: -max of the nonzero neighborhood criticalities when
-    any exist, else one minus the normalized electricity cost.
-
-    The cost is one float for every row: the instant's price, which
-    `engine.Scenario` range-checks once. The criticalities run along the
-    last axis: a matrix, zero-padded, gives one reward per row. With none
-    at all the reward is the float 1 - cost.
-    """
+def ev_reward(cr_ev, top):
+    """Charging reward: minus `top`, the largest nonzero criticality
+    received, or one minus the normalized electricity cost where `top` is
+    0 (none arrived). `top` holds one value per row; the cost is one float
+    for every row, the instant's price, which `engine.Scenario`
+    range-checks once."""
     cost = float(cr_ev)
     if not 0.0 <= cost <= 1.0:
         raise ValueError("EV criticality (normalized cost) must be in [0, 1]")
-    if not len(neighbor_criticalities):
-        return 1.0 - cost
-    crits = np.asarray(neighbor_criticalities, dtype=float)
-    top = np.where(crits != 0.0, crits, -np.inf).max(axis=-1,
-                                                      initial=-np.inf)
-    return np.where(top > -np.inf, -top, 1.0 - cost)[()]
+    return np.where(top, np.negative(top), 1.0 - cost)
 
 
-def take_requests(roster: Roster, received):
-    """Hold the requests each EV received (ev_id -> list) for its next
-    decision.
+def take_requests(roster: Roster, received: dict) -> np.ndarray:
+    """Hold the requests the roster's EVs received (fleet row -> its bus's
+    adoptions, one list per bus) for their next decision.
 
-    Sets the pending flags of the roster's EVs that a request names as
-    cooperation targets (+1 curtails, -1 forces) and clears every other
-    flag. Returns the criticalities each EV received as one zero-padded
-    row per roster entry, or () when no request arrived.
+    Sets the pending flags of the roster's EVs that a +1 (curtail) or -1
+    (force) request names as cooperation targets, where their bus adopted
+    it, and clears every other flag. Returns, per roster EV, the largest
+    nonzero criticality it received, 0 when none.
     """
-    width = max(map(len, received.values()), default=0)
-    if not width:
+    if not received:
         roster.pending.fill(0)
-        return ()
-    fleet = roster.fleet
-    crits = np.zeros((len(fleet.ev_ids), width))
-    named = np.zeros((2, len(fleet.ev_ids)), dtype=bool)
-    for ev, reqs in received.items():
-        row = fleet.row[ev]
-        crits[row, :len(reqs)] = [r.criticality for r in reqs]
-        hits = [r.criticality for r in reqs if ev in r.target_evs]
-        named[:, row] = 1.0 in hits, -1.0 in hits
+        return np.zeros(roster.size)
+    fleet_bus = roster.fleet.bus
+    by_bus = dict(zip(fleet_bus[list(received)].tolist(), received.values()))
+    top = np.zeros(int(fleet_bus.max()) + 1)
+    # The +1 and the -1 request each bus adopted (one per level at most),
+    # numbered in `asks`.
+    held, asks = np.full((2, len(top)), -1), {}
+    for bus, seq in by_bus.items():
+        top[bus] = max((q.criticality for q in seq if q.criticality),
+                       default=0.0)
+        for q in seq:
+            if abs(q.criticality) == 1.0:
+                held[int(q.criticality < 0.0), bus] = asks.setdefault(
+                    q, len(asks))
+    named = np.zeros((2, len(fleet_bus)), dtype=bool)   # curtail, force
+    if asks:
+        rows = np.concatenate([q.target_rows for q in asks])
+        ask = np.repeat(np.arange(len(asks)),
+                        [len(q.target_rows) for q in asks])
+        side, hit = np.nonzero(held[:, fleet_bus[rows]] == ask)
+        named[side, rows[hit]] = True
     roster.pending[:] = named[:, roster.rows]
-    return crits[roster.rows]
+    return top[roster.bus]
 
 
 def instants_short(need_kw_min, charge_kw, delta_i: float, pv_ahead_w):
@@ -383,18 +385,16 @@ def ev_decide(roster: Roster, short, slack) -> np.ndarray:
     return np.where(charge, roster.p_max, 0.0)
 
 
-def ev_record(roster: Roster, charged, cost_now: float, crits) -> np.ndarray:
+def ev_record(roster: Roster, charged, cost_now: float, top) -> np.ndarray:
     """The booking every strategy makes after the instant resolves.
 
     Per roster EV that charged from the grid: one more instant charged in
-    `k_p`, and its reward (`ev_reward`) in `Fleet.reward`, from the
-    criticalities it received (a zero-padded row per roster EV, or () when
-    none arrived). Returns the flat table cells of the EVs that charged.
+    `k_p`, and its reward (`ev_reward`) in `Fleet.reward`, from the largest
+    nonzero criticality it received (`top`, an array of one per roster EV,
+    0 when none). Returns the flat table cells of the EVs that charged.
     """
     charged = np.asarray(charged, dtype=bool)
     at = roster.flat[charged]
     roster.k_p += charged
-    # With none received, every EV that charged gets the same reward.
-    crits = np.asarray(crits)[charged] if len(crits) else ()
-    roster.fleet.reward.put(at, ev_reward(cost_now, crits))
+    roster.fleet.reward.put(at, ev_reward(cost_now, top[charged]))
     return at

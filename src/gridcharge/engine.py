@@ -282,12 +282,11 @@ class GridJudge:
 @dataclass(frozen=True)
 class AgentGraph:
     """The line/bus agent graph requests flood over, with integer nodes:
-    `node` maps ("bus", id) and ("line", id) to a node, `adjacent` holds
-    each node's neighbours and `bus_id` each node's bus id (None for a
-    line)."""
+    `node` maps ("bus", id) and ("line", id) to a node, and `adjacent`
+    holds each node's neighbours. Bus nodes come first, numbered as the
+    topology's bus indices, then the lines."""
     node: dict
     adjacent: tuple
-    bus_id: tuple
 
 
 def agent_neighbors(topology: NetworkTopology) -> AgentGraph:
@@ -303,11 +302,10 @@ def agent_neighbors(topology: NetworkTopology) -> AgentGraph:
         adjacent.append(ends)
         for end in ends:
             adjacent[end].append(k)
-    return AgentGraph(node, tuple(map(tuple, adjacent)),
-                      tuple(buses) + (None,) * len(topology.lines))
+    return AgentGraph(node, tuple(map(tuple, adjacent)))
 
 
-def flood_requests(graph: AgentGraph, evs_at_bus: dict, initial):
+def flood_requests(graph: AgentGraph, roster: Roster, initial):
     """Monotone same-instant flooding of criticality requests.
 
     Every line and bus starts holding its own request, if any, and sends
@@ -315,7 +313,7 @@ def flood_requests(graph: AgentGraph, evs_at_bus: dict, initial):
     most critical request it received (`request_priority`; the lowest
     origin id among equals) when it strictly beats the one it holds, and
     passes it on in the next. A bus also passes each request it adopts to
-    the EVs `evs_at_bus` lists at it, which never relay.
+    the EVs of the `roster` at it (`roster.bus`), which never relay.
 
     Relaying only on a strict gain makes each priority level spread as a
     breadth-first search from its origins, through the nodes that adopt
@@ -339,14 +337,16 @@ def flood_requests(graph: AgentGraph, evs_at_bus: dict, initial):
     it stays congested. A strict gain also bounds the flood: each agent
     adopts at most one request per priority level.
 
-    Returns the requests each EV received, its bus's adoptions in round
-    order (so in improving order), and the round count: one more than the
+    Returns the requests each EV received, by fleet row: its bus's
+    adoptions in round order (so in improving order), one list that every
+    EV at the bus shares. Also returns the round count: one more than the
     last round in which a node that adopted had a neighbour or an EV. One
     origin may send one request only.
     """
     if not initial:
         return {}, 0
-    node, adjacent, bus_id = graph.node, graph.adjacent, graph.bus_id
+    node, adjacent = graph.node, graph.adjacent
+    occupied = set(roster.bus.tolist())
     levels = {}
     origins = set()
     for req in initial:
@@ -367,8 +367,8 @@ def flood_requests(graph: AgentGraph, evs_at_bus: dict, initial):
         queue = list(holds)
         for v in queue:            # breadth first: in round order
             req, t = holds[v], reached[v]
-            out, evs = adjacent[v], evs_at_bus.get(bus_id[v])
-            if evs:
+            out = adjacent[v]
+            if v in occupied:
                 adopted.setdefault(v, []).append(req)
             elif not out:
                 continue
@@ -387,12 +387,10 @@ def flood_requests(graph: AgentGraph, evs_at_bus: dict, initial):
         for v, t in reached.items():
             higher[v] = min(higher[v], t)
 
-    received = {}
-    for v, seq in adopted.items():
+    for seq in adopted.values():
         seq.reverse()
-        for ev in evs_at_bus[bus_id[v]]:
-            received[ev] = seq.copy()
-    return received, last + 1
+    at = zip(roster.rows.tolist(), roster.bus.tolist())
+    return {row: adopted[bus] for row, bus in at if bus in adopted}, last + 1
 
 
 @dataclass
@@ -436,9 +434,12 @@ class Simulation:
             site=[scenario.ev_site[p.ev_id] for p in scenario.fleet],
             bus=[self.net.bus_index[p.bus_id] for p in scenario.fleet])
         strategy.attach(self.fleet)
-        self.ev_ids = self.fleet.ev_ids
         self._graph = agent_neighbors(self.net)
-        self._ev_bus_id = [p.bus_id for p in scenario.fleet]
+        # Each row's rank in the order of the EV ids, by which an instant
+        # orders its grid-charging pool.
+        ids = self.fleet.ev_ids
+        self._id_rank = np.argsort(sorted(range(len(ids)),
+                                          key=ids.__getitem__))
         self._bus_of_site, self._load_inj, self._site_pv_w = (
             instant_tables(scenario))
         # The site PV as kWh per instant.
@@ -538,25 +539,21 @@ class Simulation:
             self.judge.state(inj))
         initial = []
         if line_any or bus_any:
-            grid_charging_evs = [fleet.ev_ids[i] for i in ro.rows[charged]]
+            pool = ro.rows[charged]
+            pool = pool[np.argsort(self._id_rank[pool])]
             n_targets = max(1, math.ceil(self.coop_fraction *
-                                         max(1, len(grid_charging_evs))))
+                                         max(1, len(pool))))
             for kind, agents, crits in (("line", net.lines, line_crit),
                                         ("bus", net.buses, bus_crit)):
                 for a in np.flatnonzero(crits):
                     initial.append(CriticalityRequest(
                         criticality=float(crits[a]),
-                        target_evs=sample_cooperation_targets(
-                            grid_charging_evs, n_targets, self.rng),
+                        target_rows=sample_cooperation_targets(
+                            pool, n_targets, self.rng),
                         origin_agent=agents[a].id, origin_kind=kind))
 
         # Requests reach only the plugged-in EVs at a bus.
-        evs_at_bus = {}
-        if initial:
-            for idx in ro.rows.tolist():
-                evs_at_bus.setdefault(self._ev_bus_id[idx], []).append(
-                    fleet.ev_ids[idx])
-        received, _ = flood_requests(self._graph, evs_at_bus, initial)
+        received, _ = flood_requests(self._graph, ro, initial)
 
         # Violations are attributed to the global day (clipped to horizon);
         # a non-converged instant counts against both kinds.
@@ -570,8 +567,8 @@ class Simulation:
 
         # Phase 5: feedback with same-instant criticalities; the requests
         # are held for the next decision.
-        crits = take_requests(ro, received)
-        self.strategy.feedback(ro, charged, price, crits, pv_w)
+        top = take_requests(ro, received)
+        self.strategy.feedback(ro, charged, price, top, pv_w)
 
         # Phase 6: sessions ending after this instant, which the roster
         # books before it lets them go. A session that leaves after
@@ -598,7 +595,7 @@ class Simulation:
             self.run_instant(g)
         return SimulationResult(
             days=sc.days,
-            ev_ids=self.ev_ids,
+            ev_ids=self.fleet.ev_ids,
             cost=self.cost,
             grid_energy=self.grid_energy,
             battery_energy=self.battery_energy,
@@ -613,7 +610,8 @@ def ingest_profile(path, kind: str, m: int, c_max=None) -> np.ndarray:
     """Read a `instant,value` CSV into a length-m vector.
 
     Price profiles are normalized to [0, 1] by `c_max` (default: the file
-    maximum). Malformed files raise ProfileError naming the line.
+    maximum), and a price above `c_max` is rejected. Malformed files raise
+    ProfileError naming the line.
     """
     if kind not in ("price", "irradiance"):
         raise ValueError(f"unknown profile kind {kind!r}")
@@ -646,6 +644,9 @@ def ingest_profile(path, kind: str, m: int, c_max=None) -> np.ndarray:
             if val < 0.0:
                 raise ProfileError(
                     f"{path} line {lineno}: negative value {val}")
+            if kind == "price" and c_max is not None and val > c_max:
+                raise ProfileError(f"{path} line {lineno}: price {val} "
+                                   f"exceeds the configured maximum {c_max}")
             values.append(val)
     if len(values) != m:
         raise ProfileError(
@@ -655,8 +656,5 @@ def ingest_profile(path, kind: str, m: int, c_max=None) -> np.ndarray:
         top = float(vec.max()) if c_max is None else float(c_max)
         if top <= 0.0:
             raise ProfileError(f"{path}: price normalization max must be > 0")
-        if float(vec.max()) > top + 1e-12:
-            raise ProfileError(
-                f"{path}: price exceeds configured maximum {top}")
         vec = vec / top
     return vec

@@ -53,8 +53,8 @@ class Strategy:
     def decide(self, roster: Roster) -> np.ndarray:
         raise NotImplementedError
 
-    def feedback(self, roster: Roster, charged, cost_norm, crits, pv_w):
-        ev_record(roster, charged, cost_norm, crits)
+    def feedback(self, roster: Roster, charged, cost_norm, top, pv_w):
+        ev_record(roster, charged, cost_norm, top)
 
     def session_end(self, fleet: Fleet, rows):
         pass
@@ -150,9 +150,9 @@ class AmasStrategy(Strategy):
     def decide(self, roster):
         return agents.ev_decide(roster, self.short, self.slack)
 
-    def feedback(self, roster, charged, cost_norm, crits, pv_w):
+    def feedback(self, roster, charged, cost_norm, top, pv_w):
         # Also the played mask and PV readings that `session_end` reads.
-        self.played.put(ev_record(roster, charged, cost_norm, crits), 1.0)
+        self.played.put(ev_record(roster, charged, cost_norm, top), 1.0)
         self.pv_obs.put(roster.flat, pv_w)
 
     def session_end(self, fleet, rows):

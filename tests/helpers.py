@@ -12,8 +12,10 @@ load, PV and oracle base tables one instant and one site at a time,
 `optimal_plans` finds the cheapest violation-free oracle plans by brute
 force, `uncontrolled_accounts` books an uncontrolled run one EV and one
 instant at a time, `round_flood` floods requests one synchronous round at
-a time, and `record_instants` runs a simulation and records what each of
-its instants looked up.
+a time, `take_requests_per_ev` applies what each EV takes from the
+requests it received one EV at a time, `plugged_in` builds a roster of
+EVs at given buses, and `record_instants` runs a simulation and records
+what each of its instants looked up.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from unittest import mock
 import numpy as np
 
 from gridcharge import engine
-from gridcharge.agents import Fleet, request_priority, required_instants
+from gridcharge.agents import (EvProfile, Fleet, Roster, request_priority,
+                               required_instants)
 from gridcharge.bandit import select_super_arm
 from gridcharge.gridnet import (NetworkTopology, PowerFlowSolution, pv_power,
                                 solve_power_flow)
@@ -323,6 +326,46 @@ def round_flood(net: NetworkTopology, evs_at_bus: dict, initial,
     return ev_received, rounds
 
 
+def take_requests_per_ev(received: dict, ev_ids) -> dict:
+    """What each EV takes from the requests it received, one EV at a time,
+    as `agents.take_requests` did over EV ids: `received` maps an EV id to
+    its requests, and `ev_ids` names each fleet row. An EV takes the
+    largest nonzero criticality it received (0 when none), and it
+    curtails (forces) when a +1 (-1) request it received names its row.
+    Returns EV id -> (that criticality, curtail, force)."""
+    taken = {}
+    for ev, reqs in received.items():
+        top = max((r.criticality for r in reqs if r.criticality != 0.0),
+                  default=0.0)
+        hits = [r.criticality for r in reqs
+                if ev in {ev_ids[t] for t in r.target_rows.tolist()}]
+        taken[ev] = (top, 1.0 in hits, -1.0 in hits)
+    return taken
+
+
+def plugged_in(graph, ev_bus: dict, rows=None) -> Roster:
+    """A fleet of one EV per entry of `ev_bus` (EV id -> bus id of the
+    agent graph `graph`), in that order, and the roster of its `rows`
+    (default: every row, in order)."""
+    profiles = [EvProfile(ev_id=ev, bus_id=bus, e_bat=52.0, p_max=7.0,
+                          eta_chrg=0.95, soc_start=0.5, soc_target=0.8,
+                          t_arrive=0, t_depart=1)
+                for ev, bus in ev_bus.items()]
+    fleet = Fleet(profiles, 1,
+                  bus=[graph.node["bus", bus] for bus in ev_bus.values()])
+    return Roster(fleet, range(len(profiles)) if rows is None else rows)
+
+
+def flood_by_id(graph, ev_bus: dict, initial):
+    """`engine.flood_requests` over `graph` with the EVs of `ev_bus` (EV id
+    -> bus id) plugged in (`plugged_in`). Returns what each EV received, by
+    EV id, and the round count."""
+    roster = plugged_in(graph, ev_bus)
+    received, rounds = engine.flood_requests(graph, roster, initial)
+    ev_ids = roster.fleet.ev_ids
+    return {ev_ids[row]: seq for row, seq in received.items()}, rounds
+
+
 @dataclass
 class InstantRecord:
     """What one instant `g` of a simulation looked up: the bus injection
@@ -365,8 +408,8 @@ def record_instants(sim):
         records[-1].injections, records[-1].converged = inj, out[0]
         return out
 
-    def on_flood(neighbors, evs_at_bus, initial):
-        received, rounds = flood(neighbors, evs_at_bus, initial)
+    def on_flood(neighbors, roster, initial):
+        received, rounds = flood(neighbors, roster, initial)
         records[-1].requests, records[-1].flood_rounds = tuple(initial), rounds
         return received, rounds
 

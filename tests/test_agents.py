@@ -11,14 +11,17 @@ from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet, Roster,
                                request_priority, required_instants,
                                sample_cooperation_targets, take_requests)
 from gridcharge.bandit import select_super_arm
-from gridcharge.engine import agent_neighbors, flood_requests
+from gridcharge.engine import agent_neighbors
 from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
                                 build_replicated_feeder)
 from gridcharge.strategies import AmasStrategy
+from helpers import flood_by_id
 
 
 def req(crit, origin="x", kind="line", targets=()):
-    return CriticalityRequest(criticality=crit, target_evs=frozenset(targets),
+    return CriticalityRequest(criticality=crit,
+                              target_rows=np.array(sorted(targets),
+                                                   dtype=np.int64),
                               origin_agent=origin, origin_kind=kind)
 
 
@@ -46,7 +49,8 @@ class TestCriticalities:
         with pytest.raises(ValueError):
             req(1.5)
         with pytest.raises(ValueError):
-            CriticalityRequest(0.5, frozenset(), "a", "house")
+            CriticalityRequest(0.5, np.zeros(0, dtype=np.int64), "a",
+                               "house")
 
 
 def chain():
@@ -57,9 +61,11 @@ def chain():
 
 
 def received(requests, evs_at_bus, graph=None):
-    """What each EV received when `requests` flood `graph` (default: the
-    `chain` feeder) with the EVs `evs_at_bus` lists at each bus."""
-    return flood_requests(graph or chain(), evs_at_bus, requests)[0]
+    """What each EV received, by EV id, when `requests` flood `graph`
+    (default: the `chain` feeder) with the EVs `evs_at_bus` lists at each
+    bus plugged in."""
+    ev_bus = {ev: bus for bus, evs in evs_at_bus.items() for ev in evs}
+    return flood_by_id(graph or chain(), ev_bus, requests)[0]
 
 
 class TestForwardRequest:
@@ -70,7 +76,7 @@ class TestForwardRequest:
     def test_line_forwards_own_when_most_critical(self):
         # l_d0b3 keeps its own +1 against the -1 of bus d0b2 beside it and
         # against the +1 of l_d0b1, whose origin id is lower.
-        own = req(1.0, origin="l_d0b3", targets={"ev1"})
+        own = req(1.0, origin="l_d0b3", targets={1})
         got = received([own, req(-1.0, origin="d0b2", kind="bus"),
                         req(1.0, origin="l_d0b1")], {"d0b3": ["ev3"]})
         assert got == {"ev3": [own]}
@@ -84,15 +90,15 @@ class TestForwardRequest:
         assert got == {"ev3": [weaker, incoming]}
 
     def test_bus_silent_when_all_zero(self):
-        assert flood_requests(chain(), {"d0b0": ["ev0"]}, []) == ({}, 0)
+        assert flood_by_id(chain(), {"ev0": "d0b0"}, []) == ({}, 0)
         # A lone bus holding its own request has no one to send it to.
         lone = agent_neighbors(NetworkTopology([Bus("b0")], [], "b0"))
-        assert flood_requests(lone, {}, [req(1.0, origin="b0",
-                                             kind="bus")]) == ({}, 0)
+        assert flood_by_id(lone, {}, [req(1.0, origin="b0",
+                                          kind="bus")]) == ({}, 0)
 
     def test_overvoltage_own_request_forwarded(self):
         # d0b1 keeps its own -1 against the equal -1 of d0b3.
-        over = req(-1.0, origin="d0b3", kind="bus", targets={"ev2"})
+        over = req(-1.0, origin="d0b3", kind="bus", targets={2})
         own = req(-1.0, origin="d0b1", kind="bus")
         got = received([over, own], {"d0b0": ["ev0"], "d0b3": ["ev3"]})
         assert got == {"ev0": [own], "ev3": [over]}
@@ -117,8 +123,8 @@ class TestForwardRequest:
     def test_bus_own_undervoltage_blocks_line_congestion(self):
         # A bus that holds its own +1 under-voltage request does not relay
         # a +1 line-congestion request: equal priority is not a strict gain.
-        own = req(1.0, origin="d0b3", kind="bus", targets={"ev4"})
-        congested = req(1.0, origin="l_d0b3", kind="line", targets={"ev5"})
+        own = req(1.0, origin="d0b3", kind="bus", targets={0})
+        congested = req(1.0, origin="l_d0b3", kind="line", targets={1})
         got = received([own, congested], {"d0b3": ["ev4"], "d0b2": ["ev5"]})
         assert got == {"ev4": [own], "ev5": [congested]}
 
@@ -129,7 +135,8 @@ class TestForwardRequest:
         crits = [-1.0, -0.5, 0.5, 1.0]
         graph = chain()
         origins = list(graph.node)
-        evs = {bus: [f"ev_{bus}"] for bus in graph.bus_id if bus}
+        evs = {bus: [f"ev_{bus}"] for kind, bus in graph.node
+               if kind == "bus"}
         for _ in range(200):
             picked = rng.choice(len(origins), size=rng.integers(1, 5),
                                 replace=False)
@@ -147,25 +154,27 @@ class TestForwardRequest:
 class TestCooperationTargets:
     def test_count_at_least_pool(self):
         rng = np.random.default_rng(0)
-        evs = {"a", "b", "c"}
-        assert sample_cooperation_targets(evs, 10, rng) == frozenset(evs)
+        pool = np.array([4, 0, 7])
+        assert sorted(sample_cooperation_targets(pool, 10, rng)) == [0, 4, 7]
 
     def test_empty_pool(self):
         rng = np.random.default_rng(0)
-        assert sample_cooperation_targets(set(), 2, rng) == frozenset()
+        pool = np.zeros(0, dtype=np.int64)
+        assert sample_cooperation_targets(pool, 2, rng).size == 0
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            sample_cooperation_targets({"a"}, 0, np.random.default_rng(0))
+            sample_cooperation_targets(np.array([1]), 0,
+                                       np.random.default_rng(0))
 
     def test_uniformity(self):
         rng = np.random.default_rng(123)
-        evs = [f"ev{i}" for i in range(10)]
-        counts = {e: 0 for e in evs}
+        evs = np.arange(10)
+        counts = {e: 0 for e in evs.tolist()}
         n = 100_000
         for _ in range(n):
             (picked,) = sample_cooperation_targets(evs, 1, rng)
-            counts[picked] += 1
+            counts[int(picked)] += 1
         # Binomial(n, 0.1): 3-sigma band around the expected frequency.
         sigma = np.sqrt(n * 0.1 * 0.9)
         for e in evs:
@@ -174,24 +183,26 @@ class TestCooperationTargets:
 
 class TestEvReward:
     def test_congestion_dominates_cost(self):
-        assert ev_reward(0.2, [1.0, 0.0]) == -1.0
+        assert ev_reward(0.2, 1.0) == -1.0
 
     def test_cost_branch(self):
-        assert ev_reward(0.3, [0.0, 0.0]) == pytest.approx(0.7)
-        assert ev_reward(0.3, []) == pytest.approx(0.7)
+        assert ev_reward(0.3, 0.0) == pytest.approx(0.7)
 
     def test_overvoltage_rewards_charging(self):
-        assert ev_reward(0.9, [-1.0]) == 1.0
+        assert ev_reward(0.9, -1.0) == 1.0
+
+    def test_one_reward_per_row(self):
+        top = np.array([1.0, 0.0, -0.5])
+        assert ev_reward(0.25, top).tolist() == [-1.0, 0.75, 0.5]
 
     def test_cost_range_enforced(self):
         with pytest.raises(ValueError):
-            ev_reward(1.2, [])
+            ev_reward(1.2, 0.0)
 
-    @given(cost=st.floats(0.0, 1.0),
-           crits=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), max_size=5))
+    @given(cost=st.floats(0.0, 1.0), top=st.floats(-1.0, 1.0))
     @settings(max_examples=100, deadline=None)
-    def test_reward_bounds(self, cost, crits):
-        assert -1.0 <= ev_reward(cost, crits) <= 1.0
+    def test_reward_bounds(self, cost, top):
+        assert -1.0 <= ev_reward(cost, top) <= 1.0
 
 
 def one_ev(p, theta=None, phi=None):
@@ -235,7 +246,7 @@ def decide(ev, now, requests, **columns):
     and the given session columns."""
     fleet, learner = ev
     roster = in_session(fleet, [0], now, **columns)
-    take_requests(roster, {fleet.ev_ids[0]: requests})
+    take_requests(roster, {0: requests})
     return float(ev_decide(roster, learner.short, learner.slack)[0])
 
 
@@ -301,25 +312,25 @@ class TestEvDecide:
         p = profile()
         theta = np.zeros(60)
         theta[0] = 5.0
-        curtail = req(1.0, targets={"ev0"})
+        curtail = req(1.0, targets={0})
         assert decide(one_ev(p, theta), 0, [curtail]) == 0.0
 
     def test_curtailment_ignores_untargeted(self):
         p = profile()
         theta = np.zeros(60)
         theta[0] = 5.0
-        other = req(1.0, targets={"ev9"})
+        other = req(1.0)                   # names no EV
         assert decide(one_ev(p, theta), 0, [other]) == p.p_max
 
     def test_overvoltage_forces_charge(self):
         p = profile()
         theta = np.arange(60, dtype=float)  # would not pick now
-        boost = req(-1.0, targets={"ev0"}, kind="bus")
+        boost = req(-1.0, targets={0}, kind="bus")
         assert decide(one_ev(p, theta), 0, [boost]) == p.p_max
 
     def test_overvoltage_noop_when_full(self):
         p = profile(soc_target=0.5)
-        boost = req(-1.0, targets={"ev0"}, kind="bus")
+        boost = req(-1.0, targets={0}, kind="bus")
         assert decide(one_ev(p), 0, [boost]) == 0.0
 
     def test_charged_instants_count_against_the_need(self):
@@ -338,7 +349,7 @@ class TestEvDecide:
         p = profile()
         ev = one_ev(p, theta=rng.normal(size=60))
         soc = float(rng.uniform(0.0, 1.0))
-        curtail = req(1.0, targets={"ev0"})
+        curtail = req(1.0, targets={0})
         now = int(rng.integers(0, 60))
         assert decide(ev, now, [curtail], soc=soc) == 0.0
 
@@ -462,7 +473,7 @@ class TestEvRecord:
         # on top of `ev_record`'s count and reward.
         fleet, learner = one_ev(profile())
         roster = in_session(fleet, [0], 3)
-        learner.feedback(roster, [True], 0.2, [[]], [500.0])
+        learner.feedback(roster, [True], 0.2, np.zeros(1), [500.0])
         assert learner.played[0, 3] == 1.0
         assert roster.k_p[0] == 1
         assert fleet.reward[0, 3] == pytest.approx(0.8)
@@ -475,7 +486,7 @@ class TestEvRecord:
     def test_uncharged_still_records_pv(self):
         fleet, learner = one_ev(profile())
         roster = in_session(fleet, [0], 3)
-        learner.feedback(roster, [False], 0.2, [[1.0]], [500.0])
+        learner.feedback(roster, [False], 0.2, np.ones(1), [500.0])
         assert learner.played[0, 3] == 0.0
         assert fleet.reward[0, 3] == 0.0
         assert learner.pv_obs[0, 3] == 500.0
@@ -483,5 +494,5 @@ class TestEvRecord:
 
     def test_charged_during_congestion(self):
         fleet, _ = one_ev(profile())
-        ev_record(Roster(fleet, [0]), [True], 0.2, [[1.0]])
+        ev_record(Roster(fleet, [0]), [True], 0.2, np.ones(1))
         assert fleet.reward[0, 0] == -1.0

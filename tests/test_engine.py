@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcharge import engine, strategies
-from gridcharge.agents import CriticalityRequest, EvProfile, request_priority
+from gridcharge.agents import (CriticalityRequest, EvProfile, request_priority,
+                               sample_cooperation_targets, take_requests)
 from gridcharge.engine import (EvParams, GridJudge, ProfileError, Scenario,
                                ScenarioConfig, ScenarioError, Simulation,
                                agent_neighbors, default_price_profile,
@@ -18,7 +19,8 @@ from gridcharge.gridnet import (FeederSpec, NetworkTopology,
                                 certainly_within_limits, solve_power_flow)
 from gridcharge.strategies import (AmasStrategy, UncontrolledStrategy,
                                    centralized_oracle)
-from helpers import (forward_request, record_instants, round_flood,
+from helpers import (flood_by_id, forward_request, plugged_in,
+                     record_instants, round_flood, take_requests_per_ev,
                      uncontrolled_accounts)
 from test_grid import radial_trees
 
@@ -35,7 +37,9 @@ def small_config(**kw):
 
 
 def req(crit, origin, kind="line", targets=()):
-    return CriticalityRequest(criticality=crit, target_evs=frozenset(targets),
+    return CriticalityRequest(criticality=crit,
+                              target_rows=np.array(sorted(targets),
+                                                   dtype=np.int64),
                               origin_agent=origin, origin_kind=kind)
 
 
@@ -48,8 +52,9 @@ def evs_at(ev_bus):
 
 
 def flood(net, ev_bus, initial):
-    """flood_requests over `net` with EVs attached as ev_id -> bus id."""
-    return flood_requests(agent_neighbors(net), evs_at(ev_bus), initial)
+    """flood_requests over `net` with EVs plugged in as ev_id -> bus id;
+    what each EV received is keyed by its id."""
+    return flood_by_id(agent_neighbors(net), ev_bus, initial)
 
 
 def flood_with_bus_line_preference(net, ev_bus, initial):
@@ -179,7 +184,7 @@ class TestFloodRequests:
     def test_single_request_reaches_all_evs(self):
         net = self.topo()
         ev_bus = {f"ev{i}": f"d0b{i}" for i in range(5)}
-        initial = [req(1.0, "l_d0b4", targets={"ev0"})]
+        initial = [req(1.0, "l_d0b4", targets={0})]
         received, rounds = flood(net, ev_bus, initial)
         assert set(received) == set(ev_bus)
         for reqs in received.values():
@@ -219,7 +224,8 @@ class TestFloodRequests:
             flood(net, {}, [req(1.0, "l_d0b1"), req(0.5, "l_d0b1")])
 
     def test_no_requests_never_read_the_graph(self):
-        assert flood_requests(None, {}, []) == ({}, 0)
+        roster = plugged_in(agent_neighbors(self.topo()), {"ev0": "d0b0"})
+        assert flood_requests(None, roster, []) == ({}, 0)
 
     @given(tree=radial_trees(min_buses=1), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -242,12 +248,12 @@ class TestFloodRequests:
     def draw_flood(data, buses, lines, line_crits, bus_crits):
         """EVs at random buses (ev id -> bus id) and requests from a random
         subset of lines and of buses, at criticalities drawn from
-        `line_crits` and `bus_crits`, each naming a few EVs."""
+        `line_crits` and `bus_crits`, each naming a few EVs by row."""
         bus_ids = [b.id for b in buses]
         ev_bus = {f"ev{i}": data.draw(st.sampled_from(bus_ids))
                   for i in range(data.draw(st.integers(0, 6)))}
-        targets = st.frozensets(st.sampled_from(sorted(ev_bus)), max_size=3) \
-            if ev_bus else st.just(frozenset())
+        targets = st.frozensets(st.integers(0, len(ev_bus) - 1),
+                                max_size=3) if ev_bus else st.just(())
         initial = [req(data.draw(st.sampled_from(line_crits)), line.id,
                        targets=data.draw(targets))
                    for line in lines if data.draw(st.booleans())]
@@ -276,6 +282,66 @@ class TestFloodRequests:
         assert all(len(k) == 1 for k in kinds)
         assert (flood(net, ev_bus, initial)
                 == flood_with_bus_line_preference(net, ev_bus, initial))
+
+
+class TestRequestPath:
+    """Requests name fleet rows, from their draw to the pending flags."""
+
+    @given(tree=radial_trees(min_buses=1), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_ev_rule(self, tree, data):
+        # Against the per-EV rule applied to a round-by-round flood. The
+        # fleet has up to 14 EVs, so its ids may sort apart from its rows
+        # (ev10 before ev2); the roster holds some of them in any order,
+        # with stale pending flags; each request names rows drawn from the
+        # roster's grid-charging EVs in id order, and that draw names what
+        # a draw over their sorted ids names from the same generator state.
+        buses, lines, slack = tree
+        net = NetworkTopology(buses, lines, slack)
+        graph = agent_neighbors(net)
+        n = data.draw(st.one_of(st.integers(0, 10), st.integers(11, 14)))
+        ev_bus = {f"ev{i}": data.draw(st.sampled_from([b.id for b in buses]))
+                  for i in range(n)}
+        rows = data.draw(st.permutations(range(n)))[:data.draw(
+            st.integers(0, n))]
+        roster = plugged_in(graph, ev_bus, rows)
+        flags = st.lists(st.integers(0, 1), min_size=len(rows),
+                         max_size=len(rows))
+        roster.curtail[:], roster.force[:] = data.draw(flags), data.draw(flags)
+        ids = roster.fleet.ev_ids
+        charged = np.array(data.draw(st.lists(
+            st.booleans(), min_size=len(rows), max_size=len(rows))), dtype=bool)
+        pool = roster.rows[charged]
+        pool = pool[np.argsort([ids[t] for t in pool.tolist()], kind="stable")]
+        by_id = sorted(ids[t] for t in pool.tolist())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        initial = []
+        for kind, agent in ([("line", l.id) for l in lines]
+                            + [("bus", b.id) for b in buses]):
+            if not data.draw(st.booleans()):
+                continue
+            count = data.draw(st.integers(1, 4))
+            ref = np.random.default_rng()
+            ref.bit_generator.state = rng.bit_generator.state
+            targets = sample_cooperation_targets(pool, count, rng)
+            picked = ref.choice(len(by_id), size=min(count, len(by_id)),
+                                replace=False) if by_id else []
+            assert [ids[t] for t in targets.tolist()] == [by_id[i]
+                                                          for i in picked]
+            crit = data.draw(st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.0]))
+            initial.append(CriticalityRequest(crit, targets, agent, kind))
+
+        received, _ = flood_requests(graph, roster, initial)
+        top = take_requests(roster, received)
+        evs_at_bus = {}
+        for t in roster.rows.tolist():
+            evs_at_bus.setdefault(ev_bus[ids[t]], []).append(ids[t])
+        taken = take_requests_per_ev(round_flood(net, evs_at_bus, initial)[0],
+                                     ids)
+        for k, t in enumerate(roster.rows.tolist()):
+            want_top, curtail, force = taken.get(ids[t], (0.0, False, False))
+            assert top[k] == want_top
+            assert (roster.curtail[k], roster.force[k]) == (curtail, force)
 
 
 def force_evening_fleet(sc, t_arrive=70, t_depart=96 + 32):
@@ -488,9 +554,9 @@ class TestSimulationPipeline:
         _, records = record_instants(
             Simulation(sc, AmasStrategy(), cooperation_fraction=1.0))
         for prev, nxt in zip(records, records[1:]):
-            targets = set().union(*[r.target_evs for r in prev.requests
-                                    if r.criticality == 1.0]) \
-                if prev.requests else set()
+            targets = {sc.fleet[t].ev_id for r in prev.requests
+                       if r.criticality == 1.0
+                       for t in r.target_rows.tolist()}
             for ev in targets:
                 assert ev not in nxt.ev_grid_kw, \
                     f"targeted {ev} charged the instant after a +1 request"
@@ -509,6 +575,44 @@ class TestSimulationPipeline:
             return (res.cost.tobytes(), res.mean_reward_ev.tobytes(),
                     res.final_soc.tobytes())
         assert run() == run()
+
+    def test_cooperation_pool_in_id_order(self, monkeypatch):
+        # Twelve EVs, so that ids sort apart from rows (ev10 before ev2).
+        # Each request draws from the EVs that charged at its instant in
+        # id order, and names what a draw over their sorted ids names from
+        # the same generator state.
+        cfg = small_config(
+            feeder=FeederSpec(sub_districts=2, buses_per_feeder=3,
+                              households_per_bus=2, line_rating=30.0),
+            fleet_size=12)
+        sc = force_evening_fleet(generate_scenario(cfg, 1, 7))
+        draws, sample = [], engine.sample_cooperation_targets
+
+        def spy(pool, count, rng):
+            ref = np.random.default_rng()
+            ref.bit_generator.state = rng.bit_generator.state
+            draws.append((pool, count, ref, sample(pool, count, rng)))
+            return draws[-1][-1]
+
+        monkeypatch.setattr(engine, "sample_cooperation_targets", spy)
+        _, records = record_instants(Simulation(sc, UncontrolledStrategy(),
+                                                cooperation_fraction=0.3))
+        ids = [p.ev_id for p in sc.fleet]
+        drawn = iter(draws)
+        apart = 0
+        for r in records:
+            for q in r.requests:
+                pool, count, ref, targets = next(drawn)
+                assert q.target_rows is targets
+                names = [ids[t] for t in pool.tolist()]
+                assert names == sorted(r.ev_grid_kw)
+                apart += pool.tolist() != sorted(pool.tolist())
+                picked = ref.choice(len(names), size=min(count, len(names)),
+                                    replace=False) if names else []
+                assert [ids[t] for t in targets.tolist()] == [names[i]
+                                                              for i in picked]
+        assert next(drawn, None) is None
+        assert apart
 
     def test_flood_rounds_within_diameter(self):
         cfg = small_config(
@@ -638,6 +742,18 @@ class TestIngestProfile:
         rows = [(0, 0.1), (1, 0.4)]
         vec = ingest_profile(self.write(tmp_path, rows), "price", 2, c_max=0.8)
         assert vec[1] == pytest.approx(0.5)
+
+    def test_price_at_c_max_normalizes_to_one(self, tmp_path):
+        rows = [(0, 0.1), (1, 0.3)]
+        vec = ingest_profile(self.write(tmp_path, rows), "price", 2, c_max=0.3)
+        assert vec[1] == 1.0
+
+    def test_price_just_above_c_max_names_line(self, tmp_path):
+        # An ulp-sized excess is still an excess: it would normalize above 1.
+        rows = [(0, 0.5), (1, 1.0000000000005)]
+        with pytest.raises(ProfileError,
+                           match=r"line 3: price 1\.0000000000005 exceeds"):
+            ingest_profile(self.write(tmp_path, rows), "price", 2, c_max=1.0)
 
     def test_length_mismatch(self, tmp_path):
         rows = [(i, 1.0) for i in range(95)]
