@@ -438,8 +438,9 @@ class Simulation:
         # Each row's rank in the order of the EV ids, by which an instant
         # orders its grid-charging pool.
         ids = self.fleet.ev_ids
-        self._id_rank = np.argsort(sorted(range(len(ids)),
-                                          key=ids.__getitem__))
+        by_id = sorted(range(len(ids)), key=ids.__getitem__)
+        self._id_rank = np.empty(len(ids), dtype=np.int64)
+        self._id_rank[by_id] = range(len(ids))
         self._bus_of_site, self._load_inj, self._site_pv_w = (
             instant_tables(scenario))
         # The site PV as kWh per instant.
