@@ -333,11 +333,9 @@ class TestRequestPath:
 
         received, _ = flood_requests(graph, roster, initial)
         top = take_requests(roster, received)
-        evs_at_bus = {}
-        for t in roster.rows.tolist():
-            evs_at_bus.setdefault(ev_bus[ids[t]], []).append(ids[t])
-        taken = take_requests_per_ev(round_flood(net, evs_at_bus, initial)[0],
-                                     ids)
+        plugged = {ids[t]: ev_bus[ids[t]] for t in roster.rows.tolist()}
+        taken = take_requests_per_ev(
+            round_flood(net, evs_at(plugged), initial)[0], ids)
         for k, t in enumerate(roster.rows.tolist()):
             want_top, curtail, force = taken.get(ids[t], (0.0, False, False))
             assert top[k] == want_top
