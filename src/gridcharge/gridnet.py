@@ -11,12 +11,11 @@ below it, and a bus voltage is the slack voltage minus the drops along its
 path to the slack. Both maps are segment sums over index lists fixed by
 the topology, so one sweep costs a few numpy calls at any feeder depth.
 
-`certainly_within_limits` proves, from one product of |p| with a matrix
-built from the same index lists, that a sweep converges inside every limit
-without running it (the fixed-point
-conditions of Wang, Bernstein, Le Boudec & Paolone, "Explicit conditions
-on existence and uniqueness of load-flow solutions in distribution
-networks", IEEE Trans. Smart Grid 9(2), 2018).
+`certainly_within_limits` proves, from segment sums of |p| over the same
+index lists, that a sweep converges inside every limit without running it
+(the fixed-point conditions of Wang, Bernstein, Le Boudec & Paolone,
+"Explicit conditions on existence and uniqueness of load-flow solutions in
+distribution networks", IEEE Trans. Smart Grid 9(2), 2018).
 """
 from __future__ import annotations
 
@@ -104,8 +103,7 @@ class NetworkTopology:
     of its child's subtree, `_below` with segment starts `_below_start`;
     for each non-slack bus `_non_slack` the lines on its path to the slack,
     `_above` with starts `_above_start`. Building them costs O(sum of bus
-    depths). `certificate_matrix` is the certificate's bound map, built
-    from the same pairs.
+    depths), and so does each sweep and each certificate over them.
     """
 
     def __init__(self, buses, lines, slack_bus_id, v_base=230.0):
@@ -144,8 +142,6 @@ class NetworkTopology:
         self.parent_bus = np.full(n, -1, dtype=np.int64)
         self.parent_line = np.full(n, -1, dtype=np.int64)
         self.bus_depth = np.full(n, -1, dtype=np.int64)
-        self.line_from = np.zeros(len(self.lines), dtype=np.int64)  # parent side
-        self.line_to = np.zeros(len(self.lines), dtype=np.int64)    # child side
 
         self.bus_depth[root] = 0
         queue = [root]
@@ -161,8 +157,6 @@ class NetworkTopology:
                 self.bus_depth[v] = self.bus_depth[u] + 1
                 self.parent_bus[v] = u
                 self.parent_line[v] = li
-                self.line_from[li] = u
-                self.line_to[li] = v
                 queue.append(v)
         if (self.bus_depth < 0).any():
             raise TopologyError("line graph is not connected")
@@ -199,18 +193,8 @@ class NetworkTopology:
         # What `certainly_within_limits` tests, in volt and watt.
         self._v_lo = float(self.v_min.max() * self.v_base)
         self._slack_band = (self.v_min[root], self.v_max[root])
-        # The certificate's bounds are linear in |p|: stacked, one row per
-        # line, [l, b] = 1 where bus b lies below line l, so the product
-        # is S_l; then one row per non-slack bus, [b, b'] = the summed |Z|
-        # of the lines on both b's and b''s path to the slack, over v_lo,
-        # so the product is d_b.
-        below = np.zeros((len(self.lines), n))
-        below[pair_line, pair_bus] = 1.0
-        shared = below[:, self._non_slack].T @ (
-            np.abs(self.impedance)[:, None] * below)
-        self.certificate_matrix = np.vstack((below, shared / self._v_lo))
-        self.certificate_matrix.flags.writeable = False
-        self._certificate_limits = _certificate_limits(self)
+        self._drop_per_watt = np.abs(self.impedance) / self._v_lo
+        self._line_limits, self._bus_limits = _certificate_limits(self)
 
     @property
     def n_buses(self):
@@ -369,10 +353,8 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
     Proof. Let S_l be the sum of |p_b| over the buses below line l,
     v_lo = max(v_min) * v_base, and d_b the sum of |Z_l| * S_l / v_lo over
     the lines above bus b; v_s = v_base is the slack voltage in volt. Both
-    are linear in |p|: d_b sums |p_b'| times the |Z| of the lines that the
-    paths of b and b' to the slack share, over v_lo, and
-    `net.certificate_matrix` stacks the two maps, so one product gives
-    every S_l and d_b. The sweep iterates T(v) = v_s - D conj(p / v) from
+    are segment sums over the sweep's own index lists (see
+    `NetworkTopology`). The sweep iterates T(v) = v_s - D conj(p / v) from
     the flat start v = v_s, where D sums the impedances of the lines two
     buses share on their paths to the slack. Take the ball
     B = {v : |v_b - v_s| <= d_b for every b} and let max d <= v_s - v_lo.
@@ -392,15 +374,20 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
     the sweep stops within `SWEEP_MAX_ITER` sweeps at a point of B, where no
     line is above its rating and no bus outside its band.
 
-    Margin. One sweep's rounding moves the voltages by about 1e-14 of v_s
-    on a feeder of a few dozen buses, and with q <= 1/2 the rounding of
-    successive sweeps adds up to at most twice that. Each test but
-    q <= 1/2 keeps a margin of `CERTIFICATE_MARGIN` (1e-9) of v_s, or of
-    the rating or band edge it tests, far above the rounding, so the
-    floating-point sweep meets the limits that the exact map meets; the
-    product's own rounding, a few units in the last place of each S_l and
-    d_b, is as far below it. Every test is written so that a NaN fails
-    it.
+    Margin. Summed one after another, k floating-point terms are off by at
+    most (k - 1) * 2^-53 of the sum of their magnitudes, to first order
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    2002, section 4.2). On a feeder of n buses a sweep's line current and
+    S_l each sum at most n - 1 bus terms, and a sweep's voltage drop and
+    d_b each sum at most depth-many line terms, each carrying its line's
+    error. So one sweep's voltages, and each S_l and d_b, are off by at
+    most about 2n * 2^-53 of v_s or of the rating or band edge they are
+    tested against: under 3e-11 up to 10^5 buses. With q <= 1/2 the
+    rounding of successive sweeps adds up to at most twice that. Each test
+    but q <= 1/2 keeps a margin of `CERTIFICATE_MARGIN` (1e-9) of v_s, or
+    of the rating or band edge it tests, far above the rounding, so the
+    floating-point sweep meets the limits that the exact map meets. Every
+    test is written so that a NaN fails it.
     """
     p = net.injection_array(injections)
     margin = CERTIFICATE_MARGIN
@@ -411,29 +398,37 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
         return True
     v_s, v_lo = net.v_base, net._v_lo
     room = margin * v_s
-    # Every S_l, then every d_b, in one product (see `NetworkTopology`).
-    bounds = net.certificate_matrix @ np.abs(p)
-    d = float(np.maximum.reduce(bounds[net.n_lines:]))
+    load, drop = _certificate_bounds(net, p)
+    d = float(np.maximum.reduce(drop))
     q = d / v_lo
     return bool(q <= 0.5
                 and v_s - d >= v_lo + room
                 and (q ** (SWEEP_MAX_ITER - 1) * d + room
                      < SWEEP_TOL * net.v_base)
-                and np.count_nonzero(bounds <= net._certificate_limits)
-                == len(bounds))
+                and np.count_nonzero(load <= net._line_limits) == len(load)
+                and np.count_nonzero(drop <= net._bus_limits) == len(drop))
 
 
-def _certificate_limits(net: NetworkTopology) -> np.ndarray:
+def _certificate_bounds(net: NetworkTopology, p: np.ndarray):
+    """The certificate's bounds for injections `p`, by the sweep's segment
+    sums: S_l for every line, in line order, and d_b for every non-slack
+    bus, in `net._non_slack` order."""
+    load = np.add.reduceat(np.abs(p)[net._below], net._below_start)
+    drop = np.add.reduceat((net._drop_per_watt * load)[net._above],
+                           net._above_start)
+    return load, drop
+
+
+def _certificate_limits(net: NetworkTopology):
     """The right-hand sides of the certificate's per-line and per-bus
-    tests, stacked like `certificate_matrix`, with their margins:
+    tests, in the order of `_certificate_bounds`, with their margins:
     S_l <= v_lo * i_rated * (1 - margin) and d_b <= v_max_b * v_base -
     v_s * (1 + margin). Built once per topology."""
     margin = CERTIFICATE_MARGIN
     v_s = net.v_base
     room = margin * v_s
-    return np.concatenate((net._v_lo * net.i_rated * (1.0 - margin),
-                           net.v_max[net._non_slack] * net.v_base
-                           - (v_s + room)))
+    return (net._v_lo * net.i_rated * (1.0 - margin),
+            net.v_max[net._non_slack] * net.v_base - (v_s + room))
 
 
 def pv_power(area, efficiency, irradiance):

@@ -90,13 +90,17 @@ def power_mismatch(net: NetworkTopology, solution: PowerFlowSolution,
 
     Recomputes each non-slack bus's net injection from the complex voltages
     and compares against the specified active powers (reactive spec is 0).
+    Each line's ends come from its `Line` record, in either orientation,
+    not from the topology's own parent/child search.
     """
     p = net.injection_array(injections)
     v = solution.v_complex
-    i_line = (v[net.line_from] - v[net.line_to]) / net.impedance
+    a = np.array([net.bus_index[l.from_bus] for l in net.lines], dtype=int)
+    b = np.array([net.bus_index[l.to_bus] for l in net.lines], dtype=int)
+    i_line = (v[a] - v[b]) / net.impedance
     i_net = np.zeros(net.n_buses, dtype=complex)
-    np.add.at(i_net, net.line_to, i_line)
-    np.subtract.at(i_net, net.line_from, i_line)
+    np.add.at(i_net, b, i_line)
+    np.subtract.at(i_net, a, i_line)
     s = v * np.conj(i_net)
     mismatch = s - p
     root = net.bus_index[net.slack_bus_id]

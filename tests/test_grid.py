@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
-                                TopologyError, build_replicated_feeder,
+                                TopologyError, _certificate_bounds,
+                                build_replicated_feeder,
                                 certainly_within_limits, pv_power,
                                 solve_power_flow)
 from helpers import certificate_bounds, power_mismatch
@@ -248,6 +249,25 @@ class TestSegmentSums:
         np.testing.assert_allclose(sol.line_currents, PINNED_46_CURRENTS,
                                    rtol=1e-9, atol=0.0)
 
+    def test_no_array_outgrows_the_index_lists(self):
+        # The topology's memory grows with the sum of bus depths, the
+        # length of `_below` (7,701 entries here), not with n_buses^2
+        # (1.2M): no dense bus-by-bus or line-by-bus map is kept.
+        net = build_replicated_feeder(FeederSpec(sub_districts=100))
+        assert net.n_buses == 1102
+        sizes = {name: value.size for name, value in vars(net).items()
+                 if isinstance(value, np.ndarray)}
+        assert sizes and max(sizes.values()) <= len(net._below), sizes
+
+
+def assert_bounds_match_a_walk(net, p):
+    """The bounds `certainly_within_limits` tests against a walk up
+    `parent_bus` from every bus: first each line's load S_l, then each
+    non-slack bus's drop d_b."""
+    np.testing.assert_allclose(np.concatenate(_certificate_bounds(net, p)),
+                               certificate_bounds(net, p), rtol=1e-12,
+                               atol=0.0)
+
 
 class TestCertificate:
     """`certainly_within_limits` against the solve as an independent
@@ -268,19 +288,21 @@ class TestCertificate:
         assert (sol.bus_voltages <= net.v_max).all()
 
     @given(net=limited_trees(), data=st.data())
-    def test_matrix_matches_a_walk_to_the_slack(self, net, data):
-        # The product of `certificate_matrix` with |p| against a walk up
-        # `parent_bus` from every bus: first each line's load S_l, then each
-        # non-slack bus's drop d_b.
+    def test_bounds_match_a_walk_to_the_slack(self, net, data):
         magnitude = st.one_of(st.just(0.0), st.floats(1e-6, 1e4))
         signed = st.tuples(magnitude, st.sampled_from([-1.0, 1.0]))
         p = np.array([a * s for a, s in data.draw(st.lists(
             signed, min_size=net.n_buses, max_size=net.n_buses))])
-        assert net.certificate_matrix.shape == (net.n_lines + net.n_buses - 1,
-                                                net.n_buses)
-        np.testing.assert_allclose(net.certificate_matrix @ np.abs(p),
-                                   certificate_bounds(net, p), rtol=1e-12,
-                                   atol=0.0)
+        assert_bounds_match_a_walk(net, p)
+
+    def test_bounds_match_a_walk_on_a_wide_feeder(self):
+        # `radial_trees` stops at 16 buses; this feeder has 1,102, and its
+        # trunk line sums the terms of 1,100 buses.
+        net = build_replicated_feeder(FeederSpec(sub_districts=100))
+        rng = np.random.default_rng(1102)
+        p = rng.uniform(-2e4, 2e4, net.n_buses)
+        p[rng.random(net.n_buses) < 0.2] = 0.0
+        assert_bounds_match_a_walk(net, p)
 
     def test_clears_light_loads_on_the_feeders(self):
         for spec in (FeederSpec(), FeederSpec(sub_districts=4)):
