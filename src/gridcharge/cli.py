@@ -48,37 +48,36 @@ def _strategy_for(rc: RunConfig, scenario):
 def execute_run(rc: RunConfig):
     scenario = build_scenario(rc)
     strategy = _strategy_for(rc, scenario)
-    sim = Simulation(scenario, strategy,
-                     cooperation_fraction=rc.cooperation_fraction)
-    result = sim.run()
-    return scenario, strategy, result
+    sim = Simulation(scenario, strategy, rc.cooperation_fraction)
+    return scenario, strategy, sim.run()
 
 
-def _daily_fairness(result):
+def _daily_fairness(sim):
     out = []
-    for d in range(result.days):
-        pu = per_unit_costs(result.cost, result.grid_energy, slice(d, d + 1))
+    for d in range(sim.sc.days):
+        pu = per_unit_costs(sim.cost, sim.grid_energy, slice(d, d + 1))
         out.append(fairness_index(pu) if pu.size else None)
     return out
 
 
-def summarize(rc: RunConfig, result) -> dict:
-    rewards = mean_daily_reward(result.mean_reward_ev)
+def summarize(rc: RunConfig, sim: Simulation) -> dict:
+    rewards = mean_daily_reward(sim.mean_reward_ev)
     with_fairness = rc.strategy != "uncontrolled"
-    half = result.days // 2
-    tail = slice(half, result.days) if result.days else slice(0, 0)
-    pu_tail = per_unit_costs(result.cost, result.grid_energy, tail)
+    days = sim.sc.days
+    half = days // 2
+    tail = slice(half, days) if days else slice(0, 0)
+    pu_tail = per_unit_costs(sim.cost, sim.grid_energy, tail)
     summary = {
         "strategy": rc.strategy,
-        "days": result.days,
+        "days": days,
         "seed": rc.seed,
-        "total_cost": float(result.cost.sum()),
-        "total_grid_energy_kwh": float(result.grid_energy.sum()),
+        "total_cost": float(sim.cost.sum()),
+        "total_grid_energy_kwh": float(sim.grid_energy.sum()),
         "mean_daily_cost_last_half": (
-            float(result.cost[tail].sum() / max(1, result.days - half))
-            if result.days else 0.0),
-        "current_violations": int(result.violations_current.sum()),
-        "voltage_violations": int(result.violations_voltage.sum()),
+            float(sim.cost[tail].sum() / max(1, days - half))
+            if days else 0.0),
+        "current_violations": int(sim.violations_current.sum()),
+        "voltage_violations": int(sim.violations_voltage.sum()),
         "convergence_day": convergence_day(rewards),
         "fairness_last_half": (
             fairness_index(pu_tail) if with_fairness and pu_tail.size else None),
@@ -86,7 +85,7 @@ def summarize(rc: RunConfig, result) -> dict:
     return summary
 
 
-def write_outputs(rc: RunConfig, result, outdir: str) -> dict:
+def write_outputs(rc: RunConfig, sim: Simulation, outdir: str) -> dict:
     os.makedirs(outdir, exist_ok=True)
     with_fairness = rc.strategy != "uncontrolled"
 
@@ -99,17 +98,18 @@ def write_outputs(rc: RunConfig, result, outdir: str) -> dict:
     }
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
-    rewards = mean_daily_reward(result.mean_reward_ev)
-    fair = _daily_fairness(result) if with_fairness else None
+    rewards = mean_daily_reward(sim.mean_reward_ev)
+    fair = _daily_fairness(sim) if with_fairness else None
+    days = sim.sc.days
 
     header = "day,mean_reward,total_cost,current_violations,voltage_violations"
     if with_fairness:
         header += ",fairness"
     lines = [header]
-    for d in range(result.days):
-        row = [str(d + 1), _fmt(rewards[d]), _fmt(result.cost[d].sum()),
-               str(int(result.violations_current[d])),
-               str(int(result.violations_voltage[d]))]
+    for d in range(days):
+        row = [str(d + 1), _fmt(rewards[d]), _fmt(sim.cost[d].sum()),
+               str(int(sim.violations_current[d])),
+               str(int(sim.violations_voltage[d]))]
         if with_fairness:
             row.append(_fmt(fair[d]))
         lines.append(",".join(row))
@@ -117,23 +117,23 @@ def write_outputs(rc: RunConfig, result, outdir: str) -> dict:
 
     lines = ["day,ev_id,cost,grid_energy_kwh,battery_energy_kwh,"
              "mean_reward,final_soc"]
-    for d in range(result.days):
-        for j, ev in enumerate(result.ev_ids):
+    for d in range(days):
+        for j, ev in enumerate(sim.fleet.ev_ids):
             lines.append(",".join([
-                str(d + 1), ev, _fmt(result.cost[d, j]),
-                _fmt(result.grid_energy[d, j]),
-                _fmt(result.battery_energy[d, j]),
-                _fmt(result.mean_reward_ev[d, j]),
-                _fmt(result.final_soc[d, j]),
+                str(d + 1), ev, _fmt(sim.cost[d, j]),
+                _fmt(sim.grid_energy[d, j]),
+                _fmt(sim.battery_energy[d, j]),
+                _fmt(sim.mean_reward_ev[d, j]),
+                _fmt(sim.final_soc[d, j]),
             ]))
     _write_text(os.path.join(outdir, "metrics_per_ev.csv"), lines)
 
     lines = ["day,mean_reward"]
-    for d in range(result.days):
+    for d in range(days):
         lines.append(f"{d + 1},{_fmt(rewards[d])}")
     _write_text(os.path.join(outdir, "plot_reward_vs_day.csv"), lines)
 
-    summary = summarize(rc, result)
+    summary = summarize(rc, sim)
     _write_json(os.path.join(outdir, "summary.json"), summary)
 
     lines = ["strategy,total_cost,mean_daily_cost_last_half"]
@@ -166,13 +166,13 @@ def _overrides_from_args(args):
 
 def cmd_run(args) -> int:
     rc = parse_config(args.config, _overrides_from_args(args))
-    scenario, strategy, result = execute_run(rc)
-    summary = write_outputs(rc, result, rc.output_dir)
+    scenario, strategy, sim = execute_run(rc)
+    summary = write_outputs(rc, sim, rc.output_dir)
     if isinstance(strategy, AmasStrategy):
-        strategy.days_completed = result.days
+        strategy.days_completed = scenario.days
         _write_json(os.path.join(rc.output_dir, "checkpoint.json"),
                     strategy.to_checkpoint())
-    print(f"run complete: {rc.strategy}, {result.days} days -> {rc.output_dir}")
+    print(f"run complete: {rc.strategy}, {scenario.days} days -> {rc.output_dir}")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -187,8 +187,7 @@ def cmd_compare(args) -> int:
                 f"days; {rc.source_path} differs from {rcs[0].source_path}")
     rows = []
     for rc in rcs:
-        _, _, result = execute_run(rc)
-        rows.append(summarize(rc, result))
+        rows.append(summarize(rc, execute_run(rc)[2]))
 
     outdir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) \
         or rcs[0].output_dir

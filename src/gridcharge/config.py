@@ -7,12 +7,10 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .engine import (EvParams, Scenario, ScenarioConfig, generate_scenario,
-                     ingest_profile)
-from .gridnet import FeederSpec
-from .strategies import default_pv_exploration
+from .engine import Scenario, generate_scenario, ingest_profile
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "build_scenario"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "build_scenario",
+           "default_pv_exploration"]
 
 # Each range a number may be held to, by the name a SCHEMA entry gives.
 RANGES = {
@@ -25,6 +23,8 @@ RANGES = {
 
 # key -> (type tag, default, accepted values) or a nested mapping; the
 # accepted values are a RANGES name, a tuple of allowed strings, or None.
+# The one home of every default: the library takes resolved subtrees and
+# values, and has no default of its own for any key here.
 SCHEMA = {
     "scenario": {
         "topology": {
@@ -79,6 +79,12 @@ SCHEMA = {
 
 class ConfigError(ValueError):
     pass
+
+
+def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
+    """`bandit.beta` when the config leaves it null: a tenth of the rated
+    panel power."""
+    return 0.1 * pv_area * pv_efficiency * 1000.0
 
 
 def _coerce(value, spec, path):
@@ -245,15 +251,4 @@ def build_scenario(rc: RunConfig) -> Scenario:
     irr = None
     if sc["irradiance_csv"]:
         irr = ingest_profile(sc["irradiance_csv"], "irradiance", m)
-    cfg = ScenarioConfig(
-        feeder=FeederSpec(**sc["topology"]),
-        fleet_size=sc["fleet_size"],
-        ev=EvParams(**sc["ev"]),
-        pv_area_m2=sc["pv"]["area_m2"],
-        pv_efficiency=sc["pv"]["efficiency"],
-        household_load_w=sc["household_load_w"],
-        m=m,
-        price_profile=price,
-        irradiance_profile=irr,
-    )
-    return generate_scenario(cfg, rc.days, rc.seed)
+    return generate_scenario(sc, rc.days, rc.seed, price, irr)

@@ -21,15 +21,11 @@ import numpy as np
 from .agents import (CriticalityRequest, EvProfile, Fleet, Roster,
                      bus_criticality, line_criticality, request_priority,
                      sample_cooperation_targets, take_requests)
-from .gridnet import (FeederSpec, NetworkTopology, build_replicated_feeder,
+from .gridnet import (NetworkTopology, build_replicated_feeder,
                       certainly_within_limits, pv_power, solve_power_flow)
 
 __all__ = [
-    "EvParams",
-    "ScenarioConfig",
-    "Site",
     "Scenario",
-    "SimulationResult",
     "Simulation",
     "GridJudge",
     "AgentGraph",
@@ -55,57 +51,24 @@ class ProfileError(ValueError):
     """Profile file failed to parse; message carries the offending line."""
 
 
-@dataclass(frozen=True)
-class EvParams:
-    e_bat_kwh: float = 52.0
-    p_max_kw: float = 7.0
-    eta_chrg: float = 0.95
-    soc_start: float = 0.5
-    soc_target: float = 0.8
-    arrival_mean_hour: float = 17.5
-    arrival_std_hour: float = 1.0
-    depart_mean_hour: float = 8.0
-    depart_std_hour: float = 0.75
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    feeder: FeederSpec = FeederSpec()
-    fleet_size: int = 55
-    ev: EvParams = EvParams()
-    pv_area_m2: float = 20.0
-    pv_efficiency: float = 0.18
-    household_load_w: float = 300.0
-    m: int = 96
-    price_profile: np.ndarray | None = None        # normalized, length m
-    irradiance_profile: np.ndarray | None = None   # W/m^2, length m
-
-
-@dataclass(frozen=True)
-class Site:
-    site_id: str
-    bus_id: str
-    pv_area: float
-    pv_efficiency: float
-
-
 @dataclass
 class Scenario:
+    """A concrete scenario: the feeder, the fleet, whose EV `ev{i}` lives
+    at household site i, and per site (in the topology's device order) its
+    bus index, PV panel and load profile."""
     topology: NetworkTopology
-    sites: list
     fleet: list                      # EvProfile
-    ev_site: dict                    # ev_id -> site index
     price_profile: np.ndarray        # normalized cost, length m
     irradiance_profile: np.ndarray   # W/m^2, length m
+    site_bus: np.ndarray             # bus index, (n_sites,)
+    site_pv_area: np.ndarray         # m^2, (n_sites,)
+    site_pv_efficiency: np.ndarray   # (n_sites,)
     site_load_profiles: np.ndarray   # watt, (n_sites, m)
     m: int
-    delta_i: float                   # minutes per instant
     days: int
     seed: int
 
     def __post_init__(self):
-        if abs(self.m * self.delta_i - 1440.0) > 1e-9:
-            raise ScenarioError("m * delta_i must equal 1440 minutes")
         for name in ("price_profile", "irradiance_profile"):
             if getattr(self, name).shape != (self.m,):
                 raise ScenarioError(f"{name} must have length m={self.m}")
@@ -114,6 +77,11 @@ class Scenario:
         if not ((0.0 <= self.price_profile)
                 & (self.price_profile <= 1.0)).all():
             raise ScenarioError("price_profile must lie in [0, 1]")
+
+    @property
+    def delta_i(self) -> float:
+        """Minutes per instant."""
+        return 1440.0 / self.m
 
 
 def default_price_profile(m: int) -> np.ndarray:
@@ -137,59 +105,59 @@ def _truncated_normal_hour(rng, mean, std):
     return float(np.clip(rng.normal(mean, std), lo, hi)) % 24.0
 
 
-def generate_scenario(cfg: ScenarioConfig, days: int, seed: int) -> Scenario:
-    """Deterministically expand a config into a concrete scenario."""
+def generate_scenario(cfg: dict, days: int, seed: int, price=None,
+                      irradiance=None) -> Scenario:
+    """Deterministically expand `cfg`, a `scenario` tree of the config
+    (every key given), into a concrete scenario. `price` (normalized) and
+    `irradiance` (W/m^2) are length-m profiles; None stands for the
+    synthetic one. EV `ev{i}` lives at household site i."""
     if days < 0:
         raise ScenarioError("days must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5ce]))
-    topology = build_replicated_feeder(cfg.feeder)
-    m = cfg.m
+    topology = build_replicated_feeder(cfg["topology"])
+    m = cfg["instants_per_day"]
     if m < 1:
         raise ScenarioError("m (instants per day) must be >= 1")
-    delta_i = 1440.0 / m
 
-    sites = []
-    for bus in topology.buses:
-        for dev in bus.devices:
-            sites.append(Site(site_id=dev, bus_id=bus.id,
-                              pv_area=cfg.pv_area_m2,
-                              pv_efficiency=cfg.pv_efficiency))
-    if cfg.fleet_size < 0:
+    site_bus = np.repeat(np.arange(topology.n_buses),
+                         [len(bus.devices) for bus in topology.buses])
+    n_sites, fleet_size = len(site_bus), cfg["fleet_size"]
+    if fleet_size < 0:
         raise ScenarioError("fleet_size must be >= 0")
-    if cfg.fleet_size > len(sites):
+    if fleet_size > n_sites:
         raise ScenarioError(
-            f"fleet_size {cfg.fleet_size} exceeds {len(sites)} household sites"
+            f"fleet_size {fleet_size} exceeds {n_sites} household sites"
         )
 
-    price = (np.asarray(cfg.price_profile, dtype=float)
-             if cfg.price_profile is not None else default_price_profile(m))
-    irr = (np.asarray(cfg.irradiance_profile, dtype=float)
-           if cfg.irradiance_profile is not None
+    price = (np.asarray(price, dtype=float) if price is not None
+             else default_price_profile(m))
+    irr = (np.asarray(irradiance, dtype=float) if irradiance is not None
            else default_irradiance_profile(m))
-    loads = np.full((len(sites), m), cfg.household_load_w, dtype=float)
+    loads = np.full((n_sites, m), cfg["household_load_w"], dtype=float)
 
     fleet = []
-    ev_site = {}
-    p = cfg.ev
-    for i in range(cfg.fleet_size):
-        arr_h = _truncated_normal_hour(rng, p.arrival_mean_hour, p.arrival_std_hour)
-        dep_h = _truncated_normal_hour(rng, p.depart_mean_hour, p.depart_std_hour)
+    p = cfg["ev"]
+    for i in range(fleet_size):
+        arr_h = _truncated_normal_hour(rng, p["arrival_mean_hour"],
+                                       p["arrival_std_hour"])
+        dep_h = _truncated_normal_hour(rng, p["depart_mean_hour"],
+                                       p["depart_std_hour"])
         t_arrive = int(round(arr_h * m / 24.0)) % m
         dep_i = int(round(dep_h * m / 24.0)) % m
         t_depart = dep_i if dep_i > t_arrive else dep_i + m
-        ev_id = f"ev{i}"
         fleet.append(EvProfile(
-            ev_id=ev_id, bus_id=sites[i].bus_id,
-            e_bat=p.e_bat_kwh, p_max=p.p_max_kw, eta_chrg=p.eta_chrg,
-            soc_start=p.soc_start, soc_target=p.soc_target,
-            t_arrive=t_arrive, t_depart=t_depart,
+            ev_id=f"ev{i}", bus_id=topology.buses[site_bus[i]].id,
+            e_bat=p["e_bat_kwh"], p_max=p["p_max_kw"],
+            eta_chrg=p["eta_chrg"], soc_start=p["soc_start"],
+            soc_target=p["soc_target"], t_arrive=t_arrive, t_depart=t_depart,
         ))
-        ev_site[ev_id] = i
 
-    return Scenario(topology=topology, sites=sites, fleet=fleet,
-                    ev_site=ev_site, price_profile=price,
-                    irradiance_profile=irr, site_load_profiles=loads,
-                    m=m, delta_i=delta_i, days=days, seed=seed)
+    pv = cfg["pv"]
+    return Scenario(topology=topology, fleet=fleet, price_profile=price,
+                    irradiance_profile=irr, site_bus=site_bus,
+                    site_pv_area=np.full(n_sites, pv["area_m2"]),
+                    site_pv_efficiency=np.full(n_sites, pv["efficiency"]),
+                    site_load_profiles=loads, m=m, days=days, seed=seed)
 
 
 def bus_sums(n_buses: int, term_bus, terms) -> np.ndarray:
@@ -215,20 +183,16 @@ def instant_tables(scenario: Scenario):
     """The per-instant tables every injection vector of a scenario starts
     from, the same for the simulation and the oracle.
 
-    Returns the bus of each site, the household-load injections per
-    (instant of day, bus), each bus summing its sites' loads in site order
-    (see `bus_sums`), and the PV watt per (instant of day, site); both
-    tables are read-only.
+    Returns the household-load injections per (instant of day, bus), each
+    bus summing its sites' loads in site order (see `bus_sums`), and the
+    PV watt per (instant of day, site); both tables are read-only.
     """
-    net, sites = scenario.topology, scenario.sites
-    site_bus = np.array([net.bus_index[s.bus_id] for s in sites],
-                        dtype=np.int64)
-    load_inj = bus_sums(net.n_buses, site_bus, scenario.site_load_profiles.T)
-    site_pv_w = pv_power(np.array([s.pv_area for s in sites]),
-                         np.array([s.pv_efficiency for s in sites]),
+    load_inj = bus_sums(scenario.topology.n_buses, scenario.site_bus,
+                        scenario.site_load_profiles.T)
+    site_pv_w = pv_power(scenario.site_pv_area, scenario.site_pv_efficiency,
                          scenario.irradiance_profile[:, None])
     load_inj.flags.writeable = site_pv_w.flags.writeable = False
-    return site_bus, load_inj, site_pv_w
+    return load_inj, site_pv_w
 
 
 class GridJudge:
@@ -393,19 +357,6 @@ def flood_requests(graph: AgentGraph, roster: Roster, initial):
     return {row: adopted[bus] for row, bus in at if bus in adopted}, last + 1
 
 
-@dataclass
-class SimulationResult:
-    days: int
-    ev_ids: list
-    cost: np.ndarray            # (days, n_ev) currency
-    grid_energy: np.ndarray     # (days, n_ev) kWh into battery from grid
-    battery_energy: np.ndarray  # (days, n_ev) kWh into battery total
-    mean_reward_ev: np.ndarray  # (days, n_ev) mean recorded reward, nan if none
-    final_soc: np.ndarray       # (days, n_ev)
-    violations_current: np.ndarray  # (days,) instants with a current violation
-    violations_voltage: np.ndarray
-
-
 class Simulation:
     """Barrier-synchronized per-instant execution of one scenario.
 
@@ -419,8 +370,7 @@ class Simulation:
     ends.
     """
 
-    def __init__(self, scenario: Scenario, strategy,
-                 cooperation_fraction=0.05):
+    def __init__(self, scenario: Scenario, strategy, cooperation_fraction):
         self.sc = scenario
         self.strategy = strategy
         self.coop_fraction = cooperation_fraction
@@ -430,8 +380,7 @@ class Simulation:
         self.delta_h = scenario.delta_i / 60.0
         self.net = scenario.topology
         self.fleet = Fleet(
-            scenario.fleet, m,
-            site=[scenario.ev_site[p.ev_id] for p in scenario.fleet],
+            scenario.fleet, m, site=range(len(scenario.fleet)),
             bus=[self.net.bus_index[p.bus_id] for p in scenario.fleet])
         strategy.attach(self.fleet)
         self._graph = agent_neighbors(self.net)
@@ -441,14 +390,13 @@ class Simulation:
         by_id = sorted(range(len(ids)), key=ids.__getitem__)
         self._id_rank = np.empty(len(ids), dtype=np.int64)
         self._id_rank[by_id] = range(len(ids))
-        self._bus_of_site, self._load_inj, self._site_pv_w = (
-            instant_tables(scenario))
+        self._load_inj, self._site_pv_w = instant_tables(scenario)
         # The site PV as kWh per instant.
         self._site_pv_kwh = self._site_pv_w / 1000.0 * self.delta_h
         # What an instant with no EV plugged in injects: byte for byte its
         # bincount over `_roster_changed`'s terms without the EV terms,
         # since a - b is exactly a + -b.
-        self._idle_inj = site_injections(self._load_inj, self._bus_of_site,
+        self._idle_inj = site_injections(self._load_inj, scenario.site_bus,
                                          self._site_pv_w)
         self._idle_inj.flags.writeable = False
         self._site_pv_kwh.flags.writeable = False
@@ -486,7 +434,7 @@ class Simulation:
         """
         self._eta_dh = self.roster.eta_chrg * self.delta_h
         self._inj_bus = np.concatenate((self._load_bus, self.roster.bus,
-                                        self._bus_of_site))
+                                        self.sc.site_bus))
 
     # -- single instant ----------------------------------------------------
 
@@ -587,24 +535,18 @@ class Simulation:
             self.mean_reward_ev[d[got], ending[got]] = (
                 fleet.reward[ending[got]].sum(axis=1) / k_p[got])
 
-    def run(self) -> SimulationResult:
+    def run(self) -> "Simulation":
+        """Run every instant of the scenario; returns the simulation, whose
+        `(days, n_ev)` results (`cost`, `grid_energy`, `battery_energy`,
+        `mean_reward_ev`, `final_soc`) and per-day `violations_current`
+        and `violations_voltage` are then complete."""
         sc = self.sc
         tail = max((p.t_arrive + p.window_length - sc.m for p in sc.fleet),
                    default=0)
         total = sc.days * sc.m + max(0, tail) if sc.days > 0 else 0
         for g in range(total):
             self.run_instant(g)
-        return SimulationResult(
-            days=sc.days,
-            ev_ids=self.fleet.ev_ids,
-            cost=self.cost,
-            grid_energy=self.grid_energy,
-            battery_energy=self.battery_energy,
-            mean_reward_ev=self.mean_reward_ev,
-            final_soc=self.final_soc,
-            violations_current=self.violations_current,
-            violations_voltage=self.violations_voltage,
-        )
+        return self
 
 
 def ingest_profile(path, kind: str, m: int, c_max=None) -> np.ndarray:

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "Bus",
     "Line",
-    "FeederSpec",
     "NetworkTopology",
     "PowerFlowSolution",
     "TopologyError",
@@ -118,8 +117,7 @@ class NetworkTopology:
         if slack_bus_id not in ids:
             raise TopologyError(f"slack bus {slack_bus_id!r} not among buses")
         self.bus_index = {b.id: i for i, b in enumerate(self.buses)}
-        self.line_index = {l.id: i for i, l in enumerate(self.lines)}
-        if len(self.line_index) != len(self.lines):
+        if len({l.id for l in self.lines}) != len(self.lines):
             raise TopologyError("duplicate line ids")
         for l in self.lines:
             if l.from_bus not in self.bus_index or l.to_bus not in self.bus_index:
@@ -217,72 +215,53 @@ class NetworkTopology:
         return p
 
 
-@dataclass(frozen=True)
-class FeederSpec:
-    """Parameters for the replicated sub-district feeder generator.
-
-    One trunk junction hangs off the slack bus when there are two or more
-    sub-districts; a single sub-district chains directly from the slack.
-    Each sub-district is a line-per-bus chain.
-    """
-    sub_districts: int = 1
-    buses_per_feeder: int = 11
-    households_per_bus: int = 5
-    line_resistance: float = 0.001   # ohm per chain segment
-    line_reactance: float = 0.0005
-    line_rating: float = 1300.0      # ampere, per chain segment
-    trunk_resistance: float = 0.0003
-    trunk_reactance: float = 0.0001
-    trunk_rating: float | None = None  # defaults to sub_districts * line_rating
-    v_min: float = 0.95
-    v_max: float = 1.05
-    v_base: float = 230.0
-
-
-def build_replicated_feeder(spec: FeederSpec) -> NetworkTopology:
-    """Build a radial network of identical sub-district chains.
+def build_replicated_feeder(topology: dict) -> NetworkTopology:
+    """Build a radial network of identical sub-district chains from a
+    `scenario.topology` tree of the config (every key given).
 
     Layout: slack -> (trunk junction, only when sub_districts >= 2) ->
     per sub-district a chain of `buses_per_feeder` buses, each carrying
-    `households_per_bus` household device ids.
+    `households_per_bus` household device ids. The trunk is rated
+    `trunk_rating`, or `sub_districts * line_rating` when that is None.
     """
-    if spec.sub_districts < 1:
+    t = topology
+    districts, per_feeder = t["sub_districts"], t["buses_per_feeder"]
+    if districts < 1:
         raise TopologyError("sub_districts must be >= 1")
-    if spec.buses_per_feeder < 1:
+    if per_feeder < 1:
         raise TopologyError("buses_per_feeder must be >= 1")
-    if spec.households_per_bus < 0:
+    if t["households_per_bus"] < 0:
         raise TopologyError("households_per_bus must be >= 0")
 
-    lim = dict(v_min=spec.v_min, v_max=spec.v_max)
+    lim = dict(v_min=t["v_min"], v_max=t["v_max"])
     buses = [Bus("slack", **lim)]
     lines = []
 
-    if spec.sub_districts >= 2:
-        trunk_rating = spec.trunk_rating
+    if districts >= 2:
+        trunk_rating = t["trunk_rating"]
         if trunk_rating is None:
-            trunk_rating = spec.sub_districts * spec.line_rating
+            trunk_rating = districts * t["line_rating"]
         buses.append(Bus("trunk", **lim))
-        lines.append(Line("l_trunk", "slack", "trunk",
-                          spec.trunk_resistance, spec.trunk_reactance,
-                          trunk_rating))
+        lines.append(Line("l_trunk", "slack", "trunk", t["trunk_resistance"],
+                          t["trunk_reactance"], trunk_rating))
         feeder_root = "trunk"
     else:
         feeder_root = "slack"
 
-    for d in range(spec.sub_districts):
+    for d in range(districts):
         prev = feeder_root
-        for b in range(spec.buses_per_feeder):
+        for b in range(per_feeder):
             devices = tuple(
-                f"d{d}b{b}h{h}" for h in range(spec.households_per_bus)
+                f"d{d}b{b}h{h}" for h in range(t["households_per_bus"])
             )
             bus_id = f"d{d}b{b}"
             buses.append(Bus(bus_id, devices=devices, **lim))
             lines.append(Line(f"l_{bus_id}", prev, bus_id,
-                              spec.line_resistance, spec.line_reactance,
-                              spec.line_rating))
+                              t["line_resistance"], t["line_reactance"],
+                              t["line_rating"]))
             prev = bus_id
 
-    return NetworkTopology(buses, lines, "slack", v_base=spec.v_base)
+    return NetworkTopology(buses, lines, "slack", v_base=t["v_base"])
 
 
 def solve_power_flow(net: NetworkTopology, injections) -> PowerFlowSolution:

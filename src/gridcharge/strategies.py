@@ -27,16 +27,10 @@ __all__ = [
     "ScheduleStrategy",
     "uncontrolled_action",
     "centralized_oracle",
-    "default_pv_exploration",
     "CHECKPOINT_FORMAT",
 ]
 
 CHECKPOINT_FORMAT = "gridcharge.checkpoint/5"
-
-
-def default_pv_exploration(pv_area: float, pv_efficiency: float) -> float:
-    """Default PV exploration scale: a tenth of the rated panel power."""
-    return 0.1 * pv_area * pv_efficiency * 1000.0
 
 
 class Strategy:
@@ -61,7 +55,9 @@ class Strategy:
 
 
 class AmasStrategy(Strategy):
-    """Per-EV combinatorial linear Thompson Sampling with cooperation.
+    """Per-EV combinatorial linear Thompson Sampling with cooperation;
+    `alpha` and `beta` are the exploration scales of the reward and the
+    PV learner (the config's `bandit` keys).
 
     Each learner of the fleet is one `BanditState` of `(n_ev, m)` matrices,
     one row per EV in fleet order: `bandit` (reward) and `pv`. Once
@@ -74,7 +70,7 @@ class AmasStrategy(Strategy):
     `short` and `slack`, which `hold_samples` fills for `ev_decide`.
     """
 
-    def __init__(self, alpha=0.5, beta=360.0):
+    def __init__(self, alpha, beta):
         self.alpha = alpha
         self.beta = beta
         self.ev_ids = None     # fleet order of the learner rows
@@ -270,19 +266,18 @@ def centralized_oracle(scenario: Scenario) -> dict:
     if not fleet:
         return {}
     net, m = scenario.topology, scenario.m
-    site_bus, load_inj, site_pv_w = instant_tables(scenario)
-    # In fleet order: each EV's site, bus and charger watt, and its window
-    # as instants of day.
-    site = [scenario.ev_site[p.ev_id] for p in fleet]
+    load_inj, site_pv_w = instant_tables(scenario)
+    # In fleet order: each EV's bus and charger watt, and its window as
+    # instants of day. EV e lives at site e.
     bus = [net.bus_index[p.bus_id] for p in fleet]
     watt = [p.p_max * 1000.0 for p in fleet]
     window = [(p.t_arrive + np.arange(p.window_length)) % m for p in fleet]
     away_pv = site_pv_w.copy()
-    for s, i in zip(site, window):
+    for s, i in enumerate(window):
         away_pv[i, s] = 0.0
     # A connected site takes off 0.0, which changes no sum.
-    base = site_injections(load_inj, site_bus, away_pv)
-    pv_ahead = np.array([site_pv_w[i, s].sum() for s, i in zip(site, window)])
+    base = site_injections(load_inj, scenario.site_bus, away_pv)
+    pv_ahead = np.array([site_pv_w[i, s].sum() for s, i in enumerate(window)])
     needs = required_instants(charging_need(fleet), scenario.delta_i,
                               pv_ahead, 0, 0).tolist()
     judge = GridJudge(net, solve_power_flow)

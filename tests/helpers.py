@@ -1,6 +1,10 @@
 """Reference tools the tests check the program against; the program itself
 does not use them.
 
+`defaults` gives every test its configuration values: the SCHEMA defaults
+under the test's overrides, and `amas` and `simulation` build the learner
+and the simulation from them.
+
 `SuperArm` scores a set of instants under a parameter vector,
 `pseudo_regret` traces the regret of a run of daily selections,
 `power_mismatch` recomputes a power-flow solution's residual from its
@@ -29,8 +33,46 @@ from gridcharge import engine
 from gridcharge.agents import (EvProfile, Fleet, Roster, request_priority,
                                required_instants)
 from gridcharge.bandit import select_super_arm
+from gridcharge.config import SCHEMA, default_pv_exploration
 from gridcharge.gridnet import (NetworkTopology, PowerFlowSolution, pv_power,
                                 solve_power_flow)
+from gridcharge.strategies import AmasStrategy
+
+
+def defaults(*path, **overrides) -> dict:
+    """The SCHEMA defaults of the subtree at `path` (say "scenario",
+    "topology"; none for the whole tree) with `overrides` laid over them;
+    a mapping given for a nested key overrides its keys in turn. Nothing
+    is validated, so a test may hand the library a value that the config
+    rejects; a key SCHEMA does not have is an error."""
+    schema = SCHEMA
+    for key in path:
+        schema = schema[key]
+    unknown = set(overrides) - set(schema)
+    if unknown:
+        raise KeyError(f"not in SCHEMA at {path}: {sorted(unknown)}")
+    return {key: defaults(*path, key, **overrides.get(key, {}))
+            if isinstance(spec, dict) else overrides.get(key, spec[1])
+            for key, spec in schema.items()}
+
+
+def amas(cls=AmasStrategy, /, **bandit):
+    """An `AmasStrategy` (or subclass `cls`) with the `bandit` defaults
+    under the `bandit` overrides; a null beta is, as in the config, the PV
+    exploration of the default panel."""
+    scales = defaults("bandit", **bandit)
+    if scales["beta"] is None:
+        pv = defaults("scenario", "pv")
+        scales["beta"] = default_pv_exploration(pv["area_m2"],
+                                                pv["efficiency"])
+    return cls(**scales)
+
+
+def simulation(scenario, strategy, **overrides) -> engine.Simulation:
+    """A `Simulation` of `scenario` under `strategy`, with the default
+    `cooperation_fraction` unless `overrides` gives one."""
+    return engine.Simulation(scenario, strategy,
+                             defaults(**overrides)["cooperation_fraction"])
 
 
 @dataclass(frozen=True)
@@ -141,22 +183,25 @@ def site_tables(scenario):
     oracle's base injections, the loads minus, in site order, the PV of
     each site with no EV connected at that instant. Returns the three
     tables."""
-    net, m, sites = scenario.topology, scenario.m, scenario.sites
-    connected = {((p.t_arrive + l) % m, scenario.ev_site[p.ev_id])
-                 for p in scenario.fleet for l in range(p.window_length)}
+    net, m = scenario.topology, scenario.m
+    site_bus = scenario.site_bus.tolist()
+    # EV e lives at site e.
+    connected = {((p.t_arrive + l) % m, e)
+                 for e, p in enumerate(scenario.fleet)
+                 for l in range(p.window_length)}
     loads = np.zeros((m, net.n_buses))
-    pv = np.zeros((m, len(sites)))
+    pv = np.zeros((m, len(site_bus)))
     base = np.zeros((m, net.n_buses))
     for i in range(m):
         irradiance = float(scenario.irradiance_profile[i])
-        for s, site in enumerate(sites):
-            loads[i, net.bus_index[site.bus_id]] += float(
-                scenario.site_load_profiles[s, i])
-            pv[i, s] = site.pv_area * site.pv_efficiency * irradiance
+        for s, bus in enumerate(site_bus):
+            loads[i, bus] += float(scenario.site_load_profiles[s, i])
+            pv[i, s] = (float(scenario.site_pv_area[s])
+                        * float(scenario.site_pv_efficiency[s]) * irradiance)
         base[i] = loads[i]
-        for s, site in enumerate(sites):
+        for s, bus in enumerate(site_bus):
             if (i, s) not in connected:
-                base[i, net.bus_index[site.bus_id]] -= pv[i, s]
+                base[i, bus] -= pv[i, s]
     return loads, pv, base
 
 
@@ -175,8 +220,8 @@ def oracle_needs(scenario) -> list:
     m = scenario.m
     _, pv, _ = site_tables(scenario)
     pv_ahead = np.array([
-        pv[(p.t_arrive + np.arange(p.window_length)) % m,
-           scenario.ev_site[p.ev_id]].sum() for p in scenario.fleet])
+        pv[(p.t_arrive + np.arange(p.window_length)) % m, e].sum()
+        for e, p in enumerate(scenario.fleet)])
     return required_instants(Fleet(scenario.fleet, m), scenario.delta_i,
                              pv_ahead, 0, 0).tolist()
 
@@ -246,12 +291,14 @@ def uncontrolled_accounts(scenario):
     shape = (days, len(scenario.fleet))
     cost, grid, battery, final = (np.zeros(shape) for _ in range(4))
     for e, p in enumerate(scenario.fleet):
-        site = scenario.sites[scenario.ev_site[p.ev_id]]
+        # EV e lives at site e.
+        area = float(scenario.site_pv_area[e])
+        efficiency = float(scenario.site_pv_efficiency[e])
         for day in range(days):
             soc, c, g, b = p.soc_start, 0.0, 0.0, 0.0
             for l in range(p.window_length):
                 i = (p.t_arrive + l) % m
-                pv_w = float(pv_power(site.pv_area, site.pv_efficiency,
+                pv_w = float(pv_power(area, efficiency,
                                       scenario.irradiance_profile[i]))
                 asked = p.p_max if soc < p.soc_target else 0.0
                 headroom = max(0.0, (1.0 - soc) * p.e_bat)

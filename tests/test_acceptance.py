@@ -13,16 +13,14 @@ import pytest
 from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState,
                                select_super_arm, update_day)
 from gridcharge.cli import main
-from gridcharge.engine import (EvParams, ScenarioConfig, Simulation,
-                               generate_scenario)
-from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
-                                solve_power_flow)
+from gridcharge.engine import generate_scenario
+from gridcharge.gridnet import Bus, Line, NetworkTopology, solve_power_flow
 from gridcharge.metrics import fairness_index, mean_daily_reward, per_unit_costs
 from gridcharge.agents import EvProfile, Fleet, required_instants
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
                                    UncontrolledStrategy, centralized_oracle)
-from helpers import (SuperArm, optimal_plans, power_mismatch, pseudo_regret,
-                     record_instants)
+from helpers import (SuperArm, amas, defaults, optimal_plans, power_mismatch,
+                     pseudo_regret, record_instants, simulation)
 from test_grid import by_bus
 
 
@@ -38,13 +36,9 @@ def report(criterion: int, name: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {criterion} ({name}): {detail}"
 
 
-SMALL_SCALE = ScenarioConfig(
-    feeder=FeederSpec(sub_districts=1, buses_per_feeder=11,
-                      households_per_bus=5),
-    fleet_size=55,
-    ev=EvParams(),  # 52 kWh, 7 kW, 0.95, SoC target 0.8
-    m=96,
-)
+# One 11-bus chain of 5 households each, 55 EVs of 52 kWh and 7 kW at
+# 0.95, SoC target 0.8, and 96 instants a day.
+SMALL_SCALE = defaults("scenario")
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +46,7 @@ def small_run():
     """55-EV, 60-day learning run with its instants recorded (shared
     reference run)."""
     scenario = generate_scenario(SMALL_SCALE, 60, 1)
-    return (scenario, *record_instants(Simulation(scenario, AmasStrategy())))
+    return (scenario, *record_instants(simulation(scenario, amas())))
 
 
 def test_criterion_1_convergence(small_run):
@@ -74,12 +68,9 @@ def test_criterion_2_zero_violations_after_convergence(small_run):
     volt = int(result.violations_voltage[30:].sum())
 
     # Uncontrolled fleet on a deliberately undersized feeder must violate.
-    cfg = ScenarioConfig(
-        feeder=FeederSpec(sub_districts=1, buses_per_feeder=11,
-                          households_per_bus=5, line_rating=60.0),
-        fleet_size=55, m=96)
+    cfg = defaults("scenario", topology={"line_rating": 60.0})
     sc = generate_scenario(cfg, 2, 1)
-    unc = Simulation(sc, UncontrolledStrategy()).run()
+    unc = simulation(sc, UncontrolledStrategy()).run()
     unc_viol = int(unc.violations_current.sum())
 
     ok = cur == 0 and volt == 0 and unc_viol > 0
@@ -97,44 +88,41 @@ def test_criterion_3_fairness(small_run):
 
 
 def _day_cost(scenario, strategy):
-    return float(Simulation(scenario, strategy).run().cost.sum())
+    return float(simulation(scenario, strategy).run().cost.sum())
 
 
 def test_criterion_4_cost_ordering():
-    cfg = ScenarioConfig(
-        feeder=FeederSpec(sub_districts=1, buses_per_feeder=5,
-                          households_per_bus=2),
-        fleet_size=10, m=96)
+    cfg = defaults("scenario", fleet_size=10,
+                   topology={"buses_per_feeder": 5, "households_per_bus": 2})
     rows = []
     ok = True
     for seed in (1, 2, 3, 4, 5):
         learn = generate_scenario(cfg, 40, seed)
-        amas = float(Simulation(learn, AmasStrategy())
-                     .run().cost[-10:].sum(axis=1).mean())
+        learned = float(simulation(learn, amas())
+                        .run().cost[-10:].sum(axis=1).mean())
         one_day = generate_scenario(cfg, 1, seed)
         unc = _day_cost(one_day, UncontrolledStrategy())
         plans = centralized_oracle(one_day)
         orc = _day_cost(generate_scenario(cfg, 1, seed),
                         ScheduleStrategy(plans))
-        ordered = orc <= amas <= unc
+        ordered = orc <= learned <= unc
         ok = ok and ordered
-        rows.append(f"seed {seed}: {orc:.2f} <= {amas:.2f} <= {unc:.2f}")
+        rows.append(f"seed {seed}: {orc:.2f} <= {learned:.2f} <= {unc:.2f}")
 
     # Tiny instance: AMAS converged cost within 15% of the optimal plans.
-    tiny = ScenarioConfig(
-        feeder=FeederSpec(sub_districts=1, buses_per_feeder=2,
-                          households_per_bus=2),
-        fleet_size=3,
-        ev=EvParams(soc_start=0.4, soc_target=0.8,
-                    arrival_mean_hour=14.0, arrival_std_hour=0.0,
-                    depart_mean_hour=6.0, depart_std_hour=0.0),
-        m=12, household_load_w=0.0,
-        irradiance_profile=np.zeros(12))
-    learn = generate_scenario(tiny, 150, 2)
-    amas_tiny = float(Simulation(learn, AmasStrategy(alpha=0.15))
+    tiny = defaults(
+        "scenario", fleet_size=3,
+        topology={"buses_per_feeder": 2, "households_per_bus": 2},
+        ev={"soc_start": 0.4, "soc_target": 0.8,
+            "arrival_mean_hour": 14.0, "arrival_std_hour": 0.0,
+            "depart_mean_hour": 6.0, "depart_std_hour": 0.0},
+        instants_per_day=12, household_load_w=0.0)
+    dark = np.zeros(12)
+    learn = generate_scenario(tiny, 150, 2, irradiance=dark)
+    amas_tiny = float(simulation(learn, amas(alpha=0.15))
                       .run().cost[-20:].sum(axis=1).mean())
-    plans = optimal_plans(generate_scenario(tiny, 1, 2))
-    orc_tiny = _day_cost(generate_scenario(tiny, 1, 2),
+    plans = optimal_plans(generate_scenario(tiny, 1, 2, irradiance=dark))
+    orc_tiny = _day_cost(generate_scenario(tiny, 1, 2, irradiance=dark),
                          ScheduleStrategy(plans))
     gap = amas_tiny / orc_tiny - 1.0
     ok = ok and gap <= 0.15
@@ -197,15 +185,13 @@ def test_criterion_5_bandit_correctness():
 def test_criterion_6_regret_sanity():
     # Single EV, stationary tariff, unconstrained network, zero PV; small
     # exploration scale so play settles and R(D)/D decays monotonically.
-    cfg = ScenarioConfig(
-        feeder=FeederSpec(sub_districts=1, buses_per_feeder=2,
-                          households_per_bus=1),
-        fleet_size=1,
-        ev=EvParams(arrival_mean_hour=16.0, arrival_std_hour=0.0,
-                    depart_mean_hour=8.0, depart_std_hour=0.0),
-        m=24, household_load_w=0.0,
-        irradiance_profile=np.zeros(24))
-    sc = generate_scenario(cfg, 200, 6)
+    cfg = defaults(
+        "scenario", fleet_size=1,
+        topology={"buses_per_feeder": 2, "households_per_bus": 1},
+        ev={"arrival_mean_hour": 16.0, "arrival_std_hour": 0.0,
+            "depart_mean_hour": 8.0, "depart_std_hour": 0.0},
+        instants_per_day=24, household_load_w=0.0)
+    sc = generate_scenario(cfg, 200, 6, irradiance=np.zeros(24))
     profile = sc.fleet[0]
     selections = []   # per day: (played super-arm, estimate before update)
 
@@ -217,7 +203,7 @@ def test_criterion_6_regret_sanity():
                      self.bandit.estimate[idx]))
             super().session_end(fleet, rows)
 
-    Simulation(sc, Recorded(alpha=0.02)).run()
+    simulation(sc, amas(Recorded, alpha=0.02)).run()
 
     true_theta = np.array(
         [1.0 - sc.price_profile[(profile.t_arrive + l) % sc.m]
@@ -281,13 +267,10 @@ def test_criterion_8_required_instants_examples():
 
 def test_criterion_9_scalability_smoke():
     import time
-    cfg = ScenarioConfig(
-        feeder=FeederSpec(sub_districts=10, buses_per_feeder=11,
-                          households_per_bus=5),
-        fleet_size=550, m=96)
+    cfg = defaults("scenario", fleet_size=550, topology={"sub_districts": 10})
     sc = generate_scenario(cfg, 40, 1)
     t0 = time.monotonic()
-    res = Simulation(sc, AmasStrategy()).run()
+    res = simulation(sc, amas()).run()
     elapsed = time.monotonic() - t0
     cur = int(res.violations_current[30:].sum())
     volt = int(res.violations_voltage[30:].sum())

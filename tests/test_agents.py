@@ -12,10 +12,9 @@ from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet, Roster,
                                sample_cooperation_targets, take_requests)
 from gridcharge.bandit import select_super_arm
 from gridcharge.engine import agent_neighbors
-from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
+from gridcharge.gridnet import (Bus, Line, NetworkTopology,
                                 build_replicated_feeder)
-from gridcharge.strategies import AmasStrategy
-from helpers import flood_by_id
+from helpers import amas, defaults, flood_by_id
 
 
 def req(crit, origin="x", kind="line", targets=()):
@@ -56,8 +55,8 @@ class TestCriticalities:
 def chain():
     """The agent graph of the feeder slack -l_d0b0- d0b0 -l_d0b1- d0b1
     -l_d0b2- d0b2 -l_d0b3- d0b3."""
-    return agent_neighbors(build_replicated_feeder(FeederSpec(
-        sub_districts=1, buses_per_feeder=4, households_per_bus=1)))
+    return agent_neighbors(build_replicated_feeder(defaults(
+        "scenario", "topology", buses_per_feeder=4, households_per_bus=1)))
 
 
 def received(requests, evs_at_bus, graph=None):
@@ -209,7 +208,7 @@ def one_ev(p, theta=None, phi=None):
     """A one-row fleet of 96 instants a day in a fresh session of `p`, and
     the learner attached to it, holding the session's sampled theta and
     PV estimate phi (watt per local instant of the window)."""
-    fleet, learner = Fleet([p], 96), AmasStrategy()
+    fleet, learner = Fleet([p], 96), amas()
     learner.attach(fleet)
     fleet.plug_in([0])
     held = np.zeros((2, 1, 96))
@@ -367,7 +366,7 @@ class TestEvDecide:
         m = 96
         fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
                        for r, w in enumerate(windows)], m)
-        learner = AmasStrategy()
+        learner = amas()
         learner.attach(fleet)
         rows = np.arange(len(windows))
         fleet.plug_in(rows)
@@ -451,7 +450,7 @@ class TestRankTable:
         windows = [12, 3, 7, 9]
         fleet = Fleet([profile(ev_id=f"ev{r}", t_depart=w)
                        for r, w in enumerate(windows)], m)
-        learner = AmasStrategy()
+        learner = amas()
         learner.attach(fleet)
         rng = np.random.default_rng(5)
         theta = rng.choice([0.0, 1.0], size=(4, m))

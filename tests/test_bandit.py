@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from gridcharge.bandit import (REWARD_PRIOR_MEAN, BanditState,
                                sample_parameter, select_super_arm, update_day,
                                update_pv)
-from gridcharge.strategies import AmasStrategy
-from helpers import SuperArm, pseudo_regret
+from helpers import SuperArm, amas, pseudo_regret
 
 
 def brute_force_top_k(theta, candidates, k):
@@ -90,7 +89,7 @@ class TestSampleParameter:
 def fleet_learners(n, m, window=None, **kwargs):
     """An attached strategy for n EVs with windows of `window` instants
     (one per EV; m each by default)."""
-    strategy = AmasStrategy(**kwargs)
+    strategy = amas(**kwargs)
     strategy.attach(SimpleNamespace(
         ev_ids=[f"ev{i}" for i in range(n)], m=m,
         window=np.full(n, m) if window is None else np.asarray(window)))

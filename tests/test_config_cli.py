@@ -1,19 +1,18 @@
 """Config parsing, CLI subcommands, output files, checkpoint round-trip."""
-import inspect
 import json
 import os
-from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
 
 from gridcharge.cli import execute_run, main
 from gridcharge.config import (SCHEMA, ConfigError, build_scenario,
                                parse_config)
-from gridcharge.engine import EvParams, ScenarioConfig, Simulation
-from gridcharge.gridnet import FeederSpec
-from gridcharge.strategies import (CHECKPOINT_FORMAT, AmasStrategy, _pack,
-                                   default_pv_exploration)
+from gridcharge.strategies import CHECKPOINT_FORMAT, AmasStrategy, _pack
+from helpers import defaults
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SMALL = """\
 scenario:
@@ -96,36 +95,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="strategy"):
             parse_config(path)
 
-    def test_schema_defaults_match_the_library(self):
-        # Each SCHEMA default that repeats a library default equals it.
-        def default(path):
-            spec = SCHEMA
-            for part in path.split("."):
-                spec = spec[part]
-            return spec[1]
-
-        scenario = {f.name: f.default for f in fields(ScenarioConfig)}
-        amas = inspect.signature(AmasStrategy).parameters
-        library = {f"scenario.topology.{f.name}": f.default
-                   for f in fields(FeederSpec)}
-        library.update((f"scenario.ev.{f.name}", f.default)
-                       for f in fields(EvParams))
-        library.update({
-            "scenario.fleet_size": scenario["fleet_size"],
-            "scenario.pv.area_m2": scenario["pv_area_m2"],
-            "scenario.pv.efficiency": scenario["pv_efficiency"],
-            "scenario.household_load_w": scenario["household_load_w"],
-            "scenario.instants_per_day": scenario["m"],
-            "bandit.alpha": amas["alpha"].default,
-            "cooperation_fraction": inspect.signature(
-                Simulation).parameters["cooperation_fraction"].default,
-        })
-        assert len(library) == 12 + 9 + 7
-        assert {path: default(path) for path in library} == library
-        # `bandit.beta` defaults to the PV exploration of the PV defaults.
-        assert default_pv_exploration(
-            default("scenario.pv.area_m2"),
-            default("scenario.pv.efficiency")) == amas["beta"].default
+    def test_readme_reference_is_the_schema(self):
+        # README's configuration reference lists every key with its
+        # default: the same key tree as SCHEMA, each value its default.
+        section = read(os.path.join(ROOT, "README.md")).split(
+            "## Configuration reference", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert yaml.safe_load(block) == defaults()
 
     def test_missing_profile_file(self, tmp_path):
         path = write_config(tmp_path, "scenario:\n  price_csv: nope.csv\n")

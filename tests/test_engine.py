@@ -9,31 +9,27 @@ from hypothesis import strategies as st
 from gridcharge import engine, strategies
 from gridcharge.agents import (CriticalityRequest, EvProfile, request_priority,
                                sample_cooperation_targets, take_requests)
-from gridcharge.engine import (EvParams, GridJudge, ProfileError, Scenario,
-                               ScenarioConfig, ScenarioError, Simulation,
-                               agent_neighbors, default_price_profile,
-                               flood_requests, generate_scenario,
-                               ingest_profile)
-from gridcharge.gridnet import (FeederSpec, NetworkTopology,
-                                build_replicated_feeder,
+from gridcharge.engine import (GridJudge, ProfileError, Scenario,
+                               ScenarioError, agent_neighbors,
+                               default_price_profile, flood_requests,
+                               generate_scenario, ingest_profile)
+from gridcharge.gridnet import (NetworkTopology, build_replicated_feeder,
                                 certainly_within_limits, solve_power_flow)
 from gridcharge.strategies import (AmasStrategy, UncontrolledStrategy,
                                    centralized_oracle)
-from helpers import (flood_by_id, forward_request, plugged_in,
-                     record_instants, round_flood, take_requests_per_ev,
-                     uncontrolled_accounts)
+from helpers import (amas, defaults, flood_by_id, forward_request,
+                     plugged_in, record_instants, round_flood, simulation,
+                     take_requests_per_ev, uncontrolled_accounts)
 from test_grid import radial_trees
 
 
-def small_config(**kw):
-    base = dict(
-        feeder=FeederSpec(sub_districts=1, buses_per_feeder=3,
-                          households_per_bus=2),
-        fleet_size=3,
-        m=96,
-    )
-    base.update(kw)
-    return ScenarioConfig(**base)
+def small_config(topology=None, **kw):
+    """The `scenario` tree of 3 EVs on one chain of 3 buses of 2
+    households each, under the `topology` and other overrides `kw`."""
+    topology = {"buses_per_feeder": 3, "households_per_bus": 2,
+                **(topology or {})}
+    return defaults("scenario", **{"fleet_size": 3, **kw,
+                                   "topology": topology})
 
 
 def req(crit, origin, kind="line", targets=()):
@@ -133,8 +129,7 @@ class TestGenerateScenario:
         assert scenario_fingerprint(a) != scenario_fingerprint(b)
 
     def test_ev_parameters_propagate(self):
-        cfg = ScenarioConfig(fleet_size=55)
-        sc = generate_scenario(cfg, 1, 1)
+        sc = generate_scenario(defaults("scenario"), 1, 1)
         assert len(sc.fleet) == 55
         for p in sc.fleet:
             assert (p.e_bat, p.p_max, p.eta_chrg, p.soc_target) == \
@@ -143,7 +138,7 @@ class TestGenerateScenario:
     def test_zero_evs_valid(self):
         sc = generate_scenario(small_config(fleet_size=0), 2, 1)
         assert sc.fleet == []
-        res, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        res, records = record_instants(simulation(sc, UncontrolledStrategy()))
         assert res.violations_current.sum() == 0
         assert all(not r.requests for r in records)
 
@@ -156,25 +151,25 @@ class TestGenerateScenario:
         price = np.full(96, 0.5)
         price[3] = bad
         with pytest.raises(ScenarioError, match="price_profile"):
-            generate_scenario(small_config(price_profile=price), 1, 1)
+            generate_scenario(small_config(), 1, 1, price=price)
 
     def test_overnight_windows_never_wrap(self):
-        sc = generate_scenario(ScenarioConfig(fleet_size=55), 1, 3)
+        sc = generate_scenario(defaults("scenario"), 1, 3)
         for p in sc.fleet:
             assert p.t_depart > p.t_arrive
             # evening arrival, next-morning departure
             assert p.t_depart >= sc.m
 
     def test_invariant_m_delta(self):
-        sc = generate_scenario(small_config(m=48), 1, 1)
+        sc = generate_scenario(small_config(instants_per_day=48), 1, 1)
         assert sc.delta_i == 30.0
 
 
 class TestFloodRequests:
     def topo(self, buses=5):
-        return build_replicated_feeder(
-            FeederSpec(sub_districts=1, buses_per_feeder=buses,
-                       households_per_bus=1))
+        return build_replicated_feeder(defaults(
+            "scenario", "topology", buses_per_feeder=buses,
+            households_per_bus=1))
 
     def test_no_requests_zero_rounds(self):
         net = self.topo()
@@ -356,7 +351,7 @@ def force_evening_fleet(sc, t_arrive=70, t_depart=96 + 32):
 class TestSimulationPipeline:
     def test_energy_accounting(self):
         sc = generate_scenario(small_config(), 3, 7)
-        res = Simulation(sc, AmasStrategy()).run()
+        res = simulation(sc, amas()).run()
         for d in range(3):
             for j, p in enumerate(sc.fleet):
                 gained = (res.final_soc[d, j] - p.soc_start) * p.e_bat
@@ -365,7 +360,7 @@ class TestSimulationPipeline:
 
     def test_no_phantom_injections(self):
         sc = generate_scenario(small_config(), 1, 7)
-        _, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        _, records = record_instants(simulation(sc, UncontrolledStrategy()))
         for r in records:
             # an instant's grid-side EV power lies within what the fleet draws
             total_kw = sum(r.ev_grid_kw.values())
@@ -380,26 +375,24 @@ class TestSimulationPipeline:
         # exactly m, so it leaves at the instant before it plugs in again.
         # The roster's session sums must book exactly what one EV and one
         # instant at a time books.
-        sc = generate_scenario(small_config(m=24, fleet_size=5), 3, 7)
+        sc = generate_scenario(small_config(instants_per_day=24, fleet_size=5),
+                               3, 7)
         windows = [(9, 13), (12, 18), (21, 27), (5, 6), (14, 38)]
         sc.fleet = [replace(p, t_arrive=a, t_depart=d, e_bat=20.0)
                     for p, (a, d) in zip(sc.fleet, windows)]
-        res = Simulation(sc, UncontrolledStrategy()).run()
+        res = simulation(sc, UncontrolledStrategy()).run()
         for name, want in uncontrolled_accounts(sc).items():
             assert np.array_equal(getattr(res, name), want), name
         assert (res.battery_energy > res.grid_energy).all()  # PV counted
 
-    @pytest.mark.parametrize("strategy", [AmasStrategy,
-                                          UncontrolledStrategy])
+    @pytest.mark.parametrize("strategy", [amas, UncontrolledStrategy],
+                             ids=["AmasStrategy", "UncontrolledStrategy"])
     def test_run_leaves_the_fleet_block_as_built(self, strategy):
         # The lines congest, every session crosses midnight and the last
         # ones run into the tail. The roster owns all session state, so
         # the fleet's block stays what each session starts from.
-        cfg = small_config(
-            feeder=FeederSpec(sub_districts=1, buses_per_feeder=3,
-                              households_per_bus=2, line_rating=30.0),
-            fleet_size=6)
-        sim = Simulation(force_evening_fleet(generate_scenario(cfg, 2, 7)),
+        cfg = small_config({"line_rating": 30.0}, fleet_size=6)
+        sim = simulation(force_evening_fleet(generate_scenario(cfg, 2, 7)),
                          strategy())
         built = sim.fleet._block.copy()
         res = sim.run()
@@ -411,7 +404,7 @@ class TestSimulationPipeline:
         # session, gives back the run's grid energy, and it opens one
         # record per instant up to the end of the last session.
         sc = generate_scenario(small_config(), 3, 7)
-        res, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        res, records = record_instants(simulation(sc, UncontrolledStrategy()))
         grid = np.zeros_like(res.grid_energy)
         dh = sc.delta_i / 60.0
         for r in records:
@@ -435,8 +428,8 @@ class TestSimulationPipeline:
         cells = len(sc.fleet) * sc.m
         for strategy in (UncontrolledStrategy(),
                          strategies.ScheduleStrategy(centralized_oracle(sc)),
-                         AmasStrategy()):
-            sim = Simulation(sc, strategy)
+                         amas()):
+            sim = simulation(sc, strategy)
             res = sim.run()
             assert (sim.fleet.reward > 0.0).any()
             assert np.isfinite(res.mean_reward_ev).all()
@@ -456,35 +449,32 @@ class TestSimulationPipeline:
         # Two sub-districts, unequal loads and panels: at every instant
         # with no EV plugged in, the judged vector is each bus's loads,
         # then minus its sites' PV, in site order.
-        sc = generate_scenario(small_config(
-            feeder=FeederSpec(sub_districts=2, buses_per_feeder=3,
-                              households_per_bus=2), fleet_size=4), 2, 7)
+        cfg = small_config({"sub_districts": 2}, fleet_size=4)
+        sc = generate_scenario(cfg, 2, 7)
         rng = np.random.default_rng(3)
         sc.site_load_profiles = rng.uniform(0.0, 900.0,
                                             sc.site_load_profiles.shape)
-        sc.sites = [replace(s, pv_area=float(a)) for s, a in
-                    zip(sc.sites, rng.uniform(5.0, 40.0, len(sc.sites)))]
+        sc.site_pv_area = rng.uniform(5.0, 40.0, len(sc.site_pv_area))
         plugged = {d * sc.m + p.t_arrive + l for p in sc.fleet
                    for d in range(sc.days) for l in range(p.window_length)}
-        _, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        _, records = record_instants(simulation(sc, UncontrolledStrategy()))
         net, idle = sc.topology, [r for r in records if r.g not in plugged]
         assert idle and any(sc.irradiance_profile[r.g % sc.m] > 0.0
                             for r in idle)
         for r in idle:
             i = r.g % sc.m
             want = [0.0] * net.n_buses
-            for s, site in enumerate(sc.sites):
-                want[net.bus_index[site.bus_id]] += float(
-                    sc.site_load_profiles[s, i])
-            for site in sc.sites:
-                want[net.bus_index[site.bus_id]] -= (
-                    site.pv_area * site.pv_efficiency
-                    * float(sc.irradiance_profile[i]))
+            for s, bus in enumerate(sc.site_bus.tolist()):
+                want[bus] += float(sc.site_load_profiles[s, i])
+            for s, bus in enumerate(sc.site_bus.tolist()):
+                want[bus] -= (float(sc.site_pv_area[s])
+                              * float(sc.site_pv_efficiency[s])
+                              * float(sc.irradiance_profile[i]))
             assert r.injections.tobytes() == np.array(want).tobytes()
 
     def test_uncontrolled_reaches_target(self):
         sc = generate_scenario(small_config(), 2, 7)
-        res = Simulation(sc, UncontrolledStrategy()).run()
+        res = simulation(sc, UncontrolledStrategy()).run()
         assert (res.final_soc >= 0.8 - 1e-9).all()
 
     def test_uncontrolled_cost_closed_form(self):
@@ -492,10 +482,9 @@ class TestSimulationPipeline:
         # exactly ceil(need / per-instant energy) instants (the last instant
         # still draws full power), so the cost is the arrival-anchored
         # tariff sum over those instants.
-        cfg = small_config(fleet_size=1,
-                           irradiance_profile=np.zeros(96))
-        sc = generate_scenario(cfg, 1, 7)
-        res = Simulation(sc, UncontrolledStrategy()).run()
+        sc = generate_scenario(small_config(fleet_size=1), 1, 7,
+                               irradiance=np.zeros(96))
+        res = simulation(sc, UncontrolledStrategy()).run()
         p = sc.fleet[0]
         dh = sc.delta_i / 60.0
         need = p.e_bat * (p.soc_target - p.soc_start)
@@ -508,13 +497,12 @@ class TestSimulationPipeline:
         # Two EVs share a bus and the higher index plugs in first. Grid
         # power is added to the bus injection in session-start order; here
         # the index order would round the float sum differently.
-        cfg = small_config(fleet_size=2, irradiance_profile=np.zeros(96),
-                           household_load_w=333.3)
-        sc = generate_scenario(cfg, 1, 7)
+        cfg = small_config(fleet_size=2, household_load_w=333.3)
+        sc = generate_scenario(cfg, 1, 7, irradiance=np.zeros(96))
         a, b = sc.fleet
         sc.fleet = [replace(a, t_arrive=40, t_depart=60, p_max=7.0),
                     replace(b, t_arrive=38, t_depart=60, p_max=3.0)]
-        record = record_instants(Simulation(sc, UncontrolledStrategy()))[1][40]
+        record = record_instants(simulation(sc, UncontrolledStrategy()))[1][40]
         # Both EVs are far below their SoC target and capacity at instant
         # 40 and see no PV, so each draws p_max, as the engine books it.
         dh = sc.delta_i / 60.0
@@ -529,13 +517,10 @@ class TestSimulationPipeline:
         assert record.injections[sc.topology.bus_index[a.bus_id]] == session_order
 
     def test_undersized_feeder_emits_congestion(self):
-        cfg = small_config(
-            feeder=FeederSpec(sub_districts=1, buses_per_feeder=3,
-                              households_per_bus=2, line_rating=30.0),
-            fleet_size=6)
+        cfg = small_config({"line_rating": 30.0}, fleet_size=6)
         sc = generate_scenario(cfg, 1, 7)
         sc = force_evening_fleet(sc)
-        res, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        res, records = record_instants(simulation(sc, UncontrolledStrategy()))
         critical = [r for r in records if r.requests]
         assert critical, "expected at least one congestion request"
         assert any(q.criticality == 1.0 for r in critical
@@ -543,14 +528,12 @@ class TestSimulationPipeline:
         assert res.violations_current.sum() > 0
 
     def test_curtailment_acts_next_instant(self):
-        cfg = small_config(
-            feeder=FeederSpec(sub_districts=1, buses_per_feeder=3,
-                              households_per_bus=2, line_rating=30.0),
-            fleet_size=6, household_load_w=0.0)
+        cfg = small_config({"line_rating": 30.0}, fleet_size=6,
+                           household_load_w=0.0)
         sc = generate_scenario(cfg, 2, 7)
         sc = force_evening_fleet(sc)
         _, records = record_instants(
-            Simulation(sc, AmasStrategy(), cooperation_fraction=1.0))
+            simulation(sc, amas(), cooperation_fraction=1.0))
         for prev, nxt in zip(records, records[1:]):
             targets = {sc.fleet[t].ev_id for r in prev.requests
                        if r.criticality == 1.0
@@ -561,15 +544,15 @@ class TestSimulationPipeline:
 
     def test_days_zero_empty(self):
         sc = generate_scenario(small_config(), 0, 7)
-        res, records = record_instants(Simulation(sc, AmasStrategy()))
-        assert res.days == 0
+        res, records = record_instants(simulation(sc, amas()))
+        assert res.sc.days == 0
         assert res.cost.shape == (0, 3)
         assert records == []
 
     def test_determinism_same_seed(self):
         def run():
             sc = generate_scenario(small_config(), 4, 5)
-            res = Simulation(sc, AmasStrategy()).run()
+            res = simulation(sc, amas()).run()
             return (res.cost.tobytes(), res.mean_reward_ev.tobytes(),
                     res.final_soc.tobytes())
         assert run() == run()
@@ -579,10 +562,8 @@ class TestSimulationPipeline:
         # Each request draws from the EVs that charged at its instant in
         # id order, and names what a draw over their sorted ids names from
         # the same generator state.
-        cfg = small_config(
-            feeder=FeederSpec(sub_districts=2, buses_per_feeder=3,
-                              households_per_bus=2, line_rating=30.0),
-            fleet_size=12)
+        cfg = small_config({"sub_districts": 2, "line_rating": 30.0},
+                           fleet_size=12)
         sc = force_evening_fleet(generate_scenario(cfg, 1, 7))
         draws, sample = [], engine.sample_cooperation_targets
 
@@ -593,7 +574,7 @@ class TestSimulationPipeline:
             return draws[-1][-1]
 
         monkeypatch.setattr(engine, "sample_cooperation_targets", spy)
-        _, records = record_instants(Simulation(sc, UncontrolledStrategy(),
+        _, records = record_instants(simulation(sc, UncontrolledStrategy(),
                                                 cooperation_fraction=0.3))
         ids = [p.ev_id for p in sc.fleet]
         drawn = iter(draws)
@@ -613,13 +594,11 @@ class TestSimulationPipeline:
         assert apart
 
     def test_flood_rounds_within_diameter(self):
-        cfg = small_config(
-            feeder=FeederSpec(sub_districts=2, buses_per_feeder=4,
-                              households_per_bus=2, line_rating=30.0),
-            fleet_size=8)
+        cfg = small_config({"sub_districts": 2, "buses_per_feeder": 4,
+                            "line_rating": 30.0}, fleet_size=8)
         sc = generate_scenario(cfg, 1, 7)
         sc = force_evening_fleet(sc)
-        _, records = record_instants(Simulation(sc, UncontrolledStrategy()))
+        _, records = record_instants(simulation(sc, UncontrolledStrategy()))
         # bus-chain depth 5 (slack->trunk->4 buses); agent-graph diameter:
         # EV -> bus -> ... -> bus -> EV across both sub-districts.
         diameter = 2 * 5 + 2
@@ -632,10 +611,7 @@ class TestGridStateMemo:
         """A congested 2-day learner run, with its instants recorded and
         every power flow the engine solves recorded by its injection
         bytes."""
-        cfg = small_config(
-            feeder=FeederSpec(sub_districts=1, buses_per_feeder=3,
-                              households_per_bus=2, line_rating=30.0),
-            fleet_size=6)
+        cfg = small_config({"line_rating": 30.0}, fleet_size=6)
         sc = force_evening_fleet(generate_scenario(cfg, 2, 7))
         solved = []
 
@@ -644,7 +620,7 @@ class TestGridStateMemo:
             return solve_power_flow(net, inj, **kw)
 
         monkeypatch.setattr(engine, "solve_power_flow", record_solve)
-        sim = Simulation(sc, AmasStrategy(), cooperation_fraction=1.0)
+        sim = simulation(sc, amas(), cooperation_fraction=1.0)
         return (sc, sim, *record_instants(sim), solved)
 
     def test_solves_each_distinct_injection_once(self, run):
@@ -713,7 +689,7 @@ class TestGridStateMemo:
     def test_non_finite_injections_raise(self, bad):
         sc = generate_scenario(small_config(), 1, 7)
         sc.site_load_profiles[0, 0] = bad
-        sim = Simulation(sc, UncontrolledStrategy())
+        sim = simulation(sc, UncontrolledStrategy())
         with pytest.raises(ValueError, match="finite"):
             sim.run_instant(0)
 

@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcharge.gridnet import (Bus, FeederSpec, Line, NetworkTopology,
-                                TopologyError, _certificate_bounds,
-                                build_replicated_feeder,
+from gridcharge.gridnet import (Bus, Line, NetworkTopology, TopologyError,
+                                _certificate_bounds, build_replicated_feeder,
                                 certainly_within_limits, pv_power,
                                 solve_power_flow)
-from helpers import certificate_bounds, power_mismatch
+from helpers import certificate_bounds, defaults, power_mismatch
+
+
+def feeder(**topology):
+    """The replicated feeder of the default `scenario.topology` under the
+    `topology` overrides."""
+    return build_replicated_feeder(defaults("scenario", "topology",
+                                            **topology))
 
 
 @st.composite
@@ -148,8 +154,7 @@ class TestTwoBusOracle:
         assert not sol.converged
 
     def test_zero_injections_flat_voltage(self):
-        spec = FeederSpec(sub_districts=3, buses_per_feeder=4)
-        net = build_replicated_feeder(spec)
+        net = feeder(sub_districts=3, buses_per_feeder=4)
         sol = solve_power_flow(net, np.zeros(net.n_buses))
         assert sol.converged
         assert np.allclose(sol.bus_voltages, 1.0)
@@ -162,8 +167,7 @@ class TestTwoBusOracle:
         assert sol.bus_voltages[1] > 1.0
 
     def test_residual_small_on_multibus_net(self):
-        net = build_replicated_feeder(FeederSpec(sub_districts=2,
-                                                 buses_per_feeder=5))
+        net = feeder(sub_districts=2, buses_per_feeder=5)
         rng = np.random.default_rng(3)
         inj = rng.uniform(-2000.0, 5000.0, net.n_buses)
         inj[net.bus_index["slack"]] = 0.0
@@ -172,8 +176,7 @@ class TestTwoBusOracle:
         assert power_mismatch(net, sol, inj) < 1e-6
 
     def test_monotone_loading_at_leaf(self):
-        net = build_replicated_feeder(FeederSpec(sub_districts=1,
-                                                 buses_per_feeder=6))
+        net = feeder(buses_per_feeder=6)
         leaf = "d0b5"
         prev = None
         for p in [0.0, 1e3, 5e3, 2e4, 5e4]:
@@ -236,7 +239,7 @@ class TestSegmentSums:
 
     def test_pinned_trajectory(self):
         # Guards the sweep count that the benchmark repeats exactly.
-        net = build_replicated_feeder(FeederSpec(sub_districts=4))
+        net = feeder(sub_districts=4)
         assert net.n_buses == 46
         inj = np.random.default_rng(46).uniform(-3000.0, 20000.0,
                                                 net.n_buses)
@@ -253,7 +256,7 @@ class TestSegmentSums:
         # The topology's memory grows with the sum of bus depths, the
         # length of `_below` (7,701 entries here), not with n_buses^2
         # (1.2M): no dense bus-by-bus or line-by-bus map is kept.
-        net = build_replicated_feeder(FeederSpec(sub_districts=100))
+        net = feeder(sub_districts=100)
         assert net.n_buses == 1102
         sizes = {name: value.size for name, value in vars(net).items()
                  if isinstance(value, np.ndarray)}
@@ -298,15 +301,14 @@ class TestCertificate:
     def test_bounds_match_a_walk_on_a_wide_feeder(self):
         # `radial_trees` stops at 16 buses; this feeder has 1,102, and its
         # trunk line sums the terms of 1,100 buses.
-        net = build_replicated_feeder(FeederSpec(sub_districts=100))
+        net = feeder(sub_districts=100)
         rng = np.random.default_rng(1102)
         p = rng.uniform(-2e4, 2e4, net.n_buses)
         p[rng.random(net.n_buses) < 0.2] = 0.0
         assert_bounds_match_a_walk(net, p)
 
     def test_clears_light_loads_on_the_feeders(self):
-        for spec in (FeederSpec(), FeederSpec(sub_districts=4)):
-            net = build_replicated_feeder(spec)
+        for net in (feeder(), feeder(sub_districts=4)):
             assert certainly_within_limits(net, np.zeros(net.n_buses))
             assert certainly_within_limits(net, np.full(net.n_buses, 1500.0))
             assert certainly_within_limits(net, np.full(net.n_buses, -900.0))
@@ -374,29 +376,25 @@ class TestCertificate:
 
 class TestFeederGenerator:
     def test_smallest_legal_tree(self):
-        net = build_replicated_feeder(
-            FeederSpec(sub_districts=1, buses_per_feeder=1,
-                       households_per_bus=1))
+        net = feeder(buses_per_feeder=1, households_per_bus=1)
         assert net.n_buses == 2
         assert net.n_lines == 1
 
     def test_two_by_three_counts(self):
-        net = build_replicated_feeder(
-            FeederSpec(sub_districts=2, buses_per_feeder=3))
+        net = feeder(sub_districts=2, buses_per_feeder=3)
         # slack + trunk junction + 2 x 3 chain buses
         assert net.n_buses == 8
         assert net.n_lines == 7
 
     def test_zero_sub_districts_rejected(self):
         with pytest.raises(TopologyError):
-            build_replicated_feeder(FeederSpec(sub_districts=0))
+            feeder(sub_districts=0)
 
     @given(s=st.integers(1, 5), b=st.integers(1, 8), h=st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
     def test_tree_property(self, s, b, h):
-        net = build_replicated_feeder(
-            FeederSpec(sub_districts=s, buses_per_feeder=b,
-                       households_per_bus=h))
+        net = feeder(sub_districts=s, buses_per_feeder=b,
+                     households_per_bus=h)
         assert net.n_lines == net.n_buses - 1
         # Connectivity is certified by construction succeeding (BFS covers
         # every bus or NetworkTopology raises).
@@ -405,9 +403,7 @@ class TestFeederGenerator:
         assert device_count == s * b * h
 
     def test_households_attached(self):
-        net = build_replicated_feeder(
-            FeederSpec(sub_districts=1, buses_per_feeder=2,
-                       households_per_bus=3))
+        net = feeder(buses_per_feeder=2, households_per_bus=3)
         bus = net.buses[net.bus_index["d0b1"]]
         assert bus.devices == ("d0b1h0", "d0b1h1", "d0b1h2")
 

@@ -1,5 +1,4 @@
 """Evaluation metrics and the comparison strategies (uncontrolled, oracle)."""
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcharge import engine, strategies
-from gridcharge.engine import (GridJudge, ScenarioConfig, Simulation,
-                               generate_scenario, instant_tables)
-from gridcharge.gridnet import (FeederSpec, certainly_within_limits,
-                                solve_power_flow)
+from gridcharge.engine import GridJudge, generate_scenario, instant_tables
+from gridcharge.gridnet import certainly_within_limits, solve_power_flow
 from gridcharge.metrics import (convergence_day, fairness_index,
                                 mean_daily_reward, per_unit_costs)
 from gridcharge.strategies import (AmasStrategy, ScheduleStrategy,
                                    UncontrolledStrategy, centralized_oracle,
                                    uncontrolled_action)
-from helpers import oracle_needs, optimal_plans, site_tables, within_limits
+from helpers import (defaults, oracle_needs, optimal_plans, simulation,
+                     site_tables, within_limits)
 
 
 class TestFairnessIndex:
@@ -128,18 +126,16 @@ class TestUncontrolledAction:
 
 def tiny_scenario(n_ev=2, rating=1e6, m=12, seed=3, window=8,
                   soc_target=0.56):
-    cfg = ScenarioConfig(
-        feeder=FeederSpec(sub_districts=1, buses_per_feeder=2,
-                          households_per_bus=2, line_rating=rating),
-        fleet_size=n_ev,
-        ev=__import__("gridcharge.engine", fromlist=["EvParams"]).EvParams(
-            soc_target=soc_target, arrival_mean_hour=10.0, arrival_std_hour=0.0,
-            depart_mean_hour=10.0 + window * (24.0 / m), depart_std_hour=0.0),
-        m=m,
-        household_load_w=0.0,
-        irradiance_profile=np.zeros(m),
-    )
-    return generate_scenario(cfg, 1, seed)
+    cfg = defaults(
+        "scenario", fleet_size=n_ev,
+        topology={"buses_per_feeder": 2, "households_per_bus": 2,
+                  "line_rating": rating},
+        ev={"soc_target": soc_target, "arrival_mean_hour": 10.0,
+            "arrival_std_hour": 0.0,
+            "depart_mean_hour": 10.0 + window * (24.0 / m),
+            "depart_std_hour": 0.0},
+        instants_per_day=m, household_load_w=0.0)
+    return generate_scenario(cfg, 1, seed, irradiance=np.zeros(m))
 
 
 def sequential_greedy(sc):
@@ -183,10 +179,10 @@ def plan_cost(sc, plans):
 
 
 def small_feeder(n_ev, rating, sub_districts=2, seed=1):
-    cfg = ScenarioConfig(
-        feeder=FeederSpec(sub_districts=sub_districts, buses_per_feeder=3,
-                          households_per_bus=3, line_rating=rating),
-        fleet_size=n_ev, m=24)
+    cfg = defaults(
+        "scenario", fleet_size=n_ev, instants_per_day=24,
+        topology={"sub_districts": sub_districts, "buses_per_feeder": 3,
+                  "households_per_bus": 3, "line_rating": rating})
     return generate_scenario(cfg, 1, seed)
 
 
@@ -247,12 +243,12 @@ class TestCentralizedOracle:
         rng = np.random.default_rng(5)
         sc.site_load_profiles = rng.uniform(0.0, 900.0,
                                             sc.site_load_profiles.shape)
-        sc.sites = [replace(s, pv_area=float(a)) for s, a in
-                    zip(sc.sites, rng.uniform(5.0, 40.0, len(sc.sites)))]
+        sc.site_pv_area = rng.uniform(5.0, 40.0, len(sc.site_pv_area))
         loads, pv, base = site_tables(sc)
-        site_bus, load_inj, site_pv_w = instant_tables(sc)
-        assert site_bus.tolist() == [sc.topology.bus_index[s.bus_id]
-                                     for s in sc.sites]
+        load_inj, site_pv_w = instant_tables(sc)
+        assert sc.site_bus.tolist() == [b for b, bus in
+                                        enumerate(sc.topology.buses)
+                                        for _ in bus.devices]
         assert load_inj.tobytes() == loads.tobytes()
         assert site_pv_w.tobytes() == pv.tobytes()
 
@@ -300,7 +296,7 @@ class TestCentralizedOracle:
         ib = {(b.t_arrive + l) % sc.m for l in np.flatnonzero(best[b.ev_id])}
         assert not (ia & ib)
         plans = centralized_oracle(sc)
-        res = Simulation(sc, ScheduleStrategy(plans)).run()
+        res = simulation(sc, ScheduleStrategy(plans)).run()
         assert res.violations_current.sum() == 0
         assert res.violations_voltage.sum() == 0
         assert plan_cost(sc, plans) >= plan_cost(sc, best) - 1e-12
@@ -308,7 +304,7 @@ class TestCentralizedOracle:
     def test_schedule_strategy_replays_plan(self):
         sc = tiny_scenario(n_ev=2)
         plans = centralized_oracle(sc)
-        res = Simulation(sc, ScheduleStrategy(plans)).run()
+        res = simulation(sc, ScheduleStrategy(plans)).run()
         dh = sc.delta_i / 60.0
         for j, p in enumerate(sc.fleet):
             expected = sum(sc.price_profile[(p.t_arrive + l) % sc.m]
