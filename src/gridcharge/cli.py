@@ -149,9 +149,9 @@ def _write_text(path, lines):
 
 
 def _write_json(path, payload):
+    # One write: `json.dump` with an indent writes chunk by chunk.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _overrides_from_args(args):

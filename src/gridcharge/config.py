@@ -206,11 +206,6 @@ def parse_config(path, overrides=None) -> RunConfig:
     if not ev["soc_start"] <= ev["soc_target"]:
         raise ConfigError("scenario.ev.soc_start, scenario.ev.soc_target: "
                           "need soc_start <= soc_target")
-    sites = (topo["sub_districts"] * topo["buses_per_feeder"]
-             * topo["households_per_bus"])
-    if scen["fleet_size"] > sites:
-        raise ConfigError(f"scenario.fleet_size: {scen['fleet_size']} "
-                          f"exceeds {sites} household sites")
     base_dir = os.path.dirname(os.path.abspath(path))
     for key in ("price_csv", "irradiance_csv"):
         p = scen[key]

@@ -125,9 +125,8 @@ def generate_scenario(cfg: dict, days: int, seed: int, price=None,
     if fleet_size < 0:
         raise ScenarioError("fleet_size must be >= 0")
     if fleet_size > n_sites:
-        raise ScenarioError(
-            f"fleet_size {fleet_size} exceeds {n_sites} household sites"
-        )
+        raise ScenarioError(f"scenario.fleet_size: {fleet_size} exceeds "
+                            f"{n_sites} household sites")
 
     price = (np.asarray(price, dtype=float) if price is not None
              else default_price_profile(m))

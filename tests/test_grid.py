@@ -1,14 +1,17 @@
 """Network topology and power-flow tests against closed-form oracles."""
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcharge import gridnet
 from gridcharge.gridnet import (Bus, Line, NetworkTopology, TopologyError,
-                                _certificate_bounds, build_replicated_feeder,
+                                _certificate_bounds, _segment_certificate,
+                                build_replicated_feeder,
                                 certainly_within_limits, pv_power,
                                 solve_power_flow)
 from helpers import certificate_bounds, defaults, power_mismatch
@@ -41,16 +44,17 @@ def radial_trees(draw, max_buses=16, min_buses=2):
 
 
 @st.composite
-def limited_trees(draw):
-    """A `radial_trees` network with random line impedances and ratings and
-    random bus voltage bands. Half the time the slack bus's band is drawn
+def limited_trees(draw, max_rating=500.0):
+    """A `radial_trees` network with random line impedances, ratings up to
+    `max_rating` ampere and random bus voltage bands. Half the time the
+    slack bus's band is drawn
     from anywhere near 1 per unit, the slack voltage, so that it may
     exclude it or end exactly at it, where rounding decides. Returns a
     NetworkTopology."""
     buses, lines, slack = draw(radial_trees())
     lines = [replace(l, resistance=draw(st.floats(1e-4, 0.05)),
                      reactance=draw(st.floats(0.0, 0.05)),
-                     i_rated=draw(st.floats(5.0, 500.0)))
+                     i_rated=draw(st.floats(5.0, max_rating)))
              for l in lines]
     edge = st.one_of(st.floats(0.8, 1.2), st.just(1.0))
     slack_min, slack_max = draw(st.one_of(
@@ -61,6 +65,11 @@ def limited_trees(draw):
                           v_max=draw(st.floats(1.01, 1.2)))
              for b in buses]
     return NetworkTopology(buses, lines, slack)
+
+
+def leaf_count(net):
+    """The number of buses no line hangs below."""
+    return net.n_buses - len(set(net.parent_bus[net._non_slack].tolist()))
 
 
 # Solution of the 46-bus case in `TestSegmentSums.test_pinned_trajectory`
@@ -374,6 +383,97 @@ class TestCertificate:
                 certainly_within_limits(net, p)
 
 
+class TestTotalLoadTier:
+    """The tier in front of the segment-sum certificate: a vector whose
+    total |p| lies below `NetworkTopology._total_limit` is cleared at once,
+    any other goes on to the certificate."""
+
+    # Each case makes one of the tier's bounds the least, on the two-bus
+    # feeder of 0.1 ohm, where D = 0.1 ohm / v_lo and m = 1e-9.
+    @pytest.mark.parametrize("kw, limit", [
+        # The rating: v_lo * i_rated * (1 - 2m), 218.5 V * 100 A.
+        ({}, 218.5 * 100.0 * (1.0 - 2e-9)),
+        # The band: (v_max * v_base - v_s * (1 + 2m)) / D.
+        (dict(rating=1000.0, v_max=1.02),
+         (1.02 * 230.0 - 230.0 * (1.0 + 2e-9)) * 218.5 / 0.1),
+        # The drop: (v_s - v_lo - 2m * v_s) / D.
+        (dict(rating=1000.0, v_min=0.99),
+         (230.0 - 0.99 * 230.0 - 2e-9 * 230.0) * 227.7 / 0.1),
+        # q <= 1/2: (1 - 2m) * v_lo / (2 D).
+        (dict(rating=1e4, v_min=0.5, v_max=2.0),
+         (1.0 - 2e-9) * 115.0 / 2.0 * 115.0 / 0.1),
+    ])
+    def test_limit_is_the_least_bound(self, kw, limit):
+        assert two_bus_net(**kw)._total_limit == pytest.approx(
+            limit, rel=1e-12, abs=0.0)
+
+    def test_impedance_rounding_to_no_drop_bounds_nothing(self):
+        # 5e-324 ohm / 218.5 V rounds to a drop per watt of 0.
+        net = two_bus_net(r=5e-324)
+        assert net._drop_per_watt[0] == 0.0
+        assert net._total_limit == two_bus_net()._total_limit
+
+    def test_below_the_limit_cleared_without_the_certificate(self):
+        for net in (two_bus_net(), feeder(sub_districts=100)):
+            limit = net._total_limit
+            last = np.zeros(net.n_buses)
+            last[-1] = np.nextafter(limit, 0.0)
+            mixed = np.full(net.n_buses, -0.4 * limit / net.n_buses)
+            mixed[-1] = 0.5 * limit
+            for p in (last, mixed):
+                with mock.patch.object(gridnet, "_segment_certificate",
+                                       side_effect=AssertionError):
+                    assert certainly_within_limits(net, p)
+                assert _segment_certificate(net, p)
+
+    def test_at_the_limit_the_certificate_decides(self):
+        net = two_bus_net()
+        limit = net._total_limit
+        # The certificate's own line limit lies 1e-9 of the rating above.
+        assert certainly_within_limits(net, np.array([0.0, limit]))
+        # Split between the buses, the total is what counts.
+        for p in ([0.0, limit], [0.5 * limit, 0.5 * limit]):
+            for verdict in (False, True):
+                with mock.patch.object(gridnet, "_segment_certificate",
+                                       return_value=verdict) as certificate:
+                    assert certainly_within_limits(net, np.array(p)) is verdict
+                certificate.assert_called_once()
+
+    def test_zero_when_the_slack_band_excludes_one(self):
+        # A band ending at 1.0 excludes it by the certificate's margin.
+        for band in ((1.01, 1.1), (0.9, 0.99), (0.95, 1.0), (1.0, 1.05)):
+            net = two_bus_net(slack_band=band)
+            assert net._total_limit == 0.0
+            assert not certainly_within_limits(net, np.zeros(2))
+
+    @given(net=limited_trees(max_rating=1e5).filter(
+        lambda net: leaf_count(net) >= 3), data=st.data())
+    def test_tier_clears_only_what_the_certificate_clears(self, net, data):
+        limit = net._total_limit
+        if not 0.0 < limit < math.inf:
+            return
+        # All of the load at one bus: at the right bus the limit is tight.
+        at_one_bus = np.diag(np.full(net.n_buses, np.nextafter(limit, 0.0)))
+        shape = np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=net.n_buses,
+            max_size=net.n_buses)))
+        total = np.abs(shape).sum()
+        # Spread loads, with totals above the limit too.
+        spread = [shape * (data.draw(st.floats(0.5, 2.0)) * limit / total)
+                  ] if total > 0.0 else []
+        for p in [*at_one_bus, *spread]:
+            with mock.patch.object(gridnet, "_segment_certificate",
+                                   return_value=False):
+                if not certainly_within_limits(net, p):
+                    continue
+            assert _segment_certificate(net, p)
+            sol = solve_power_flow(net, p)
+            assert sol.converged
+            assert (sol.line_currents <= net.i_rated).all()
+            assert (net.v_min <= sol.bus_voltages).all()
+            assert (sol.bus_voltages <= net.v_max).all()
+
+
 class TestFeederGenerator:
     def test_smallest_legal_tree(self):
         net = feeder(buses_per_feeder=1, households_per_bus=1)
@@ -423,6 +523,13 @@ class TestTopologyValidation:
                  Line("2", "c", "d", 0.1, 0.0, 10),
                  Line("3", "c", "d", 0.2, 0.0, 10)]
         with pytest.raises(TopologyError):
+            NetworkTopology(buses, lines, "a")
+
+    def test_duplicate_line_ids_rejected(self):
+        buses = [Bus("a"), Bus("b"), Bus("c")]
+        lines = [Line("1", "a", "b", 0.1, 0.0, 10),
+                 Line("1", "b", "c", 0.1, 0.0, 10)]
+        with pytest.raises(TopologyError, match="duplicate line ids"):
             NetworkTopology(buses, lines, "a")
 
     def test_unknown_slack_rejected(self):
