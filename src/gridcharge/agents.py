@@ -170,26 +170,43 @@ class Roster:
 
     Every column is a row of one block, so `join` and `keep` each copy
     one array: the columns of the EVs that join, or of those that stay.
+
+    `pending` holds the `curtail` and `force` rows, and `n_pending` counts
+    their set flags, so that an instant with none pending tests one int.
+    Write the flags through `set_pending`, which keeps the count.
     """
 
     def __init__(self, fleet: Fleet, rows=()):
         self.fleet = fleet
         rows = np.asarray(rows, dtype=np.int64)
         self._hold(rows, fleet._block.take(rows, axis=1))
+        self.n_pending = 0          # the fleet's start state has none
 
     def _hold(self, rows, block):
         self.rows, self.size, self._block = rows, len(rows), block
         _bind(self, _COLUMNS, block)
+        self._clock = block[_NOW:_FLAT + 1]       # now, flat
         self.pending = block[_FLAT + 1:]          # curtail, force
         self.session_floats = block[_SESSION:_SESSION + 4].view(np.float64)
 
+    def set_pending(self, flags):
+        """Set the pending request flags to `flags`, the `curtail` and the
+        `force` flag of every entry (0 or 1); None clears them."""
+        if flags is None:
+            if self.n_pending:
+                self.pending.fill(0)
+                self.n_pending = 0
+        else:
+            self.pending[:] = flags
+            self.n_pending = int(np.count_nonzero(self.pending))
+
     def advance(self):
         """Move every EV on to its next local instant."""
-        self._block[_NOW:_FLAT + 1] += 1          # now and flat
+        self._clock += 1                          # now and flat
 
     def join(self, rows):
         """Append the fleet's `rows` at the state their sessions start
-        from."""
+        from, with no request pending."""
         rows = np.asarray(rows, dtype=np.int64)
         self._hold(np.concatenate((self.rows, rows)), np.concatenate(
             (self._block, self.fleet._block.take(rows, axis=1)), axis=1))
@@ -198,6 +215,7 @@ class Roster:
         """Keep only the entries where the mask `stay` is True."""
         self._hold(self.rows.compress(stay),
                    self._block.compress(stay, axis=1))
+        self.n_pending = int(np.count_nonzero(self.pending))
 
 
 def _column(profiles, name) -> np.ndarray:
@@ -288,27 +306,31 @@ def sample_cooperation_targets(pool, count: int,
 def ev_reward(cr_ev, top):
     """Charging reward: minus `top`, the largest nonzero criticality
     received, or one minus the normalized electricity cost where `top` is
-    0 (none arrived). `top` holds one value per row; the cost is one float
-    for every row, the instant's price, which `engine.Scenario`
-    range-checks once."""
+    0 (none arrived). `top` holds one value per row, or is None when no
+    row received a request, for which the reward is the one float
+    1 - cost. The cost is one float for every row, the instant's price,
+    which `engine.Scenario` range-checks once."""
     cost = float(cr_ev)
     if not 0.0 <= cost <= 1.0:
         raise ValueError("EV criticality (normalized cost) must be in [0, 1]")
+    if top is None:
+        return 1.0 - cost
     return np.where(top, np.negative(top), 1.0 - cost)
 
 
-def take_requests(roster: Roster, received: dict) -> np.ndarray:
+def take_requests(roster: Roster, received: dict) -> np.ndarray | None:
     """Hold the requests the roster's EVs received (fleet row -> its bus's
     adoptions, one list per bus) for their next decision.
 
     Sets the pending flags of the roster's EVs that a +1 (curtail) or -1
     (force) request names as cooperation targets, where their bus adopted
     it, and clears every other flag. Returns, per roster EV, the largest
-    nonzero criticality it received, 0 when none.
+    nonzero criticality it received, 0 when none; or None when no roster
+    EV received a request.
     """
     if not received:
-        roster.pending.fill(0)
-        return np.zeros(roster.size)
+        roster.set_pending(None)
+        return None
     fleet_bus = roster.fleet.bus
     by_bus = dict(zip(fleet_bus[list(received)].tolist(), received.values()))
     top = np.zeros(int(fleet_bus.max()) + 1)
@@ -329,7 +351,7 @@ def take_requests(roster: Roster, received: dict) -> np.ndarray:
                         [len(q.target_rows) for q in asks])
         side, hit = np.nonzero(held[:, fleet_bus[rows]] == ask)
         named[side, rows[hit]] = True
-    roster.pending[:] = named[:, roster.rows]
+    roster.set_pending(named[:, roster.rows])
     return top[roster.bus]
 
 
@@ -379,10 +401,10 @@ def ev_decide(roster: Roster, short, slack) -> np.ndarray:
     """
     flat, k_p = roster.flat, roster.k_p
     charge = k_p < slack.take(flat)
-    if np.count_nonzero(roster.pending):
+    if roster.n_pending:
         charge = (np.where(roster.force, short.take(flat) > k_p, charge)
                   & (roster.curtail == 0))
-    return np.where(charge, roster.p_max, 0.0)
+    return roster.p_max * charge
 
 
 def ev_record(roster: Roster, charged, cost_now: float, top) -> np.ndarray:
@@ -391,10 +413,13 @@ def ev_record(roster: Roster, charged, cost_now: float, top) -> np.ndarray:
     Per roster EV that charged from the grid: one more instant charged in
     `k_p`, and its reward (`ev_reward`) in `Fleet.reward`, from the largest
     nonzero criticality it received (`top`, an array of one per roster EV,
-    0 when none). Returns the flat table cells of the EVs that charged.
+    0 when none; None when no EV received one, so that every reward is the
+    float 1 - `cost_now`). Returns the flat table cells of the EVs that
+    charged.
     """
     charged = np.asarray(charged, dtype=bool)
     at = roster.flat[charged]
     roster.k_p += charged
-    roster.fleet.reward.put(at, ev_reward(cost_now, top[charged]))
+    roster.fleet.reward.put(at, ev_reward(
+        cost_now, None if top is None else top[charged]))
     return at

@@ -21,8 +21,9 @@ import numpy as np
 from .agents import (CriticalityRequest, EvProfile, Fleet, Roster,
                      bus_criticality, line_criticality, request_priority,
                      sample_cooperation_targets, take_requests)
-from .gridnet import (NetworkTopology, build_replicated_feeder,
-                      certainly_within_limits, pv_power, solve_power_flow)
+from .gridnet import (NetworkTopology, below_total_limit,
+                      build_replicated_feeder, certainly_within_limits,
+                      pv_power, solve_power_flow)
 
 __all__ = [
     "Scenario",
@@ -32,6 +33,7 @@ __all__ = [
     "instant_tables",
     "bus_sums",
     "site_injections",
+    "charge",
     "generate_scenario",
     "agent_neighbors",
     "flood_requests",
@@ -194,19 +196,59 @@ def instant_tables(scenario: Scenario):
     return load_inj, site_pv_w
 
 
+def charge(roster: Roster, asked, pv_kwh, price: float, delta_h: float,
+           eta_dh):
+    """One instant of battery physics for every EV of the `roster`, booked
+    into its session sums; returns the PV energy each battery took (kWh)
+    and its grid power (kW).
+
+    Each battery takes its site's PV output `pv_kwh` first, then grid
+    energy `grid_in` up to its charger's share of the `asked` power (kW)
+    over `delta_h` hours, both capped by its free capacity. Its state of
+    charge, cost (at the normalized `price`), grid and battery energy each
+    grow by this instant's amount, in one add over the roster's
+    `session_floats`. `eta_dh` is each EV's `eta_chrg * delta_h`.
+
+    `grid_in` is never negative: the free capacity is clamped at 0, the PV
+    share is at most the free capacity (PV is never negative), and every
+    strategy asks 0 or its charger's `p_max`. So the grid power
+    `grid_in / eta_dh` is exactly 0, with no guard, where no grid energy
+    was drawn.
+    """
+    # This instant's soc, cost, grid and battery energy: the rows of
+    # `session_floats`, in order.
+    sums = np.empty((4, roster.size))
+    grid_in, stored = sums[2], sums[3]
+    headroom = np.maximum(0.0, (1.0 - roster.soc) * roster.e_bat)
+    pv_in = np.minimum(pv_kwh, headroom)
+    np.minimum(roster.eta_chrg * asked * delta_h, headroom - pv_in,
+               out=grid_in)
+    grid_kw = grid_in / eta_dh
+    np.add(pv_in, grid_in, out=stored)
+    np.divide(stored, roster.e_bat, out=sums[0])
+    np.multiply(price, grid_kw, out=sums[1])
+    sums[1] *= delta_h
+    roster.session_floats += sums
+    return pv_in, grid_kw
+
+
 class GridJudge:
     """The grid state of bus injection vectors, each judged once.
 
     A state is (converged, line criticalities, bus criticalities, any line
-    critical, any bus critical), its arrays read-only, kept by the
-    vector's bytes. It depends only on the vector, and vectors repeat:
-    household loads and PV repeat per instant of day, and schedules
-    replay. A vector that `certainly_within_limits` clears shares one
-    all-clear state and is not solved; any other is solved once by
-    `solve`, the `solve_power_flow` of the caller's module, so that a
-    wrapper installed under that name sees the caller's solves. A power
-    flow that does not converge leaves the electrical state unknown, so
-    every line is marked critical and the whole fleet backs off.
+    critical, any bus critical), its arrays read-only. It depends only on
+    the vector. A vector that `below_total_limit` clears gets the shared
+    all-clear state at once and leaves no memo entry: once EVs charge,
+    light vectors rarely repeat, so an entry for one is seldom read.
+    Any other state is kept by the vector's bytes, since those vectors
+    repeat: household loads and PV repeat per instant of day, and
+    schedules replay. A kept vector that `certainly_within_limits` clears
+    shares the all-clear state and is not solved; any other is solved
+    once by `solve`, the `solve_power_flow` of the caller's module, so
+    that a wrapper installed under that name sees the caller's solves. A
+    power flow that does not converge leaves the electrical state
+    unknown, so every line is marked critical and the whole fleet backs
+    off.
     """
 
     def __init__(self, net: NetworkTopology, solve):
@@ -217,7 +259,10 @@ class GridJudge:
         self.all_clear = (True, line_ok, bus_ok, False, False)
 
     def state(self, inj: np.ndarray) -> tuple:
-        key, net = inj.tobytes(), self.net
+        net = self.net
+        if below_total_limit(net, inj):
+            return self.all_clear
+        key = inj.tobytes()
         state = self.states.get(key)
         if state is None and certainly_within_limits(net, inj):
             state = self.states[key] = self.all_clear
@@ -389,6 +434,7 @@ class Simulation:
         by_id = sorted(range(len(ids)), key=ids.__getitem__)
         self._id_rank = np.empty(len(ids), dtype=np.int64)
         self._id_rank[by_id] = range(len(ids))
+        self._price = scenario.price_profile.tolist()
         self._load_inj, self._site_pv_w = instant_tables(scenario)
         # The site PV as kWh per instant.
         self._site_pv_kwh = self._site_pv_w / 1000.0 * self.delta_h
@@ -429,11 +475,14 @@ class Simulation:
         An instant sums each bus's injection from its terms in this order:
         its sites' household loads (one `_load_inj` entry), the grid power
         of its plugged-in EVs in roster order, then minus the PV export of
-        its sites in site order. `_inj_bus` is the bus of every term.
+        its sites in site order. `_inj_bus` is the bus of every term, and
+        `_export_at` the term of each roster EV's site.
         """
-        self._eta_dh = self.roster.eta_chrg * self.delta_h
-        self._inj_bus = np.concatenate((self._load_bus, self.roster.bus,
+        ro = self.roster
+        self._eta_dh = ro.eta_chrg * self.delta_h
+        self._inj_bus = np.concatenate((self._load_bus, ro.bus,
                                         self.sc.site_bus))
+        self._export_at = self.net.n_buses + ro.size + ro.site
 
     # -- single instant ----------------------------------------------------
 
@@ -455,32 +504,25 @@ class Simulation:
         # Phase 1+2: charging decisions on the pending requests, battery/PV
         # physics and the session's cost/energy sums. With no EV plugged
         # in, the instant skips every EV phase and injects `_idle_inj`.
-        price = sc.price_profile[i_day]
+        price = self._price[i_day]
         if not ro.size:
             charged, inj = np.zeros(0, dtype=bool), self._idle_inj[i_day]
         else:
             site_pv_w = self._site_pv_w[i_day]
             pv_w = site_pv_w[ro.site]
-            asked = self.strategy.decide(ro)
-            headroom = np.maximum(0.0, (1.0 - ro.soc) * ro.e_bat)
-            pv_in = np.minimum(self._site_pv_kwh[i_day][ro.site], headroom)
-            grid_in = np.minimum(ro.eta_chrg * asked * dh, headroom - pv_in)
-            grid_kw = np.where(grid_in > 0.0, grid_in / self._eta_dh, 0.0)
-            stored = pv_in + grid_in
-            ro.soc += stored / ro.e_bat
+            pv_in, grid_kw = charge(ro, self.strategy.decide(ro),
+                                    self._site_pv_kwh[i_day][ro.site], price,
+                                    dh, self._eta_dh)
             charged = grid_kw > 1e-12
-            ro.cost += price * grid_kw * dh
-            ro.grid_energy += grid_in
-            ro.battery_energy += stored
 
             # Phase 3: power flow with household + EV - PV injections, in
             # `_roster_changed`'s term order; bincount adds its weights in
-            # order, from 0, and -(a - b) is exactly -a + b.
-            minus_export_w = np.negative(site_pv_w)
-            minus_export_w[ro.site] += pv_in / dh * 1000.0
-            inj = np.bincount(self._inj_bus, np.concatenate(
-                (self._load_inj[i_day], grid_kw * 1000.0, minus_export_w)),
-                minlength=net.n_buses)
+            # order, from 0. A site with an EV exports its PV less what
+            # the battery took, and x - pv is exactly -pv + x.
+            w = np.concatenate((self._load_inj[i_day], grid_kw * 1000.0,
+                                np.negative(site_pv_w)))
+            w[self._export_at] = pv_in / dh * 1000.0 - pv_w
+            inj = np.bincount(self._inj_bus, w, minlength=net.n_buses)
 
         # Phase 4: sensing, request creation, flooding to quiescence.
         converged, line_crit, bus_crit, line_any, bus_any = (
@@ -500,8 +542,10 @@ class Simulation:
                             pool, n_targets, self.rng),
                         origin_agent=agents[a].id, origin_kind=kind))
 
-        # Requests reach only the plugged-in EVs at a bus.
-        received, _ = flood_requests(self._graph, ro, initial)
+        # Requests reach only the plugged-in EVs at a bus. With none, the
+        # flood would do nothing.
+        received = (flood_requests(self._graph, ro, initial)[0] if initial
+                    else {})
 
         # Violations are attributed to the global day (clipped to horizon);
         # a non-converged instant counts against both kinds.

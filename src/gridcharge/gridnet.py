@@ -34,6 +34,7 @@ __all__ = [
     "TopologyError",
     "build_replicated_feeder",
     "solve_power_flow",
+    "below_total_limit",
     "certainly_within_limits",
     "pv_power",
 ]
@@ -43,6 +44,10 @@ SWEEP_TOL = 1e-8
 SWEEP_MAX_ITER = 50
 # The certificate's relative margin on every limit it tests.
 CERTIFICATE_MARGIN = 1e-9
+# The total-load tier sums |p| times this power of two, which scales every
+# term and every rounding exactly, so that no sum of finite injections on a
+# feeder of fewer than 2^32 buses overflows.
+TIER_SCALE = 2.0 ** -32
 _FLOAT = np.dtype(float)
 
 
@@ -196,8 +201,12 @@ class NetworkTopology:
         self._slack_band = (self.v_min[root], self.v_max[root])
         self._drop_per_watt = np.abs(self.impedance) / self._v_lo
         self._line_limits, self._bus_limits = _certificate_limits(self)
-        self._ones = np.ones(n)
         self._total_limit = _total_limit(self)
+        self._tier_scale = np.full(n, TIER_SCALE)
+        # A scaled limit below the least normal float would round; it
+        # reads as 0.
+        tier_limit = self._total_limit * TIER_SCALE
+        self._tier_limit = tier_limit if tier_limit >= 2.0 ** -1022 else 0.0
 
     @property
     def n_buses(self):
@@ -373,21 +382,46 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
     floating-point sweep meets the limits that the exact map meets. Every
     test is written so that a NaN fails it.
 
-    Tier. Injections whose total sum of |p_b| lies below
-    `net._total_limit` are cleared before any of this: their S_l and d_b
-    meet every test above (see `_total_limit`). A finite sum also proves
-    every injection finite; a non-finite injection makes the sum NaN or
-    infinite, so such a vector still reaches the input check, as does any
-    input but a float array of one entry per bus.
+    Tier. Injections that `below_total_limit` clears are cleared before
+    any of this: their S_l and d_b meet every test above (see
+    `_total_limit`). A finite sum also proves every injection finite; a
+    non-finite injection makes the sum NaN or infinite, so such a vector
+    still reaches the input check, as does any input but a float array of
+    one entry per bus. A bound past the float range fails its test, which
+    is the verdict; it warns of nothing.
     """
-    if (type(injections) is np.ndarray and injections.dtype is _FLOAT
-            and injections.shape == net._ones.shape):
-        total = np.abs(injections).dot(net._ones)
-        if total < net._total_limit:
-            return True
-        if math.isfinite(total):        # so is every injection
-            return _segment_certificate(net, injections)
+    total = _tier_total(net, injections)
+    if total < net._tier_limit:
+        return True
+    if math.isfinite(total):            # so is every injection
+        return _segment_certificate(net, injections)
     return _segment_certificate(net, net.injection_array(injections))
+
+
+def below_total_limit(net: NetworkTopology, injections) -> bool:
+    """The total-load tier of `certainly_within_limits` alone: whether
+    `injections`, a float array of one entry per bus, sum |p_b| below
+    `net._total_limit` (see `_total_limit`). True proves what the certificate
+    proves; False only means "not proven". Any other input, and a
+    non-finite injection (which makes the sum NaN or infinite), gets
+    False.
+
+    The sum and the limit are both taken times `TIER_SCALE`, a power of
+    two, so that the sum of finite injections cannot overflow. The scaling
+    is exact, so the comparison is the unscaled one, but for terms below
+    2^-990 W, whose rounding (2^-1075 each) the margin of `_total_limit`
+    covers.
+    """
+    return _tier_total(net, injections) < net._tier_limit
+
+
+def _tier_total(net: NetworkTopology, injections) -> float:
+    """`TIER_SCALE` times the sum of |p_b| of `injections`, a float array
+    of one entry per bus; NaN for any other input."""
+    if (type(injections) is np.ndarray and injections.dtype is _FLOAT
+            and injections.shape == net._tier_scale.shape):
+        return np.abs(injections).dot(net._tier_scale)
+    return math.nan
 
 
 def _segment_certificate(net: NetworkTopology, p: np.ndarray) -> bool:
@@ -415,10 +449,13 @@ def _segment_certificate(net: NetworkTopology, p: np.ndarray) -> bool:
 def _certificate_bounds(net: NetworkTopology, p: np.ndarray):
     """The certificate's bounds for injections `p`, by the sweep's segment
     sums: S_l for every line, in line order, and d_b for every non-slack
-    bus, in `net._non_slack` order."""
-    load = np.add.reduceat(np.abs(p)[net._below], net._below_start)
-    drop = np.add.reduceat((net._drop_per_watt * load)[net._above],
-                           net._above_start)
+    bus, in `net._non_slack` order. A sum past the float range reads as
+    infinite (or NaN, times a zero drop per watt), and fails every test
+    it meets."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        load = np.add.reduceat(np.abs(p)[net._below], net._below_start)
+        drop = np.add.reduceat((net._drop_per_watt * load)[net._above],
+                               net._above_start)
     return load, drop
 
 

@@ -213,7 +213,7 @@ def _unpack(text: str, shape) -> np.ndarray:
 
 def uncontrolled_action(roster: Roster) -> np.ndarray:
     """Plug-and-charge: full power until the SoC target, blind to everything."""
-    return np.where(roster.soc < roster.soc_target, roster.p_max, 0.0)
+    return roster.p_max * (roster.soc < roster.soc_target)
 
 
 class UncontrolledStrategy(Strategy):
@@ -242,8 +242,8 @@ class ScheduleStrategy(Strategy):
             self.plans[row, :len(plan)] = plan
 
     def decide(self, roster):
-        planned = self.plans.reshape(-1)[roster.flat]
-        return np.where(planned & (roster.soc < 1.0), roster.p_max, 0.0)
+        planned = self.plans.take(roster.flat)
+        return roster.p_max * (planned & (roster.soc < 1.0))
 
 
 # -- centralized oracle ------------------------------------------------------

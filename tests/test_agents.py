@@ -11,10 +11,10 @@ from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet, Roster,
                                request_priority, required_instants,
                                sample_cooperation_targets, take_requests)
 from gridcharge.bandit import select_super_arm
-from gridcharge.engine import agent_neighbors
+from gridcharge.engine import agent_neighbors, flood_requests
 from gridcharge.gridnet import (Bus, Line, NetworkTopology,
                                 build_replicated_feeder)
-from helpers import amas, defaults, flood_by_id
+from helpers import amas, defaults, flood_by_id, plugged_in
 
 
 def req(crit, origin="x", kind="line", targets=()):
@@ -65,6 +65,41 @@ def received(requests, evs_at_bus, graph=None):
     bus plugged in."""
     ev_bus = {ev: bus for bus, evs in evs_at_bus.items() for ev in evs}
     return flood_by_id(graph or chain(), ev_bus, requests)[0]
+
+
+class TestPendingCount:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_count_follows_every_write(self, data):
+        # EVs join, leave and take flooded requests in any order; after
+        # each step `n_pending` is a fresh count of the pending flags.
+        graph = chain()
+        agents_of = {kind: [a for k, a in graph.node if k == kind]
+                     for kind in ("bus", "line")}
+        n = 6
+        roster = plugged_in(graph, {f"ev{r}": data.draw(st.sampled_from(
+            agents_of["bus"])) for r in range(n)}, rows=[])
+        for _ in range(data.draw(st.integers(1, 10))):
+            step = data.draw(st.sampled_from(["join", "keep", "take"]))
+            if step == "join":
+                out = sorted(set(range(n)) - set(roster.rows.tolist()))
+                roster.join(data.draw(st.lists(st.sampled_from(out),
+                                               unique=True)) if out else [])
+            elif step == "keep":
+                roster.keep(np.array(data.draw(st.lists(
+                    st.booleans(), min_size=roster.size,
+                    max_size=roster.size)), dtype=bool))
+            else:
+                origins = data.draw(st.lists(st.tuples(
+                    st.sampled_from(["bus", "line"]), st.integers(0, 3)),
+                    unique=True, max_size=4))
+                initial = [req(data.draw(st.sampled_from([1.0, -1.0, 0.5])),
+                               agents_of[kind][k], kind, data.draw(st.sets(
+                                   st.integers(0, n - 1))))
+                           for kind, k in origins]
+                received, _ = flood_requests(graph, roster, initial)
+                take_requests(roster, received)
+            assert roster.n_pending == np.count_nonzero(roster.pending)
 
 
 class TestForwardRequest:
@@ -197,6 +232,18 @@ class TestEvReward:
     def test_cost_range_enforced(self):
         with pytest.raises(ValueError):
             ev_reward(1.2, 0.0)
+        with pytest.raises(ValueError):
+            ev_reward(1.2, None)
+
+    @given(cost=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_no_request_is_the_cost_branch(self, cost):
+        # None (no row received a request) gives the one float the cost
+        # branch gives every row.
+        got = ev_reward(cost, None)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.asarray(
+            ev_reward(cost, 0.0)).tobytes()
 
     @given(cost=st.floats(0.0, 1.0), top=st.floats(-1.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -230,10 +277,14 @@ def need(p, phi, k_p, now):
 
 def in_session(fleet, rows, now=0, **columns):
     """A roster of the fleet's `rows` at local instant `now` (one value, or
-    one per row), with the given session columns set the same way."""
+    one per row), with the given session columns set the same way; the
+    pending flags `curtail` and `force` go through `set_pending`."""
     roster = Roster(fleet, rows)
     roster.now[:] = now
     roster.flat += roster.now
+    flags = [np.broadcast_to(columns.pop(name, 0), roster.size)
+             for name in ("curtail", "force")]
+    roster.set_pending(flags)
     for name, value in columns.items():
         getattr(roster, name)[:] = value
     return roster

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcharge import engine, strategies
-from gridcharge.agents import (CriticalityRequest, EvProfile, request_priority,
+from gridcharge.agents import (CriticalityRequest, EvProfile, Fleet, Roster,
+                               ev_reward, request_priority,
                                sample_cooperation_targets, take_requests)
 from gridcharge.engine import (GridJudge, ProfileError, Scenario,
                                ScenarioError, agent_neighbors,
@@ -20,7 +21,7 @@ from gridcharge.strategies import (AmasStrategy, UncontrolledStrategy,
 from helpers import (amas, defaults, flood_by_id, forward_request,
                      plugged_in, record_instants, round_flood, simulation,
                      take_requests_per_ev, uncontrolled_accounts)
-from test_grid import radial_trees
+from test_grid import radial_trees, two_bus_net
 
 
 def small_config(topology=None, **kw):
@@ -302,7 +303,7 @@ class TestRequestPath:
         roster = plugged_in(graph, ev_bus, rows)
         flags = st.lists(st.integers(0, 1), min_size=len(rows),
                          max_size=len(rows))
-        roster.curtail[:], roster.force[:] = data.draw(flags), data.draw(flags)
+        roster.set_pending([data.draw(flags), data.draw(flags)])
         ids = roster.fleet.ev_ids
         charged = np.array(data.draw(st.lists(
             st.booleans(), min_size=len(rows), max_size=len(rows))), dtype=bool)
@@ -328,6 +329,8 @@ class TestRequestPath:
 
         received, _ = flood_requests(graph, roster, initial)
         top = take_requests(roster, received)
+        if top is None:     # no request reached the roster
+            top = np.zeros(roster.size)
         plugged = {ids[t]: ev_bus[ids[t]] for t in roster.rows.tolist()}
         taken = take_requests_per_ev(
             round_flood(net, evs_at(plugged), initial)[0], ids)
@@ -335,6 +338,71 @@ class TestRequestPath:
             want_top, curtail, force = taken.get(ids[t], (0.0, False, False))
             assert top[k] == want_top
             assert (roster.curtail[k], roster.force[k]) == (curtail, force)
+
+
+def charge_one(soc, e_bat, eta, asked, pv_kwh, price, dh):
+    """One EV's instant of battery physics in Python floats, with the
+    guard the engine no longer needs: grid power only where the grid
+    energy is positive. Returns the session sums' increments (soc, cost,
+    grid energy, battery energy), the PV energy taken and the grid
+    power."""
+    headroom = max(0.0, (1.0 - soc) * e_bat)
+    pv_in = min(pv_kwh, headroom)
+    grid_in = min(eta * asked * dh, headroom - pv_in)
+    grid_kw = grid_in / (eta * dh) if grid_in > 0.0 else 0.0
+    stored = pv_in + grid_in
+    return (stored / e_bat, price * grid_kw * dh, grid_in, stored), pv_in, grid_kw
+
+
+def bits(values) -> bytes:
+    """The float64 bytes of `values`, so that equality also tells 0.0
+    from -0.0."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestCharge:
+    """`engine.charge` over drawn roster states, against `charge_one`."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_guarded_per_ev_loop(self, data):
+        m = data.draw(st.sampled_from([24, 96, 288]))
+        n = data.draw(st.integers(1, 8))
+        profiles = [EvProfile(
+            ev_id=f"ev{r}", bus_id="b", e_bat=data.draw(st.floats(1.0, 100.0)),
+            p_max=data.draw(st.floats(0.5, 22.0)),
+            eta_chrg=data.draw(st.floats(0.5, 1.0)), soc_start=0.0,
+            soc_target=1.0, t_arrive=0, t_depart=1) for r in range(n)]
+        roster = Roster(Fleet(profiles, m), range(n))
+
+        def column(values):
+            return np.array(data.draw(st.lists(values, min_size=n,
+                                               max_size=n)))
+        # Full, nearly full and any state of charge; the grid energy sum
+        # starts at 0, so that it ends at this instant's grid energy.
+        roster.soc[:] = column(st.one_of(st.just(1.0), st.floats(0.0, 1.0),
+                                         st.floats(1.0 - 1e-12, 1.0)))
+        roster.cost[:] = column(st.floats(0.0, 100.0))
+        roster.battery_energy[:] = column(st.floats(0.0, 100.0))
+        asked = roster.p_max * column(st.booleans())
+        pv_kwh = column(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+        price = data.draw(st.floats(0.0, 1.0))
+        dh = 1440.0 / m / 60.0
+        before = roster.session_floats.tolist()
+
+        pv_in, grid_kw = engine.charge(roster, asked, pv_kwh, price, dh,
+                                       roster.eta_chrg * dh)
+        grid_in = roster.grid_energy
+        assert (grid_in >= 0.0).all()
+        assert ((grid_kw == 0.0) == (grid_in == 0.0)).all()
+        for r in range(n):
+            step, want_pv, want_kw = charge_one(
+                before[0][r], roster.e_bat[r], roster.eta_chrg[r], asked[r],
+                pv_kwh[r], price, dh)
+            assert bits(pv_in[r]) == bits(want_pv)
+            assert bits(grid_kw[r]) == bits(want_kw)
+            assert bits(roster.session_floats[:, r]) == bits(
+                [was[r] + d for was, d in zip(before, step)])
 
 
 def force_evening_fleet(sc, t_arrive=70, t_depart=96 + 32):
@@ -367,6 +435,32 @@ class TestSimulationPipeline:
             assert total_kw >= 0.0
             if r.ev_grid_kw:
                 assert total_kw <= 7.0 / 0.95 * len(sc.fleet) + 1e-9
+
+    def test_no_request_instants_book_the_cost_reward(self):
+        # With no request delivered, each EV that charged books at its
+        # reward cell exactly the bits of `ev_reward(price, 0.0)`: the
+        # cost branch of the reward of one row with no criticality.
+        sc = generate_scenario(small_config(), 2, 7)
+        sim = simulation(sc, amas())
+        run_instant, feedback = sim.run_instant, sim.strategy.feedback
+        instant, booked = [], []
+
+        def on_instant(g):
+            instant.append(g)
+            run_instant(g)
+
+        def on_feedback(roster, charged, price, top, pv_w):
+            feedback(roster, charged, price, top, pv_w)
+            if top is None:
+                cells = roster.flat[np.asarray(charged, dtype=bool)]
+                booked.append((instant[-1], sim.fleet.reward.take(cells)))
+
+        sim.run_instant, sim.strategy.feedback = on_instant, on_feedback
+        sim.run()
+        assert sum(len(rewards) for _, rewards in booked) > 0
+        for g, rewards in booked:
+            want = bits(ev_reward(sc.price_profile[g % sc.m], 0.0))
+            assert all(bits(r) == want for r in rewards.tolist())
 
     def test_roster_books_as_a_per_ev_loop(self):
         # The second EV plugs in at the last instant of the first, whose
@@ -633,7 +727,7 @@ class TestGridStateMemo:
         assert len(rows) > len(distinct)   # instants repeat injections
         assert cleared                     # and some are never solved
         assert solved == [key for key in distinct if key not in cleared]
-        assert all(sim.judge.states[key] is sim.judge.all_clear
+        assert all(sim.judge.state(np.frombuffer(key)) is sim.judge.all_clear
                    for key in cleared)
 
     def test_traces_and_violations_match_fresh_solves(self, run):
@@ -664,7 +758,7 @@ class TestGridStateMemo:
     def test_oracle_verdicts_agree(self, run, monkeypatch):
         # The oracle's judge gives False to every vector the simulation
         # judged critical, and True to every one it cleared.
-        sc, sim, _, _, _ = run
+        sc, sim, _, records, _ = run
         judges = []
 
         class Recorded(GridJudge):
@@ -675,7 +769,8 @@ class TestGridStateMemo:
         monkeypatch.setattr(strategies, "GridJudge", Recorded)
         centralized_oracle(sc)
         assert len(judges) == 1
-        states = sim.judge.states.items()
+        states = {r.injections.tobytes(): sim.judge.state(r.injections)
+                  for r in records}.items()
         critical = [key for key, (converged, _, _, line_any, bus_any)
                     in states if not converged or line_any or bus_any]
         cleared = [key for key, state in states
@@ -684,6 +779,22 @@ class TestGridStateMemo:
         for keys, verdict in ((critical, False), (cleared, True)):
             for key in keys:
                 assert judges[0].within_limits(np.frombuffer(key)) is verdict
+
+    def test_only_vectors_past_the_tier_are_kept(self):
+        # The tier answers before the memo and keeps nothing; a vector the
+        # certificate clears, or the solve judges, is kept by its bytes.
+        net = two_bus_net()
+        judge = GridJudge(net, solve_power_flow)
+        limit = net._total_limit
+        light = np.array([0.0, 0.5 * limit])
+        certified = np.array([0.0, limit])
+        heavy = np.array([0.0, 1.2 * 230.0**2 / (4 * 0.1)])
+        assert judge.state(light) is judge.all_clear
+        assert judge.states == {}
+        assert judge.state(certified) is judge.all_clear
+        assert judge.states == {certified.tobytes(): judge.all_clear}
+        assert not judge.within_limits(heavy)
+        assert list(judge.states) == [certified.tobytes(), heavy.tobytes()]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_injections_raise(self, bad):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gridcharge import gridnet
 from gridcharge.gridnet import (Bus, Line, NetworkTopology, TopologyError,
                                 _certificate_bounds, _segment_certificate,
-                                build_replicated_feeder,
+                                below_total_limit, build_replicated_feeder,
                                 certainly_within_limits, pv_power,
                                 solve_power_flow)
 from helpers import certificate_bounds, defaults, power_mismatch
@@ -382,6 +382,28 @@ class TestCertificate:
             with pytest.raises(ValueError, match=r"\(n_buses,\)"):
                 certainly_within_limits(net, p)
 
+    @pytest.mark.parametrize("r", [0.1, 5e-324])
+    def test_overflowing_sums_fail_without_a_warning(self, r):
+        # Finite injections whose sums of |p| pass the float range: on two
+        # buses the total, on a chain also the load of the head line,
+        # which only the certificate's bounds sum; a line of 5e-324 ohm
+        # has a zero drop per watt, which makes that load's drop NaN. The
+        # verdict is False, and nothing warns (pytest makes a
+        # RuntimeWarning an error).
+        assert not certainly_within_limits(two_bus_net(r=r),
+                                           np.array([1e308, 1e308]))
+        chain = NetworkTopology(
+            [Bus("s"), Bus("a"), Bus("b")],
+            [Line("l0", "s", "a", r, 0.0, 100.0),
+             Line("l1", "a", "b", 0.1, 0.0, 100.0)], "s")
+        p = np.array([0.0, 1e308, 1e308])
+        with mock.patch.object(gridnet, "_certificate_bounds",
+                               wraps=_certificate_bounds) as bounds:
+            assert not certainly_within_limits(chain, p)
+        bounds.assert_called_once()
+        load, _ = _certificate_bounds(chain, p)
+        assert load[0] == math.inf
+
 
 class TestTotalLoadTier:
     """The tier in front of the segment-sum certificate: a vector whose
@@ -438,6 +460,23 @@ class TestTotalLoadTier:
                                        return_value=verdict) as certificate:
                     assert certainly_within_limits(net, np.array(p)) is verdict
                 certificate.assert_called_once()
+
+    def test_a_limit_too_small_to_scale_exactly_clears_nothing(self):
+        # 218.5 V * 1e-305 A, times 2^-32, is below the least normal
+        # float, where scaling rounds.
+        net = two_bus_net(rating=1e-305)
+        assert 0.0 < net._total_limit < 1e-300
+        assert not below_total_limit(net, np.zeros(2))
+        assert certainly_within_limits(net, np.zeros(2))
+
+    def test_only_float_vectors_of_finite_injections_pass(self):
+        net = two_bus_net()
+        light = np.array([0.0, 0.5 * net._total_limit])
+        assert below_total_limit(net, light)
+        for p in (light.tolist(), light.astype(np.float32), light[:1],
+                  light[None], np.array([np.nan, 0.0]),
+                  np.array([0.0, np.inf])):
+            assert not below_total_limit(net, p)
 
     def test_zero_when_the_slack_band_excludes_one(self):
         # A band ending at 1.0 excludes it by the certificate's margin.

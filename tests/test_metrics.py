@@ -228,6 +228,32 @@ class TestCentralizedOracle:
         assert cleared                        # and some are never solved
         assert solved == [key for key in distinct if key not in cleared]
 
+    @pytest.mark.parametrize("make", [
+        lambda: small_feeder(12, 60.0),
+        lambda: small_feeder(9, 40.0, sub_districts=3, seed=4),
+    ])
+    def test_plans_as_with_the_memo_first(self, make, monkeypatch):
+        # The judge asks the total-load tier before its memo; a judge that
+        # asks its memo first, then the whole certificate, plans the same.
+        sc = make()
+        plans = centralized_oracle(sc)
+
+        class MemoFirst(GridJudge):
+            def state(self, inj):
+                key = inj.tobytes()
+                if key not in self.states:
+                    self.states[key] = (
+                        self.all_clear
+                        if certainly_within_limits(self.net, inj)
+                        else super().state(inj))
+                return self.states[key]
+
+        monkeypatch.setattr(strategies, "GridJudge", MemoFirst)
+        reference = centralized_oracle(sc)
+        assert plans.keys() == reference.keys()
+        for ev, plan in reference.items():
+            assert plans[ev].tolist() == plan.tolist()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_raises(self, bad):
         sc = tiny_scenario()
