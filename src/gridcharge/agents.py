@@ -42,6 +42,10 @@ _COLUMNS = ([(name, j) for j, (name, is_float) in enumerate(COLUMNS)
              if is_float],
             [(name, j) for j, (name, is_float) in enumerate(COLUMNS)
              if not is_float])
+# One instant, as a 0-d array of the clock's dtype: `advance` adds it
+# without converting a Python int.
+_STEP = np.ones((), dtype=np.int64)
+_STEP.flags.writeable = False
 
 __all__ = [
     "CriticalityRequest",
@@ -202,7 +206,7 @@ class Roster:
 
     def advance(self):
         """Move every EV on to its next local instant."""
-        self._clock += 1                          # now and flat
+        self._clock += _STEP                      # now and flat
 
     def join(self, rows):
         """Append the fleet's `rows` at the state their sessions start

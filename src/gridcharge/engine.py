@@ -21,9 +21,9 @@ import numpy as np
 from .agents import (CriticalityRequest, EvProfile, Fleet, Roster,
                      bus_criticality, line_criticality, request_priority,
                      sample_cooperation_targets, take_requests)
-from .gridnet import (NetworkTopology, below_total_limit,
+from .gridnet import (NetworkTopology, below_total_limit, bound_below_limit,
                       build_replicated_feeder, certainly_within_limits,
-                      pv_power, solve_power_flow)
+                      pv_power, solve_power_flow, total_bounds)
 
 __all__ = [
     "Scenario",
@@ -43,6 +43,15 @@ __all__ = [
     "ProfileError",
     "ScenarioError",
 ]
+
+
+# Operands of an instant's ufunc calls as 0-d arrays of the dtype of the
+# arrays they meet, which spare each call the conversion of a Python
+# scalar; the results are the same bits.
+_ZERO, _ONE = np.zeros(()), np.ones(())
+_CHARGED_KW = np.array(1e-12)       # grid power above which an EV charged
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+_CHARGED_KW.flags.writeable = False
 
 
 class ScenarioError(ValueError):
@@ -200,7 +209,8 @@ def charge(roster: Roster, asked, pv_kwh, price: float, delta_h: float,
            eta_dh):
     """One instant of battery physics for every EV of the `roster`, booked
     into its session sums; returns the PV energy each battery took (kWh)
-    and its grid power (kW).
+    and its grid power (kW). The engine passes `price` and `delta_h` as 0-d
+    arrays; Python floats give the same bits.
 
     Each battery takes its site's PV output `pv_kwh` first, then grid
     energy `grid_in` up to its charger's share of the `asked` power (kW)
@@ -219,7 +229,7 @@ def charge(roster: Roster, asked, pv_kwh, price: float, delta_h: float,
     # `session_floats`, in order.
     sums = np.empty((4, roster.size))
     grid_in, stored = sums[2], sums[3]
-    headroom = np.maximum(0.0, (1.0 - roster.soc) * roster.e_bat)
+    headroom = np.maximum(_ZERO, (_ONE - roster.soc) * roster.e_bat)
     pv_in = np.minimum(pv_kwh, headroom)
     np.minimum(roster.eta_chrg * asked * delta_h, headroom - pv_in,
                out=grid_in)
@@ -435,6 +445,9 @@ class Simulation:
         self._id_rank = np.empty(len(ids), dtype=np.int64)
         self._id_rank[by_id] = range(len(ids))
         self._price = scenario.price_profile.tolist()
+        # The price and Δh as the 0-d arrays `charge` takes.
+        self._price_0d = [np.array(price) for price in self._price]
+        self._dh_0d = np.array(self.delta_h)
         self._load_inj, self._site_pv_w = instant_tables(scenario)
         # The site PV as kWh per instant.
         self._site_pv_kwh = self._site_pv_w / 1000.0 * self.delta_h
@@ -445,6 +458,19 @@ class Simulation:
                                          self._site_pv_w)
         self._idle_inj.flags.writeable = False
         self._site_pv_kwh.flags.writeable = False
+        # An instant's injections are its idle vector plus the grid power
+        # of its EVs, and their absorbed PV taken off their sites' export,
+        # both >= 0 (see `charge`). So `bound_below_limit` clears it from
+        # Σ|idle| per instant of day and the roster's grid power (kW) and
+        # absorbed PV (kWh per instant), summed with the weights of
+        # `_ev_weights`, which take them to watt. A vector sums one load
+        # entry per bus, one term per EV and one per site.
+        self._idle_bound, to_bound = total_bounds(
+            self.net, self._idle_inj, (self._load_inj, self._site_pv_w),
+            self.net.n_buses + len(scenario.fleet) + len(scenario.site_bus))
+        self._ev_weights = np.empty((2, len(scenario.fleet)))
+        self._ev_weights[0] = 1000.0 * to_bound
+        self._ev_weights[1] = 1000.0 / self.delta_h * to_bound
         self._load_bus = np.arange(self.net.n_buses)
         # EVs plugging in at each instant of day, and whether some window
         # ends after it.
@@ -476,19 +502,36 @@ class Simulation:
         its sites' household loads (one `_load_inj` entry), the grid power
         of its plugged-in EVs in roster order, then minus the PV export of
         its sites in site order. `_inj_bus` is the bus of every term, and
-        `_export_at` the term of each roster EV's site.
+        `_export_at` the term of each roster EV's site. `_grid_w` and
+        `_absorbed_w` weigh the roster's grid power and absorbed PV into
+        the bound `run_instant` clears an instant by.
         """
         ro = self.roster
         self._eta_dh = ro.eta_chrg * self.delta_h
+        self._grid_w, self._absorbed_w = self._ev_weights[:, :ro.size]
         self._inj_bus = np.concatenate((self._load_bus, ro.bus,
                                         self.sc.site_bus))
         self._export_at = self.net.n_buses + ro.size + ro.site
+
+    def injections(self, i_day, pv_in, grid_kw, pv_w) -> np.ndarray:
+        """The bus injections of the current instant, of instant of day
+        `i_day`, with EVs plugged in: `pv_in` and `grid_kw` are what
+        `charge` returned for the roster and `pv_w` its sites' PV (W).
+
+        They sum `_roster_changed`'s terms in order; bincount adds its
+        weights in order, from 0. A site with an EV exports its PV less
+        what the battery took, and x - pv is exactly -pv + x.
+        """
+        site_pv_w = self._site_pv_w[i_day]
+        w = np.concatenate((self._load_inj[i_day], grid_kw * 1000.0,
+                            np.negative(site_pv_w)))
+        w[self._export_at] = pv_in / self.delta_h * 1000.0 - pv_w
+        return np.bincount(self._inj_bus, w, minlength=self.net.n_buses)
 
     # -- single instant ----------------------------------------------------
 
     def run_instant(self, g: int) -> None:
         sc, fleet, net = self.sc, self.fleet, self.net
-        dh = self.delta_h
         i_day = g % self.m
         day = g // self.m
 
@@ -506,27 +549,30 @@ class Simulation:
         # in, the instant skips every EV phase and injects `_idle_inj`.
         price = self._price[i_day]
         if not ro.size:
-            charged, inj = np.zeros(0, dtype=bool), self._idle_inj[i_day]
+            charged, added, absorbed = np.zeros(0, dtype=bool), 0.0, 0.0
         else:
-            site_pv_w = self._site_pv_w[i_day]
-            pv_w = site_pv_w[ro.site]
+            pv_w = self._site_pv_w[i_day][ro.site]
             pv_in, grid_kw = charge(ro, self.strategy.decide(ro),
-                                    self._site_pv_kwh[i_day][ro.site], price,
-                                    dh, self._eta_dh)
-            charged = grid_kw > 1e-12
+                                    self._site_pv_kwh[i_day][ro.site],
+                                    self._price_0d[i_day], self._dh_0d,
+                                    self._eta_dh)
+            charged = grid_kw > _CHARGED_KW
+            added = grid_kw.dot(self._grid_w)
+            absorbed = pv_in.dot(self._absorbed_w)
 
-            # Phase 3: power flow with household + EV - PV injections, in
-            # `_roster_changed`'s term order; bincount adds its weights in
-            # order, from 0. A site with an EV exports its PV less what
-            # the battery took, and x - pv is exactly -pv + x.
-            w = np.concatenate((self._load_inj[i_day], grid_kw * 1000.0,
-                                np.negative(site_pv_w)))
-            w[self._export_at] = pv_in / dh * 1000.0 - pv_w
-            inj = np.bincount(self._inj_bus, w, minlength=net.n_buses)
+        # Phase 3: the grid state of the instant's injections. An instant
+        # whose power totals clear it gets the all-clear state, which the
+        # judge would give its vector, and builds no vector.
+        judge = self.judge
+        if bound_below_limit(net, self._idle_bound[i_day], added, absorbed):
+            state = judge.all_clear
+        elif ro.size:
+            state = judge.state(self.injections(i_day, pv_in, grid_kw, pv_w))
+        else:
+            state = judge.state(self._idle_inj[i_day])
+        converged, line_crit, bus_crit, line_any, bus_any = state
 
         # Phase 4: sensing, request creation, flooding to quiescence.
-        converged, line_crit, bus_crit, line_any, bus_any = (
-            self.judge.state(inj))
         initial = []
         if line_any or bus_any:
             pool = ro.rows[charged]

@@ -17,7 +17,8 @@ index lists, that a sweep converges inside every limit without running it
 "Explicit conditions on existence and uniqueness of load-flow solutions in
 distribution networks", IEEE Trans. Smart Grid 9(2), 2018). A lightly
 loaded vector it clears from the total sum of |p| alone, against one limit
-the topology computes once.
+the topology computes once; `bound_below_limit` clears such a vector from
+its parts' totals, before it is built.
 """
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ __all__ = [
     "build_replicated_feeder",
     "solve_power_flow",
     "below_total_limit",
+    "total_bounds",
+    "bound_below_limit",
     "certainly_within_limits",
     "pv_power",
 ]
@@ -48,6 +51,10 @@ CERTIFICATE_MARGIN = 1e-9
 # term and every rounding exactly, so that no sum of finite injections on a
 # feeder of fewer than 2^32 buses overflows.
 TIER_SCALE = 2.0 ** -32
+# `total_bounds` takes at most this many terms per vector into its slack,
+# and `bound_below_limit` clears no bound of this much or more.
+MAX_BOUND_TERMS = 2 ** 23
+BOUND_CAP = 2.0 ** 942
 _FLOAT = np.dtype(float)
 
 
@@ -207,6 +214,7 @@ class NetworkTopology:
         # reads as 0.
         tier_limit = self._total_limit * TIER_SCALE
         self._tier_limit = tier_limit if tier_limit >= 2.0 ** -1022 else 0.0
+        self._bound_limit = min(self._tier_limit, BOUND_CAP)
 
     @property
     def n_buses(self):
@@ -535,6 +543,84 @@ def _total_limit(net: NetworkTopology) -> float:
         limit = float(np.concatenate(
             (line_limits, bus_limits / path, [d / path.max()])).min())
     return limit if limit > 0.0 else 0.0
+
+
+def total_bounds(net: NetworkTopology, base, parts, terms: int):
+    """What `bound_below_limit` reads for the rows of `base`, a (rows,
+    n_buses) table of base vectors, each summed from the terms in its row
+    of the tables `parts`. `terms` is the most float terms that a vector
+    built on one of these rows sums in all. Built once per table.
+
+    Returns, per row, TIER_SCALE * (sum of |q_b| + slack * M) as a list of
+    floats, where q is the row's vector and M the sum of |term| over its
+    parts; and the factor TIER_SCALE * (1 + slack), which takes each total
+    of a vector's extra terms, in watt, into its bound. The slack is
+    (8 * terms + 64) * 2^-53. Every term is scaled before it is summed, so
+    that finite terms never overflow. Past `MAX_BOUND_TERMS` terms every
+    bound is infinite, and clears nothing.
+    """
+    if terms > MAX_BOUND_TERMS:
+        return [math.inf] * len(base), TIER_SCALE
+    slack = (8 * terms + 64) * 2.0 ** -53
+    magnitude = sum(np.abs(part).dot(np.full(part.shape[1], TIER_SCALE))
+                    for part in parts)
+    bound = np.abs(base).dot(net._tier_scale) + slack * magnitude
+    return bound.tolist(), TIER_SCALE * (1.0 + slack)
+
+
+def bound_below_limit(net: NetworkTopology, base_bound, added,
+                      absorbed) -> bool:
+    """Whether the total-load tier would clear a vector p, summed from a
+    base vector q and nonnegative extra terms, from their totals alone,
+    without p being built. `base_bound` is q's entry of `total_bounds`;
+    `added` and `absorbed` are the totals G and A of the two kinds of
+    extra terms below, in watt, each times that factor and read low by
+    at most a relative (K + 8) * 2^-53, with K the `terms` of
+    `total_bounds`. True proves what the certificate proves; False only
+    means "not proven". A NaN or infinite term makes its total NaN or
+    infinite, which clears nothing, and so does a limit of 0.
+
+    The vector. Entry b of p is a float sum, from 0 and in a fixed order,
+    of at most K terms: the base terms of entry b (the terms its row of
+    the parts holds for it), added terms e >= 0, and, in place of some
+    base terms -y (y >= 0), the float difference x - y of an absorbed
+    term x >= 0 and y. q_b is a float sum, in any order, of entry b's
+    base terms alone. M sums |term| over the base terms, and E = G + A.
+
+    Proof. Summed exactly, p_b = q_b + r_b with r_b >= 0 the sum of b's
+    extra terms, so |p_b| <= |q_b| + r_b (the triangle inequality), and
+    the sum of |p_b| is at most the sum of |q_b| plus E. That is all the
+    tier needs, up to rounding.
+
+    Rounding. With u = 2^-53, a float sum of k terms, in any order, is off
+    by at most (k - 1) u of the sum of their magnitudes, to first order
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    2002, section 4.2), and x - y by at most u (x + y). So p and q, each
+    summed from at most K terms, give a sum of |p_b| of at most the sum of
+    |q_b| plus E plus (2K + 2) u (M + E). The tier's own sum of |p_b| reads
+    at most K u of it more, and the bound's sum of |q_b| at most K u of it
+    less, where the sum of |q_b| is at most (1 + K u) M. So the tier's sum
+    is at most TIER_SCALE times: the sum of |q_b| as the bound reads it,
+    plus (4K + 4) u M, plus (1 + (3K + 2) u) E. The bound adds slack * M
+    and (1 + slack) E, each less the rounding of its sums, its factor and
+    its totals: at most (K + 12) u of it. With the slack (8K + 64) u that is
+    still over twice what the tier's sum needs. Every product and sum is
+    scaled by TIER_SCALE, a power of two, exactly; K is at most
+    `MAX_BOUND_TERMS`, so K u <= 2^-30 keeps the second-order terms far
+    below the slack.
+
+    The bound is also below `BOUND_CAP`, 2^942. It is at least
+    TIER_SCALE * E and TIER_SCALE * slack * M, where the slack is at least
+    2^-47, so E < 2^974 and M < 2^1021: no partial sum of p or q passes
+    the float range, as the rounding above assumes.
+
+    So when the bound lies below the scaled limit, so does the tier's sum
+    of p, built or not: the tier, and so the certificate, clears p, and
+    judging it would have kept no memo entry. As with the tier, terms
+    below 2^-990 W round by an absolute 2^-1075 each once scaled, which
+    the margin of `_total_limit` covers.
+    """
+    return base_bound + added + absorbed < net._bound_limit
 
 
 def pv_power(area, efficiency, irradiance):

@@ -419,16 +419,22 @@ def flood_by_id(graph, ev_bus: dict, initial):
 
 @dataclass
 class InstantRecord:
-    """What one instant `g` of a simulation looked up: the bus injection
-    vector it judged and whether its power flow converged, the initial
-    requests it flooded and the flood's round count, and, per EV that
-    charged from the grid, its grid power in kW."""
+    """What one instant `g` of a simulation looked up: its bus injection
+    vector, the grid state it took and whether its power totals cleared it
+    (`cleared`, so that it did not ask the judge), the initial requests it
+    flooded and the flood's round count, and, per EV that charged from the
+    grid, its grid power in kW."""
     g: int
     injections: np.ndarray | None = None
-    converged: bool | None = None
+    state: tuple | None = None
+    cleared: bool = False
     requests: tuple = ()
     flood_rounds: int = 0
     ev_grid_kw: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.state[0]
 
 
 def record_instants(sim):
@@ -436,28 +442,55 @@ def record_instants(sim):
     it ran, in order.
 
     Wraps, for the run only, what an instant looks up when it is called:
-    `sim.run_instant` opens each record, `sim.judge.state` gives the
-    injections and convergence, `engine.flood_requests` the initial
-    requests and rounds, and the strategy's `decide` and `feedback` the
-    roster's grid energy before and after the physics, of which the EVs
-    that `feedback` is told charged get the difference over eta * dh as
-    their grid power. For an EV that plugged in at that instant the
-    difference is its grid energy exactly; otherwise it may be off by
-    the rounding of the running sum.
+    `sim.run_instant` opens each record. The injections are the engine's
+    own: with EVs plugged in, `sim.injections` of what `engine.charge`
+    returned, assembled when `feedback` is called (before any session
+    ends); otherwise the instant of day's row of the idle table. The
+    state is what `sim.judge.state` returned, which must have been given
+    those injections, or the judge's all-clear state where
+    `engine.bound_below_limit` cleared the instant. `engine.flood_requests`
+    gives the initial requests and rounds, and the strategy's `decide` and
+    `feedback` the roster's grid energy before and after the physics, of
+    which the EVs that `feedback` is told charged get the difference over
+    eta * dh as their grid power. For an EV that plugged in at that
+    instant the difference is its grid energy exactly; otherwise it may be
+    off by the rounding of the running sum.
     """
-    records, grid_before = [], None
+    records, grid_before, physics, judged = [], None, None, []
     run_instant, state = sim.run_instant, sim.judge.state
-    flood, strategy = engine.flood_requests, sim.strategy
+    flood, charge, clears = (engine.flood_requests, engine.charge,
+                             engine.bound_below_limit)
+    strategy = sim.strategy
     decide, feedback = strategy.decide, strategy.feedback
 
     def on_instant(g):
-        records.append(InstantRecord(g))
-        return run_instant(g)
+        record = InstantRecord(g)
+        records.append(record)
+        judged.clear()
+        out = run_instant(g)
+        if record.injections is None:       # no EV plugged in
+            record.injections = sim._idle_inj[g % sim.m]
+        if record.cleared:
+            assert not judged
+            record.state = sim.judge.all_clear
+        else:
+            assert [inj.tobytes() for inj in judged] == [
+                record.injections.tobytes()]
+        return out
+
+    def on_clears(*args):
+        records[-1].cleared = bool(clears(*args))
+        return records[-1].cleared
 
     def on_state(inj):
-        out = state(inj)
-        records[-1].injections, records[-1].converged = inj, out[0]
-        return out
+        judged.append(inj)
+        records[-1].state = state(inj)
+        return records[-1].state
+
+    def on_charge(*args):
+        nonlocal physics
+        physics = charge(*args)
+        return physics
 
     def on_flood(neighbors, roster, initial):
         received, rounds = flood(neighbors, roster, initial)
@@ -469,16 +502,20 @@ def record_instants(sim):
         grid_before = roster.grid_energy.copy()
         return decide(roster)
 
-    def on_feedback(roster, charged, *args):
+    def on_feedback(roster, charged, cost, top, pv_w):
+        record = records[-1]
+        record.injections = sim.injections(record.g % sim.m, *physics, pv_w)
         grid_kw = ((roster.grid_energy - grid_before)
                    / (roster.eta_chrg * sim.delta_h))
         ev_ids = roster.fleet.ev_ids
-        records[-1].ev_grid_kw = {ev_ids[i]: kw for i, kw in zip(
+        record.ev_grid_kw = {ev_ids[i]: kw for i, kw in zip(
             roster.rows[charged].tolist(), grid_kw[charged].tolist())}
-        return feedback(roster, charged, *args)
+        return feedback(roster, charged, cost, top, pv_w)
 
     with mock.patch.object(sim, "run_instant", on_instant), \
             mock.patch.object(sim.judge, "state", on_state), \
+            mock.patch.object(engine, "bound_below_limit", on_clears), \
+            mock.patch.object(engine, "charge", on_charge), \
             mock.patch.object(engine, "flood_requests", on_flood), \
             mock.patch.object(strategy, "decide", on_decide), \
             mock.patch.object(strategy, "feedback", on_feedback):

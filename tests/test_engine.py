@@ -14,7 +14,8 @@ from gridcharge.engine import (GridJudge, ProfileError, Scenario,
                                ScenarioError, agent_neighbors,
                                default_price_profile, flood_requests,
                                generate_scenario, ingest_profile)
-from gridcharge.gridnet import (NetworkTopology, build_replicated_feeder,
+from gridcharge.gridnet import (NetworkTopology, below_total_limit,
+                                bound_below_limit, build_replicated_feeder,
                                 certainly_within_limits, solve_power_flow)
 from gridcharge.strategies import (AmasStrategy, UncontrolledStrategy,
                                    centralized_oracle)
@@ -390,8 +391,11 @@ class TestCharge:
         dh = 1440.0 / m / 60.0
         before = roster.session_floats.tolist()
 
-        pv_in, grid_kw = engine.charge(roster, asked, pv_kwh, price, dh,
-                                       roster.eta_chrg * dh)
+        # The engine passes the price and dh as 0-d arrays.
+        as_0d = data.draw(st.booleans())
+        pv_in, grid_kw = engine.charge(
+            roster, asked, pv_kwh, np.array(price) if as_0d else price,
+            np.array(dh) if as_0d else dh, roster.eta_chrg * dh)
         grid_in = roster.grid_energy
         assert (grid_in >= 0.0).all()
         assert ((grid_kw == 0.0) == (grid_in == 0.0)).all()
@@ -538,6 +542,18 @@ class TestSimulationPipeline:
             if isinstance(strategy, strategies.ScheduleStrategy):
                 want.add("ScheduleStrategy.plans")
             assert tables == want
+
+    def test_idle_instants_clear_as_the_tier(self):
+        # With no EV plugged in, the bound is Σ|idle| and its slack: on
+        # the reference feeder rated 500 A, it clears the instants of day
+        # that the tier clears, and those alone.
+        cfg = defaults("scenario", topology={"line_rating": 500.0})
+        sim = simulation(generate_scenario(cfg, 1, 1), UncontrolledStrategy())
+        by_bound = [bound_below_limit(sim.net, bound, 0.0, 0.0)
+                    for bound in sim._idle_bound]
+        by_tier = [below_total_limit(sim.net, inj) for inj in sim._idle_inj]
+        assert by_bound == by_tier
+        assert 0 < sum(by_bound) < len(by_bound)
 
     def test_idle_injections_equal_a_site_loop(self):
         # Two sub-districts, unequal loads and panels: at every instant

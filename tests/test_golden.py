@@ -31,14 +31,17 @@ import hashlib
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 import gridcharge
+from gridcharge import cli, engine
 from gridcharge.agents import request_priority
 from gridcharge.cli import main
 from gridcharge.config import build_scenario, parse_config
 from gridcharge.engine import Simulation
+from gridcharge.gridnet import solve_power_flow
 from gridcharge.strategies import AmasStrategy
 from helpers import record_instants
 
@@ -303,3 +306,68 @@ def test_outputs_independent_of_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr[-4000:]
         seen.append(digests(work / "out"))
     assert seen[0] == seen[1] == DIGESTS
+
+
+EVERY_CONFIG = {
+    "golden": CONFIG, "tied": TIED_CONFIG, "two-level": TWO_LEVEL_CONFIG,
+    "branches": BRANCHES_CONFIG,
+    **{strategy: BASELINE_CONFIG.format(strategy=strategy)
+       for strategy in BASELINE_DIGESTS},
+}
+
+
+def recorded_run(tmp_path, monkeypatch, config):
+    """Run `config` as `run_digests` does, with its simulation's instants
+    recorded (`record_instants`) and its power flows counted. Returns the
+    output digests, the records and the injection bytes of every power
+    flow the simulation solved, in order."""
+    records, solved = [], []
+
+    class Recorded(Simulation):
+        def run(self):
+            self.run = super().run      # what `record_instants` runs
+            result, records[:] = record_instants(self)
+            return result
+
+    def solve(net, inj):
+        solved.append(inj.tobytes())
+        return solve_power_flow(net, inj)
+
+    tmp_path.mkdir()
+    with mock.patch.object(cli, "Simulation", Recorded), \
+            mock.patch.object(engine, "solve_power_flow", solve):
+        return run_digests(tmp_path, monkeypatch, config), records, solved
+
+
+def state_bytes(state):
+    converged, line_crit, bus_crit, line_any, bus_any = state
+    return converged, line_crit.tobytes(), bus_crit.tobytes(), line_any, bus_any
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_CONFIG))
+def test_runs_as_with_every_vector_built(tmp_path, monkeypatch, name):
+    # An instant that its power totals clear builds no injection vector.
+    # With that bound off, every vector is built and judged: the runs
+    # take the same grid state at every instant, solve the same power
+    # flows and write the same bytes.
+    config = EVERY_CONFIG[name]
+    digests_on, records_on, solved_on = recorded_run(
+        tmp_path / "on", monkeypatch, config)
+    with mock.patch.object(engine, "bound_below_limit",
+                           lambda *args: False):
+        digests_off, records_off, solved_off = recorded_run(
+            tmp_path / "off", monkeypatch, config)
+    assert digests_on == digests_off
+    assert solved_on == solved_off
+    assert any(r.cleared for r in records_on)
+    assert not any(r.cleared for r in records_off)
+    assert len(records_on) == len(records_off)
+    for on, off in zip(records_on, records_off):
+        assert on.injections.tobytes() == off.injections.tobytes()
+        assert state_bytes(on.state) == state_bytes(off.state)
+        assert [(q.criticality, q.origin_agent, q.target_rows.tolist())
+                for q in on.requests] == [
+            (q.criticality, q.origin_agent, q.target_rows.tolist())
+            for q in off.requests]
+        assert on.flood_rounds == off.flood_rounds
+        assert on.ev_grid_kw == off.ev_grid_kw

@@ -1,5 +1,6 @@
 """Network topology and power-flow tests against closed-form oracles."""
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -9,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcharge import gridnet
-from gridcharge.gridnet import (Bus, Line, NetworkTopology, TopologyError,
-                                _certificate_bounds, _segment_certificate,
-                                below_total_limit, build_replicated_feeder,
+from gridcharge.engine import GridJudge
+from gridcharge.gridnet import (MAX_BOUND_TERMS, Bus, Line, NetworkTopology,
+                                TopologyError, _certificate_bounds,
+                                _segment_certificate, _tier_total,
+                                below_total_limit, bound_below_limit,
+                                build_replicated_feeder,
                                 certainly_within_limits, pv_power,
-                                solve_power_flow)
+                                solve_power_flow, total_bounds)
 from helpers import certificate_bounds, defaults, power_mismatch
 
 
@@ -511,6 +515,138 @@ class TestTotalLoadTier:
             assert (sol.line_currents <= net.i_rated).all()
             assert (net.v_min <= sol.bus_voltages).all()
             assert (sol.bus_voltages <= net.v_max).all()
+
+
+def split_vector(load, site_bus, pv, ev_site, grid_w, absorbed_w):
+    """A base vector q and a vector p on it, one Python float at a time.
+    q: each bus's `load` entry, then minus the `pv` of its sites in site
+    order. p: each bus's load entry, then the grid power `grid_w` of the
+    EVs at its sites in EV order, then minus the PV of its sites in site
+    order, where a site with an EV (`ev_site`, one site per EV) exports
+    its PV less the EV's `absorbed_w`."""
+    q, p = list(load), list(load)
+    for site, watt in zip(ev_site, grid_w):
+        p[site_bus[site]] += watt
+    absorbed = dict(zip(ev_site, absorbed_w))
+    for site, bus in enumerate(site_bus):
+        q[bus] -= pv[site]
+        p[bus] += absorbed[site] - pv[site] if site in absorbed else -pv[site]
+    return np.array(q), np.array(p)
+
+
+def split_bound(net, load, pv, q, grid_w, absorbed_w):
+    """What `bound_below_limit` takes for `split_vector`'s p: q's bound
+    from `total_bounds`, with the loads and the PV as its parts, and the
+    EVs' grid power and absorbed PV each summed with its factor."""
+    bounds, factor = total_bounds(
+        net, q[None], (np.array(load)[None], np.array(pv)[None]),
+        net.n_buses + len(grid_w) + len(pv))
+    weights = np.full(len(grid_w), factor)
+    return (bounds[0], np.dot(grid_w, weights),
+            np.dot(absorbed_w, weights))
+
+
+class TestBoundBelowLimit:
+    """`bound_below_limit` clears a vector from the totals of its parts,
+    before it is built: the bound is never below the tier's sum of the
+    built vector, so whatever it clears, the tier clears, and so do the
+    certificate and the judge, which keeps no memo entry."""
+
+    @given(net=limited_trees(max_rating=1e5), data=st.data())
+    @settings(deadline=None)
+    def test_the_tier_clears_what_the_bound_clears(self, net, data):
+        n = net.n_buses
+        limit = net._total_limit
+        n_sites = data.draw(st.integers(0, 2 * n))
+        site_bus = data.draw(st.lists(st.integers(0, n - 1),
+                                      min_size=n_sites, max_size=n_sites))
+        ev_site = data.draw(st.lists(st.integers(0, n_sites - 1), unique=True,
+                                     max_size=n_sites)) if n_sites else []
+        # Each kind of term totals up to 1.5 times the limit, so that the
+        # bound clears some vectors and not others, and any one kind may
+        # decide.
+        unit = limit if 0.0 < limit < math.inf else 1e4
+        # No term below 2^-990 W, whose scaled rounding is absolute.
+        share = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-9, 1.0))
+
+        def terms(count, signed=False):
+            top = unit * data.draw(st.one_of(
+                st.just(0.0), st.floats(1e-3, 1.5))) / max(1, count)
+            out = data.draw(st.lists(share, min_size=count, max_size=count))
+            signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                       min_size=count, max_size=count))
+            return [top * a * (b if signed else 1.0)
+                    for a, b in zip(out, signs)]
+
+        # Loads of one sign and no PV cancel nothing: the bound is then the
+        # tier's sum, but for rounding.
+        load = terms(n, signed=data.draw(st.booleans()))
+        pv = terms(n_sites)
+        grid_w, absorbed_w = terms(len(ev_site)), terms(len(ev_site))
+        q, p = split_vector(load, site_bus, pv, ev_site, grid_w, absorbed_w)
+        base, added, absorbed = split_bound(net, load, pv, q, grid_w,
+                                            absorbed_w)
+        # At a limit of the tier's own sum of p, the tier clears nothing,
+        # and neither may the bound.
+        with mock.patch.object(net, "_bound_limit", _tier_total(net, p)):
+            assert not bound_below_limit(net, base, added, absorbed)
+        if bound_below_limit(net, base, added, absorbed):
+            assert below_total_limit(net, p)
+            assert certainly_within_limits(net, p)
+            judge = GridJudge(net, solve_power_flow)
+            assert judge.state(p) is judge.all_clear
+            assert judge.states == {}
+
+    def test_absorbed_pv_counts(self):
+        # The site's PV cancels the bus's load in q, and its EV absorbs
+        # more than the limit: only the absorbed total keeps the bound
+        # from clearing p.
+        net = two_bus_net()
+        limit = net._total_limit
+        load, pv, absorbed_w = [0.0, 0.6 * limit], [0.6 * limit], [1.2 * limit]
+        q, p = split_vector(load, [1], pv, [0], [0.0], absorbed_w)
+        assert q.tolist() == [0.0, 0.0]
+        base, added, absorbed = split_bound(net, load, pv, q, [0.0],
+                                            absorbed_w)
+        assert bound_below_limit(net, base, added, 0.0)
+        assert not bound_below_limit(net, base, added, absorbed)
+        assert not below_total_limit(net, p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", ["load", "pv", "grid", "absorbed"])
+    def test_non_finite_terms_clear_nothing(self, at, bad):
+        net = two_bus_net()
+        terms = dict(load=[0.0, 1.0], pv=[1.0], grid=[1.0], absorbed=[1.0])
+        terms[at][-1] = bad
+        q, _ = split_vector(terms["load"], [1], terms["pv"], [0],
+                            terms["grid"], terms["absorbed"])
+        assert not bound_below_limit(net, *split_bound(
+            net, terms["load"], terms["pv"], q, terms["grid"],
+            terms["absorbed"]))
+
+    def test_terms_near_the_float_limit_clear_nothing(self):
+        # Sums of these terms pass the float range unless scaled; nothing
+        # warns (pytest makes a RuntimeWarning an error). On a lone slack
+        # bus, whose limit is infinite, the built vector is infinite.
+        big = sys.float_info.max
+        lone = NetworkTopology([Bus("s")], [], "s")
+        for net, load in ((two_bus_net(), [big, big]), (lone, [big])):
+            q, p = split_vector(load, [0], [big], [0], [big], [big])
+            base, added, absorbed = split_bound(net, load, [big], q, [big],
+                                                [big])
+            assert math.isfinite(base + added + absorbed)
+            assert not bound_below_limit(net, base, added, absorbed)
+            assert not below_total_limit(net, p)
+
+    def test_past_the_most_terms_every_bound_is_infinite(self):
+        net = two_bus_net()
+        bounds, _ = total_bounds(net, np.zeros((3, 2)), (np.zeros((3, 2)),),
+                                 MAX_BOUND_TERMS + 1)
+        assert bounds == [math.inf] * 3
+        assert not bound_below_limit(net, bounds[0], 0.0, 0.0)
+        bounds, _ = total_bounds(net, np.zeros((3, 2)), (np.zeros((3, 2)),),
+                                 MAX_BOUND_TERMS)
+        assert bound_below_limit(net, bounds[0], 0.0, 0.0)
 
 
 class TestFeederGenerator:
