@@ -247,18 +247,20 @@ class GridJudge:
 
     A state is (converged, line criticalities, bus criticalities, any line
     critical, any bus critical), its arrays read-only. It depends only on
-    the vector. A vector that `below_total_limit` clears gets the shared
-    all-clear state at once and leaves no memo entry: once EVs charge,
+    the vector, so a vector is first looked up in the memo, by its bytes.
+    A vector not found there that `below_total_limit` clears gets the
+    shared all-clear state and leaves no memo entry: once EVs charge,
     light vectors rarely repeat, so an entry for one is seldom read.
-    Any other state is kept by the vector's bytes, since those vectors
-    repeat: household loads and PV repeat per instant of day, and
-    schedules replay. A kept vector that `certainly_within_limits` clears
-    shares the all-clear state and is not solved; any other is solved
-    once by `solve`, the `solve_power_flow` of the caller's module, so
-    that a wrapper installed under that name sees the caller's solves. A
-    power flow that does not converge leaves the electrical state
-    unknown, so every line is marked critical and the whole fleet backs
-    off.
+    Any other state is kept, since those vectors repeat: household loads
+    and PV repeat per instant of day, and schedules replay. A kept vector
+    never passes the tier, as it is stored only after the tier refused
+    it, so looking it up first changes no verdict. A vector that
+    `certainly_within_limits` clears shares the all-clear state and is
+    not solved; any other is solved once by `solve`, the
+    `solve_power_flow` of the caller's module, so that a wrapper
+    installed under that name sees the caller's solves. A power flow that
+    does not converge leaves the electrical state unknown, so every line
+    is marked critical and the whole fleet backs off.
     """
 
     def __init__(self, net: NetworkTopology, solve):
@@ -269,14 +271,16 @@ class GridJudge:
         self.all_clear = (True, line_ok, bus_ok, False, False)
 
     def state(self, inj: np.ndarray) -> tuple:
+        key = inj.tobytes()
+        state = self.states.get(key)
+        if state is not None:
+            return state
         net = self.net
         if below_total_limit(net, inj):
             return self.all_clear
-        key = inj.tobytes()
-        state = self.states.get(key)
-        if state is None and certainly_within_limits(net, inj):
+        if certainly_within_limits(net, inj):
             state = self.states[key] = self.all_clear
-        if state is None:
+        else:
             sol = self._solve(net, inj)
             if sol.converged:
                 line_crit = line_criticality(sol.line_currents, net.i_rated)
@@ -419,9 +423,10 @@ class Simulation:
     state and is rebuilt only when EVs plug in or leave. Each instant runs
     one vector step over the roster: the strategy's decision, the
     battery/PV physics and the session's cost/energy sums, then the power
-    flow, sensing and flooding, then one feedback record. A session's sums
-    and final SoC reach the `(days, n_ev)` results from the roster when it
-    ends.
+    flow, sensing and flooding, then one feedback record. A session that
+    ends leaves the roster at once, and `close_sessions` books it into the
+    `(days, n_ev)` results later, in one batch with the others that ended
+    since: before the next plug-in, or at the end of the run.
     """
 
     def __init__(self, scenario: Scenario, strategy, cooperation_fraction):
@@ -492,6 +497,10 @@ class Simulation:
         (self.final_soc, self.cost, self.grid_energy,
          self.battery_energy) = self._session_results
         self.mean_reward_ev = np.full((D, n), np.nan)
+        # The sessions that left the roster and wait for `close_sessions`:
+        # per instant with leavers, the instant, their fleet rows and their
+        # session sums, `k_p` and window as they left.
+        self._leavers = []
         self.violations_current = np.zeros(D, dtype=np.int64)
         self.violations_voltage = np.zeros(D, dtype=np.int64)
 
@@ -535,9 +544,11 @@ class Simulation:
         i_day = g % self.m
         day = g // self.m
 
-        # Phase 0: plug-in sessions starting at this instant.
+        # Phase 0: plug-in sessions starting at this instant, once every
+        # session that ended has been booked.
         new = self._arrivals[i_day]
         if day < sc.days and new.size:
+            self.close_sessions()
             fleet.plug_in(new)
             self.strategy.session_start(fleet, new, self.rng)
             self.roster.join(new)
@@ -608,33 +619,57 @@ class Simulation:
         top = take_requests(ro, received)
         self.strategy.feedback(ro, charged, price, top, pv_w)
 
-        # Phase 6: sessions ending after this instant, which the roster
-        # books before it lets them go. A session that leaves after
-        # instant g with a window of w instants started on day
-        # (g + 1 - w) // m.
+        # Phase 6: sessions ending after this instant leave the roster,
+        # with what `close_sessions` books.
         ro.advance()
         if self._ends[i_day] and (leave := ro.now == ro.window).any():
-            ending, k_p = ro.rows[leave], ro.k_p[leave]
-            d = (g + 1 - ro.window[leave]) // self.m
-            self._session_results[:, d, ending] = ro.session_floats[:, leave]
+            self._leavers.append((g, ro.rows[leave],
+                                  ro.session_floats.compress(leave, axis=1),
+                                  ro.k_p[leave], ro.window[leave]))
             ro.keep(~leave)
             self._roster_changed()
-            self.strategy.session_end(fleet, ending)
-            got = k_p > 0
-            self.mean_reward_ev[d[got], ending[got]] = (
-                fleet.reward[ending[got]].sum(axis=1) / k_p[got])
+
+    def close_sessions(self) -> None:
+        """Book every session that left the roster since the last call: its
+        sums and final SoC into the results, its mean reward, and one
+        `strategy.session_end` over the rows of them all.
+
+        A session that left after instant g with a window of w instants
+        started on day (g + 1 - w) // m. Booking them late, and together,
+        books the same bits as one booking per instant: `run_instant` calls
+        this before any EV plugs in, so each row is in the batch once; each
+        result cell and learner update is elementwise per row; and the
+        rows' rewards and the strategy's session tables stay as the
+        sessions left them until the EV plugs in again.
+        """
+        if not self._leavers:
+            return
+        ends, rows, sums, k_p, window = zip(*self._leavers)
+        self._leavers.clear()
+        rows, k_p = np.concatenate(rows), np.concatenate(k_p)
+        d = (np.repeat(ends, list(map(len, window))) + 1
+             - np.concatenate(window)) // self.m
+        self._session_results[:, d, rows] = np.concatenate(sums, axis=1)
+        self.strategy.session_end(self.fleet, rows)
+        got = k_p > 0
+        self.mean_reward_ev[d[got], rows[got]] = (
+            self.fleet.reward[rows[got]].sum(axis=1) / k_p[got])
 
     def run(self) -> "Simulation":
-        """Run every instant of the scenario; returns the simulation, whose
-        `(days, n_ev)` results (`cost`, `grid_energy`, `battery_energy`,
-        `mean_reward_ev`, `final_soc`) and per-day `violations_current`
-        and `violations_voltage` are then complete."""
+        """Run every instant of the scenario, then close the sessions still
+        pending; returns the simulation, whose `(days, n_ev)` results
+        (`cost`, `grid_energy`, `battery_energy`, `mean_reward_ev`,
+        `final_soc`) and per-day `violations_current` and
+        `violations_voltage` are then complete. `run_instant` alone may
+        leave ended sessions pending: call `close_sessions` before reading
+        the results or the strategy's learners."""
         sc = self.sc
         tail = max((p.t_arrive + p.window_length - sc.m for p in sc.fleet),
                    default=0)
         total = sc.days * sc.m + max(0, tail) if sc.days > 0 else 0
         for g in range(total):
             self.run_instant(g)
+        self.close_sessions()
         return self
 
 

@@ -51,7 +51,10 @@ class Strategy:
         ev_record(roster, charged, cost_norm, top)
 
     def session_end(self, fleet: Fleet, rows):
-        pass
+        """Called with the rows whose sessions ended since the last plug-in
+        (at the end of the run, since the last call), each once, before
+        any of them plugs in again; until then their rewards and the
+        strategy's session tables stay as the sessions left them."""
 
 
 class AmasStrategy(Strategy):

@@ -1,4 +1,5 @@
 """Simulation engine: scenario generation, flooding, instant pipeline, I/O."""
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -483,6 +484,57 @@ class TestSimulationPipeline:
             assert np.array_equal(getattr(res, name), want), name
         assert (res.battery_energy > res.grid_energy).all()  # PV counted
 
+    @pytest.mark.parametrize("make", [
+        lambda sc: amas(), lambda sc: UncontrolledStrategy(),
+        lambda sc: strategies.ScheduleStrategy(centralized_oracle(sc))],
+        ids=["AmasStrategy", "UncontrolledStrategy", "ScheduleStrategy"])
+    def test_batched_close_books_as_an_eager_close(self, make):
+        # The first EV leaves after instant 12 and the second plugs in at
+        # 13; the third's window crosses midnight, the fourth stays one
+        # instant, and the fifth exactly m, so it plugs in again at the
+        # instant after it leaves. The last day's evening sessions end in
+        # the tail. Every EV starts low enough that each strategy charges
+        # it from the grid. Closing every session right after the instant
+        # it leaves must book the same bits as closing them in batches
+        # before each plug-in and at the end of the run.
+        sc = generate_scenario(small_config(instants_per_day=24, fleet_size=5),
+                               3, 7)
+        windows = [(9, 13), (13, 18), (21, 27), (5, 6), (14, 38)]
+        sc.fleet = [replace(p, t_arrive=a, t_depart=d, soc_start=0.1)
+                    for p, (a, d) in zip(sc.fleet, windows)]
+
+        def run(eager):
+            strategy = make(sc)
+            sim = simulation(sc, strategy)
+            batches, session_end = [], strategy.session_end
+
+            def on_session_end(fleet, rows):
+                batches.append(rows.tolist())
+                session_end(fleet, rows)
+
+            def step(g):
+                run_instant(g)
+                sim.close_sessions()
+
+            strategy.session_end = on_session_end
+            if eager:
+                run_instant, sim.run_instant = sim.run_instant, step
+            sim.run()
+            booked = [sim._session_results, sim.mean_reward_ev]
+            if isinstance(strategy, AmasStrategy):
+                booked += [strategy.bandit.precision, strategy.bandit.response,
+                           strategy.pv.precision, strategy.pv.response,
+                           json.dumps(strategy.to_checkpoint(), sort_keys=True)]
+            return [np.asarray(a).tobytes() for a in booked], batches
+
+        batched, batches = run(eager=False)
+        eager, one_by_one = run(eager=True)
+        assert batched == eager
+        assert sorted(sum(batches, [])) == sorted(sum(one_by_one, []))
+        assert len(sum(batches, [])) == len(sc.fleet) * sc.days
+        assert all(len(set(rows)) == len(rows) for rows in batches)
+        assert len(batches) < len(one_by_one)
+
     @pytest.mark.parametrize("strategy", [amas, UncontrolledStrategy],
                              ids=["AmasStrategy", "UncontrolledStrategy"])
     def test_run_leaves_the_fleet_block_as_built(self, strategy):
@@ -797,10 +849,17 @@ class TestGridStateMemo:
                 assert judges[0].within_limits(np.frombuffer(key)) is verdict
 
     def test_only_vectors_past_the_tier_are_kept(self):
-        # The tier answers before the memo and keeps nothing; a vector the
-        # certificate clears, or the solve judges, is kept by its bytes.
+        # A vector not in the memo that the tier clears is answered by the
+        # tier and keeps nothing; a vector the certificate clears, or the
+        # solve judges, is kept by its bytes, and a later ask reads it.
         net = two_bus_net()
-        judge = GridJudge(net, solve_power_flow)
+        solved = []
+
+        def solve(net, inj):
+            solved.append(inj.tobytes())
+            return solve_power_flow(net, inj)
+
+        judge = GridJudge(net, solve)
         limit = net._total_limit
         light = np.array([0.0, 0.5 * limit])
         certified = np.array([0.0, limit])
@@ -811,6 +870,8 @@ class TestGridStateMemo:
         assert judge.states == {certified.tobytes(): judge.all_clear}
         assert not judge.within_limits(heavy)
         assert list(judge.states) == [certified.tobytes(), heavy.tobytes()]
+        assert judge.state(heavy) is judge.states[heavy.tobytes()]
+        assert solved == [heavy.tobytes()]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_injections_raise(self, bad):
