@@ -9,7 +9,7 @@ the plug-in instant and the connection window is [0, window_length).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,42 +66,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)      # equal and hashed by identity
 class CriticalityRequest:
-    criticality: float              # in [-1, 1]
-    target_rows: np.ndarray         # fleet rows asked for cooperative action
-    origin_agent: str
-    origin_kind: str                # "line" | "bus"
+    """A request for cooperative action; equal and hashed by identity."""
+    __slots__ = ("criticality", "target_rows", "origin_agent", "origin_kind")
 
-    def __post_init__(self):
-        if not -1.0 <= self.criticality <= 1.0:
+    def __init__(self, criticality: float, target_rows: np.ndarray,
+                 origin_agent: str, origin_kind: str):
+        if not -1.0 <= criticality <= 1.0:
             raise ValueError("criticality must lie in [-1, 1]")
-        if self.origin_kind not in ("line", "bus"):
-            raise ValueError(f"unknown origin kind {self.origin_kind!r}")
+        if origin_kind not in ("line", "bus"):
+            raise ValueError(f"unknown origin kind {origin_kind!r}")
+        self.criticality = criticality      # in [-1, 1]
+        self.target_rows = target_rows      # fleet rows asked to cooperate
+        self.origin_agent = origin_agent
+        self.origin_kind = origin_kind      # "line" | "bus"
 
 
-@dataclass(frozen=True)
-class EvProfile:
-    ev_id: str
-    bus_id: str
-    e_bat: float          # kWh
-    p_max: float          # kW
-    eta_chrg: float       # (0, 1]
-    soc_start: float
-    soc_target: float
-    t_arrive: int         # absolute instant in [0, m)
-    t_depart: int         # absolute instant, > t_arrive (next-day departures
-                          # carry an offset of m, so the window never wraps)
+class EvProfile(namedtuple("EvProfile", "ev_id bus_id e_bat p_max eta_chrg "
+                                        "soc_start soc_target t_arrive "
+                                        "t_depart")):
+    """One EV: `e_bat` in kWh, `p_max` in kW, `eta_chrg` in (0, 1].
+    `t_arrive` is an absolute instant in [0, m) and `t_depart` one after
+    it: next-day departures carry an offset of m, so the window never
+    wraps."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.soc_start <= self.soc_target <= 1.0):
-            raise ValueError(f"{self.ev_id}: need 0 <= soc_start <= soc_target <= 1")
-        if not (0.0 < self.eta_chrg <= 1.0):
-            raise ValueError(f"{self.ev_id}: eta_chrg must be in (0, 1]")
-        if self.e_bat <= 0 or self.p_max <= 0:
-            raise ValueError(f"{self.ev_id}: e_bat and p_max must be > 0")
-        if self.t_arrive >= self.t_depart:
-            raise ValueError(f"{self.ev_id}: t_arrive must precede t_depart")
+    def __new__(cls, ev_id, bus_id, e_bat, p_max, eta_chrg, soc_start,
+                soc_target, t_arrive, t_depart):
+        if not (0.0 <= soc_start <= soc_target <= 1.0):
+            raise ValueError(f"{ev_id}: need 0 <= soc_start <= soc_target <= 1")
+        if not (0.0 < eta_chrg <= 1.0):
+            raise ValueError(f"{ev_id}: eta_chrg must be in (0, 1]")
+        if e_bat <= 0 or p_max <= 0:
+            raise ValueError(f"{ev_id}: e_bat and p_max must be > 0")
+        if t_arrive >= t_depart:
+            raise ValueError(f"{ev_id}: t_arrive must precede t_depart")
+        return super().__new__(cls, ev_id, bus_id, e_bat, p_max, eta_chrg,
+                               soc_start, soc_target, t_arrive, t_depart)
+
+    @classmethod
+    def _make(cls, values):
+        # `_replace` builds through `_make`: a variant is checked too.
+        return cls(*values)
 
     @property
     def window_length(self) -> int:

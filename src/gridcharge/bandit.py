@@ -17,8 +17,6 @@ cost); it is fixed a priori, not fitted. The PV learner's prior mean is 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
 REWARD_PRIOR_MEAN = 0.5
 
 
-@dataclass
 class BanditState:
     """Diagonal Gaussian posterior over one m-vector, mean = response /
     precision; used by both the reward and the PV learner.
@@ -42,10 +39,15 @@ class BanditState:
     learner of its whole fleet as one such state, and every operation
     below acts elementwise, so the rows never mix.
     """
-    precision: np.ndarray  # (..., m), posterior precision diagonal, >= 1
-    response: np.ndarray   # (..., m)
-    scale: float           # exploration scale on the posterior covariance
-                           # (an array that broadcasts, when stacked)
+    __slots__ = ("precision", "response", "scale")
+
+    def __init__(self, precision: np.ndarray, response: np.ndarray,
+                 scale: float):
+        self.precision = precision  # (..., m), precision diagonal, >= 1
+        self.response = response    # (..., m)
+        # The exploration scale on the posterior covariance: an array that
+        # broadcasts, when the state is stacked.
+        self.scale = scale
 
     @property
     def estimate(self) -> np.ndarray:

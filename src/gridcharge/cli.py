@@ -34,6 +34,12 @@ def _fmt(x) -> str:
     return repr(x)
 
 
+def _fmt_column(values: np.ndarray) -> list:
+    """`_fmt` of each entry of a float array, in C order."""
+    # NaN is the one float unequal to itself.
+    return ["" if x != x else repr(x) for x in values.ravel().tolist()]
+
+
 def _strategy_for(rc: RunConfig, scenario):
     if rc.strategy == "amas":
         return AmasStrategy(alpha=rc.alpha, beta=rc.beta)
@@ -117,15 +123,12 @@ def write_outputs(rc: RunConfig, sim: Simulation, outdir: str) -> dict:
 
     lines = ["day,ev_id,cost,grid_energy_kwh,battery_energy_kwh,"
              "mean_reward,final_soc"]
-    for d in range(days):
-        for j, ev in enumerate(sim.fleet.ev_ids):
-            lines.append(",".join([
-                str(d + 1), ev, _fmt(sim.cost[d, j]),
-                _fmt(sim.grid_energy[d, j]),
-                _fmt(sim.battery_energy[d, j]),
-                _fmt(sim.mean_reward_ev[d, j]),
-                _fmt(sim.final_soc[d, j]),
-            ]))
+    # One (day, EV) cell per row, each column formatted as a whole.
+    keys = (f"{d + 1},{ev}" for d in range(days) for ev in sim.fleet.ev_ids)
+    columns = [_fmt_column(a) for a in (sim.cost, sim.grid_energy,
+                                        sim.battery_energy,
+                                        sim.mean_reward_ev, sim.final_soc)]
+    lines.extend(map(",".join, zip(keys, *columns)))
     _write_text(os.path.join(outdir, "metrics_per_ev.csv"), lines)
 
     lines = ["day,mean_reward"]

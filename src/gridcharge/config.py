@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 
 import yaml
 
@@ -142,19 +141,26 @@ def _resolve(user, schema, prefix, defaults_applied):
     return out
 
 
-@dataclass
 class RunConfig:
-    raw: dict                       # fully resolved key tree
-    strategy: str
-    days: int
-    seed: int
-    alpha: float
-    beta: float
-    cooperation_fraction: float
-    output_dir: str
-    defaults_applied: list = field(default_factory=list)
-    overrides: dict = field(default_factory=dict)
-    source_path: str = ""
+    __slots__ = ("raw", "strategy", "days", "seed", "alpha", "beta",
+                 "cooperation_fraction", "output_dir", "defaults_applied",
+                 "overrides", "source_path")
+
+    def __init__(self, raw: dict, strategy: str, days: int, seed: int,
+                 alpha: float, beta: float, cooperation_fraction: float,
+                 output_dir: str, defaults_applied: list, overrides: dict,
+                 source_path: str):
+        self.raw = raw                  # fully resolved key tree
+        self.strategy = strategy
+        self.days = days
+        self.seed = seed
+        self.alpha = alpha
+        self.beta = beta
+        self.cooperation_fraction = cooperation_fraction
+        self.output_dir = output_dir
+        self.defaults_applied = defaults_applied
+        self.overrides = overrides
+        self.source_path = source_path
 
     def scenario_key(self) -> dict:
         """The scenario-defining subtree plus seed (for compare checks)."""

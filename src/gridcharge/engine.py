@@ -12,9 +12,8 @@ session per day indexes the learning day d.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -62,32 +61,39 @@ class ProfileError(ValueError):
     """Profile file failed to parse; message carries the offending line."""
 
 
-@dataclass
 class Scenario:
     """A concrete scenario: the feeder, the fleet, whose EV `ev{i}` lives
     at household site i, and per site (in the topology's device order) its
     bus index, PV panel and load profile."""
-    topology: NetworkTopology
-    fleet: list                      # EvProfile
-    price_profile: np.ndarray        # normalized cost, length m
-    irradiance_profile: np.ndarray   # W/m^2, length m
-    site_bus: np.ndarray             # bus index, (n_sites,)
-    site_pv_area: np.ndarray         # m^2, (n_sites,)
-    site_pv_efficiency: np.ndarray   # (n_sites,)
-    site_load_profiles: np.ndarray   # watt, (n_sites, m)
-    m: int
-    days: int
-    seed: int
+    __slots__ = ("topology", "fleet", "price_profile", "irradiance_profile",
+                 "site_bus", "site_pv_area", "site_pv_efficiency",
+                 "site_load_profiles", "m", "days", "seed")
 
-    def __post_init__(self):
-        for name in ("price_profile", "irradiance_profile"):
-            if getattr(self, name).shape != (self.m,):
-                raise ScenarioError(f"{name} must have length m={self.m}")
+    def __init__(self, topology: NetworkTopology, fleet: list,
+                 price_profile: np.ndarray, irradiance_profile: np.ndarray,
+                 site_bus: np.ndarray, site_pv_area: np.ndarray,
+                 site_pv_efficiency: np.ndarray,
+                 site_load_profiles: np.ndarray, m: int, days: int,
+                 seed: int):
+        for name, profile in (("price_profile", price_profile),
+                              ("irradiance_profile", irradiance_profile)):
+            if profile.shape != (m,):
+                raise ScenarioError(f"{name} must have length m={m}")
         # The price is the EV's normalized cost, which `ev_reward` takes
         # as a plain float in [0, 1].
-        if not ((0.0 <= self.price_profile)
-                & (self.price_profile <= 1.0)).all():
+        if not ((0.0 <= price_profile) & (price_profile <= 1.0)).all():
             raise ScenarioError("price_profile must lie in [0, 1]")
+        self.topology = topology
+        self.fleet = fleet                            # EvProfile
+        self.price_profile = price_profile            # normalized cost, (m,)
+        self.irradiance_profile = irradiance_profile  # W/m^2, (m,)
+        self.site_bus = site_bus                      # bus index, (n_sites,)
+        self.site_pv_area = site_pv_area              # m^2, (n_sites,)
+        self.site_pv_efficiency = site_pv_efficiency  # (n_sites,)
+        self.site_load_profiles = site_load_profiles  # watt, (n_sites, m)
+        self.m = m
+        self.days = days
+        self.seed = seed
 
     @property
     def delta_i(self) -> float:
@@ -301,14 +307,12 @@ class GridJudge:
         return bool(converged and not line_any and not bus_any)
 
 
-@dataclass(frozen=True)
-class AgentGraph:
+class AgentGraph(namedtuple("AgentGraph", "node adjacent")):
     """The line/bus agent graph requests flood over, with integer nodes:
     `node` maps ("bus", id) and ("line", id) to a node, and `adjacent`
     holds each node's neighbours. Bus nodes come first, numbered as the
     topology's bus indices, then the lines."""
-    node: dict
-    adjacent: tuple
+    __slots__ = ()
 
 
 def agent_neighbors(topology: NetworkTopology) -> AgentGraph:
@@ -680,6 +684,10 @@ def ingest_profile(path, kind: str, m: int, c_max=None) -> np.ndarray:
     maximum), and a price above `c_max` is rejected. Malformed files raise
     ProfileError naming the line.
     """
+    # Imported here, by its one user, so that a run without a profile file
+    # never loads it.
+    import csv
+
     if kind not in ("price", "irradiance"):
         raise ValueError(f"unknown profile kind {kind!r}")
     values = []

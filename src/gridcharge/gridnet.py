@@ -23,7 +23,7 @@ its parts' totals, before it is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -62,50 +62,56 @@ class TopologyError(ValueError):
     """Raised when a bus/line set does not form a valid radial network."""
 
 
-@dataclass(frozen=True)
-class Bus:
-    id: str
-    v_min: float = 0.95
-    v_max: float = 1.05
-    devices: tuple[str, ...] = ()
+class Bus(namedtuple("Bus", "id v_min v_max devices")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.v_min < self.v_max):
+    def __new__(cls, id, v_min=0.95, v_max=1.05, devices=()):
+        if not (0.0 < v_min < v_max):
             raise TopologyError(
-                f"bus {self.id!r}: need 0 < v_min < v_max, got "
-                f"v_min={self.v_min}, v_max={self.v_max}"
+                f"bus {id!r}: need 0 < v_min < v_max, got "
+                f"v_min={v_min}, v_max={v_max}"
             )
+        return super().__new__(cls, id, v_min, v_max, devices)
+
+    @classmethod
+    def _make(cls, values):
+        # `_replace` builds through `_make`: a variant is checked too.
+        return cls(*values)
 
 
-@dataclass(frozen=True)
-class Line:
-    id: str
-    from_bus: str
-    to_bus: str
-    resistance: float  # ohm
-    reactance: float   # ohm
-    i_rated: float     # ampere
+class Line(namedtuple("Line", "id from_bus to_bus resistance reactance "
+                              "i_rated")):
+    """A line; `resistance` and `reactance` in ohm, `i_rated` in ampere."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("resistance", "reactance", "i_rated"):
-            if not math.isfinite(getattr(self, name)):
-                raise TopologyError(f"line {self.id!r}: {name} must be "
-                                    f"finite, got {getattr(self, name)}")
-        if self.i_rated <= 0.0:
-            raise TopologyError(f"line {self.id!r}: i_rated must be > 0")
-        if self.resistance < 0.0:
-            raise TopologyError(f"line {self.id!r}: resistance must be >= 0")
-        if abs(complex(self.resistance, self.reactance)) <= 0.0:
-            raise TopologyError(f"line {self.id!r}: impedance magnitude must be > 0")
+    def __new__(cls, id, from_bus, to_bus, resistance, reactance, i_rated):
+        for name, value in (("resistance", resistance),
+                            ("reactance", reactance), ("i_rated", i_rated)):
+            if not math.isfinite(value):
+                raise TopologyError(f"line {id!r}: {name} must be "
+                                    f"finite, got {value}")
+        if i_rated <= 0.0:
+            raise TopologyError(f"line {id!r}: i_rated must be > 0")
+        if resistance < 0.0:
+            raise TopologyError(f"line {id!r}: resistance must be >= 0")
+        if abs(complex(resistance, reactance)) <= 0.0:
+            raise TopologyError(f"line {id!r}: impedance magnitude must be > 0")
+        return super().__new__(cls, id, from_bus, to_bus, resistance,
+                               reactance, i_rated)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
 
-@dataclass
-class PowerFlowSolution:
-    bus_voltages: np.ndarray    # per-unit magnitude, indexed like topology.buses
-    line_currents: np.ndarray   # ampere magnitude, indexed like topology.lines
-    converged: bool
-    iterations: int
-    v_complex: np.ndarray = field(repr=False, default=None)  # volts
+class PowerFlowSolution(namedtuple(
+        "PowerFlowSolution",
+        "bus_voltages line_currents converged iterations v_complex",
+        defaults=(None,))):
+    """`bus_voltages` in per unit, indexed like `topology.buses`;
+    `line_currents` in ampere, indexed like `topology.lines`; `v_complex`
+    in volt."""
+    __slots__ = ()
 
 
 class NetworkTopology:
@@ -252,8 +258,8 @@ def build_replicated_feeder(topology: dict) -> NetworkTopology:
         raise TopologyError("sub_districts must be >= 1")
     if per_feeder < 1:
         raise TopologyError("buses_per_feeder must be >= 1")
-    if t["households_per_bus"] < 0:
-        raise TopologyError("households_per_bus must be >= 0")
+    if t["households_per_bus"] < 1:
+        raise TopologyError("households_per_bus must be >= 1")
 
     lim = dict(v_min=t["v_min"], v_max=t["v_max"])
     buses = [Bus("slack", **lim)]

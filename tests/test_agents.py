@@ -32,6 +32,35 @@ def profile(**kw):
     return EvProfile(**base)
 
 
+class TestEvProfile:
+    @pytest.mark.parametrize("bad, match", [
+        (dict(t_depart=0), "t_arrive must precede t_depart"),
+        (dict(soc_start=0.9), "soc_start <= soc_target"),
+        (dict(soc_target=1.5), "soc_start <= soc_target"),
+        (dict(eta_chrg=0.0), "eta_chrg must be in"),
+        (dict(e_bat=0.0), "e_bat and p_max must be > 0"),
+        (dict(p_max=-7.0), "e_bat and p_max must be > 0"),
+    ], ids=["empty-window", "soc-start-above-target",
+            "soc-target-above-one", "eta-zero", "e_bat-zero",
+            "p_max-negative"])
+    def test_variant_checked_like_the_constructor(self, bad, match):
+        # A variant is built through the constructor, so `_replace` cannot
+        # make a profile the constructor would reject.
+        ev = profile()
+        with pytest.raises(ValueError, match=match):
+            profile(**bad)
+        with pytest.raises(ValueError, match=match):
+            ev._replace(**bad)
+
+    def test_variant(self):
+        ev = profile()._replace(t_arrive=10, t_depart=30)
+        assert type(ev) is EvProfile
+        assert ev == profile(t_arrive=10, t_depart=30)
+        assert ev.window_length == 20
+        with pytest.raises(ValueError, match="t_arrive must precede"):
+            ev._replace(t_depart=ev.t_arrive)
+
+
 class TestCriticalities:
     @pytest.mark.parametrize("i, rated, expect",
                              [(105, 100, 1.0), (100, 100, 0.0), (50, 100, 0.0)])

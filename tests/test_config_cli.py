@@ -1,14 +1,17 @@
 """Config parsing, CLI subcommands, output files, checkpoint round-trip."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from gridcharge.cli import execute_run, main
+from gridcharge.cli import _fmt, _fmt_column, execute_run, main
 from gridcharge.config import (SCHEMA, ConfigError, build_scenario,
                                parse_config)
+from gridcharge.gridnet import TopologyError, build_replicated_feeder
 from gridcharge.strategies import CHECKPOINT_FORMAT, AmasStrategy, _pack
 from helpers import defaults
 
@@ -326,6 +329,19 @@ class TestValidateCommand:
         assert main(["validate", "--config", path]) == 1
         assert key in capsys.readouterr().err
 
+    def test_zero_households_rejected_by_validate_and_builder(
+            self, tmp_path, capsys):
+        # One rule in both places: a bus carries at least one household.
+        path = write_config(
+            tmp_path, "scenario:\n  topology:\n    households_per_bus: 0\n")
+        assert main(["validate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "scenario.topology.households_per_bus" in err
+        with pytest.raises(TopologyError,
+                           match="households_per_bus must be >= 1"):
+            build_replicated_feeder(
+                defaults("scenario", "topology", households_per_bus=0))
+
 
 class TestCompareCommand:
     def test_compare_two_strategies(self, tmp_path):
@@ -424,3 +440,31 @@ class TestByteDeterminism:
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b, fname
+
+
+def test_column_formatted_as_each_value():
+    # `metrics_per_ev.csv` formats whole columns; each cell must read as
+    # `_fmt` of its value, NaN as an empty cell.
+    values = np.array([[0.1, -0.0, np.nan, np.inf, -np.inf],
+                       [1e-320, 2.0 / 3.0, 1e300, -5.0, 12345.678]])
+    assert _fmt_column(values) == [_fmt(x) for x in values.flat]
+    assert _fmt_column(values)[2] == ""
+
+
+def test_cli_import_loads_no_dataclasses_or_csv():
+    # Both modules cost a run's set-up time and are needed by none of it
+    # (`csv` only by a profile file, imported where it is read). numpy and
+    # yaml are imported first, so that what they load themselves, which
+    # differs between their versions, does not count.
+    src = os.path.join(ROOT, "src")
+    probe = ("import sys, numpy, yaml\n"
+             "before = set(sys.modules)\n"
+             "import gridcharge.cli\n"
+             "loaded = set(sys.modules) - before\n"
+             "print(sorted({'dataclasses', 'csv'} & loaded))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

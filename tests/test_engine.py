@@ -1,6 +1,5 @@
 """Simulation engine: scenario generation, flooding, instant pipeline, I/O."""
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -477,7 +476,7 @@ class TestSimulationPipeline:
         sc = generate_scenario(small_config(instants_per_day=24, fleet_size=5),
                                3, 7)
         windows = [(9, 13), (12, 18), (21, 27), (5, 6), (14, 38)]
-        sc.fleet = [replace(p, t_arrive=a, t_depart=d, e_bat=20.0)
+        sc.fleet = [p._replace(t_arrive=a, t_depart=d, e_bat=20.0)
                     for p, (a, d) in zip(sc.fleet, windows)]
         res = simulation(sc, UncontrolledStrategy()).run()
         for name, want in uncontrolled_accounts(sc).items():
@@ -500,7 +499,7 @@ class TestSimulationPipeline:
         sc = generate_scenario(small_config(instants_per_day=24, fleet_size=5),
                                3, 7)
         windows = [(9, 13), (13, 18), (21, 27), (5, 6), (14, 38)]
-        sc.fleet = [replace(p, t_arrive=a, t_depart=d, soc_start=0.1)
+        sc.fleet = [p._replace(t_arrive=a, t_depart=d, soc_start=0.1)
                     for p, (a, d) in zip(sc.fleet, windows)]
 
         def run(eager):
@@ -662,8 +661,8 @@ class TestSimulationPipeline:
         cfg = small_config(fleet_size=2, household_load_w=333.3)
         sc = generate_scenario(cfg, 1, 7, irradiance=np.zeros(96))
         a, b = sc.fleet
-        sc.fleet = [replace(a, t_arrive=40, t_depart=60, p_max=7.0),
-                    replace(b, t_arrive=38, t_depart=60, p_max=3.0)]
+        sc.fleet = [a._replace(t_arrive=40, t_depart=60, p_max=7.0),
+                    b._replace(t_arrive=38, t_depart=60, p_max=3.0)]
         record = record_instants(simulation(sc, UncontrolledStrategy()))[1][40]
         # Both EVs are far below their SoC target and capacity at instant
         # 40 and see no PV, so each draws p_max, as the engine books it.

@@ -1,7 +1,6 @@
 """Network topology and power-flow tests against closed-form oracles."""
 import math
 import sys
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -56,17 +55,17 @@ def limited_trees(draw, max_rating=500.0):
     exclude it or end exactly at it, where rounding decides. Returns a
     NetworkTopology."""
     buses, lines, slack = draw(radial_trees())
-    lines = [replace(l, resistance=draw(st.floats(1e-4, 0.05)),
-                     reactance=draw(st.floats(0.0, 0.05)),
-                     i_rated=draw(st.floats(5.0, max_rating)))
+    lines = [l._replace(resistance=draw(st.floats(1e-4, 0.05)),
+                        reactance=draw(st.floats(0.0, 0.05)),
+                        i_rated=draw(st.floats(5.0, max_rating)))
              for l in lines]
     edge = st.one_of(st.floats(0.8, 1.2), st.just(1.0))
     slack_min, slack_max = draw(st.one_of(
         st.tuples(st.floats(0.8, 0.99), st.floats(1.01, 1.2)),
         st.tuples(edge, edge).map(sorted).filter(lambda b: b[0] < b[1])))
-    buses = [replace(b, v_min=slack_min, v_max=slack_max) if b.id == slack
-             else replace(b, v_min=draw(st.floats(0.8, 0.99)),
-                          v_max=draw(st.floats(1.01, 1.2)))
+    buses = [b._replace(v_min=slack_min, v_max=slack_max) if b.id == slack
+             else b._replace(v_min=draw(st.floats(0.8, 0.99)),
+                             v_max=draw(st.floats(1.01, 1.2)))
              for b in buses]
     return NetworkTopology(buses, lines, slack)
 
@@ -665,7 +664,7 @@ class TestFeederGenerator:
         with pytest.raises(TopologyError):
             feeder(sub_districts=0)
 
-    @given(s=st.integers(1, 5), b=st.integers(1, 8), h=st.integers(0, 4))
+    @given(s=st.integers(1, 5), b=st.integers(1, 8), h=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_tree_property(self, s, b, h):
         net = feeder(sub_districts=s, buses_per_feeder=b,
@@ -737,6 +736,30 @@ class TestTopologyValidation:
     def test_negative_resistance_rejected(self):
         with pytest.raises(TopologyError, match="resistance"):
             Line("l", "a", "b", -0.001, 0.0005, 10.0)
+
+    @pytest.mark.parametrize("make, bad, match", [
+        (lambda: Bus("x"), dict(v_min=2.0), "need 0 < v_min < v_max"),
+        (lambda: Bus("x"), dict(v_min=0.0), "need 0 < v_min < v_max"),
+        (lambda: Line("l", "a", "b", 0.1, 0.0, 10.0), dict(i_rated=0.0),
+         "i_rated must be > 0"),
+        (lambda: Line("l", "a", "b", 0.1, 0.0, 10.0), dict(reactance=math.nan),
+         "reactance must be finite"),
+        (lambda: Line("l", "a", "b", 0.1, 0.0, 10.0), dict(resistance=0.0),
+         "impedance magnitude"),
+    ], ids=["bus-v_min-above-v_max", "bus-v_min-zero", "line-rating-zero",
+            "line-reactance-nan", "line-impedance-zero"])
+    def test_variant_checked_like_the_constructor(self, make, bad, match):
+        # A variant is built through the constructor, so `_replace` cannot
+        # make a record the constructor would reject.
+        record = make()
+        fields = record._asdict()
+        with pytest.raises(TopologyError, match=match):
+            type(record)(**{**fields, **bad})
+        with pytest.raises(TopologyError, match=match):
+            record._replace(**bad)
+        good = record._replace(id="y")
+        assert type(good) is type(record)
+        assert good == type(record)(**{**fields, "id": "y"})
 
     def test_injection_validation(self):
         net = two_bus_net()
