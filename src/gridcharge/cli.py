@@ -41,20 +41,21 @@ def _fmt_column(values: np.ndarray) -> list:
 
 
 def _strategy_for(rc: RunConfig, scenario):
-    if rc.strategy == "amas":
-        return AmasStrategy(alpha=rc.alpha, beta=rc.beta)
-    if rc.strategy == "uncontrolled":
+    strategy = rc.raw["strategy"]
+    if strategy == "amas":
+        return AmasStrategy(alpha=rc.raw["bandit"]["alpha"], beta=rc.beta)
+    if strategy == "uncontrolled":
         return UncontrolledStrategy()
-    if rc.strategy == "oracle":
+    if strategy == "oracle":
         schedules = centralized_oracle(scenario)
         return ScheduleStrategy(schedules)
-    raise ConfigError(f"unknown strategy {rc.strategy!r}")
+    raise ConfigError(f"unknown strategy {strategy!r}")
 
 
 def execute_run(rc: RunConfig):
     scenario = build_scenario(rc)
     strategy = _strategy_for(rc, scenario)
-    sim = Simulation(scenario, strategy, rc.cooperation_fraction)
+    sim = Simulation(scenario, strategy, rc.raw["cooperation_fraction"])
     return scenario, strategy, sim.run()
 
 
@@ -68,15 +69,15 @@ def _daily_fairness(sim):
 
 def summarize(rc: RunConfig, sim: Simulation) -> dict:
     rewards = mean_daily_reward(sim.mean_reward_ev)
-    with_fairness = rc.strategy != "uncontrolled"
+    with_fairness = rc.raw["strategy"] != "uncontrolled"
     days = sim.sc.days
     half = days // 2
     tail = slice(half, days) if days else slice(0, 0)
     pu_tail = per_unit_costs(sim.cost, sim.grid_energy, tail)
     summary = {
-        "strategy": rc.strategy,
+        "strategy": rc.raw["strategy"],
         "days": days,
-        "seed": rc.seed,
+        "seed": rc.raw["seed"],
         "total_cost": float(sim.cost.sum()),
         "total_grid_energy_kwh": float(sim.grid_energy.sum()),
         "mean_daily_cost_last_half": (
@@ -93,7 +94,7 @@ def summarize(rc: RunConfig, sim: Simulation) -> dict:
 
 def write_outputs(rc: RunConfig, sim: Simulation, outdir: str) -> dict:
     os.makedirs(outdir, exist_ok=True)
-    with_fairness = rc.strategy != "uncontrolled"
+    with_fairness = rc.raw["strategy"] != "uncontrolled"
 
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -140,7 +141,7 @@ def write_outputs(rc: RunConfig, sim: Simulation, outdir: str) -> dict:
     _write_json(os.path.join(outdir, "summary.json"), summary)
 
     lines = ["strategy,total_cost,mean_daily_cost_last_half"]
-    lines.append(",".join([rc.strategy, _fmt(summary["total_cost"]),
+    lines.append(",".join([rc.raw["strategy"], _fmt(summary["total_cost"]),
                            _fmt(summary["mean_daily_cost_last_half"])]))
     _write_text(os.path.join(outdir, "plot_cost_bars.csv"), lines)
     return summary
@@ -170,12 +171,14 @@ def _overrides_from_args(args):
 def cmd_run(args) -> int:
     rc = parse_config(args.config, _overrides_from_args(args))
     scenario, strategy, sim = execute_run(rc)
-    summary = write_outputs(rc, sim, rc.output_dir)
+    outdir = rc.raw["output_dir"]
+    summary = write_outputs(rc, sim, outdir)
     if isinstance(strategy, AmasStrategy):
         strategy.days_completed = scenario.days
-        _write_json(os.path.join(rc.output_dir, "checkpoint.json"),
+        _write_json(os.path.join(outdir, "checkpoint.json"),
                     strategy.to_checkpoint())
-    print(f"run complete: {rc.strategy}, {scenario.days} days -> {rc.output_dir}")
+    print(f"run complete: {rc.raw['strategy']}, {scenario.days} days "
+          f"-> {outdir}")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -193,7 +196,7 @@ def cmd_compare(args) -> int:
         rows.append(summarize(rc, execute_run(rc)[2]))
 
     outdir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) \
-        or rcs[0].output_dir
+        or rcs[0].raw["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     _write_json(os.path.join(outdir, "comparison.json"), {"strategies": rows})
     lines = ["strategy,total_cost,mean_daily_cost_last_half,"

@@ -119,7 +119,7 @@ def _coerce(value, spec, path):
     return value
 
 
-def _resolve(user, schema, prefix, defaults_applied):
+def _resolve(user, schema, prefix, defaults):
     if user is None:
         user = {}
     if not isinstance(user, dict):
@@ -132,40 +132,30 @@ def _resolve(user, schema, prefix, defaults_applied):
     for key, spec in schema.items():
         path = f"{prefix}.{key}" if prefix else key
         if isinstance(spec, dict):
-            out[key] = _resolve(user.get(key), spec, path, defaults_applied)
+            out[key] = _resolve(user.get(key), spec, path, defaults)
         elif key in user:
             out[key] = _coerce(user[key], spec, path)
         else:
-            out[key] = spec[1]
-            defaults_applied.append(f"{path}={spec[1]}")
+            out[key] = defaults[path] = spec[1]
     return out
 
 
 class RunConfig:
-    __slots__ = ("raw", "strategy", "days", "seed", "alpha", "beta",
-                 "cooperation_fraction", "output_dir", "defaults_applied",
-                 "overrides", "source_path")
+    __slots__ = ("raw", "beta", "defaults_applied", "overrides",
+                 "source_path")
 
-    def __init__(self, raw: dict, strategy: str, days: int, seed: int,
-                 alpha: float, beta: float, cooperation_fraction: float,
-                 output_dir: str, defaults_applied: list, overrides: dict,
-                 source_path: str):
+    def __init__(self, raw: dict, beta: float, defaults_applied: list,
+                 overrides: dict, source_path: str):
         self.raw = raw                  # fully resolved key tree
-        self.strategy = strategy
-        self.days = days
-        self.seed = seed
-        self.alpha = alpha
-        self.beta = beta
-        self.cooperation_fraction = cooperation_fraction
-        self.output_dir = output_dir
+        self.beta = beta                # `bandit.beta`, its default applied
         self.defaults_applied = defaults_applied
         self.overrides = overrides
         self.source_path = source_path
 
     def scenario_key(self) -> dict:
         """The scenario-defining subtree plus seed (for compare checks)."""
-        return {"scenario": self.raw["scenario"], "seed": self.seed,
-                "days": self.days}
+        return {"scenario": self.raw["scenario"], "seed": self.raw["seed"],
+                "days": self.raw["days"]}
 
 
 def parse_config(path, overrides=None) -> RunConfig:
@@ -183,8 +173,8 @@ def parse_config(path, overrides=None) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
 
-    defaults_applied = []
-    tree = _resolve(user, SCHEMA, "", defaults_applied)
+    defaults = {}                       # each defaulted key's value
+    tree = _resolve(user, SCHEMA, "", defaults)
 
     applied = {}
     for key, value in (overrides or {}).items():
@@ -223,23 +213,12 @@ def parse_config(path, overrides=None) -> RunConfig:
 
     beta = tree["bandit"]["beta"]
     if beta is None:
-        beta = default_pv_exploration(scen["pv"]["area_m2"],
-                                      scen["pv"]["efficiency"])
-        defaults_applied.append(f"bandit.beta={beta}")
+        beta = defaults["bandit.beta"] = default_pv_exploration(
+            scen["pv"]["area_m2"], scen["pv"]["efficiency"])
 
-    return RunConfig(
-        raw=tree,
-        strategy=tree["strategy"],
-        days=tree["days"],
-        seed=tree["seed"],
-        alpha=tree["bandit"]["alpha"],
-        beta=beta,
-        cooperation_fraction=tree["cooperation_fraction"],
-        output_dir=tree["output_dir"],
-        defaults_applied=defaults_applied,
-        overrides=applied,
-        source_path=str(path),
-    )
+    defaults_applied = [f"{key}={value}" for key, value in defaults.items()]
+    return RunConfig(raw=tree, beta=beta, defaults_applied=defaults_applied,
+                     overrides=applied, source_path=str(path))
 
 
 def build_scenario(rc: RunConfig) -> Scenario:
@@ -252,4 +231,4 @@ def build_scenario(rc: RunConfig) -> Scenario:
     irr = None
     if sc["irradiance_csv"]:
         irr = ingest_profile(sc["irradiance_csv"], "irradiance", m)
-    return generate_scenario(sc, rc.days, rc.seed, price, irr)
+    return generate_scenario(sc, rc.raw["days"], rc.raw["seed"], price, irr)

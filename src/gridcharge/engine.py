@@ -20,7 +20,7 @@ import numpy as np
 from .agents import (CriticalityRequest, EvProfile, Fleet, Roster,
                      bus_criticality, line_criticality, request_priority,
                      sample_cooperation_targets, take_requests)
-from .gridnet import (NetworkTopology, below_total_limit, bound_below_limit,
+from .gridnet import (NetworkTopology, bound_below_limit,
                       build_replicated_feeder, certainly_within_limits,
                       pv_power, solve_power_flow, total_bounds)
 
@@ -253,20 +253,14 @@ class GridJudge:
 
     A state is (converged, line criticalities, bus criticalities, any line
     critical, any bus critical), its arrays read-only. It depends only on
-    the vector, so a vector is first looked up in the memo, by its bytes.
-    A vector not found there that `below_total_limit` clears gets the
-    shared all-clear state and leaves no memo entry: once EVs charge,
-    light vectors rarely repeat, so an entry for one is seldom read.
-    Any other state is kept, since those vectors repeat: household loads
-    and PV repeat per instant of day, and schedules replay. A kept vector
-    never passes the tier, as it is stored only after the tier refused
-    it, so looking it up first changes no verdict. A vector that
-    `certainly_within_limits` clears shares the all-clear state and is
-    not solved; any other is solved once by `solve`, the
-    `solve_power_flow` of the caller's module, so that a wrapper
-    installed under that name sees the caller's solves. A power flow that
-    does not converge leaves the electrical state unknown, so every line
-    is marked critical and the whole fleet backs off.
+    the vector, which is looked up in the memo by its bytes first: household
+    loads and PV repeat per instant of day, and schedules replay. A vector
+    not found there is judged and kept: one that `certainly_within_limits`
+    clears shares the all-clear state, and any other is solved once by
+    `solve`, the `solve_power_flow` of the caller's module, so that a
+    wrapper installed under that name sees the caller's solves. A power
+    flow that does not converge leaves the electrical state unknown, so
+    every line is marked critical and the whole fleet backs off.
     """
 
     def __init__(self, net: NetworkTopology, solve):
@@ -282,8 +276,6 @@ class GridJudge:
         if state is not None:
             return state
         net = self.net
-        if below_total_limit(net, inj):
-            return self.all_clear
         if certainly_within_limits(net, inj):
             state = self.states[key] = self.all_clear
         else:

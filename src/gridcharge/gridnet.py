@@ -35,7 +35,6 @@ __all__ = [
     "TopologyError",
     "build_replicated_feeder",
     "solve_power_flow",
-    "below_total_limit",
     "total_bounds",
     "bound_below_limit",
     "certainly_within_limits",
@@ -396,13 +395,17 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
     floating-point sweep meets the limits that the exact map meets. Every
     test is written so that a NaN fails it.
 
-    Tier. Injections that `below_total_limit` clears are cleared before
-    any of this: their S_l and d_b meet every test above (see
-    `_total_limit`). A finite sum also proves every injection finite; a
-    non-finite injection makes the sum NaN or infinite, so such a vector
-    still reaches the input check, as does any input but a float array of
-    one entry per bus. A bound past the float range fails its test, which
-    is the verdict; it warns of nothing.
+    Tier. First, a vector whose `_tier_total` lies below `net._tier_limit`
+    is cleared at once: its S_l and d_b meet every test above (see
+    `_total_limit`). Both are taken times `TIER_SCALE`, a power of two, so
+    that the sum of finite injections cannot overflow; the scaling is
+    exact but for terms below 2^-990 W, whose rounding (2^-1075 each) the
+    margin of `_total_limit` covers. A finite sum also proves every
+    injection finite; a non-finite injection makes the sum NaN or
+    infinite, and any input but a float array of one entry per bus makes
+    it NaN, so such a vector still reaches the input check. A bound past
+    the float range fails its test, which is the verdict; it warns of
+    nothing.
     """
     total = _tier_total(net, injections)
     if total < net._tier_limit:
@@ -410,23 +413,6 @@ def certainly_within_limits(net: NetworkTopology, injections) -> bool:
     if math.isfinite(total):            # so is every injection
         return _segment_certificate(net, injections)
     return _segment_certificate(net, net.injection_array(injections))
-
-
-def below_total_limit(net: NetworkTopology, injections) -> bool:
-    """The total-load tier of `certainly_within_limits` alone: whether
-    `injections`, a float array of one entry per bus, sum |p_b| below
-    `net._total_limit` (see `_total_limit`). True proves what the certificate
-    proves; False only means "not proven". Any other input, and a
-    non-finite injection (which makes the sum NaN or infinite), gets
-    False.
-
-    The sum and the limit are both taken times `TIER_SCALE`, a power of
-    two, so that the sum of finite injections cannot overflow. The scaling
-    is exact, so the comparison is the unscaled one, but for terms below
-    2^-990 W, whose rounding (2^-1075 each) the margin of `_total_limit`
-    covers.
-    """
-    return _tier_total(net, injections) < net._tier_limit
 
 
 def _tier_total(net: NetworkTopology, injections) -> float:
@@ -622,7 +608,7 @@ def bound_below_limit(net: NetworkTopology, base_bound, added,
 
     So when the bound lies below the scaled limit, so does the tier's sum
     of p, built or not: the tier, and so the certificate, clears p, and
-    judging it would have kept no memo entry. As with the tier, terms
+    the judge would give it the all-clear state. As with the tier, terms
     below 2^-990 W round by an absolute 2^-1075 each once scaled, which
     the margin of `_total_limit` covers.
     """

@@ -71,12 +71,27 @@ class TestParseConfig:
     def test_defaults_filled_and_echoed(self, tmp_path):
         path = write_config(tmp_path, "scenario:\n  fleet_size: 2\n")
         rc = parse_config(path)
-        assert rc.strategy == "amas"
-        assert rc.days == 60
-        assert rc.alpha == 0.5
+        assert rc.raw["strategy"] == "amas"
+        assert rc.raw["days"] == 60
+        assert rc.raw["bandit"]["alpha"] == 0.5
         assert rc.raw["scenario"]["instants_per_day"] == 96
         assert any(d.startswith("strategy=") for d in rc.defaults_applied)
         assert any(d.startswith("bandit.alpha=") for d in rc.defaults_applied)
+
+    @pytest.mark.parametrize("body, named", [
+        # The applied default of a null `bandit.beta` (a tenth of the
+        # default panel's 3.6 kW) takes the place of the schema's null.
+        ("days: 1\n", ["bandit.beta=360.0"]),
+        ("bandit:\n  beta: null\n", ["bandit.beta=360.0"]),
+        ("bandit:\n  beta: 50.0\n", []),
+    ], ids=["defaulted", "null", "given"])
+    def test_each_default_named_once(self, tmp_path, body, named):
+        rc = parse_config(write_config(tmp_path, body))
+        keys = [d.split("=", 1)[0] for d in rc.defaults_applied]
+        assert len(keys) == len(set(keys))
+        assert [d for d in rc.defaults_applied
+                if d.startswith("bandit.beta=")] == named
+        assert rc.beta == (360.0 if named else 50.0)
 
     def test_unknown_key_named(self, tmp_path):
         for body, key in (("scenario:\n  flet_size: 2\n", "scenario.flet_size"),
@@ -139,7 +154,7 @@ class TestParseConfig:
     def test_overrides_echoed(self, small_cfg):
         path, _ = small_cfg
         rc = parse_config(path, {"seed": 9, "days": 1})
-        assert rc.seed == 9 and rc.days == 1
+        assert rc.raw["seed"] == 9 and rc.raw["days"] == 1
         assert rc.overrides == {"seed": 9, "days": 1}
 
     def test_bad_update_rule(self, tmp_path, capsys):

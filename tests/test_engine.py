@@ -14,15 +14,15 @@ from gridcharge.engine import (GridJudge, ProfileError, Scenario,
                                ScenarioError, agent_neighbors,
                                default_price_profile, flood_requests,
                                generate_scenario, ingest_profile)
-from gridcharge.gridnet import (NetworkTopology, below_total_limit,
-                                bound_below_limit, build_replicated_feeder,
+from gridcharge.gridnet import (NetworkTopology, bound_below_limit,
+                                build_replicated_feeder,
                                 certainly_within_limits, solve_power_flow)
 from gridcharge.strategies import (AmasStrategy, UncontrolledStrategy,
                                    centralized_oracle)
 from helpers import (amas, defaults, flood_by_id, forward_request,
                      plugged_in, record_instants, round_flood, simulation,
                      take_requests_per_ev, uncontrolled_accounts)
-from test_grid import radial_trees, two_bus_net
+from test_grid import radial_trees, tier_clears, two_bus_net
 
 
 def small_config(topology=None, **kw):
@@ -602,7 +602,7 @@ class TestSimulationPipeline:
         sim = simulation(generate_scenario(cfg, 1, 1), UncontrolledStrategy())
         by_bound = [bound_below_limit(sim.net, bound, 0.0, 0.0)
                     for bound in sim._idle_bound]
-        by_tier = [below_total_limit(sim.net, inj) for inj in sim._idle_inj]
+        by_tier = [tier_clears(sim.net, inj) for inj in sim._idle_inj]
         assert by_bound == by_tier
         assert 0 < sum(by_bound) < len(by_bound)
 
@@ -847,29 +847,39 @@ class TestGridStateMemo:
             for key in keys:
                 assert judges[0].within_limits(np.frombuffer(key)) is verdict
 
-    def test_only_vectors_past_the_tier_are_kept(self):
-        # A vector not in the memo that the tier clears is answered by the
-        # tier and keeps nothing; a vector the certificate clears, or the
-        # solve judges, is kept by its bytes, and a later ask reads it.
+    def test_every_judged_vector_is_kept(self, monkeypatch):
+        # A vector not in the memo goes to the certificate once, whose
+        # tier clears a light one and whose segment sums clear one at the
+        # limit; only a vector neither clears is solved. Each is kept by
+        # its bytes, and a later ask reads it from the memo.
         net = two_bus_net()
-        solved = []
+        asked, solved = [], []
+
+        def certify(net, inj):
+            asked.append(inj.tobytes())
+            return certainly_within_limits(net, inj)
 
         def solve(net, inj):
             solved.append(inj.tobytes())
             return solve_power_flow(net, inj)
 
+        monkeypatch.setattr(engine, "certainly_within_limits", certify)
         judge = GridJudge(net, solve)
         limit = net._total_limit
         light = np.array([0.0, 0.5 * limit])
         certified = np.array([0.0, limit])
         heavy = np.array([0.0, 1.2 * 230.0**2 / (4 * 0.1)])
+        assert tier_clears(net, light) and not tier_clears(net, certified)
         assert judge.state(light) is judge.all_clear
-        assert judge.states == {}
         assert judge.state(certified) is judge.all_clear
-        assert judge.states == {certified.tobytes(): judge.all_clear}
         assert not judge.within_limits(heavy)
-        assert list(judge.states) == [certified.tobytes(), heavy.tobytes()]
-        assert judge.state(heavy) is judge.states[heavy.tobytes()]
+        keys = [light.tobytes(), certified.tobytes(), heavy.tobytes()]
+        assert list(judge.states) == keys
+        assert asked == keys
+        assert solved == [heavy.tobytes()]
+        for inj in (light, certified, heavy):
+            assert judge.state(inj) is judge.states[inj.tobytes()]
+        assert asked == keys
         assert solved == [heavy.tobytes()]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

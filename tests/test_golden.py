@@ -65,7 +65,7 @@ DIGESTS = {
     "checkpoint.json":
         "e329b8880e602c04026ec34268e900d1fa365d2c4280b86976d0eca4121b4f1e",
     "manifest.json":
-        "c677a937bc345d7bd9512e77bb7aca37d7445dc89fbc052b608a744243353e8e",
+        "88255b06fee398c82dc1078e49457c0b5989af97b3d7e5634ac429c41231c679",
     "metrics_daily.csv":
         "b2c8ac87cea42cd88a1eb8b4920e3480dc1c7867c2e78b25837ce988f06c9fe0",
     "metrics_per_ev.csv":
@@ -86,7 +86,7 @@ TIED_DIGESTS = {
     "checkpoint.json":
         "60ab177dad58ca745a1f07cf0bd82d404b963575611b019a227e2508bfa3169f",
     "manifest.json":
-        "d0a3997551d6a383e8c395a68b0902db097e0d1fb6385ba5a81139fb08c46fe2",
+        "805ec393c94d493ce0b41dd1380d6e0557ae4e31753e85ca93325589816f49d5",
     "metrics_daily.csv":
         "d9b6ed2355eacefb42dc8034e23eb88d4e59893f8ca6ff1eb85038cf679f9846",
     "metrics_per_ev.csv":
@@ -123,7 +123,7 @@ TWO_LEVEL_DIGESTS = {
     "checkpoint.json":
         "ffe94ef4a86fdbea88dd05df0f390e1ead1e8ba5a5f22e1b2e61f3a5b91bd8e2",
     "manifest.json":
-        "3526ad131398503f2403a0c7fd12952046660c49542f77a7f2a6c48c9ec5874a",
+        "275bf44696e98812bf9dea81d2a630ca1278757937f53be77cbfd325882ad557",
     "metrics_daily.csv":
         "8cf92d48cc1224f2cf8e5309808b46b7a817d51e4600723995c3a499bd4db8f4",
     "metrics_per_ev.csv":
@@ -159,7 +159,7 @@ BRANCHES_DIGESTS = {
     "checkpoint.json":
         "fd440d38d3e40d79faa9b7cf5b1badf6fd220741cbcd9ea422304bac4f91407f",
     "manifest.json":
-        "43a163bc8eacd7b7726ec40a2ca074f67a404449385b1fecefa676ccd00f050d",
+        "1020be3df3c725d86b7ff6eda1f50c701127714ed7f2d8329e4619cb8d85d361",
     "metrics_daily.csv":
         "470ffe08e579f8c56758e044ef0ca27a1cb4dac5822eaa3d6dead846c8320c07",
     "metrics_per_ev.csv":
@@ -194,7 +194,7 @@ cooperation_fraction: 0.3
 BASELINE_DIGESTS = {
     "oracle": {
         "manifest.json":
-            "4d22913643cfe566aa283e15442663083aba7c34ecbd6f66ae956b44b2a23e07",
+            "0cc347491435019e19e54fb9c48611953fbdb2530bbc541e8a4c82289d820470",
         "metrics_daily.csv":
             "0672d7ccca240fcec09ac5994d1773f66a85f0238b14042a2cfbfa29ff322ab6",
         "metrics_per_ev.csv":
@@ -208,7 +208,7 @@ BASELINE_DIGESTS = {
     },
     "uncontrolled": {
         "manifest.json":
-            "44d64f37f9b7654e263fb27f4bfb40fcaf9d4ec5f4b1e33e22ae0afa28739a2f",
+            "efed8f1d9bce03a451a7478f339f3596cce50f435f2e81bf8989897a94ea54cf",
         "metrics_daily.csv":
             "acdbfca9a38bbf9a021cf67e548142254c3848816077b68fc45b1a454518a6c0",
         "metrics_per_ev.csv":
@@ -261,9 +261,9 @@ def recorded_instants(tmp_path, config):
     path = tmp_path / "run.yaml"
     path.write_text(config, encoding="utf-8")
     rc = parse_config(str(path))
-    sim = Simulation(build_scenario(rc), AmasStrategy(alpha=rc.alpha,
-                                                      beta=rc.beta),
-                     cooperation_fraction=rc.cooperation_fraction)
+    strategy = AmasStrategy(alpha=rc.raw["bandit"]["alpha"], beta=rc.beta)
+    sim = Simulation(build_scenario(rc), strategy,
+                     cooperation_fraction=rc.raw["cooperation_fraction"])
     return record_instants(sim)[1]
 
 

@@ -13,8 +13,7 @@ from gridcharge.engine import GridJudge
 from gridcharge.gridnet import (MAX_BOUND_TERMS, Bus, Line, NetworkTopology,
                                 TopologyError, _certificate_bounds,
                                 _segment_certificate, _tier_total,
-                                below_total_limit, bound_below_limit,
-                                build_replicated_feeder,
+                                bound_below_limit, build_replicated_feeder,
                                 certainly_within_limits, pv_power,
                                 solve_power_flow, total_bounds)
 from helpers import certificate_bounds, defaults, power_mismatch
@@ -408,6 +407,14 @@ class TestCertificate:
         assert load[0] == math.inf
 
 
+def tier_clears(net, p) -> bool:
+    """The tier's verdict alone: `certainly_within_limits` with the
+    segment-sum certificate refusing every vector."""
+    with mock.patch.object(gridnet, "_segment_certificate",
+                           return_value=False):
+        return certainly_within_limits(net, p)
+
+
 class TestTotalLoadTier:
     """The tier in front of the segment-sum certificate: a vector whose
     total |p| lies below `NetworkTopology._total_limit` is cleared at once,
@@ -469,17 +476,22 @@ class TestTotalLoadTier:
         # float, where scaling rounds.
         net = two_bus_net(rating=1e-305)
         assert 0.0 < net._total_limit < 1e-300
-        assert not below_total_limit(net, np.zeros(2))
+        assert not tier_clears(net, np.zeros(2))
         assert certainly_within_limits(net, np.zeros(2))
 
     def test_only_float_vectors_of_finite_injections_pass(self):
+        # Any other input goes on to the solve's input check: a list or
+        # float32 passes it, a wrong shape or non-finite entry fails it.
         net = two_bus_net()
         light = np.array([0.0, 0.5 * net._total_limit])
-        assert below_total_limit(net, light)
-        for p in (light.tolist(), light.astype(np.float32), light[:1],
-                  light[None], np.array([np.nan, 0.0]),
-                  np.array([0.0, np.inf])):
-            assert not below_total_limit(net, p)
+        assert tier_clears(net, light)
+        for p in (light.tolist(), light.astype(np.float32)):
+            assert not tier_clears(net, p)
+        for p, match in ((light[:1], "shape"), (light[None], "shape"),
+                         (np.array([np.nan, 0.0]), "finite"),
+                         (np.array([0.0, np.inf]), "finite")):
+            with pytest.raises(ValueError, match=match):
+                tier_clears(net, p)
 
     def test_zero_when_the_slack_band_excludes_one(self):
         # A band ending at 1.0 excludes it by the certificate's margin.
@@ -549,7 +561,7 @@ class TestBoundBelowLimit:
     """`bound_below_limit` clears a vector from the totals of its parts,
     before it is built: the bound is never below the tier's sum of the
     built vector, so whatever it clears, the tier clears, and so do the
-    certificate and the judge, which keeps no memo entry."""
+    certificate and the judge."""
 
     @given(net=limited_trees(max_rating=1e5), data=st.data())
     @settings(deadline=None)
@@ -590,11 +602,11 @@ class TestBoundBelowLimit:
         with mock.patch.object(net, "_bound_limit", _tier_total(net, p)):
             assert not bound_below_limit(net, base, added, absorbed)
         if bound_below_limit(net, base, added, absorbed):
-            assert below_total_limit(net, p)
+            assert tier_clears(net, p)
             assert certainly_within_limits(net, p)
             judge = GridJudge(net, solve_power_flow)
             assert judge.state(p) is judge.all_clear
-            assert judge.states == {}
+            assert judge.states == {p.tobytes(): judge.all_clear}
 
     def test_absorbed_pv_counts(self):
         # The site's PV cancels the bus's load in q, and its EV absorbs
@@ -609,7 +621,7 @@ class TestBoundBelowLimit:
                                             absorbed_w)
         assert bound_below_limit(net, base, added, 0.0)
         assert not bound_below_limit(net, base, added, absorbed)
-        assert not below_total_limit(net, p)
+        assert not tier_clears(net, p)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("at", ["load", "pv", "grid", "absorbed"])
@@ -625,8 +637,9 @@ class TestBoundBelowLimit:
 
     def test_terms_near_the_float_limit_clear_nothing(self):
         # Sums of these terms pass the float range unless scaled; nothing
-        # warns (pytest makes a RuntimeWarning an error). On a lone slack
-        # bus, whose limit is infinite, the built vector is infinite.
+        # warns (pytest makes a RuntimeWarning an error). The built vector
+        # is infinite, even on a lone slack bus, whose limit is infinite:
+        # the tier clears nothing, and the input check refuses it.
         big = sys.float_info.max
         lone = NetworkTopology([Bus("s")], [], "s")
         for net, load in ((two_bus_net(), [big, big]), (lone, [big])):
@@ -635,7 +648,8 @@ class TestBoundBelowLimit:
                                                 [big])
             assert math.isfinite(base + added + absorbed)
             assert not bound_below_limit(net, base, added, absorbed)
-            assert not below_total_limit(net, p)
+            with pytest.raises(ValueError, match="finite"):
+                tier_clears(net, p)
 
     def test_past_the_most_terms_every_bound_is_infinite(self):
         net = two_bus_net()

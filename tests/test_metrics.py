@@ -233,22 +233,18 @@ class TestCentralizedOracle:
         lambda: small_feeder(9, 40.0, sub_districts=3, seed=4),
     ])
     def test_plans_as_with_the_memo_first(self, make, monkeypatch):
-        # The judge asks the total-load tier before its memo; a judge that
-        # asks its memo first, then the whole certificate, plans the same.
+        # The judge asks its memo first; a judge that keeps nothing, and
+        # asks the certificate and then the solve for every row, plans the
+        # same.
         sc = make()
         plans = centralized_oracle(sc)
 
-        class MemoFirst(GridJudge):
+        class NoMemo(GridJudge):
             def state(self, inj):
-                key = inj.tobytes()
-                if key not in self.states:
-                    self.states[key] = (
-                        self.all_clear
-                        if certainly_within_limits(self.net, inj)
-                        else super().state(inj))
-                return self.states[key]
+                self.states.clear()
+                return super().state(inj)
 
-        monkeypatch.setattr(strategies, "GridJudge", MemoFirst)
+        monkeypatch.setattr(strategies, "GridJudge", NoMemo)
         reference = centralized_oracle(sc)
         assert plans.keys() == reference.keys()
         for ev, plan in reference.items():
